@@ -70,16 +70,22 @@ def _eval_angle(expr: str) -> float:
     e = e.replace("pi", "@")
     if not _ANGLE_CHARS.match(e):
         raise OutOfRange(f"angle token {expr!r} contains unsupported characters")
+    # ``**`` can build integers of unbounded size and ``//`` floors: no angle uses them
+    if "**" in e or "//" in e:
+        raise OutOfRange(f"angle token {expr!r} uses an unsupported operator")
     # implicit multiplication around pi: 2pi -> 2*pi, pi2 -> pi*2, )pi, pi( ...
     e = re.sub(r"(?<=[0-9.)])@", "*@", e)
     e = re.sub(r"@(?=[0-9.(])", "@*", e)
     try:
-        value = eval(  # noqa: S307 - character set restricted above
+        value = eval(  # noqa: S307 - characters and operators restricted above
             e.replace("@", "pi"), {"__builtins__": {}}, {"pi": math.pi}
         )
+        value = float(value)
     except Exception as exc:
         raise OutOfRange(f"cannot parse angle token {expr!r}: {exc}") from exc
-    return float(value)
+    if not math.isfinite(value):
+        raise OutOfRange(f"angle token {expr!r} is not finite")
+    return value
 
 
 def parse_theta(spec: str) -> list[float]:

@@ -16,6 +16,11 @@ constructor verifies.  Signs are fixed so every coordinate is positive on the
 polygon circumscribed about the unit circle (a strictly interior reference
 configuration).
 
+The area form is closed-form: with chain vertices ``V_j = sum_{k<j} e_k d_k``
+the shoelace sum ``1/2 sum_j Im(conj(V_j) V_{j+1})`` is
+``1/2 sum_{k<j} e_k e_j Im(conj(d_k) d_j)``, so on basis rows ``B`` it is
+``B M B^T`` with ``M[k, j] = 1/4 Im(conj(d_k) d_j) sign(j - k)``.
+
 The Klein model lives in the affine slice ``x = 1``: a positive-area vector
 ``e`` on the ``x > 0`` sheet projects to ``(u/x, v/x[, w/x])`` in the open
 unit ball, and ``arctanh`` of the Euclidean norm is the hyperbolic distance
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,15 +46,7 @@ from .errors import (
     SignatureMismatch,
     WrongSheet,
 )
-from .planar import (
-    EdgeFrame,
-    chain_vertices,
-    complete_triangle,
-    edge_frame,
-    line_intersection,
-    polygon_area,
-    tangential_lengths,
-)
+from .planar import EdgeFrame, complete_triangle, edge_frame, line_intersection
 
 #: Below this distance from the unit sphere a Klein point counts as ideal,
 #: and a facet-pair cosine within this band of 1 counts as tangency.
@@ -79,7 +77,6 @@ class LorentzModel:
     frame: EdgeFrame
     basis: np.ndarray       # (n-2, n): rows are edge-length vectors spanning E
     gram: np.ndarray        # (n-2, n-2): area bilinear form on basis coords
-    gram_inv: np.ndarray
     coord_mat: np.ndarray   # (n-2, n-2): rows are the x, u, v[, w] functionals
     facet_mat: np.ndarray   # (n, n-2): row k is the edge functional xi_{k+1}
 
@@ -90,6 +87,11 @@ class LorentzModel:
     @property
     def dim(self) -> int:
         return self.n - 2
+
+    @cached_property
+    def gram_inv(self) -> np.ndarray:
+        """Inverse of the area form, computed on first use (dual pairings)."""
+        return np.linalg.inv(self.gram)
 
     # -- conversions ---------------------------------------------------------
 
@@ -152,19 +154,21 @@ def _basewidth_values(frame: EdgeFrame, basis: np.ndarray) -> np.ndarray:
     the functional.
     """
     n = frame.n
-    d = frame.dirs
-    vals = np.empty(basis.shape[0])
-    for a, row in enumerate(basis):
-        v = chain_vertices(frame, row)
-        # base line through V_1 along edge 2; neighbors along edges 4 and n
-        _, _, corner_a = line_intersection(v[n - 1], d[n - 1], v[1], d[1])
-        _, _, corner_b = line_intersection(v[3], d[3], v[1], d[1])
-        vals[a] = ((corner_b - corner_a) * d[1].conjugate()).real
-    return vals
+    v = np.cumsum(basis * frame.dirs, axis=1)  # v[:, j] is V_{j+1} of each row
+    d = frame.dirs.tolist()
+    # base line through V_1 along edge 2; neighbors along edges 4 and n
+    _, _, corner_a = line_intersection(v[:, n - 2], d[n - 1], v[:, 0], d[1])
+    _, _, corner_b = line_intersection(v[:, 2], d[3], v[:, 0], d[1])
+    return ((corner_b - corner_a) * d[1].conjugate()).real
 
 
 def build_model(theta: WeightVector, label: Sequence[int]) -> LorentzModel:
-    """Construct the Lorentzian model with verified signature (1, n-3)."""
+    """Construct the Lorentzian model with verified signature (1, n-3).
+
+    The gram matrix is ``B M B^T`` with ``M[k, j] = 1/4 Im(conj(d_k) d_j)
+    sign(j - k)``: ``V_{j+1} = V_j + e_j d_j`` turns the shoelace sum into
+    ``1/2 sum_{k<j} e_k e_j Im(conj(d_k) d_j)``.
+    """
     word = as_word(label)
     n = theta.n
     if len(word) != n:
@@ -172,34 +176,26 @@ def build_model(theta: WeightVector, label: Sequence[int]) -> LorentzModel:
     if n not in (5, 6):
         raise OutOfRange(f"Lorentz models are built for n in {{5, 6}}, got {n}")
     frame = edge_frame(theta, label)
-    d = frame.dirs
+    cross = (frame.dirs.conjugate()[:, None] * frame.dirs).imag  # Im(conj(d_a) d_b)
 
     # deterministic basis: pivot on the best-conditioned direction pair
     best = (-1.0, 0, 1)
+    abs_cross = np.abs(cross).tolist()
     for a in range(n):
         for b in range(a + 1, n):
-            c = abs((d[a].conjugate() * d[b]).imag)
-            if c > best[0] + 1e-15:
-                best = (c, a, b)
+            if abs_cross[a][b] > best[0] + 1e-15:
+                best = (abs_cross[a][b], a, b)
     _, p1, p2 = best
-    piv = np.array([[d[p1].real, d[p2].real], [d[p1].imag, d[p2].imag]])
-    basis = np.zeros((n - 2, n))
+    # free column j closes with d_j + x d_p1 + y d_p2 = 0 (Cramer's rule)
     free = [j for j in range(n) if j not in (p1, p2)]
-    for row, j in enumerate(free):
-        ab = np.linalg.solve(piv, [-d[j].real, -d[j].imag])
-        basis[row, j] = 1.0
-        basis[row, p1] = ab[0]
-        basis[row, p2] = ab[1]
-
-    # area form by polarization of the shoelace area
     dim = n - 2
-    diag = np.array([polygon_area(chain_vertices(frame, row)) for row in basis])
-    gram = np.empty((dim, dim))
-    for a in range(dim):
-        gram[a, a] = diag[a]
-        for b in range(a + 1, dim):
-            q_ab = polygon_area(chain_vertices(frame, basis[a] + basis[b]))
-            gram[a, b] = gram[b, a] = 0.5 * (q_ab - diag[a] - diag[b])
+    basis = np.zeros((dim, n))
+    basis[np.arange(dim), free] = 1.0
+    basis[:, p1] = cross[p2, free] / cross[p1, p2]
+    basis[:, p2] = cross[free, p1] / cross[p1, p2]
+
+    half = basis @ (0.25 * np.triu(cross, 1)) @ basis.T
+    gram = half + half.T  # B M B^T, exactly symmetric
 
     eigs = np.linalg.eigvalsh(gram)
     tol = 1e-12 * max(1.0, np.abs(eigs).max())
@@ -215,19 +211,17 @@ def build_model(theta: WeightVector, label: Sequence[int]) -> LorentzModel:
     tri = complete_triangle(theta, word)
     c_x = math.sqrt(tri.c.imag / 2.0)
     x_row = c_x * _basewidth_values(frame, basis)
-    rows = [x_row, _corner_scale(t[0], t[1]) * facet_mat[0]]
-    rows.append(_corner_scale(t[2], t[3]) * facet_mat[2])
-    if n == 6:
-        rows.append(_corner_scale(t[4], t[5]) * facet_mat[4])
-    coord_mat = np.vstack(rows)
+    # u, v[, w] scale the lengths of edges 1, 3[, 5]
+    corners = range(0, n - 1, 2)
+    coord_mat = np.vstack(
+        [x_row] + [_corner_scale(t[k], t[k + 1]) * facet_mat[k] for k in corners]
+    )
 
-    ref_coords = np.linalg.lstsq(
-        basis.T, tangential_lengths(theta, word), rcond=None
-    )[0]
-    ref_vals = coord_mat @ ref_coords
-    for i, val in enumerate(ref_vals):
-        if val < 0.0:
-            coord_mat[i] = -coord_mat[i]
+    # the basis has identity columns at ``free``, so the basis coordinates
+    # of the circumscribed polygon are its tangential lengths there
+    half_tan = np.tan(t / 2.0)
+    ref_coords = half_tan[free] + half_tan[[(j + 1) % n for j in free]]
+    coord_mat[coord_mat @ ref_coords < 0.0] *= -1.0
 
     # The coordinates must diagonalize the area form.  Each entry of the
     # reconstruction cancels products as large as the squared column norms
@@ -241,7 +235,7 @@ def build_model(theta: WeightVector, label: Sequence[int]) -> LorentzModel:
         float(np.abs(gram).max()),
         float((coord_mat**2).sum(axis=0).max()),
     )
-    if not np.allclose(recon, gram, rtol=0.0, atol=1e-9 * scale):
+    if not np.abs(recon - gram).max() <= 1e-9 * scale:
         raise SignatureMismatch(
             "coordinate functionals fail to diagonalize the area form"
         )
@@ -252,7 +246,6 @@ def build_model(theta: WeightVector, label: Sequence[int]) -> LorentzModel:
         frame=frame,
         basis=basis,
         gram=gram,
-        gram_inv=np.linalg.inv(gram),
         coord_mat=coord_mat,
         facet_mat=facet_mat,
     )

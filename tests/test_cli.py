@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,22 @@ class TestForward:
         )
         assert code == 2
         assert doc["schema"] == "polymod-error/1"
+
+    @pytest.mark.parametrize("token", ["10**400", "7//2", "1e400"])
+    def test_power_and_overflow_tokens_exit_2(self, token):
+        """Run as a fresh process so an escaping traceback would show on stderr."""
+        env = {k: v for k, v in os.environ.items() if k != "POLYMOD_CONFIG"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "polymod.cli", "forward", "--n", "5",
+             "--theta", f"{token},1,1,1,1", "--label", "12345"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        doc = json.loads(proc.stdout)
+        assert doc["schema"] == "polymod-error/1"
+        assert doc["error"] == "OutOfRange"
+        assert proc.stderr == ""
 
 
 # ===========================================================================
@@ -266,6 +286,19 @@ class TestSweep:
         want = math.tanh(math.acosh(GOLDEN))
         assert float(first[5]) == pytest.approx(want, abs=1e-12)
         assert float(first[6]) == pytest.approx(want, abs=1e-12)
+
+    def test_overflowing_row_is_reported_and_skipped(self, capsys, tmp_path):
+        src = tmp_path / "thetas.csv"
+        src.write_text(
+            SWEEP_ROWS.replace("bad,1,1,1,1", "10**400,1,1,1,1"), encoding="utf-8"
+        )
+        code, out, err = run(
+            capsys, "sweep", "--n", "5", "--input", str(src),
+            "--label", "12345", "--out", "-",
+        )
+        assert code == 0
+        assert "row 3: OutOfRange: " in err
+        assert len(out.splitlines()) == 3  # header + both valid rows
 
     def test_stdout_output(self, capsys, tmp_path):
         src = tmp_path / "thetas.csv"

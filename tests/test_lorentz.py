@@ -2,23 +2,31 @@
 
 The quadratic form is checked against the shoelace area of the actual
 polygon chain, and the axis intercepts against independent sine-ratio
-oracles, so the two routes never share code.
+oracles, so the two routes never share code.  The closed-form model is also
+checked against a reference that polarizes shoelace areas row by row.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polymod import (
+    ORTHOGONAL_PAIRS,
     FacetsDisjoint,
     NoIntersection,
     NotTimelike,
     OutOfRange,
+    PolymodError,
+    SignatureMismatch,
     axis_intercepts,
     build_model,
     chain_vertices,
+    complete_triangle,
     dihedral_angle,
     edge_frame,
     equal_weight,
@@ -26,6 +34,7 @@ from polymod import (
     hyperbolic_distance,
     klein_distance,
     klein_point,
+    line_intersection,
     polygon_area,
     sample_weight,
     tangential_lengths,
@@ -67,6 +76,97 @@ def oracle_params6(theta, word):
 def random_closing_vector(model, rng):
     """A random element of the closing space as an edge n-vector."""
     return model.basis.T @ rng.normal(size=model.dim)
+
+
+def polarization_model(theta, word):
+    """Reference (basis, gram, coord_mat) built the long way round.
+
+    The basis comes from one 2x2 solve per row, the area form from
+    polarizing shoelace areas of the chained basis rows, the base width from
+    per-row line intersections, and the reference signs from a least-squares
+    fit of the circumscribed polygon.  The signature and diagonalization
+    checks raise SignatureMismatch at the same tolerances as build_model.
+    """
+    frame = edge_frame(theta, word)
+    n, d = frame.n, frame.dirs
+    dim = n - 2
+    best = (-1.0, 0, 1)
+    for a in range(n):
+        for b in range(a + 1, n):
+            c = abs((d[a].conjugate() * d[b]).imag)
+            if c > best[0] + 1e-15:
+                best = (c, a, b)
+    _, p1, p2 = best
+    piv = np.array([[d[p1].real, d[p2].real], [d[p1].imag, d[p2].imag]])
+    basis = np.zeros((dim, n))
+    for row, j in enumerate(j for j in range(n) if j not in (p1, p2)):
+        basis[row, j] = 1.0
+        basis[row, [p1, p2]] = np.linalg.solve(piv, [-d[j].real, -d[j].imag])
+
+    def area(lengths):
+        return polygon_area(chain_vertices(frame, lengths))
+
+    gram = np.empty((dim, dim))
+    for a in range(dim):
+        for b in range(dim):
+            gram[a, b] = 0.5 * (
+                area(basis[a] + basis[b]) - area(basis[a]) - area(basis[b])
+            )
+    eigs = np.linalg.eigvalsh(gram)
+    tol = 1e-12 * max(1.0, np.abs(eigs).max())
+    if np.sum(eigs > tol) != 1 or np.sum(eigs < -tol) != dim - 1:
+        raise SignatureMismatch(f"eigenvalues {eigs!r}")
+
+    tri = complete_triangle(theta, word)
+    width = []
+    for row in basis:
+        v = chain_vertices(frame, row)
+        _, _, corner_a = line_intersection(v[n - 1], d[n - 1], v[1], d[1])
+        _, _, corner_b = line_intersection(v[3], d[3], v[1], d[1])
+        width.append(((corner_b - corner_a) * d[1].conjugate()).real)
+    t = frame.ordered_angles()
+    rows = [math.sqrt(tri.c.imag / 2.0) * np.array(width)]
+    for k in range(0, n - 1, 2):
+        scale = math.sqrt(
+            math.sin(t[k]) * math.sin(t[k + 1]) / (2.0 * math.sin(t[k] + t[k + 1]))
+        )
+        rows.append(scale * basis[:, k])
+    coord_mat = np.vstack(rows)
+    ref = np.linalg.lstsq(basis.T, tangential_lengths(theta, word), rcond=None)[0]
+    coord_mat[coord_mat @ ref < 0.0] *= -1.0
+    recon = coord_mat.T @ np.diag([1.0] + [-1.0] * (dim - 1)) @ coord_mat
+    scale = max(1.0, np.abs(gram).max(), (coord_mat**2).sum(axis=0).max())
+    if not np.allclose(recon, gram, rtol=0.0, atol=1e-9 * scale):
+        raise SignatureMismatch("coordinates fail to diagonalize the area form")
+    return basis, gram, coord_mat
+
+
+@st.composite
+def model_inputs(draw):
+    """(theta, word) pairs, a share of them within 1e-3 of a pair-sum
+    boundary (some pair near pi) or, for n=6, of a triple-sum boundary."""
+    n = draw(st.sampled_from((5, 6)))
+    word = tuple(draw(st.permutations(range(1, n + 1))))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(("generic", "pair", "triple")[: n - 3]))
+    if kind == "generic":
+        angles = raw * (2.0 * math.pi / raw.sum())
+    else:
+        size = 2 if kind == "pair" else 3
+        gap = draw(st.floats(1e-9, 1e-3))
+        target = math.pi - gap if kind == "pair" else math.pi + draw(
+            st.sampled_from((-gap, gap))
+        )
+        near = list(draw(st.permutations(range(n)))[:size])
+        rest = [k for k in range(n) if k not in near]
+        angles = np.empty(n)
+        angles[near] = raw[near] * (target / raw[near].sum())
+        angles[rest] = raw[rest] * ((2.0 * math.pi - target) / raw[rest].sum())
+    try:
+        theta = validate_weight(angles)
+    except PolymodError:
+        assume(False)
+    return theta, word
 
 
 # ===========================================================================
@@ -139,6 +239,48 @@ class TestBuildModel:
         model = build_model(equal_weight(5), IDENT5)
         with pytest.raises(OutOfRange):
             model.to_coords(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+
+    @given(model_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_matches_polarization(self, case):
+        """The closed-form basis, area form and coordinates equal the
+        polarization construction to rounding, near the boundaries too, and
+        both reject the same inputs."""
+        theta, word = case
+        try:
+            reference = polarization_model(theta, word)
+        except PolymodError as exc:
+            with pytest.raises(type(exc)):
+                build_model(theta, word)
+            return
+        model = build_model(theta, word)
+        for got, want in zip((model.basis, model.gram, model.coord_mat), reference):
+            scale = max(1.0, float(np.abs(want).max()))
+            npt.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+    def test_gram_inverse_is_lazy(self):
+        """gram_inv is computed on first use, inverts the area form and
+        leaves the right-angled dihedrals as the eager inverse gives them."""
+        rng = np.random.default_rng(71)
+        for n in (5, 6):
+            theta = sample_weight_rng(n, rng)
+            word = tuple(int(m) + 1 for m in rng.permutation(n))
+            model = build_model(theta, word)
+            assert "gram_inv" not in vars(model)
+            npt.assert_allclose(model.gram @ model.gram_inv, np.eye(n - 2), atol=1e-12)
+            eager = np.linalg.inv(model.gram)
+            for j, k in ORTHOGONAL_PAIRS[n]:
+                pj, pk = model.facet_mat[j - 1], model.facet_mat[k - 1]
+                want = math.acos(
+                    float(pj @ eager @ pk)
+                    / math.sqrt(float(pj @ eager @ pj) * float(pk @ eager @ pk))
+                )
+                assert dihedral_angle(model, j, k) == want
+                assert want == pytest.approx(RIGHT, abs=1e-9)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                model.gram = eager
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                model.gram_inv = eager
 
 
 # ===========================================================================
