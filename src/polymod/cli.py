@@ -7,12 +7,13 @@ pair to weight vector), ``complex`` (glued-complex reports), ``verify``
 stdout carries data (JSON documents or CSV), stderr carries diagnostics.
 Every JSON document has ``schema`` and ``version`` fields and floats at 17
 significant digits.  Exit codes: 0 success, 1 verification failures, 2 input
-error, 3 the recovery circles do not intersect, 4 inconsistent shape pair,
-5 an equal-weight precondition was violated.
+error (usage errors included), 3 the recovery circles do not intersect,
+4 inconsistent shape pair, 5 an equal-weight precondition was violated.
 
-The environment variable POLYMOD_CONFIG may point to a JSON file providing
-defaults for ``tol``, ``tol_sum``, ``tol_ideal``, ``samples``, ``seed``,
-``format``, and ``jobs``; explicit flags override it.
+``verify`` takes ``--tol``, ``--samples``, ``--seed`` and ``--jobs``;
+``invert`` takes ``--tol``.  The environment variable POLYMOD_CONFIG may
+point to a JSON file providing defaults for ``tol``, ``samples``, ``seed``
+and ``jobs``; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -50,37 +51,23 @@ _CONFIG_ENV = "POLYMOD_CONFIG"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tolerances, sampling, and parallelism shared by the subcommands."""
+    """Tolerance, sampling, and parallelism of ``verify`` (``invert`` reads ``tol``)."""
 
     tol: float = 1e-9
-    tol_sum: float = 1e-12
-    tol_ideal: float = 1e-9
     samples: int = 1000
     seed: int = 0
-    format: str = "json"
     jobs: int = 1
 
     def __post_init__(self):
-        for name in ("tol", "tol_sum", "tol_ideal"):
-            if not getattr(self, name) > 0.0:
-                raise OutOfRange(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not self.tol > 0.0:
+            raise OutOfRange(f"tol must be positive, got {self.tol!r}")
         if self.samples < 1:
             raise OutOfRange(f"samples must be >= 1, got {self.samples!r}")
         if self.jobs < 1:
             raise OutOfRange(f"jobs must be >= 1, got {self.jobs!r}")
-        if self.format not in ("json", "csv"):
-            raise OutOfRange(f"format must be 'json' or 'csv', got {self.format!r}")
 
 
-_CONFIG_TYPES = {
-    "tol": float,
-    "tol_sum": float,
-    "tol_ideal": float,
-    "samples": int,
-    "seed": int,
-    "format": str,
-    "jobs": int,
-}
+_CONFIG_TYPES = {"tol": float, "samples": int, "seed": int, "jobs": int}
 
 
 def load_config(environ=None) -> RunConfig:
@@ -312,15 +299,19 @@ def _looks_like_header(line: str) -> bool:
 # parser
 # --------------------------------------------------------------------------- #
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as OutOfRange, so they follow the error contract."""
+
+    def error(self, message: str):
+        raise OutOfRange(f"{self.prog}: {message}")
+
+
+def _add_tol_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=None, help="verification tolerance")
-    sub.add_argument("--samples", type=int, default=None, help="number of random trials")
-    sub.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    sub.add_argument("--jobs", type=int, default=None, help="worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polymod",
         description="Shapes of weighted point configurations: forward and "
         "inverse maps, glued complexes, and verification suites.",
@@ -331,14 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     forward.add_argument("--n", type=int, required=True, choices=(5, 6))
     forward.add_argument("--theta", required=True, help="angles, e.g. '5x2pi/5'")
     forward.add_argument("--label", default=None, help="label word, e.g. 21435")
-    _add_config_flags(forward)
     forward.set_defaults(func=cmd_forward)
 
     invert = sub.add_parser("invert", help="designated shape pair to weight vector")
     invert.add_argument("--n", type=int, required=True, choices=(5, 6))
     invert.add_argument("--shape1", required=True, help="'P,Q' or 'P,Q,R'")
     invert.add_argument("--shape2", required=True, help="'P,Q' or 'P,Q,R'")
-    _add_config_flags(invert)
+    _add_tol_flag(invert)
     invert.set_defaults(func=cmd_invert)
 
     complex_ = sub.add_parser("complex", help="glued-complex reports")
@@ -349,13 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("euler", "cusps", "pairings", "singular"),
     )
-    _add_config_flags(complex_)
     complex_.set_defaults(func=cmd_complex)
 
     verify = sub.add_parser("verify", help="randomized verification suites")
     verify.add_argument("--suite", required=True, choices=SUITES)
     verify.add_argument("--n", type=int, required=True, choices=(5, 6))
-    _add_config_flags(verify)
+    _add_tol_flag(verify)
+    verify.add_argument("--samples", type=int, default=None, help="number of random trials")
+    verify.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    verify.add_argument("--jobs", type=int, default=None, help="worker processes")
     verify.set_defaults(func=cmd_verify)
 
     sweep = sub.add_parser("sweep", help="batch forward maps over a CSV of angles")
@@ -363,15 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--input", required=True, help="CSV file, one theta per row")
     sweep.add_argument("--label", default=None, help="label word for every row")
     sweep.add_argument("--out", required=True, help="output CSV path ('-' = stdout)")
-    _add_config_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _resolve_config(args)
         return args.func(args, config)
     except PolymodError as exc:

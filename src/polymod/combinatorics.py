@@ -129,13 +129,16 @@ def validate_weight(theta: Iterable[float], tol_sum: float = TOL_SUM) -> WeightV
             f"sum(theta) = {total:.17g} differs from 2*pi by "
             f"{abs(total - 2.0 * math.pi):.3g} (> {tol_sum:g})"
         )
+    # Pair sums are checked on the rescaled angles that are returned:
+    # rescaling can lift a raw pair sum just below pi onto or above it.
+    scale = 2.0 * math.pi / total
+    scaled = tuple(t * scale for t in values)
     for i in range(n):
         for j in range(i + 1, n):
-            pair = values[i] + values[j]
+            pair = scaled[i] + scaled[j]
             if pair >= math.pi:
                 raise PairSumTooLarge(i + 1, j + 1, pair)
-    scale = 2.0 * math.pi / total
-    return WeightVector(n=n, theta=tuple(t * scale for t in values))
+    return WeightVector(n=n, theta=scaled)
 
 
 def equal_weight(n: int) -> WeightVector:

@@ -23,18 +23,18 @@ pair pins ``w`` down as the intersection of two circles: for pentagons
 The inversion solvers always re-run the forward maps on the recovered
 weight vector and compare against *both* input shapes — for hexahedra this
 includes the R parameters, which the circles never see.
+
+This module holds geometry only; the randomized round-trip check lives in
+:mod:`polymod.verify`, and :func:`verify_injectivity` is a view of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
-import numpy as np
-
-from .combinatorics import WeightVector, sample_weight_rng, validate_weight
+from .combinatorics import WeightVector, validate_weight
 from .errors import (
     InconsistentPair,
     NoIntersection,
@@ -52,6 +52,7 @@ from .moduli import (
     PentagonShape,
     psi5,
     psi6,
+    scaled_residual,
 )
 from .planar import complete_triangle
 
@@ -233,10 +234,7 @@ def recover_w6(s1: HexahedronShape, s2: HexahedronShape) -> UpperHalfPoint:
 
 
 def _verify_pair(values: Sequence[tuple[float, float]], tol: float) -> float:
-    # Residual scaled by squared magnitude: a parameter of size M is a
-    # ratio over a gap of order 1/M, so honest rounding grows like M^2 and
-    # an absolute 1e-9 would exceed double precision near the boundary.
-    residual = max(abs(a - b) / max(1.0, abs(a), abs(b)) ** 2 for a, b in values)
+    residual = max(scaled_residual(a, b) for a, b in values)
     if residual > tol:
         raise InconsistentPair(
             f"forward verification failed: residual {residual:.17g} > {tol:g}"
@@ -302,90 +300,19 @@ def inversion_report(n: int, s1, s2, tol: float = INVERT_TOL) -> dict:
     return {"theta": theta, "w": w, "residual": residual}
 
 
-# ----------------------------------------------------------------------------- #
-# empirical injectivity harness
-# ----------------------------------------------------------------------------- #
-
-def _roundtrip_trial(n: int, seed: int, tol: float, trial: int) -> dict:
-    """One deterministic round-trip trial; rng depends only on (seed, trial)."""
-    rng = np.random.default_rng([seed, trial])
-    theta = sample_weight_rng(n, rng)
-    if n == 5:
-        s1 = psi5(theta, IDENTITY5)
-        s2 = psi5(theta, SWAPPED5)
-        shape_vec = (s1.P, s1.Q, s2.P, s2.Q)
-    else:
-        s1 = psi6(theta, IDENTITY6)
-        s2 = psi6(theta, SWAPPED6)
-        shape_vec = (s1.P, s1.Q, s1.R, s2.P, s2.Q, s2.R)
-    result = {"trial": trial, "theta": theta.theta, "shapes": shape_vec}
-    try:
-        back = inversion_report(n, s1, s2, tol)["theta"]
-        result["error"] = max(
-            abs(a - b) for a, b in zip(theta.theta, back.theta)
-        )
-    except Exception as exc:  # failures are data, not crashes
-        result["failure"] = f"{type(exc).__name__}: {exc}"
-    return result
-
-
 def verify_injectivity(
     n: int, samples: int, seed: int, tol: float = INVERT_TOL, jobs: int = 1
 ) -> dict:
     """Empirical injectivity report for the designated label pair.
 
-    Round-trips ``samples`` deterministic weight vectors and reports the
-    maximum recovery error, all failures, and the minimum pairwise
-    separation of the produced shape pairs (injectivity at sample scale).
-    The report depends only on (n, samples, seed, tol), not on ``jobs``.
+    The ``roundtrip`` suite of :func:`polymod.verify.run_suite` without its
+    ``schema``, ``version`` and ``suite`` fields: the maximum recovery
+    error over ``samples`` deterministic weight vectors, all failures, and
+    the minimum pairwise separation of the produced shape pairs.
     """
-    if n not in (5, 6):
-        raise OutOfRange(f"n must be 5 or 6, got {n}")
-    if samples < 1:
-        raise OutOfRange(f"samples must be positive, got {samples}")
-    run = partial(_roundtrip_trial, n, seed, tol)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    from .verify import run_suite  # verify imports this module
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, range(samples), chunksize=64))
-    else:
-        results = [run(t) for t in range(samples)]
-
-    failures = []
-    errors = []
-    for res in results:
-        if "failure" in res:
-            failures.append({"trial": res["trial"], "failure": res["failure"]})
-        elif res["error"] > tol:
-            failures.append({"trial": res["trial"], "error": res["error"]})
-            errors.append(res["error"])
-        else:
-            errors.append(res["error"])
-
-    shapes = np.array([res["shapes"] for res in results])
-    thetas = np.array([res["theta"] for res in results])
-    min_sep = math.inf
-    collision = None
-    for i in range(len(results)):
-        sep = np.abs(shapes[i + 1 :] - shapes[i]).max(axis=1)
-        if sep.size:
-            j = int(np.argmin(sep))
-            if float(sep[j]) < min_sep:
-                min_sep = float(sep[j])
-                theta_sep = float(np.abs(thetas[i + 1 + j] - thetas[i]).max())
-                if min_sep == 0.0 and theta_sep > 1e-6:
-                    collision = {"trials": [i, i + 1 + j], "theta_separation": theta_sep}
-    if collision is not None:
-        failures.append({"collision": collision})
-
-    return {
-        "n": n,
-        "samples": samples,
-        "seed": seed,
-        "tol": tol,
-        "max_error": max(errors) if errors else None,
-        "min_shape_separation": min_sep if math.isfinite(min_sep) else None,
-        "failures": failures,
-        "pass": not failures,
-    }
+    report = run_suite("roundtrip", n, samples, seed, tol, jobs)
+    for key in ("schema", "version", "suite"):
+        del report[key]
+    return report

@@ -113,12 +113,19 @@ def triple_sums(theta: WeightVector, label: Sequence[int]) -> tuple[float, float
     )
 
 
+def scaled_residual(a: float, b: float) -> float:
+    """``|a - b| / max(1, |a|, |b|)^2``, the residual of two shape parameters.
+
+    A parameter of magnitude M is a ratio over a feet gap of order 1/M, so
+    honest rounding grows like M^2; an unscaled gate would trip on noise
+    near the boundary, where an absolute 1e-9 exceeds double precision.
+    """
+    return abs(a - b) / max(1.0, abs(a), abs(b)) ** 2
+
+
 def _check_routes(planar_vals, lorentz_vals, what: str) -> None:
-    # A parameter of magnitude M is a ratio over a feet gap of order 1/M,
-    # so honest rounding grows like M^2; scale the gate accordingly or
-    # near-degenerate weights would trip it on noise.
     for name, a, b in zip("PQR", planar_vals, lorentz_vals):
-        if abs(a - b) > ROUTE_TOL * max(1.0, abs(a), abs(b)) ** 2:
+        if scaled_residual(a, b) > ROUTE_TOL:
             raise RouteDisagreement(
                 f"{what}: planar {name} = {a:.17g} vs Lorentzian {name} = "
                 f"{b:.17g} disagree beyond {ROUTE_TOL:g} of squared magnitude"

@@ -1,10 +1,13 @@
 """Randomized verification suites behind the command-line ``verify`` command.
 
-Every suite is deterministic for a fixed (n, samples, seed, tol): trial i
-draws from ``numpy.random.default_rng([seed, i])``, so reports are
+This module is the one verification engine.  Every sampled suite is a
+per-trial check run by the same trial runner: trial i draws its weight
+vector and a random label word from ``numpy.random.default_rng([seed, i])``,
+so reports are deterministic for a fixed (n, samples, seed, tol) and
 byte-identical across runs and across worker counts.  Suites:
 
-* ``roundtrip``     — forward map on the designated label pair, then invert;
+* ``roundtrip``     — forward map on the designated label pair, then invert,
+  followed by a scan for the minimum separation of the produced shape pairs;
 * ``orthogonality`` — the always-orthogonal facet pairs meet at right angles;
 * ``signature``     — the area form on the closing space has signature (1, n-3);
 * ``crossroute``    — planar feet agree with Lorentzian axis intercepts;
@@ -15,18 +18,19 @@ byte-identical across runs and across worker counts.  Suites:
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 from functools import partial
 from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
-from .combinatorics import sample_weight_rng
+from .combinatorics import WeightVector, sample_weight_rng
 from .complexes import build_complex, cusp_classes, euler_characteristic
 from .errors import OutOfRange
-from .fiber import verify_injectivity
+from .fiber import SWAPPED5, SWAPPED6, inversion_report
 from .lorentz import axis_intercepts, build_model, dihedral_angle
-from .moduli import psi5, psi6
+from .moduli import IDENTITY5, IDENTITY6, psi5, psi6
 
 SUITES = ("roundtrip", "orthogonality", "signature", "crossroute", "complex", "all")
 
@@ -38,82 +42,109 @@ ORTHOGONAL_PAIRS = {
 
 _RIGHT_ANGLE = math.pi / 2.0
 
+# A per-trial check fills ``result`` with an ``error`` (compared against tol)
+# or a ``failure`` message, or raises; the runner turns an exception into a
+# ``failure`` entry.
+Check = Callable[[dict, int, WeightVector, tuple, float], None]
 
-def _random_word(rng: np.random.Generator, n: int) -> tuple[int, ...]:
-    return tuple(int(m) + 1 for m in rng.permutation(n))
+
+def _roundtrip_trial(result: dict, n: int, theta: WeightVector, word, tol: float) -> None:
+    # The designated label pair, not the random word, determines theta.
+    if n == 5:
+        s1, s2 = psi5(theta, IDENTITY5), psi5(theta, SWAPPED5)
+    else:
+        s1, s2 = psi6(theta, IDENTITY6), psi6(theta, SWAPPED6)
+    # Recorded before inverting, so a trial whose inversion fails is still scanned.
+    result["theta"], result["shapes"] = theta.theta, astuple(s1) + astuple(s2)
+    back = inversion_report(n, s1, s2, tol)["theta"]
+    result["error"] = max(abs(a - b) for a, b in zip(theta.theta, back.theta))
 
 
-def _orthogonality_trial(n: int, seed: int, tol: float, trial: int) -> dict:
-    rng = np.random.default_rng([seed, trial])
-    theta = sample_weight_rng(n, rng)
-    word = _random_word(rng, n)
-    result = {"trial": trial}
-    try:
-        model = build_model(theta, word)
-        result["error"] = max(
-            abs(dihedral_angle(model, j, k) - _RIGHT_ANGLE)
-            for j, k in ORTHOGONAL_PAIRS[n]
+def _orthogonality_trial(result: dict, n: int, theta: WeightVector, word, tol: float) -> None:
+    model = build_model(theta, word)
+    result["error"] = max(
+        abs(dihedral_angle(model, j, k) - _RIGHT_ANGLE) for j, k in ORTHOGONAL_PAIRS[n]
+    )
+
+
+def _signature_trial(result: dict, n: int, theta: WeightVector, word, tol: float) -> None:
+    eig = np.linalg.eigvalsh(build_model(theta, word).gram)
+    scale = float(np.abs(eig).max())
+    pos = int(np.count_nonzero(eig > 1e-12 * scale))
+    neg = int(np.count_nonzero(eig < -1e-12 * scale))
+    if (pos, neg) != (1, n - 3):
+        result["failure"] = (
+            f"signature ({pos}, {neg}) instead of (1, {n - 3}); "
+            f"eigenvalues {eig.tolist()}"
         )
-    except Exception as exc:
-        result["failure"] = f"{type(exc).__name__}: {exc}"
-    return result
+    else:
+        result["error"] = 0.0
 
 
-def _signature_trial(n: int, seed: int, tol: float, trial: int) -> dict:
-    rng = np.random.default_rng([seed, trial])
-    theta = sample_weight_rng(n, rng)
-    word = _random_word(rng, n)
-    result = {"trial": trial}
-    try:
-        model = build_model(theta, word)
-        eig = np.linalg.eigvalsh(model.gram)
-        scale = float(np.abs(eig).max())
-        pos = int(np.count_nonzero(eig > 1e-12 * scale))
-        neg = int(np.count_nonzero(eig < -1e-12 * scale))
-        if (pos, neg) != (1, n - 3):
-            result["failure"] = (
-                f"signature ({pos}, {neg}) instead of (1, {n - 3}); "
-                f"eigenvalues {eig.tolist()}"
-            )
-        else:
-            result["error"] = 0.0
-    except Exception as exc:
-        result["failure"] = f"{type(exc).__name__}: {exc}"
-    return result
+def _crossroute_trial(result: dict, n: int, theta: WeightVector, word, tol: float) -> None:
+    psi = psi5 if n == 5 else psi6
+    planar = astuple(psi(theta, word, cross_check=False))
+    lorentz = axis_intercepts(build_model(theta, word))
+    # Linear scale, unlike moduli.scaled_residual's squared one: squaring it
+    # would loosen this gate, so the two rules stay apart until one
+    # derivation is settled for both.
+    result["error"] = max(
+        abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(planar, lorentz)
+    )
 
 
-def _crossroute_trial(n: int, seed: int, tol: float, trial: int) -> dict:
-    rng = np.random.default_rng([seed, trial])
-    theta = sample_weight_rng(n, rng)
-    word = _random_word(rng, n)
-    result = {"trial": trial}
-    try:
-        if n == 5:
-            shape = psi5(theta, word, cross_check=False)
-            planar = (shape.P, shape.Q)
-        else:
-            shape = psi6(theta, word, cross_check=False)
-            planar = shape.params
-        lorentz = axis_intercepts(build_model(theta, word))
-        result["error"] = max(
-            abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(planar, lorentz)
-        )
-    except Exception as exc:
-        result["failure"] = f"{type(exc).__name__}: {exc}"
-    return result
-
-
-_TRIALS: dict[str, Callable[[int, int, float, int], dict]] = {
+_TRIALS: dict[str, Check] = {
+    "roundtrip": _roundtrip_trial,
     "orthogonality": _orthogonality_trial,
     "signature": _signature_trial,
     "crossroute": _crossroute_trial,
 }
 
 
+def _run_trial(check: Check, n: int, seed: int, tol: float, trial: int) -> dict:
+    """One deterministic trial; its rng depends only on (seed, trial)."""
+    rng = np.random.default_rng([seed, trial])
+    theta = sample_weight_rng(n, rng)
+    word = tuple(int(m) + 1 for m in rng.permutation(n))
+    result = {"trial": trial}
+    try:
+        check(result, n, theta, word, tol)
+    except Exception as exc:  # failures are data, not crashes
+        result["failure"] = f"{type(exc).__name__}: {exc}"
+    return result
+
+
+def _separation_scan(results: list[dict]) -> tuple[float | None, dict | None]:
+    """Minimum pairwise Chebyshev distance of the recorded shape pairs.
+
+    A zero distance between trials whose weight vectors differ is a
+    collision, a counterexample to injectivity at sample scale.
+    """
+    scanned = [res for res in results if "shapes" in res]
+    trials = [res["trial"] for res in scanned]
+    shapes = np.array([res["shapes"] for res in scanned])
+    thetas = np.array([res["theta"] for res in scanned])
+    min_sep = math.inf
+    collision = None
+    for i in range(len(scanned)):
+        sep = np.abs(shapes[i + 1 :] - shapes[i]).max(axis=1)
+        if sep.size:
+            j = int(np.argmin(sep))
+            if float(sep[j]) < min_sep:
+                min_sep = float(sep[j])
+                theta_sep = float(np.abs(thetas[i + 1 + j] - thetas[i]).max())
+                if min_sep == 0.0 and theta_sep > 1e-6:
+                    collision = {
+                        "trials": [trials[i], trials[i + 1 + j]],
+                        "theta_separation": theta_sep,
+                    }
+    return (min_sep if math.isfinite(min_sep) else None), collision
+
+
 def _run_sampled(
     suite: str, n: int, samples: int, seed: int, tol: float, jobs: int
 ) -> dict:
-    run = partial(_TRIALS[suite], n, seed, tol)
+    run = partial(_run_trial, _TRIALS[suite], n, seed, tol)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -127,20 +158,16 @@ def _run_sampled(
     for res in results:
         if "failure" in res:
             failures.append({"trial": res["trial"], "failure": res["failure"]})
-        elif res["error"] > tol:
+            continue
+        errors.append(res["error"])
+        if res["error"] > tol:
             failures.append({"trial": res["trial"], "error": res["error"]})
-            errors.append(res["error"])
-        else:
-            errors.append(res["error"])
-    return _report(
-        suite,
-        n,
-        samples,
-        seed,
-        tol,
-        max_error=max(errors) if errors else None,
-        failures=failures,
-    )
+    extra = {"max_error": max(errors) if errors else None}
+    if suite == "roundtrip":
+        extra["min_shape_separation"], collision = _separation_scan(results)
+        if collision is not None:
+            failures.append({"collision": collision})
+    return _report(suite, n, samples, seed, tol, **extra, failures=failures)
 
 
 def _report(suite, n, samples, seed, tol, **extra) -> dict:
@@ -225,18 +252,8 @@ def run_suite(
         raise OutOfRange(f"unknown suite {suite!r}, expected one of {SUITES}")
     if n not in (5, 6):
         raise OutOfRange(f"n must be 5 or 6, got {n}")
-    if suite == "roundtrip":
-        inner = verify_injectivity(n, samples, seed, tol, jobs)
-        return _report(
-            "roundtrip",
-            n,
-            samples,
-            seed,
-            tol,
-            max_error=inner["max_error"],
-            min_shape_separation=inner["min_shape_separation"],
-            failures=inner["failures"],
-        )
+    if samples < 1:
+        raise OutOfRange(f"samples must be positive, got {samples}")
     if suite in _TRIALS:
         return _run_sampled(suite, n, samples, seed, tol, jobs)
     if suite == "complex":

@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from polymod import cli
+from polymod import cli, verify
+from polymod.combinatorics import sample_weight_rng
+from polymod.errors import RouteDisagreement
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 EQUAL5 = "5x2pi/5"
@@ -96,6 +99,17 @@ class TestForward:
         )
         assert code == 2
         assert doc["schema"] == "polymod-error/1"
+
+    def test_pair_sum_is_checked_after_rescaling(self, capsys):
+        """Raw pair sum just below pi, lifted onto pi by the exact-sum rescale."""
+        code, doc, _ = run_json(
+            capsys, "forward", "--n", "5", "--theta",
+            "1.5707963267948963,1.5707963267948963,1.0471975511965976,"
+            "1.0471975511965976,1.0471975511959977",
+        )
+        assert code == 2
+        assert doc["schema"] == "polymod-error/1"
+        assert doc["error"] == "PairSumTooLarge"
 
     @pytest.mark.parametrize("token", ["10**400", "7//2", "1e400"])
     def test_power_and_overflow_tokens_exit_2(self, token):
@@ -239,6 +253,37 @@ class TestVerify:
         _, parallel, _ = run(capsys, *base, "--jobs", "2")
         assert serial == parallel
 
+    @pytest.mark.parametrize("suite", ["orthogonality", "signature", "crossroute"])
+    def test_sampled_suites_independent_of_jobs(self, capsys, suite):
+        base = ["verify", "--suite", suite, "--n", "6",
+                "--samples", "40", "--seed", "3"]
+        _, serial, _ = run(capsys, *base, "--jobs", "1")
+        _, parallel, _ = run(capsys, *base, "--jobs", "2")
+        assert serial == parallel
+
+    def test_forward_failure_is_a_failed_trial(self, capsys, monkeypatch):
+        """A forward-map error in one roundtrip trial fails that trial only."""
+        bad = sample_weight_rng(5, np.random.default_rng([7, 3]))
+        original = verify.psi5
+
+        def psi5(theta, *args, **kwargs):
+            if theta == bad:
+                raise RouteDisagreement("planted")
+            return original(theta, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "psi5", psi5)
+        code, doc, err = run_json(
+            capsys, "verify", "--suite", "roundtrip", "--n", "5",
+            "--samples", "8", "--seed", "7", "--jobs", "1",
+        )
+        assert code == 1
+        assert doc["pass"] is False
+        assert doc["failures"] == [
+            {"trial": 3, "failure": "RouteDisagreement: planted"}
+        ]
+        assert doc["min_shape_separation"] > 0.0
+        assert err == ""
+
     def test_failing_suite_exits_nonzero(self, capsys):
         code, doc, _ = run_json(
             capsys, "verify", "--suite", "roundtrip", "--n", "5",
@@ -369,6 +414,34 @@ class TestConfig:
         )
         assert code == 2
         assert doc["error"] == "OutOfRange"
+
+
+# ===========================================================================
+# usage errors
+# ===========================================================================
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["forward", "--n", "5", "--theta", EQUAL5, "--jobs", "2"],
+            ["verify", "--suite", "all", "--n", "7"],
+            ["verify", "--suite", "roundtrip", "--n", "5", "--samples", "x"],
+            [],
+        ],
+    )
+    def test_usage_error_prints_document_and_exits_2(self, capsys, argv):
+        code, doc, err = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["schema"] == "polymod-error/1"
+        assert doc["error"] == "OutOfRange"
+        assert err == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--samples" in capsys.readouterr().out
 
 
 # ===========================================================================

@@ -87,6 +87,31 @@ class TestValidateWeight:
             validate_weight([math.nan, 2.0, 2.0, 2.0, TWO_PI - 6.0 - math.nan])
 
 
+class TestValidateWeightBoundary:
+    @given(
+        st.integers(4, 7),
+        st.integers(-6, 6),
+        st.integers(-300, 300),
+        st.lists(st.floats(0.05, 1.0), min_size=5, max_size=5),
+    )
+    @settings(max_examples=400)
+    def test_accepted_vectors_keep_pair_sums_below_pi(self, n, ulps, drift, rest):
+        """Raw angles whose first pair sits a few ulps from pi and whose sum
+        drifts from 2*pi by up to 3e-13: whatever is accepted after the
+        exact-sum rescaling has every pair sum strictly below pi."""
+        pair = math.pi + ulps * 2.0**-51
+        head = [pair / 2.0, pair - pair / 2.0]
+        weights = rest[: n - 2]
+        left = TWO_PI - pair + drift * 1e-15
+        raw = head + [left * w / math.fsum(weights) for w in weights]
+        try:
+            theta = validate_weight(raw)
+        except (PairSumTooLarge, SumMismatch, NonPositive):
+            return
+        for a, b in combinations(theta.theta, 2):
+            assert a + b < math.pi
+
+
 class TestSampling:
     def test_deterministic(self):
         """Same (n, seed) gives the identical vector."""
