@@ -11,9 +11,9 @@ error (usage errors included), 3 the recovery circles do not intersect,
 4 inconsistent shape pair, 5 an equal-weight precondition was violated.
 
 ``verify`` takes ``--tol``, ``--samples``, ``--seed`` and ``--jobs``;
-``invert`` takes ``--tol``.  The environment variable POLYMOD_CONFIG may
-point to a JSON file providing defaults for ``tol``, ``samples``, ``seed``
-and ``jobs``; explicit flags override it.
+``invert`` takes ``--tol``.  Only these two read the JSON file named by the
+environment variable POLYMOD_CONFIG, which may set defaults for ``tol``,
+``samples``, ``seed`` and ``jobs``; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -22,17 +22,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 from .combinatorics import as_word, validate_weight
 from .complexes import (
     build_complex,
     cusp_classes,
     euler_characteristic,
+    pairing_row,
     singular_edges,
 )
 from .errors import OutOfRange, PolymodError
-from .fiber import inversion_report
+from .fiber import DESIGNATED, inversion_report
 from .jsonio import csv_row, dumps_canonical, parse_label, parse_shape, parse_theta
 from .moduli import (
     HexahedronShape,
@@ -43,8 +44,6 @@ from .moduli import (
     psi6,
 )
 from .verify import SUITES, run_suite
-
-IDENTITY = {5: (1, 2, 3, 4, 5), 6: (1, 2, 3, 4, 5, 6)}
 
 _CONFIG_ENV = "POLYMOD_CONFIG"
 
@@ -120,19 +119,20 @@ def _parse_weight(spec: str, n: int):
 
 def _parse_word(spec: str | None, n: int) -> tuple[int, ...]:
     if spec is None:
-        return IDENTITY[n]
-    return as_word(parse_label(spec))
+        return DESIGNATED[n][0]  # the identity word
+    word = as_word(parse_label(spec))
+    if len(word) != n:
+        raise OutOfRange(f"--label has {len(word)} marks but --n is {n}")
+    return word
 
 
 # --------------------------------------------------------------------------- #
 # subcommands
 # --------------------------------------------------------------------------- #
 
-def cmd_forward(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_forward(args: argparse.Namespace) -> int:
     theta = _parse_weight(args.theta, args.n)
     word = _parse_word(args.label, args.n)
-    if len(word) != args.n:
-        raise OutOfRange(f"--label has {len(word)} marks but --n is {args.n}")
     doc = {
         "schema": "polymod-forward/1",
         "version": 1,
@@ -154,21 +154,19 @@ def cmd_forward(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_invert(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.n == 5:
-        s1 = PentagonShape(*parse_shape(args.shape1, 5))
-        s2 = PentagonShape(*parse_shape(args.shape2, 5))
-    else:
-        s1 = HexahedronShape(*parse_shape(args.shape1, 6))
-        s2 = HexahedronShape(*parse_shape(args.shape2, 6))
+def cmd_invert(args: argparse.Namespace) -> int:
+    config = _resolve_config(args)
+    shape_cls = PentagonShape if args.n == 5 else HexahedronShape
+    s1 = shape_cls(*parse_shape(args.shape1, args.n))
+    s2 = shape_cls(*parse_shape(args.shape2, args.n))
     report = inversion_report(args.n, s1, s2, config.tol)
     _emit(
         {
             "schema": "polymod-invert/1",
             "version": 1,
             "n": args.n,
-            "shape1": list(s1.params if args.n == 6 else (s1.P, s1.Q)),
-            "shape2": list(s2.params if args.n == 6 else (s2.P, s2.Q)),
+            "shape1": list(astuple(s1)),
+            "shape2": list(astuple(s2)),
             "w": list(report["w"].as_pair),
             "theta": list(report["theta"].theta),
             "residual": report["residual"],
@@ -177,7 +175,7 @@ def cmd_invert(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_complex(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_complex(args: argparse.Namespace) -> int:
     theta = _parse_weight(args.theta, args.n) if args.theta else None
     complex_ = build_complex(args.n, theta)
     doc = {
@@ -200,39 +198,24 @@ def cmd_complex(args: argparse.Namespace, config: RunConfig) -> int:
         doc.update(cusp_classes(complex_))
     elif args.report == "pairings":
         doc["rows"] = complex_.num_pairings
-        doc["pairings"] = [
-            {
-                "cell": p.cell_a,
-                "face": p.face_a,
-                "other_cell": p.cell_b,
-                "other_face": p.face_b,
-                "config": p.config.render(),
-            }
-            for p in complex_.pairings
-        ]
+        doc["pairings"] = [pairing_row(p) for p in complex_.pairings]
     else:  # singular
         doc.update(singular_edges(complex_))
     _emit(doc)
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
+    config = _resolve_config(args)
     report = run_suite(
-        args.suite,
-        args.n,
-        samples=config.samples,
-        seed=config.seed,
-        tol=config.tol,
-        jobs=config.jobs,
+        args.suite, args.n, config.samples, config.seed, config.tol, config.jobs
     )
     _emit(report)
     return 0 if report["pass"] else 1
 
 
-def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     word = _parse_word(args.label, args.n)
-    if len(word) != args.n:
-        raise OutOfRange(f"--label has {len(word)} marks but --n is {args.n}")
     try:
         with open(args.input, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -363,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = _resolve_config(args)
-        return args.func(args, config)
+        return args.func(args)
     except PolymodError as exc:
         _emit(
             {

@@ -110,7 +110,7 @@ class DegenerateConfig:
 # weight vectors
 # --------------------------------------------------------------------------- #
 
-def validate_weight(theta: Iterable[float], tol_sum: float = TOL_SUM) -> WeightVector:
+def validate_weight(theta: Iterable[float]) -> WeightVector:
     """Validate a raw angle sequence and return an exact-sum WeightVector.
 
     Raises NonPositive, SumMismatch, or PairSumTooLarge naming the violated
@@ -124,10 +124,10 @@ def validate_weight(theta: Iterable[float], tol_sum: float = TOL_SUM) -> WeightV
         if not math.isfinite(t) or t <= 0.0:
             raise NonPositive(f"theta[{i + 1}] = {t!r} is not a positive finite angle")
     total = math.fsum(values)
-    if abs(total - 2.0 * math.pi) > tol_sum:
+    if abs(total - 2.0 * math.pi) > TOL_SUM:
         raise SumMismatch(
             f"sum(theta) = {total:.17g} differs from 2*pi by "
-            f"{abs(total - 2.0 * math.pi):.3g} (> {tol_sum:g})"
+            f"{abs(total - 2.0 * math.pi):.3g} (> {TOL_SUM:g})"
         )
     # Pair sums are checked on the rescaled angles that are returned:
     # rescaling can lift a raw pair sum just below pi onto or above it.

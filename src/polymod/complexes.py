@@ -209,6 +209,23 @@ def _partition_key(partition: frozenset[frozenset[int]]) -> list[list[int]]:
     return sorted(sorted(part) for part in partition)
 
 
+def _equal_weight(theta: WeightVector) -> bool:
+    """True when every angle is within TOL_IDEAL of 2*pi/n."""
+    target = 2.0 * math.pi / theta.n
+    return all(abs(t - target) <= TOL_IDEAL for t in theta)
+
+
+def pairing_row(p: FacePairing) -> dict:
+    """The JSON row of one face pairing."""
+    return {
+        "cell": p.cell_a,
+        "face": p.face_a,
+        "other_cell": p.cell_b,
+        "other_face": p.face_b,
+        "config": p.config.render(),
+    }
+
+
 def cusp_classes(complex_: GluedComplex) -> dict:
     """Gluing classes of the ideal vertices of the equal-weight complex.
 
@@ -220,8 +237,7 @@ def cusp_classes(complex_: GluedComplex) -> dict:
     """
     if complex_.n != 6:
         raise OutOfRange("cusp classes are computed for n=6 complexes")
-    target = 2.0 * math.pi / 6.0
-    if any(abs(t - target) > TOL_IDEAL for t in complex_.theta):
+    if not _equal_weight(complex_.theta):
         raise NotEqualWeight(
             "cusp enumeration requires the equal-weight vector (ideal vertices)"
         )
@@ -267,24 +283,21 @@ def cusp_classes(complex_: GluedComplex) -> dict:
     return {"classes": len(table), "total_incidences": len(nodes), "table": table}
 
 
-def singular_edges(complex_: GluedComplex, theta: WeightVector | None = None) -> dict:
+def singular_edges(complex_: GluedComplex) -> dict:
     """Classes of cone edges created by consecutive triple sums below pi.
 
-    For each cell and face index k, the strict inequality
-    ``theta_{i_k} + theta_{i_{k+1}} + theta_{i_{k+2}} < pi`` creates an edge
-    between faces k and k+1 with the collided-triple configuration as key;
+    For each cell and face index k, the complex's own weight vector creates
+    an edge when ``theta_{i_k} + theta_{i_{k+1}} + theta_{i_{k+2}} < pi``,
+    between faces k and k+1, keyed by the collided-triple configuration;
     sums within TOL_IDEAL of pi are tangencies and create no edge.  Each
     class reports its total cone angle (sum of member dihedral angles).
     """
     if complex_.n != 6:
         raise OutOfRange("singular edges are computed for n=6 complexes")
-    theta = complex_.theta if theta is None else theta
-    if theta.n != 6:
-        raise OutOfRange("singular edges need a 6-angle weight vector")
 
     fired: dict[tuple[int, int], DegenerateConfig] = {}
     for ci, lab in enumerate(complex_.cells):
-        t = [theta[m - 1] for m in lab.word]
+        t = [complex_.theta[m - 1] for m in lab.word]
         for k in range(1, 7):
             total = t[k - 1] + t[k % 6] + t[(k + 1) % 6]
             if total < math.pi - TOL_IDEAL:
@@ -318,7 +331,7 @@ def singular_edges(complex_: GluedComplex, theta: WeightVector | None = None) ->
         for i in group:
             ci, k = keys[i]
             if ci not in models:
-                models[ci] = build_model(theta, complex_.cells[ci].word)
+                models[ci] = build_model(complex_.theta, complex_.cells[ci].word)
             angle += dihedral_angle(models[ci], k, _cyc(k, 1, 6))
         table.append(
             {
@@ -340,28 +353,17 @@ def export_adjacency(complex_: GluedComplex, format: str = "json") -> str:
             "n": complex_.n,
             "theta": list(complex_.theta.theta),
             "cells": [str(lab) for lab in complex_.cells],
-            "pairings": [
-                {
-                    "cell": p.cell_a,
-                    "face": p.face_a,
-                    "other_cell": p.cell_b,
-                    "other_face": p.face_b,
-                    "config": p.config.render(),
-                }
-                for p in complex_.pairings
-            ],
+            "pairings": [pairing_row(p) for p in complex_.pairings],
         }
         if complex_.n == 5:
             doc["vertex_classes"] = [
                 [[ci, list(facets)] for ci, facets in group]
                 for group in complex_.vertex_classes
             ]
+        elif _equal_weight(complex_.theta):
+            doc["cusp_classes"] = cusp_classes(complex_)["table"]
         else:
-            target = 2.0 * math.pi / 6.0
-            if all(abs(t - target) <= TOL_IDEAL for t in complex_.theta):
-                doc["cusp_classes"] = cusp_classes(complex_)["table"]
-            else:
-                doc["cusp_classes"] = None
+            doc["cusp_classes"] = None
         return dumps_canonical(doc)
     if format == "csv":
         lines = ["cell,face,other_cell,other_face,config"]

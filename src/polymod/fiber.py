@@ -31,7 +31,7 @@ This module holds geometry only; the randomized round-trip check lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 from .combinatorics import WeightVector, validate_weight
@@ -65,6 +65,9 @@ INVERT_TOL = 1e-9
 #: The label words whose shape pairs determine a weight vector uniquely.
 SWAPPED5 = (2, 1, 4, 3, 5)
 SWAPPED6 = (2, 1, 4, 3, 5, 6)
+
+#: The designated label pair (identity word, swapped word) for each n.
+DESIGNATED = {5: (IDENTITY5, SWAPPED5), 6: (IDENTITY6, SWAPPED6)}
 
 
 @dataclass(frozen=True)
@@ -233,15 +236,6 @@ def recover_w6(s1: HexahedronShape, s2: HexahedronShape) -> UpperHalfPoint:
     return circle_intersection(s1.P * s2.P, 1.0 / (s1.Q * s2.Q))
 
 
-def _verify_pair(values: Sequence[tuple[float, float]], tol: float) -> float:
-    residual = max(scaled_residual(a, b) for a, b in values)
-    if residual > tol:
-        raise InconsistentPair(
-            f"forward verification failed: residual {residual:.17g} > {tol:g}"
-        )
-    return residual
-
-
 def invert5(
     s1: PentagonShape, s2: PentagonShape, tol: float = INVERT_TOL
 ) -> WeightVector:
@@ -263,40 +257,31 @@ def invert6(
 def inversion_report(n: int, s1, s2, tol: float = INVERT_TOL) -> dict:
     """Full inversion result: {'theta', 'w', 'residual'}.
 
-    Shared engine of invert5/invert6; the CLI uses the extra fields.
+    Shared engine of invert5/invert6; the CLI uses the extra fields.  The
+    recovered weight vector is mapped forward on both words of
+    ``DESIGNATED[n]`` and every parameter is compared with the input pair.
     """
+    # module globals are read per call, so a rebound psi5 or fiber_theta5 is seen
     if n == 5:
-        w = recover_w5(s1, s2)
-        try:
-            theta = fiber_theta5(s1, w, IDENTITY5)
-        except (SlideCollision, NotInTheta) as exc:
-            raise InconsistentPair(
-                f"no weight vector realizes this shape pair: {exc}"
-            ) from exc
-        r1 = psi5(theta, IDENTITY5)
-        r2 = psi5(theta, SWAPPED5)
-        residual = _verify_pair(
-            [(r1.P, s1.P), (r1.Q, s1.Q), (r2.P, s2.P), (r2.Q, s2.Q)], tol
-        )
+        recover_w, fiber_theta, psi = recover_w5, fiber_theta5, psi5
     elif n == 6:
-        w = recover_w6(s1, s2)
-        try:
-            theta = fiber_theta6(s1, w, IDENTITY6)
-        except (SlideCollision, NotInTheta) as exc:
-            raise InconsistentPair(
-                f"no weight vector realizes this shape pair: {exc}"
-            ) from exc
-        r1 = psi6(theta, IDENTITY6)
-        r2 = psi6(theta, SWAPPED6)
-        residual = _verify_pair(
-            [
-                (r1.P, s1.P), (r1.Q, s1.Q), (r1.R, s1.R),
-                (r2.P, s2.P), (r2.Q, s2.Q), (r2.R, s2.R),
-            ],
-            tol,
-        )
+        recover_w, fiber_theta, psi = recover_w6, fiber_theta6, psi6
     else:
         raise OutOfRange(f"inversion is defined for n in {{5, 6}}, got {n}")
+    identity, swapped = DESIGNATED[n]
+    w = recover_w(s1, s2)
+    try:
+        theta = fiber_theta(s1, w, identity)
+    except (SlideCollision, NotInTheta) as exc:
+        raise InconsistentPair(
+            f"no weight vector realizes this shape pair: {exc}"
+        ) from exc
+    forward = astuple(psi(theta, identity)) + astuple(psi(theta, swapped))
+    residual = max(map(scaled_residual, forward, astuple(s1) + astuple(s2)))
+    if residual > tol:
+        raise InconsistentPair(
+            f"forward verification failed: residual {residual:.17g} > {tol:g}"
+        )
     return {"theta": theta, "w": w, "residual": residual}
 
 

@@ -4,7 +4,8 @@ JSON documents are rendered with sorted keys, compact separators, and every
 float at 17 significant digits, so equal data always produces identical
 bytes.  Angle tokens accept raw radians, expressions in ``pi`` such as
 ``2pi/5`` or ``2/5*2pi``, and a repetition prefix ``5x2pi/5``; the unicode
-spellings ``×`` and ``π`` are accepted as synonyms.
+spellings ``×`` and ``π`` are accepted as synonyms.  A repetition count is
+at most ``MAX_REPEAT``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from .errors import OutOfRange
 
 _ANGLE_CHARS = re.compile(r"^[0-9eE@+\-*/().]*$")
 _REPEAT = re.compile(r"^(\d+)x(.+)$")
+
+#: Largest ``Nx`` repetition count; no function here uses more than 8 marks.
+MAX_REPEAT = 8
 
 
 def format_float(x: float) -> str:
@@ -98,7 +102,11 @@ def parse_theta(spec: str) -> list[float]:
             raise OutOfRange(f"empty angle token in {spec!r}")
         rep = _REPEAT.match(token)
         if rep:
-            count = int(rep.group(1))
+            digits = rep.group(1).lstrip("0") or "0"
+            # checked before int(), which is slow on a long digit string
+            if len(digits) > len(str(MAX_REPEAT)) or int(digits) > MAX_REPEAT:
+                raise OutOfRange(f"repetition count in {token!r} exceeds {MAX_REPEAT}")
+            count = int(digits)
             if count < 1:
                 raise OutOfRange(f"repetition count must be positive in {token!r}")
             out.extend([_eval_angle(rep.group(2))] * count)

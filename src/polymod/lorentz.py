@@ -46,7 +46,7 @@ from .errors import (
     SignatureMismatch,
     WrongSheet,
 )
-from .planar import EdgeFrame, complete_triangle, edge_frame, line_intersection
+from .planar import EdgeFrame, complete_triangle, line_intersection
 
 #: Below this distance from the unit sphere a Klein point counts as ideal,
 #: and a facet-pair cosine within this band of 1 counts as tangency.
@@ -175,7 +175,8 @@ def build_model(theta: WeightVector, label: Sequence[int]) -> LorentzModel:
         raise OutOfRange(f"label has {len(word)} marks but theta has {n} angles")
     if n not in (5, 6):
         raise OutOfRange(f"Lorentz models are built for n in {{5, 6}}, got {n}")
-    frame = edge_frame(theta, label)
+    tri = complete_triangle(theta, word)
+    frame = tri.frame
     cross = (frame.dirs.conjugate()[:, None] * frame.dirs).imag  # Im(conj(d_a) d_b)
 
     # deterministic basis: pivot on the best-conditioned direction pair
@@ -208,7 +209,6 @@ def build_model(theta: WeightVector, label: Sequence[int]) -> LorentzModel:
 
     # coordinate functionals
     t = frame.ordered_angles()
-    tri = complete_triangle(theta, word)
     c_x = math.sqrt(tri.c.imag / 2.0)
     x_row = c_x * _basewidth_values(frame, basis)
     # u, v[, w] scale the lengths of edges 1, 3[, 5]

@@ -2,9 +2,10 @@
 
 A pentagon shape is the pair ``(P, Q)`` with ``0 < P, Q < 1`` and
 ``P^2 + Q^2 > 1``; a hexahedron shape is a triple of positive reals
-``(P, Q, R)``.  Both are extracted twice — once from planar completion
-triangle feet, once from Lorentzian axis intercepts — and the two routes
-must agree to ``ROUTE_TOL`` relative.
+``(P, Q, R)``.  :func:`planar_shape` reads a shape from the planar
+completion-triangle feet alone; ``psi5``/``psi6`` also compute it from the
+Lorentzian axis intercepts, and the two routes must agree to ``ROUTE_TOL``
+under :func:`scaled_residual`.
 
 The hexahedron sign rule: ``P - 1``, ``Q - 1`` and ``R - 1`` have the same
 signs as the consecutive-triple sums ``theta_{i5}+theta_{i6}+theta_{i1}``,
@@ -19,7 +20,7 @@ ideal and create no edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 from .combinatorics import WeightVector, as_word
@@ -123,55 +124,58 @@ def scaled_residual(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b)) ** 2
 
 
-def _check_routes(planar_vals, lorentz_vals, what: str) -> None:
-    for name, a, b in zip("PQR", planar_vals, lorentz_vals):
+def _check_routes(shape, theta: WeightVector, label: Sequence[int], what: str):
+    """``shape`` if it agrees with the Lorentzian axis intercepts to ROUTE_TOL."""
+    lorentz_vals = axis_intercepts(build_model(theta, label))
+    for name, a, b in zip("PQR", astuple(shape), lorentz_vals):
         if scaled_residual(a, b) > ROUTE_TOL:
             raise RouteDisagreement(
                 f"{what}: planar {name} = {a:.17g} vs Lorentzian {name} = "
                 f"{b:.17g} disagree beyond {ROUTE_TOL:g} of squared magnitude"
             )
+    return shape
 
 
-def psi5(
-    theta: WeightVector,
-    label: Sequence[int] = IDENTITY5,
-    cross_check: bool = True,
-) -> PentagonShape:
-    """Forward map to the right-pentagon shape (P, Q).
-
-    P^2 = 1 - f1 and Q^2 = f2 from the completion-triangle feet; with
-    ``cross_check`` (the default) the Lorentzian axis intercepts must agree
-    to ROUTE_TOL relative or RouteDisagreement is raised.
-    """
+def _pentagon_shape(theta: WeightVector, label: Sequence[int]) -> PentagonShape:
     f1, f2 = pentagon_feet(theta, label)
-    p = math.sqrt(1.0 - f1)
-    q = math.sqrt(f2)
-    if cross_check:
-        _check_routes((p, q), axis_intercepts(build_model(theta, label)), "psi5")
-    return PentagonShape(P=p, Q=q)
+    return PentagonShape(P=math.sqrt(1.0 - f1), Q=math.sqrt(f2))
 
 
-def psi6(
-    theta: WeightVector,
-    label: Sequence[int] = IDENTITY6,
-    cross_check: bool = True,
-) -> HexahedronShape:
-    """Forward map to the hexahedron shape (P, Q, R).
-
-    The squared parameters are the signed feet ratios of the completion
-    triangle; they must be positive (NegativeRatio otherwise) and, with
-    ``cross_check``, must match the Lorentzian axis intercepts.
-    """
+def _hexahedron_shape(theta: WeightVector, label: Sequence[int]) -> HexahedronShape:
     tri = complete_triangle(theta, label)
     if tri.feet is None:
         raise OutOfRange("psi6 needs n=6")
     for name, val in zip("PQR", tri.feet):
         if val <= 0.0:
             raise NegativeRatio(f"squared parameter {name}^2 = {val:.17g} <= 0")
-    p, q, r = (math.sqrt(val) for val in tri.feet)
-    if cross_check:
-        _check_routes((p, q, r), axis_intercepts(build_model(theta, label)), "psi6")
-    return HexahedronShape(P=p, Q=q, R=r)
+    return HexahedronShape(*(math.sqrt(val) for val in tri.feet))
+
+
+def planar_shape(
+    theta: WeightVector, label: Sequence[int]
+) -> PentagonShape | HexahedronShape:
+    """The shape of ``theta.n`` read from the completion triangle alone.
+
+    Pentagons take ``P^2 = 1 - f1`` and ``Q^2 = f2`` from the apex-cevian
+    feet; hexahedra take ``P^2, Q^2, R^2`` from the three signed feet
+    ratios, which must be positive (NegativeRatio otherwise).  The shape's
+    own domain checks apply; the Lorentzian route is not consulted.
+    """
+    return (_pentagon_shape if theta.n == 5 else _hexahedron_shape)(theta, label)
+
+
+def psi5(theta: WeightVector, label: Sequence[int] = IDENTITY5) -> PentagonShape:
+    """Forward map to the right-pentagon shape (P, Q).
+
+    The shape of :func:`planar_shape`, returned once the Lorentzian axis
+    intercepts agree with it to ROUTE_TOL (RouteDisagreement otherwise).
+    """
+    return _check_routes(_pentagon_shape(theta, label), theta, label, "psi5")
+
+
+def psi6(theta: WeightVector, label: Sequence[int] = IDENTITY6) -> HexahedronShape:
+    """Forward map to the hexahedron shape (P, Q, R), checked like psi5."""
+    return _check_routes(_hexahedron_shape(theta, label), theta, label, "psi6")
 
 
 def classify_hexahedron(shape: HexahedronShape) -> dict:

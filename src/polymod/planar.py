@@ -53,10 +53,12 @@ class EdgeFrame:
 class TriangleCompletion:
     """Completion triangle with base [0, 1] and apex in the upper half-plane.
 
-    ``feet`` is None for pentagons; for hexahedra it holds the three signed
-    ratios (c_foot on side a->b, a_foot on side b->c, b_foot on side c->a).
+    ``frame`` is the edge frame the triangle was built from.  ``feet`` is
+    None for pentagons; for hexahedra it holds the three signed ratios
+    (c_foot on side a->b, a_foot on side b->c, b_foot on side c->a).
     """
 
+    frame: EdgeFrame
     a: complex
     b: complex
     c: complex
@@ -122,7 +124,8 @@ def complete_triangle(theta: WeightVector, label: Sequence[int]) -> TriangleComp
         _, s_ca, _ = line_intersection(b, dirs[4], c, a - c)
         feet = (float(s_ab), float(s_bc), float(s_ca))
     return TriangleCompletion(
-        a=a, b=b, c=c, ext_angles=(float(ext_a), float(ext_b), float(ext_c)), feet=feet
+        frame=frame, a=a, b=b, c=c,
+        ext_angles=(float(ext_a), float(ext_b), float(ext_c)), feet=feet,
     )
 
 
@@ -135,10 +138,10 @@ def pentagon_feet(theta: WeightVector, label: Sequence[int]) -> tuple[float, flo
     word = as_word(label)
     if len(word) != 5:
         raise OutOfRange(f"pentagon feet need n=5, got {len(word)}")
-    frame = edge_frame(theta, label)
     tri = complete_triangle(theta, label)
-    _, f2, _ = line_intersection(tri.c, frame.dirs[0], tri.a, tri.b - tri.a)
-    _, f1, _ = line_intersection(tri.c, frame.dirs[2], tri.a, tri.b - tri.a)
+    dirs = tri.frame.dirs
+    _, f2, _ = line_intersection(tri.c, dirs[0], tri.a, tri.b - tri.a)
+    _, f1, _ = line_intersection(tri.c, dirs[2], tri.a, tri.b - tri.a)
     if not 0.0 < f1 < f2 < 1.0:
         raise FootOutsideBase(
             f"feet (f1, f2) = ({f1:.17g}, {f2:.17g}) violate 0 < f1 < f2 < 1"

@@ -28,9 +28,9 @@ import numpy as np
 from .combinatorics import WeightVector, sample_weight_rng
 from .complexes import build_complex, cusp_classes, euler_characteristic
 from .errors import OutOfRange
-from .fiber import SWAPPED5, SWAPPED6, inversion_report
+from .fiber import DESIGNATED, inversion_report
 from .lorentz import axis_intercepts, build_model, dihedral_angle
-from .moduli import IDENTITY5, IDENTITY6, psi5, psi6
+from .moduli import planar_shape, psi5, psi6
 
 SUITES = ("roundtrip", "orthogonality", "signature", "crossroute", "complex", "all")
 
@@ -50,10 +50,8 @@ Check = Callable[[dict, int, WeightVector, tuple, float], None]
 
 def _roundtrip_trial(result: dict, n: int, theta: WeightVector, word, tol: float) -> None:
     # The designated label pair, not the random word, determines theta.
-    if n == 5:
-        s1, s2 = psi5(theta, IDENTITY5), psi5(theta, SWAPPED5)
-    else:
-        s1, s2 = psi6(theta, IDENTITY6), psi6(theta, SWAPPED6)
+    psi = psi5 if n == 5 else psi6
+    s1, s2 = (psi(theta, w) for w in DESIGNATED[n])
     # Recorded before inverting, so a trial whose inversion fails is still scanned.
     result["theta"], result["shapes"] = theta.theta, astuple(s1) + astuple(s2)
     back = inversion_report(n, s1, s2, tol)["theta"]
@@ -68,22 +66,13 @@ def _orthogonality_trial(result: dict, n: int, theta: WeightVector, word, tol: f
 
 
 def _signature_trial(result: dict, n: int, theta: WeightVector, word, tol: float) -> None:
-    eig = np.linalg.eigvalsh(build_model(theta, word).gram)
-    scale = float(np.abs(eig).max())
-    pos = int(np.count_nonzero(eig > 1e-12 * scale))
-    neg = int(np.count_nonzero(eig < -1e-12 * scale))
-    if (pos, neg) != (1, n - 3):
-        result["failure"] = (
-            f"signature ({pos}, {neg}) instead of (1, {n - 3}); "
-            f"eigenvalues {eig.tolist()}"
-        )
-    else:
-        result["error"] = 0.0
+    # build_model raises SignatureMismatch unless the area form is (1, n-3)
+    build_model(theta, word)
+    result["error"] = 0.0
 
 
 def _crossroute_trial(result: dict, n: int, theta: WeightVector, word, tol: float) -> None:
-    psi = psi5 if n == 5 else psi6
-    planar = astuple(psi(theta, word, cross_check=False))
+    planar = astuple(planar_shape(theta, word))
     lorentz = axis_intercepts(build_model(theta, word))
     # Linear scale, unlike moduli.scaled_residual's squared one: squaring it
     # would loosen this gate, so the two rules stay apart until one

@@ -128,6 +128,23 @@ class TestForward:
         assert proc.stderr == ""
 
 
+    @pytest.mark.parametrize("count", ["1" * 5000, "9", "0009"], ids=["5000-digits", "9", "0009"])
+    def test_large_repetition_count_exits_2(self, count):
+        """Counts above the bound are rejected before conversion or expansion."""
+        env = {k: v for k, v in os.environ.items() if k != "POLYMOD_CONFIG"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "polymod.cli", "forward", "--n", "5",
+             "--theta", f"{count}x1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        doc = json.loads(proc.stdout)
+        assert doc["error"] == "OutOfRange"
+        assert "exceeds 8" in doc["message"]
+        assert proc.stderr == ""
+
+
 # ===========================================================================
 # invert
 # ===========================================================================
@@ -345,6 +362,18 @@ class TestSweep:
         assert "row 3: OutOfRange: " in err
         assert len(out.splitlines()) == 3  # header + both valid rows
 
+    def test_large_repetition_count_row_is_reported_and_skipped(self, capsys, tmp_path):
+        src = tmp_path / "thetas.csv"
+        src.write_text(
+            SWEEP_ROWS.replace("bad,1,1,1,1", "1" * 5000 + "x1"), encoding="utf-8"
+        )
+        code, out, err = run(
+            capsys, "sweep", "--n", "5", "--input", str(src), "--out", "-",
+        )
+        assert code == 0
+        assert err.startswith("row 3: OutOfRange: repetition count in ")
+        assert len(out.splitlines()) == 3  # header + both valid rows
+
     def test_stdout_output(self, capsys, tmp_path):
         src = tmp_path / "thetas.csv"
         src.write_text(SWEEP_ROWS, encoding="utf-8")
@@ -404,6 +433,40 @@ class TestConfig:
         )
         assert code == 0
         assert doc["samples"] == 12
+
+    @pytest.mark.parametrize("command", ["forward", "complex", "sweep"])
+    def test_commands_without_config_ignore_a_bad_file(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 0}), encoding="utf-8")
+        rows = tmp_path / "rows.csv"
+        rows.write_text(SWEEP_ROWS, encoding="utf-8")
+        monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
+        argv = {
+            "forward": ["--theta", EQUAL5],
+            "complex": ["--report", "euler"],
+            "sweep": ["--input", str(rows), "--out", "-"],
+        }[command]
+        code, _, _ = run(capsys, command, "--n", "5", *argv)
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "roundtrip", "--n", "5", "--samples", "2"],
+            ["invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1"],
+        ],
+    )
+    def test_commands_with_config_reject_a_bad_file(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 0}), encoding="utf-8")
+        monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["message"] == "jobs must be >= 1, got 0"
 
     def test_unknown_key_exits_2(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

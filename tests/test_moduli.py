@@ -1,6 +1,7 @@
 """Tests for the forward shape maps, classification, and pentagon geometry."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import numpy.testing as npt
@@ -22,7 +23,9 @@ from polymod import (
     triple_sums,
     validate_weight,
 )
+from polymod import planar
 from polymod.combinatorics import sample_weight_rng
+from polymod.moduli import planar_shape
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -48,6 +51,41 @@ def shape_strategy():
 # forward maps
 # ===========================================================================
 
+class TestPlanarShape:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([5, 6]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_psi_returns_the_planar_shape_bit_for_bit(self, n, seed, data):
+        theta = sample_weight_rng(n, np.random.default_rng(seed))
+        word = tuple(data.draw(st.permutations(range(1, n + 1))))
+        psi = psi5 if n == 5 else psi6
+        assert astuple(psi(theta, word)) == astuple(planar_shape(theta, word))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_psi_builds_two_edge_frames(self, n, monkeypatch):
+        calls = []
+        original = planar.edge_frame
+
+        def edge_frame(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(planar, "edge_frame", edge_frame)
+        (psi5 if n == 5 else psi6)(sample_weight(n, 5))
+        assert len(calls) == 2
+
+    def test_wrong_n_raises(self):
+        with pytest.raises(OutOfRange):
+            psi5(equal_weight(6), IDENT6)
+        with pytest.raises(OutOfRange):
+            psi6(equal_weight(5), IDENT5)
+        with pytest.raises(OutOfRange):
+            psi5(equal_weight(6))
+
+
 class TestPsi5:
     def test_equal_weight_golden(self):
         """At the equal weight both parameters equal tanh(arccosh(phi))."""
@@ -71,7 +109,7 @@ class TestPsi5:
         theta = sample_weight(5, 33)
         words = [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (3, 1, 5, 2, 4)]
         for word in words:
-            psi5(theta, word, cross_check=True)
+            psi5(theta, word)
 
 
 class TestPsi6:

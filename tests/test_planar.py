@@ -158,6 +158,15 @@ class TestCompletionTriangle:
         tri = complete_triangle(theta, IDENT6)
         assert math.fsum(tri.ext_angles) == pytest.approx(2.0 * math.pi, abs=1e-12)
 
+    def test_keeps_the_edge_frame_it_was_built_from(self):
+        rng = np.random.default_rng(7)
+        for n in (5, 6):
+            for _ in range(10):
+                theta, word = sample_weight(n, int(rng.integers(1000))), random_word(rng, n)
+                tri = complete_triangle(theta, word)
+                assert np.array_equal(tri.frame.dirs, edge_frame(theta, word).dirs)
+                assert tri.frame.word == word
+
     def test_apex_matches_law_of_sines(self):
         """|c - a| = sin(beta)/sin(gamma) with the corner angles pi - ext."""
         theta = sample_weight(5, 4)

@@ -1,15 +1,18 @@
 """Tests for the verification engine behind ``polymod verify``."""
 
+import numpy as np
 import pytest
 
 from polymod import (
     SUITES,
     InconsistentPair,
     OutOfRange,
+    SignatureMismatch,
     run_suite,
     verify,
     verify_injectivity,
 )
+from polymod.combinatorics import sample_weight_rng
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -37,3 +40,21 @@ def test_failed_inversions_still_enter_the_scan(monkeypatch):
     assert report["max_error"] is None
     assert len(report["failures"]) == 12
     assert report["min_shape_separation"] == clean["min_shape_separation"]
+
+
+@pytest.mark.parametrize(
+    "suite, target", [("signature", "build_model"), ("crossroute", "planar_shape")]
+)
+def test_a_raising_trial_is_the_only_failure(monkeypatch, suite, target):
+    bad = sample_weight_rng(6, np.random.default_rng([7, 3]))
+    original = getattr(verify, target)
+
+    def planted(theta, word):
+        if theta == bad:
+            raise SignatureMismatch("planted")
+        return original(theta, word)
+
+    monkeypatch.setattr(verify, target, planted)
+    report = run_suite(suite, 6, 8, 7, jobs=1)
+    assert report["failures"] == [{"trial": 3, "failure": "SignatureMismatch: planted"}]
+    assert report["max_error"] is not None
