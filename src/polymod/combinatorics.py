@@ -55,9 +55,6 @@ class WeightVector:
     n: int
     theta: tuple[float, ...]
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.theta, dtype=float)
-
     def __iter__(self):
         return iter(self.theta)
 

@@ -125,12 +125,6 @@ class LorentzModel:
         c = self.to_coords(e)
         return float(c @ self.gram @ c)
 
-    def area_pairing(self, e1, e2) -> float:
-        """The symmetric bilinear form polarizing the area."""
-        c1 = self.to_coords(e1)
-        c2 = self.to_coords(e2)
-        return float(c1 @ self.gram @ c2)
-
     def coordinates(self, e) -> np.ndarray:
         """Values (x, u, v[, w]) of the coordinate functionals on e."""
         return self.coord_mat @ self.to_coords(e)

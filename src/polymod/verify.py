@@ -1,10 +1,12 @@
 """Randomized verification suites behind the command-line ``verify`` command.
 
 This module is the one verification engine.  Every sampled suite is a
-per-trial check run by the same trial runner: trial i draws its weight
-vector and a random label word from ``numpy.random.default_rng([seed, i])``,
-so reports are deterministic for a fixed (n, samples, seed, tol) and
-byte-identical across runs and across worker counts.  Suites:
+per-trial check; one pass over the trials (one pool or serial loop, ``all``
+included) runs every requested check.  Trial i draws its weight vector and
+a random label word once, from ``numpy.random.default_rng([seed, i])``, and
+builds their Lorentz model at most once, so reports are deterministic for a
+fixed (n, samples, seed, tol) and byte-identical across runs and across
+worker counts.  Suites:
 
 * ``roundtrip``     — forward map on the designated label pair, then invert,
   followed by a scan for the minimum separation of the produced shape pairs;
@@ -18,8 +20,9 @@ byte-identical across runs and across worker counts.  Suites:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import astuple
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from typing import Callable
 
@@ -44,36 +47,35 @@ _RIGHT_ANGLE = math.pi / 2.0
 
 # A per-trial check fills ``result`` with an ``error`` (compared against tol)
 # or a ``failure`` message, or raises; the runner turns an exception into a
-# ``failure`` entry.
-Check = Callable[[dict, int, WeightVector, tuple, float], None]
+# ``failure`` entry.  ``model()`` builds the trial's Lorentz model, once.
+Check = Callable[[dict, WeightVector, tuple, Callable, float], None]
 
 
-def _roundtrip_trial(result: dict, n: int, theta: WeightVector, word, tol: float) -> None:
+def _roundtrip_trial(result: dict, theta: WeightVector, word, model, tol: float) -> None:
     # The designated label pair, not the random word, determines theta.
-    psi = psi5 if n == 5 else psi6
-    s1, s2 = (psi(theta, w) for w in DESIGNATED[n])
+    psi = psi5 if theta.n == 5 else psi6
+    s1, s2 = (psi(theta, w) for w in DESIGNATED[theta.n])
     # Recorded before inverting, so a trial whose inversion fails is still scanned.
     result["theta"], result["shapes"] = theta.theta, astuple(s1) + astuple(s2)
-    back = inversion_report(n, s1, s2, tol)["theta"]
+    back = inversion_report(theta.n, s1, s2, tol)["theta"]
     result["error"] = max(abs(a - b) for a, b in zip(theta.theta, back.theta))
 
 
-def _orthogonality_trial(result: dict, n: int, theta: WeightVector, word, tol: float) -> None:
-    model = build_model(theta, word)
+def _orthogonality_trial(result: dict, theta: WeightVector, word, model, tol: float) -> None:
     result["error"] = max(
-        abs(dihedral_angle(model, j, k) - _RIGHT_ANGLE) for j, k in ORTHOGONAL_PAIRS[n]
+        abs(dihedral_angle(model(), j, k) - _RIGHT_ANGLE) for j, k in ORTHOGONAL_PAIRS[theta.n]
     )
 
 
-def _signature_trial(result: dict, n: int, theta: WeightVector, word, tol: float) -> None:
+def _signature_trial(result: dict, theta: WeightVector, word, model, tol: float) -> None:
     # build_model raises SignatureMismatch unless the area form is (1, n-3)
-    build_model(theta, word)
+    model()
     result["error"] = 0.0
 
 
-def _crossroute_trial(result: dict, n: int, theta: WeightVector, word, tol: float) -> None:
+def _crossroute_trial(result: dict, theta: WeightVector, word, model, tol: float) -> None:
     planar = astuple(planar_shape(theta, word))
-    lorentz = axis_intercepts(build_model(theta, word))
+    lorentz = axis_intercepts(model())
     # Linear scale, unlike moduli.scaled_residual's squared one: squaring it
     # would loosen this gate, so the two rules stay apart until one
     # derivation is settled for both.
@@ -90,17 +92,21 @@ _TRIALS: dict[str, Check] = {
 }
 
 
-def _run_trial(check: Check, n: int, seed: int, tol: float, trial: int) -> dict:
-    """One deterministic trial; its rng depends only on (seed, trial)."""
+def _run_trial(suites: tuple[str, ...], n: int, seed: int, tol: float, trial: int) -> dict:
+    """One deterministic trial of each suite; its rng depends only on (seed, trial)."""
     rng = np.random.default_rng([seed, trial])
     theta = sample_weight_rng(n, rng)
     word = tuple(int(m) + 1 for m in rng.permutation(n))
-    result = {"trial": trial}
-    try:
-        check(result, n, theta, word, tol)
-    except Exception as exc:  # failures are data, not crashes
-        result["failure"] = f"{type(exc).__name__}: {exc}"
-    return result
+    # Built on first use; a raising build is not cached, so each suite records it.
+    model = cache(partial(build_model, theta, word))
+    results = {}
+    for suite in suites:
+        result = results[suite] = {"trial": trial}
+        try:
+            _TRIALS[suite](result, theta, word, model, tol)
+        except Exception as exc:  # failures are data, not crashes
+            result["failure"] = f"{type(exc).__name__}: {exc}"
+    return results
 
 
 def _separation_scan(results: list[dict]) -> tuple[float | None, dict | None]:
@@ -131,32 +137,38 @@ def _separation_scan(results: list[dict]) -> tuple[float | None, dict | None]:
 
 
 def _run_sampled(
-    suite: str, n: int, samples: int, seed: int, tol: float, jobs: int
-) -> dict:
-    run = partial(_run_trial, _TRIALS[suite], n, seed, tol)
+    suites: tuple[str, ...], n: int, samples: int, seed: int, tol: float, jobs: int
+) -> dict[str, dict]:
+    """One pass over the trials, split into one report per suite."""
+    run = partial(_run_trial, suites, n, seed, tol)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, range(samples), chunksize=64))
+        # The pool starts all its workers at once: never more than the cores.
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+            rows = list(pool.map(run, range(samples), chunksize=64))
     else:
-        results = [run(t) for t in range(samples)]
+        rows = [run(t) for t in range(samples)]
 
-    failures = []
-    errors = []
-    for res in results:
-        if "failure" in res:
-            failures.append({"trial": res["trial"], "failure": res["failure"]})
-            continue
-        errors.append(res["error"])
-        if res["error"] > tol:
-            failures.append({"trial": res["trial"], "error": res["error"]})
-    extra = {"max_error": max(errors) if errors else None}
-    if suite == "roundtrip":
-        extra["min_shape_separation"], collision = _separation_scan(results)
-        if collision is not None:
-            failures.append({"collision": collision})
-    return _report(suite, n, samples, seed, tol, **extra, failures=failures)
+    reports = {}
+    for suite in suites:
+        results = [row[suite] for row in rows]
+        failures = []
+        errors = []
+        for res in results:
+            if "failure" in res:
+                failures.append({"trial": res["trial"], "failure": res["failure"]})
+                continue
+            errors.append(res["error"])
+            if res["error"] > tol:
+                failures.append({"trial": res["trial"], "error": res["error"]})
+        extra = {"max_error": max(errors) if errors else None}
+        if suite == "roundtrip":
+            extra["min_shape_separation"], collision = _separation_scan(results)
+            if collision is not None:
+                failures.append({"collision": collision})
+        reports[suite] = _report(suite, n, samples, seed, tol, **extra, failures=failures)
+    return reports
 
 
 def _report(suite, n, samples, seed, tol, **extra) -> dict:
@@ -220,9 +232,7 @@ def _run_complex(n: int, samples: int, seed: int, tol: float) -> dict:
             [row["partition"] for row in cusps["table"]],
             _all_triple_partitions(),
         )
-    return _report(
-        "complex", n, samples, seed, tol, counts=counts, failures=failures
-    )
+    return _report("complex", n, samples, seed, tol, counts=counts, failures=failures)
 
 
 def run_suite(
@@ -243,16 +253,15 @@ def run_suite(
         raise OutOfRange(f"n must be 5 or 6, got {n}")
     if samples < 1:
         raise OutOfRange(f"samples must be positive, got {samples}")
-    if suite in _TRIALS:
-        return _run_sampled(suite, n, samples, seed, tol, jobs)
+    if seed < 0:
+        raise OutOfRange(f"seed must be non-negative, got {seed}")
     if suite == "complex":
         return _run_complex(n, samples, seed, tol)
+    if suite != "all":
+        return _run_sampled((suite,), n, samples, seed, tol, jobs)[suite]
 
-    reports = {
-        name: run_suite(name, n, samples, seed, tol, jobs)
-        for name in SUITES
-        if name != "all"
-    }
+    reports = _run_sampled(tuple(_TRIALS), n, samples, seed, tol, jobs)
+    reports["complex"] = _run_complex(n, samples, seed, tol)
     doc = _report("all", n, samples, seed, tol, reports=reports)
     doc["pass"] = all(rep["pass"] for rep in reports.values())
     return doc

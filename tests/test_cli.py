@@ -309,6 +309,21 @@ class TestVerify:
         assert code == 1
         assert doc["pass"] is False
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_2(self, capsys, tmp_path, monkeypatch, source):
+        argv = ["verify", "--suite", "all", "--n", "5", "--samples", "2"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+            monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
+        code, doc, err = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["schema"] == "polymod-error/1"
+        assert doc["message"] == "seed must be non-negative, got -1"
+        assert err == ""
+
     def test_bad_tolerance_exits_2(self, capsys):
         code, doc, _ = run_json(
             capsys, "verify", "--suite", "roundtrip", "--n", "5",

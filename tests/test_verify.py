@@ -1,5 +1,8 @@
 """Tests for the verification engine behind ``polymod verify``."""
 
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
@@ -15,10 +18,68 @@ from polymod import (
 from polymod.combinatorics import sample_weight_rng
 
 
-@pytest.mark.parametrize("suite", SUITES)
-def test_samples_must_be_positive(suite):
+@pytest.mark.parametrize(
+    "suite, bad",
+    [pytest.param(suite, {"samples": 0}, id=suite) for suite in SUITES]
+    + [pytest.param(suite, {"seed": -1}, id=f"{suite}-seed") for suite in SUITES],
+)
+def test_samples_must_be_positive(suite, bad):
+    """A count below one, or a negative seed, is rejected before any trial runs."""
     with pytest.raises(OutOfRange):
-        run_suite(suite, 5, samples=0)
+        run_suite(suite, 5, **bad)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("n", [5, 6])
+def test_all_holds_each_suite_report(n, jobs):
+    reports = run_suite("all", n, 24, 5, jobs=jobs)["reports"]
+    assert list(reports) == [name for name in SUITES if name != "all"]
+    for name, report in reports.items():
+        assert report == run_suite(name, n, 24, 5, jobs=jobs)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_all_draws_and_builds_once_per_trial(monkeypatch, n):
+    calls = {"sample_weight_rng": 0, "build_model": 0}
+
+    def counted(name):
+        original = getattr(verify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name))
+    assert run_suite("all", n, 10, 2, jobs=1)["pass"]
+    assert calls == {"sample_weight_rng": 10, "build_model": 10}
+
+
+def test_the_pool_has_no_more_workers_than_cores(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = run_suite("all", 5, 6, 1, jobs=1)
+    assert sizes == []
+    assert run_suite("all", 5, 6, 1, jobs=100_000) == serial
+    assert run_suite("all", 5, 6, 1, jobs=2) == serial
+    assert sizes == [3, 2]
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -43,7 +104,8 @@ def test_failed_inversions_still_enter_the_scan(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "suite, target", [("signature", "build_model"), ("crossroute", "planar_shape")]
+    "suite, target",
+    [("signature", "build_model"), ("crossroute", "planar_shape"), ("all", "build_model")],
 )
 def test_a_raising_trial_is_the_only_failure(monkeypatch, suite, target):
     bad = sample_weight_rng(6, np.random.default_rng([7, 3]))
@@ -56,5 +118,10 @@ def test_a_raising_trial_is_the_only_failure(monkeypatch, suite, target):
 
     monkeypatch.setattr(verify, target, planted)
     report = run_suite(suite, 6, 8, 7, jobs=1)
-    assert report["failures"] == [{"trial": 3, "failure": "SignatureMismatch: planted"}]
-    assert report["max_error"] is not None
+    # Under ``all`` the three suites that share the trial's model each fail it.
+    reports = report["reports"] if suite == "all" else {suite: report}
+    hit = ("orthogonality", "signature", "crossroute") if suite == "all" else (suite,)
+    planted = {"trial": 3, "failure": "SignatureMismatch: planted"}
+    for name, sub in reports.items():
+        assert sub["failures"] == ([planted] if name in hit else [])
+        assert sub.get("max_error", 0.0) is not None
