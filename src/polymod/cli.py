@@ -39,6 +39,7 @@ from .moduli import (
     HexahedronShape,
     PentagonShape,
     classify_hexahedron,
+    forward_shapes,
     pentagon_side_lengths,
     psi5,
     psi6,
@@ -46,6 +47,9 @@ from .moduli import (
 from .verify import SUITES, run_suite
 
 _CONFIG_ENV = "POLYMOD_CONFIG"
+
+#: Input rows per stacked forward-map call in ``sweep``.
+SWEEP_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,8 @@ class RunConfig:
             raise OutOfRange(f"samples must be >= 1, got {self.samples!r}")
         if self.jobs < 1:
             raise OutOfRange(f"jobs must be >= 1, got {self.jobs!r}")
+        if self.seed < 0:
+            raise OutOfRange(f"seed must be non-negative, got {self.seed!r}")
 
 
 _CONFIG_TYPES = {"tol": float, "samples": int, "seed": int, "jobs": int}
@@ -231,29 +237,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     out_lines = [",".join(header)]
 
-    for row_number, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        if row_number == 1 and _looks_like_header(text):
-            continue
-        try:
-            theta = _parse_weight(text, args.n)
-            if args.n == 5:
-                shape = psi5(theta, word)
-                cells = list(theta.theta) + [shape.P, shape.Q]
-            else:
-                shape = psi6(theta, word)
-                cells = (
-                    list(theta.theta)
-                    + [shape.P, shape.Q, shape.R]
-                    + [classify_hexahedron(shape)["type"]]
-                    + list(shape.signs)
-                )
-        except PolymodError as exc:
-            sys.stderr.write(f"row {row_number}: {type(exc).__name__}: {exc}\n")
-            continue
-        out_lines.append(csv_row(cells))
+    rows = [
+        (row_number, text)
+        for row_number, text in enumerate((line.strip() for line in lines), start=1)
+        if text and not (row_number == 1 and _looks_like_header(text))
+    ]
+    for start in range(0, len(rows), SWEEP_CHUNK):
+        chunk = rows[start : start + SWEEP_CHUNK]
+        thetas: list = []
+        for _, text in chunk:
+            try:
+                thetas.append(_parse_weight(text, args.n))
+            except PolymodError as exc:
+                thetas.append(exc)
+        valid = [theta for theta in thetas if not isinstance(theta, PolymodError)]
+        shapes = iter(forward_shapes(args.n, valid, [word] * len(valid)))
+        for (row_number, _), theta in zip(chunk, thetas):
+            shape = theta if isinstance(theta, PolymodError) else next(shapes)
+            if isinstance(shape, PolymodError):
+                sys.stderr.write(f"row {row_number}: {type(shape).__name__}: {shape}\n")
+                continue
+            cells = list(theta.theta) + list(astuple(shape))
+            if args.n == 6:
+                cells += [classify_hexahedron(shape)["type"]] + list(shape.signs)
+            out_lines.append(csv_row(cells))
 
     data = "\n".join(out_lines) + "\n"
     if args.out == "-":

@@ -20,6 +20,13 @@ import numpy as np
 from .errors import OutOfRange
 
 _ANGLE_CHARS = re.compile(r"^[0-9eE@+\-*/().]*$")
+# A signed float literal with a point or an exponent.  For these float()
+# gives the value eval gives, bit for bit; integer literals are left to
+# eval, which rejects leading zeros, turns -0 into +0.0 and raises on an
+# integer too large for a float.
+_FLOAT_LITERAL = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|[0-9]+e[+-]?[0-9]+)"
+)
 _REPEAT = re.compile(r"^(\d+)x(.+)$")
 
 #: Largest ``Nx`` repetition count; no function here uses more than 8 marks.
@@ -71,6 +78,14 @@ def _eval_angle(expr: str) -> float:
     e = expr.strip().lower().replace(" ", "")
     if not e:
         raise OutOfRange("empty angle token")
+    value = float(e) if _FLOAT_LITERAL.fullmatch(e) else _eval_expression(expr, e)
+    if not math.isfinite(value):
+        raise OutOfRange(f"angle token {expr!r} is not finite")
+    return value
+
+
+def _eval_expression(expr: str, e: str) -> float:
+    """``eval`` of the normalized token ``e`` of ``expr`` in pi alone."""
     e = e.replace("pi", "@")
     if not _ANGLE_CHARS.match(e):
         raise OutOfRange(f"angle token {expr!r} contains unsupported characters")
@@ -84,12 +99,9 @@ def _eval_angle(expr: str) -> float:
         value = eval(  # noqa: S307 - characters and operators restricted above
             e.replace("@", "pi"), {"__builtins__": {}}, {"pi": math.pi}
         )
-        value = float(value)
+        return float(value)
     except Exception as exc:
         raise OutOfRange(f"cannot parse angle token {expr!r}: {exc}") from exc
-    if not math.isfinite(value):
-        raise OutOfRange(f"angle token {expr!r} is not finite")
-    return value
 
 
 def parse_theta(spec: str) -> list[float]:

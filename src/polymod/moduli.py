@@ -5,7 +5,8 @@ A pentagon shape is the pair ``(P, Q)`` with ``0 < P, Q < 1`` and
 ``(P, Q, R)``.  :func:`planar_shape` reads a shape from the planar
 completion-triangle feet alone; ``psi5``/``psi6`` also compute it from the
 Lorentzian axis intercepts, and the two routes must agree to ``ROUTE_TOL``
-under :func:`scaled_residual`.
+under :func:`scaled_residual`.  :func:`forward_shapes` is the forward map
+over many rows, with one stacked Lorentz kernel call for all of them.
 
 The hexahedron sign rule: ``P - 1``, ``Q - 1`` and ``R - 1`` have the same
 signs as the consecutive-triple sums ``theta_{i5}+theta_{i6}+theta_{i1}``,
@@ -24,8 +25,8 @@ from dataclasses import astuple, dataclass
 from typing import Sequence
 
 from .combinatorics import WeightVector, as_word
-from .errors import NegativeRatio, OutOfRange, RouteDisagreement
-from .lorentz import TOL_IDEAL, axis_intercepts, build_model
+from .errors import NegativeRatio, OutOfRange, PolymodError, RouteDisagreement
+from .lorentz import TOL_IDEAL, build_models
 from .planar import complete_triangle, pentagon_feet
 
 #: Allowed relative disagreement between the planar and Lorentzian routes.
@@ -124,18 +125,6 @@ def scaled_residual(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b)) ** 2
 
 
-def _check_routes(shape, theta: WeightVector, label: Sequence[int], what: str):
-    """``shape`` if it agrees with the Lorentzian axis intercepts to ROUTE_TOL."""
-    lorentz_vals = axis_intercepts(build_model(theta, label))
-    for name, a, b in zip("PQR", astuple(shape), lorentz_vals):
-        if scaled_residual(a, b) > ROUTE_TOL:
-            raise RouteDisagreement(
-                f"{what}: planar {name} = {a:.17g} vs Lorentzian {name} = "
-                f"{b:.17g} disagree beyond {ROUTE_TOL:g} of squared magnitude"
-            )
-    return shape
-
-
 def _pentagon_shape(theta: WeightVector, label: Sequence[int]) -> PentagonShape:
     f1, f2 = pentagon_feet(theta, label)
     return PentagonShape(P=math.sqrt(1.0 - f1), Q=math.sqrt(f2))
@@ -164,18 +153,64 @@ def planar_shape(
     return (_pentagon_shape if theta.n == 5 else _hexahedron_shape)(theta, label)
 
 
+def forward_shapes(
+    n: int, thetas: Sequence[WeightVector], labels: Sequence[Sequence[int]]
+) -> list[PentagonShape | HexahedronShape | PolymodError]:
+    """``psi5`` (n=5) or ``psi6`` (n=6) over many (theta, label) rows.
+
+    Each row gets its shape, or the error the forward map raises for it:
+    the planar route runs row by row, then one :func:`build_models` call
+    cross-checks every row that passed it against its Lorentzian axis
+    intercepts (RouteDisagreement beyond ROUTE_TOL under
+    :func:`scaled_residual`).
+    """
+    planar = _pentagon_shape if n == 5 else _hexahedron_shape
+    out: list = []
+    for theta, label in zip(thetas, labels, strict=True):
+        try:
+            out.append(planar(theta, label))
+        except PolymodError as exc:
+            out.append(exc)
+    passed = [i for i, row in enumerate(out) if not isinstance(row, PolymodError)]
+    if not passed:
+        return out
+    stack = build_models([thetas[i] for i in passed], [labels[i] for i in passed])
+    for k, i in enumerate(passed):
+        try:
+            lorentz_vals = stack.axis_intercepts(k)
+        except PolymodError as exc:
+            out[i] = exc
+            continue
+        for name, a, b in zip("PQR", astuple(out[i]), lorentz_vals):
+            if scaled_residual(a, b) > ROUTE_TOL:
+                out[i] = RouteDisagreement(
+                    f"psi{n}: planar {name} = {a:.17g} vs Lorentzian {name} = "
+                    f"{b:.17g} disagree beyond {ROUTE_TOL:g} of squared magnitude"
+                )
+                break
+    return out
+
+
+def _forward(n: int, theta: WeightVector, label: Sequence[int]):
+    shape = forward_shapes(n, [theta], [label])[0]
+    if isinstance(shape, PolymodError):
+        raise shape
+    return shape
+
+
 def psi5(theta: WeightVector, label: Sequence[int] = IDENTITY5) -> PentagonShape:
     """Forward map to the right-pentagon shape (P, Q).
 
     The shape of :func:`planar_shape`, returned once the Lorentzian axis
-    intercepts agree with it to ROUTE_TOL (RouteDisagreement otherwise).
+    intercepts agree with it to ROUTE_TOL (RouteDisagreement otherwise):
+    the one-row case of :func:`forward_shapes`.
     """
-    return _check_routes(_pentagon_shape(theta, label), theta, label, "psi5")
+    return _forward(5, theta, label)
 
 
 def psi6(theta: WeightVector, label: Sequence[int] = IDENTITY6) -> HexahedronShape:
     """Forward map to the hexahedron shape (P, Q, R), checked like psi5."""
-    return _check_routes(_hexahedron_shape(theta, label), theta, label, "psi6")
+    return _forward(6, theta, label)
 
 
 def classify_hexahedron(shape: HexahedronShape) -> dict:

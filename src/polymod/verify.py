@@ -3,10 +3,12 @@
 This module is the one verification engine.  Every sampled suite is a
 per-trial check; one pass over the trials (one pool or serial loop, ``all``
 included) runs every requested check.  Trial i draws its weight vector and
-a random label word once, from ``numpy.random.default_rng([seed, i])``, and
-builds their Lorentz model at most once, so reports are deterministic for a
-fixed (n, samples, seed, tol) and byte-identical across runs and across
-worker counts.  Suites:
+a random label word once, from ``numpy.random.default_rng([seed, i])``.
+Trials run in chunks of ``TRIAL_CHUNK``: one stacked Lorentz kernel call
+builds the chunk's models and one maps the chunk forward on the designated
+label pair, and every row of a stacked call is computed as it would be
+alone.  Reports are deterministic for a fixed (n, samples, seed, tol) and
+byte-identical across runs and across worker counts.  Suites:
 
 * ``roundtrip``     — forward map on the designated label pair, then invert,
   followed by a scan for the minimum separation of the produced shape pairs;
@@ -21,8 +23,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple
-from functools import cache, partial
+from dataclasses import astuple, dataclass
+from functools import cached_property, partial
 from itertools import combinations
 from typing import Callable
 
@@ -30,10 +32,10 @@ import numpy as np
 
 from .combinatorics import WeightVector, sample_weight_rng
 from .complexes import build_complex, cusp_classes, euler_characteristic
-from .errors import OutOfRange
+from .errors import OutOfRange, PolymodError
 from .fiber import DESIGNATED, inversion_report
-from .lorentz import axis_intercepts, build_model, dihedral_angle
-from .moduli import planar_shape, psi5, psi6
+from .lorentz import LorentzModel, ModelStack, build_models, dihedral_angle
+from .moduli import forward_shapes, planar_shape
 
 SUITES = ("roundtrip", "orthogonality", "signature", "crossroute", "complex", "all")
 
@@ -45,37 +47,76 @@ ORTHOGONAL_PAIRS = {
 
 _RIGHT_ANGLE = math.pi / 2.0
 
+#: Trials per pool task.  A task draws its trials, then makes at most two
+#: stacked Lorentz kernel calls for all of them.
+TRIAL_CHUNK = 64
+
+#: Suites that read the trial's own Lorentz model.
+_MODEL_SUITES = ("orthogonality", "signature", "crossroute")
+
+
+@dataclass(frozen=True)
+class _Trial:
+    """One trial's draw and its rows of its chunk's two kernel calls.
+
+    ``model``, ``intercepts()`` and ``forward()`` give the row's value or
+    raise the failure recorded for it, so every suite that reads a row
+    records the same failure.
+    """
+
+    theta: WeightVector
+    word: tuple[int, ...]
+    models: ModelStack | None  # the chunk's trial models, row ``row``
+    row: int
+    pair: tuple | PolymodError  # the designated-pair shapes, or psi's first failure
+
+    @cached_property
+    def model(self) -> LorentzModel:
+        # a raising row is not cached, so each suite records its failure
+        return self.models.model(self.row)
+
+    def intercepts(self) -> tuple[float, ...]:
+        return self.models.axis_intercepts(self.row)
+
+    def forward(self) -> tuple:
+        if isinstance(self.pair, PolymodError):
+            raise self.pair
+        return self.pair
+
+
 # A per-trial check fills ``result`` with an ``error`` (compared against tol)
 # or a ``failure`` message, or raises; the runner turns an exception into a
-# ``failure`` entry.  ``model()`` builds the trial's Lorentz model, once.
-Check = Callable[[dict, WeightVector, tuple, Callable, float], None]
+# ``failure`` entry.
+Check = Callable[[dict, _Trial, float], None]
 
 
-def _roundtrip_trial(result: dict, theta: WeightVector, word, model, tol: float) -> None:
+def _roundtrip_trial(result: dict, trial: _Trial, tol: float) -> None:
     # The designated label pair, not the random word, determines theta.
-    psi = psi5 if theta.n == 5 else psi6
-    s1, s2 = (psi(theta, w) for w in DESIGNATED[theta.n])
+    theta = trial.theta
+    s1, s2 = trial.forward()
     # Recorded before inverting, so a trial whose inversion fails is still scanned.
     result["theta"], result["shapes"] = theta.theta, astuple(s1) + astuple(s2)
     back = inversion_report(theta.n, s1, s2, tol)["theta"]
     result["error"] = max(abs(a - b) for a, b in zip(theta.theta, back.theta))
 
 
-def _orthogonality_trial(result: dict, theta: WeightVector, word, model, tol: float) -> None:
+def _orthogonality_trial(result: dict, trial: _Trial, tol: float) -> None:
     result["error"] = max(
-        abs(dihedral_angle(model(), j, k) - _RIGHT_ANGLE) for j, k in ORTHOGONAL_PAIRS[theta.n]
+        abs(dihedral_angle(trial.model, j, k) - _RIGHT_ANGLE)
+        for j, k in ORTHOGONAL_PAIRS[trial.theta.n]
     )
 
 
-def _signature_trial(result: dict, theta: WeightVector, word, model, tol: float) -> None:
-    # build_model raises SignatureMismatch unless the area form is (1, n-3)
-    model()
+def _signature_trial(result: dict, trial: _Trial, tol: float) -> None:
+    # building the model is the check: it raises SignatureMismatch unless
+    # the area form has signature (1, n-3)
+    trial.model  # noqa: B018
     result["error"] = 0.0
 
 
-def _crossroute_trial(result: dict, theta: WeightVector, word, model, tol: float) -> None:
-    planar = astuple(planar_shape(theta, word))
-    lorentz = axis_intercepts(model())
+def _crossroute_trial(result: dict, trial: _Trial, tol: float) -> None:
+    planar = astuple(planar_shape(trial.theta, trial.word))
+    lorentz = trial.intercepts()
     # Linear scale, unlike moduli.scaled_residual's squared one: squaring it
     # would loosen this gate, so the two rules stay apart until one
     # derivation is settled for both.
@@ -92,21 +133,45 @@ _TRIALS: dict[str, Check] = {
 }
 
 
-def _run_trial(suites: tuple[str, ...], n: int, seed: int, tol: float, trial: int) -> dict:
-    """One deterministic trial of each suite; its rng depends only on (seed, trial)."""
-    rng = np.random.default_rng([seed, trial])
-    theta = sample_weight_rng(n, rng)
-    word = tuple(int(m) + 1 for m in rng.permutation(n))
-    # Built on first use; a raising build is not cached, so each suite records it.
-    model = cache(partial(build_model, theta, word))
-    results = {}
-    for suite in suites:
-        result = results[suite] = {"trial": trial}
-        try:
-            _TRIALS[suite](result, theta, word, model, tol)
-        except Exception as exc:  # failures are data, not crashes
-            result["failure"] = f"{type(exc).__name__}: {exc}"
-    return results
+def _run_chunk(
+    suites: tuple[str, ...], n: int, seed: int, tol: float, trials: range
+) -> list[dict]:
+    """Deterministic trials of each suite; trial i's rng depends only on (seed, i).
+
+    One kernel call builds every trial's model (when a suite reads it) and
+    one maps every trial forward on the designated label pair (roundtrip).
+    """
+    thetas, words = [], []
+    for trial in trials:
+        rng = np.random.default_rng([seed, trial])
+        thetas.append(sample_weight_rng(n, rng))
+        words.append(tuple(int(m) + 1 for m in rng.permutation(n)))
+    models = build_models(thetas, words) if set(suites) & set(_MODEL_SUITES) else None
+    pairs: list = [()] * len(thetas)
+    if "roundtrip" in suites:
+        designated = DESIGNATED[n]
+        shapes = forward_shapes(
+            n, [theta for theta in thetas for _ in designated], list(designated) * len(thetas)
+        )
+        pairs = []
+        for k in range(len(thetas)):
+            pair = shapes[2 * k : 2 * k + 2]
+            failures = [s for s in pair if isinstance(s, PolymodError)]
+            # psi's first failure in word order, as two psi calls would raise it
+            pairs.append(failures[0] if failures else tuple(pair))
+
+    rows = []
+    for k, trial in enumerate(trials):
+        row = _Trial(thetas[k], words[k], models, k, pairs[k])
+        results = {}
+        for suite in suites:
+            result = results[suite] = {"trial": trial}
+            try:
+                _TRIALS[suite](result, row, tol)
+            except Exception as exc:  # failures are data, not crashes
+                result["failure"] = f"{type(exc).__name__}: {exc}"
+        rows.append(results)
+    return rows
 
 
 def _separation_scan(results: list[dict]) -> tuple[float | None, dict | None]:
@@ -140,15 +205,17 @@ def _run_sampled(
     suites: tuple[str, ...], n: int, samples: int, seed: int, tol: float, jobs: int
 ) -> dict[str, dict]:
     """One pass over the trials, split into one report per suite."""
-    run = partial(_run_trial, suites, n, seed, tol)
+    run = partial(_run_chunk, suites, n, seed, tol)
+    chunks = [range(i, min(i + TRIAL_CHUNK, samples)) for i in range(0, samples, TRIAL_CHUNK)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # The pool starts all its workers at once: never more than the cores.
         with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            rows = list(pool.map(run, range(samples), chunksize=64))
+            done = list(pool.map(run, chunks))
     else:
-        rows = [run(t) for t in range(samples)]
+        done = [run(chunk) for chunk in chunks]
+    rows = [row for chunk in done for row in chunk]
 
     reports = {}
     for suite in suites:

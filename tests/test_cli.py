@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ import pytest
 from polymod import cli, verify
 from polymod.combinatorics import sample_weight_rng
 from polymod.errors import RouteDisagreement
+
+from lorentz_oracle import boundary_weights
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 EQUAL5 = "5x2pi/5"
@@ -281,14 +284,16 @@ class TestVerify:
     def test_forward_failure_is_a_failed_trial(self, capsys, monkeypatch):
         """A forward-map error in one roundtrip trial fails that trial only."""
         bad = sample_weight_rng(5, np.random.default_rng([7, 3]))
-        original = verify.psi5
+        original = verify.forward_shapes
 
-        def psi5(theta, *args, **kwargs):
-            if theta == bad:
-                raise RouteDisagreement("planted")
-            return original(theta, *args, **kwargs)
+        def forward_shapes(n, thetas, labels):
+            shapes = original(n, thetas, labels)
+            return [
+                RouteDisagreement("planted") if theta == bad else shape
+                for theta, shape in zip(thetas, shapes)
+            ]
 
-        monkeypatch.setattr(verify, "psi5", psi5)
+        monkeypatch.setattr(verify, "forward_shapes", forward_shapes)
         code, doc, err = run_json(
             capsys, "verify", "--suite", "roundtrip", "--n", "5",
             "--samples", "8", "--seed", "7", "--jobs", "1",
@@ -413,6 +418,24 @@ class TestSweep:
             "P,Q,R,type,sign_P,sign_Q,sign_R"
         )
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_near_boundary_rows_warn_nothing(self, capsys, tmp_path, n):
+        """Rows that fail inside the stacked kernel print their row line and
+        nothing else: no numpy warning reaches stderr."""
+        thetas = boundary_weights(n, np.random.default_rng(40 + n), 600)
+        src = tmp_path / "near.csv"
+        src.write_text(
+            "".join(",".join(map(repr, theta.theta)) + "\n" for theta in thetas),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "sweep", "--n", str(n), "--input", str(src), "--out", "-")
+        assert code == 0
+        lines = err.splitlines()
+        assert all(re.match(r"row \d+: \w+: ", line) for line in lines)
+        assert any(": SignatureMismatch: " in line for line in lines)
+        assert len(out.splitlines()) == 1 + len(thetas) - len(lines)
+
     def test_unreadable_input_exits_2(self, capsys, tmp_path):
         code, doc, _ = run_json(
             capsys, "sweep", "--n", "5",
@@ -482,6 +505,19 @@ class TestConfig:
         code, doc, _ = run_json(capsys, *argv)
         assert code == 2
         assert doc["message"] == "jobs must be >= 1, got 0"
+
+    def test_invert_rejects_a_negative_seed(self, capsys, tmp_path, monkeypatch):
+        """``invert`` validates the whole file, as ``verify`` does."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+        monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
+        code, doc, err = run_json(
+            capsys, "invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1"
+        )
+        assert code == 2
+        assert doc["schema"] == "polymod-error/1"
+        assert doc["message"] == "seed must be non-negative, got -1"
+        assert err == ""
 
     def test_unknown_key_exits_2(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -3,11 +3,14 @@
 The quadratic form is checked against the shoelace area of the actual
 polygon chain, and the axis intercepts against independent sine-ratio
 oracles, so the two routes never share code.  The closed-form model is also
-checked against a reference that polarizes shoelace areas row by row.
+checked against a reference that polarizes shoelace areas row by row, and
+the stacked kernel against the scalar route check in ``lorentz_oracle``,
+bit for bit.
 """
 
 import dataclasses
 import math
+from dataclasses import astuple
 
 import numpy as np
 import numpy.testing as npt
@@ -40,7 +43,10 @@ from polymod import (
     tangential_lengths,
     validate_weight,
 )
+from polymod import WeightVector, build_models, forward_shapes, lorentz
 from polymod.combinatorics import sample_weight_rng
+
+import lorentz_oracle as oracle
 
 IDENT5 = (1, 2, 3, 4, 5)
 IDENT6 = (1, 2, 3, 4, 5, 6)
@@ -482,3 +488,150 @@ class TestDihedralAngles:
             dihedral_angle(model, 1, 1)
         with pytest.raises(OutOfRange):
             dihedral_angle(model, 0, 2)
+
+
+# ===========================================================================
+# the stacked kernel against the scalar oracle
+# ===========================================================================
+
+def outcome(fn, *args):
+    """``("ok", value)`` or ``(class name, message)`` of one oracle call."""
+    try:
+        return "ok", fn(*args)
+    except PolymodError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def failure(exc):
+    return None if exc is None else (type(exc).__name__, str(exc))
+
+
+def assert_rows_match_oracle(stack):
+    """Every row equals the scalar build_model / axis_intercepts bit for bit,
+    or records the class and message the scalar code raises."""
+    for i, (theta, word) in enumerate(zip(stack.thetas, stack.words)):
+        kind, model = outcome(oracle.build_model, theta, word)
+        if kind != "ok":
+            assert failure(stack.model_errors[i]) == (kind, model)
+            assert stack.intercept_errors[i] is None
+            continue
+        assert stack.model_errors[i] is None
+        for name in ("basis", "gram", "coord_mat", "facet_mat"):
+            assert np.array_equal(getattr(stack, name)[i], getattr(model, name)), name
+        assert np.array_equal(stack.dirs[i], model.frame.dirs)
+        kind, values = outcome(oracle.axis_intercepts, model)
+        if kind != "ok":
+            assert failure(stack.intercept_errors[i]) == (kind, values)
+        else:
+            assert stack.intercept_errors[i] is None
+            assert stack.axis_intercepts(i) == values
+
+
+class TestStackedKernel:
+    @given(
+        n=st.sampled_from((5, 6)),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_the_scalar_oracle(self, n, seed, rows):
+        """Generic and near-boundary rows, each with its own random word."""
+        rng = np.random.default_rng(seed)
+        thetas = oracle.boundary_weights(n, rng, rows)
+        words = [tuple(int(m) + 1 for m in rng.permutation(n)) for _ in thetas]
+        stack = build_models(thetas, words)
+        assert_rows_match_oracle(stack)
+        # the one-row entry points are the same kernel
+        for theta, word in zip(thetas, words):
+            kind, model = outcome(oracle.build_model, theta, word)
+            if kind != "ok":
+                assert outcome(build_model, theta, word) == (kind, model)
+                continue
+            got = build_model(theta, word)
+            for name in ("basis", "gram", "coord_mat", "facet_mat"):
+                assert np.array_equal(getattr(got, name), getattr(model, name))
+            assert outcome(axis_intercepts, got) == outcome(oracle.axis_intercepts, model)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_boundary_failures_match_the_oracle(self, n):
+        """On 600 near-boundary rows each failure has the oracle's class and
+        message, and so does each forward map."""
+        rng = np.random.default_rng(600 + n)
+        thetas = oracle.boundary_weights(n, rng, 600)
+        words = [tuple(int(m) + 1 for m in rng.permutation(n)) for _ in thetas]
+        stack = build_models(thetas, words)
+        assert_rows_match_oracle(stack)
+        classes = {type(e).__name__ for e in stack.model_errors if e is not None}
+        assert {"DegenerateTriangle", "SignatureMismatch"} <= classes
+        for shape, theta, word in zip(forward_shapes(n, thetas, words), thetas, words):
+            kind, want = outcome(oracle.psi, n, theta, word)
+            if kind == "ok":
+                assert astuple(shape) == astuple(want)
+            else:
+                assert failure(shape) == (kind, want)
+
+    def test_a_mixed_chunk_fails_each_row_alone(self):
+        """One chunk holds a row failing each gate; every row, failing or
+        not, comes out as it does alone."""
+        ident = (1, 2, 3, 4, 5, 6)
+        good = [sample_weight(6, seed) for seed in range(7)]
+        gated = [  # hand-built: they bypass validate_weight
+            ("DegenerateTriangle", "exterior angle at b", (0.59, 0.59, 0.0, 0.0, 0.59, 0.39)),
+            # NaN arrays: the row must stay out of the stacked eigvalsh and svd
+            ("DegenerateTriangle", "at a is nan", (math.nan, 1.0, 1.0, 1.0, 1.0, 1.0)),
+            ("SignatureMismatch", "area-form eigenvalues", (
+                -0.1639386256704607, 2.830576590613591, 2.6483932299547335,
+                0.4574777719718086, 3.0059369232428153, -0.2657278607792226,
+            )),
+            ("NoIntersection", "lines are parallel", (
+                math.pi / 2, math.pi / 8, 5 * math.pi / 16,
+                math.pi / 16, math.pi / 8, math.pi / 2,
+            )),
+            ("SignatureMismatch", "fail to diagonalize", (
+                1.5922061829871326, 1.3398222841462766, 0.08253039436121029,
+                1.5647726487136204, 0.05598250625828778, 1.6478712934222117,
+            )),
+            ("RouteDisagreement", "disagree beyond", (
+                0.4512732272831897, 0.8472543880371308, 1.1132332833896774,
+                1.922357226286056, 0.807538725590708, 1.1415284633387217,
+            )),
+        ]
+        thetas = []
+        for k, (_, _, angles) in enumerate(gated):
+            thetas += [good[k], WeightVector(6, angles)]
+        thetas.append(good[-1])
+        words = [ident] * len(thetas)
+        stack = build_models(thetas, words)
+        assert_rows_match_oracle(stack)
+        shapes = forward_shapes(6, thetas, words)
+        for k, (cls, fragment, _) in enumerate(gated):
+            # the route gate sits behind the kernel, in the forward map
+            bad = shapes[2 * k + 1] if cls == "RouteDisagreement" else stack.model_errors[2 * k + 1]
+            assert type(bad).__name__ == cls and fragment in str(bad)
+        for theta, shape in zip(thetas, shapes):
+            kind, want = outcome(oracle.psi, 6, theta, ident)
+            if kind == "ok":
+                assert astuple(shape) == astuple(want)
+            else:
+                assert failure(shape) == (kind, want)
+
+        # The facet gates do not fire on weight vectors; plant them in one
+        # row's facets (dependent planes) and another's x functional (a ray
+        # parallel to the slice), with intact rows around them.
+        facet_mat = stack.facet_mat[::2].copy()
+        coord_mat = stack.coord_mat[::2].copy()
+        facet_mat[1, 4] = facet_mat[1, 2]  # facets 3 and 5 of the first spec
+        coord_mat[3, 0] = 0.0
+        errors = [None] * len(facet_mat)
+        specs = [(3, 5, 6), (1, 2, 5), (1, 3, 4)]
+        rays = lorentz._zero_rays(facet_mat, coord_mat[:, 0], specs, errors)
+        for i, rows in enumerate(zip(facet_mat, coord_mat)):
+            model = dataclasses.replace(stack.model(2 * i), facet_mat=rows[0], coord_mat=rows[1])
+            want = [outcome(oracle.facet_zero_ray, model, facets) for facets in specs]
+            first = next((w for w in want if w[0] != "ok"), None)
+            assert failure(errors[i]) == first
+            if first is None:
+                for s, (_, ray) in enumerate(want):
+                    assert np.array_equal(rays[i, s], ray)
+        assert "are dependent" in str(errors[1])
+        assert "parallel to the slice" in str(errors[3])

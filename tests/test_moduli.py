@@ -65,7 +65,9 @@ class TestPlanarShape:
         assert astuple(psi(theta, word)) == astuple(planar_shape(theta, word))
 
     @pytest.mark.parametrize("n", [5, 6])
-    def test_psi_builds_two_edge_frames(self, n, monkeypatch):
+    def test_psi_builds_one_edge_frame(self, n, monkeypatch):
+        """The planar route builds the frame; the Lorentz kernel computes its
+        stacked edge directions without another one."""
         calls = []
         original = planar.edge_frame
 
@@ -75,7 +77,7 @@ class TestPlanarShape:
 
         monkeypatch.setattr(planar, "edge_frame", edge_frame)
         (psi5 if n == 5 else psi6)(sample_weight(n, 5))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_wrong_n_raises(self):
         with pytest.raises(OutOfRange):

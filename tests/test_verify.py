@@ -40,21 +40,22 @@ def test_all_holds_each_suite_report(n, jobs):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_all_draws_and_builds_once_per_trial(monkeypatch, n):
-    calls = {"sample_weight_rng": 0, "build_model": 0}
+    """Each trial is drawn once and its model is one row of one kernel call."""
+    calls = {"sample_weight_rng": 0, "build_models": 0}
+    draw, build = verify.sample_weight_rng, verify.build_models
 
-    def counted(name):
-        original = getattr(verify, name)
+    def sample_weight_rng(*args):
+        calls["sample_weight_rng"] += 1
+        return draw(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
+    def build_models(thetas, words):
+        calls["build_models"] += len(thetas)
+        return build(thetas, words)
 
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(verify, name, counted(name))
+    monkeypatch.setattr(verify, "sample_weight_rng", sample_weight_rng)
+    monkeypatch.setattr(verify, "build_models", build_models)
     assert run_suite("all", n, 10, 2, jobs=1)["pass"]
-    assert calls == {"sample_weight_rng": 10, "build_model": 10}
+    assert calls == {"sample_weight_rng": 10, "build_models": 10}
 
 
 def test_the_pool_has_no_more_workers_than_cores(monkeypatch):
@@ -103,20 +104,42 @@ def test_failed_inversions_still_enter_the_scan(monkeypatch):
     assert report["min_shape_separation"] == clean["min_shape_separation"]
 
 
+def _plant_model_failure(bad):
+    """A ``verify.build_models`` whose row for ``bad`` fails to build."""
+    original = verify.build_models
+
+    def build_models(thetas, words):
+        stack = original(thetas, words)
+        for i, theta in enumerate(thetas):
+            if theta == bad:
+                stack.model_errors[i] = SignatureMismatch("planted")
+        return stack
+
+    return build_models
+
+
+def _plant_planar_failure(bad):
+    """A ``verify.planar_shape`` that raises for ``bad``."""
+    original = verify.planar_shape
+
+    def planar_shape(theta, word):
+        if theta == bad:
+            raise SignatureMismatch("planted")
+        return original(theta, word)
+
+    return planar_shape
+
+
 @pytest.mark.parametrize(
     "suite, target",
     [("signature", "build_model"), ("crossroute", "planar_shape"), ("all", "build_model")],
 )
 def test_a_raising_trial_is_the_only_failure(monkeypatch, suite, target):
     bad = sample_weight_rng(6, np.random.default_rng([7, 3]))
-    original = getattr(verify, target)
-
-    def planted(theta, word):
-        if theta == bad:
-            raise SignatureMismatch("planted")
-        return original(theta, word)
-
-    monkeypatch.setattr(verify, target, planted)
+    if target == "build_model":  # the trial models are rows of one kernel call
+        monkeypatch.setattr(verify, "build_models", _plant_model_failure(bad))
+    else:
+        monkeypatch.setattr(verify, target, _plant_planar_failure(bad))
     report = run_suite(suite, 6, 8, 7, jobs=1)
     # Under ``all`` the three suites that share the trial's model each fail it.
     reports = report["reports"] if suite == "all" else {suite: report}
