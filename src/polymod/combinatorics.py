@@ -47,6 +47,9 @@ TOL_SUM = 1e-12
 #: Maximum number of rejection-sampling attempts before giving up.
 REJECTION_BUDGET = 10**6
 
+#: Attempts drawn per numpy call by the rejection sampler.
+SAMPLE_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -157,11 +160,33 @@ def sample_weight_rng(n: int, rng: np.random.Generator) -> WeightVector:
     and keeps the first draw whose largest two angles sum below pi.  A thin
     safety margin keeps the subsequent exact-sum rescaling from crossing
     the open boundary.
+
+    Attempts are drawn ``SAMPLE_BLOCK`` at a time and tested row by row
+    with the same float operations as one attempt alone.  When row k is
+    accepted, the generator is rewound and exactly k + 1 attempts are
+    drawn again, so the stream ends where one draw per attempt would leave
+    it and later draws from ``rng`` do not depend on the block size.
     """
     if n < 4:
         raise OutOfRange(f"need n >= 4, got {n}")
-    for _ in range(REJECTION_BUDGET):
-        x = rng.exponential(size=n)
+    attempts = 0
+    while attempts < REJECTION_BUDGET:
+        rows = min(SAMPLE_BLOCK, REJECTION_BUDGET - attempts)
+        state = rng.bit_generator.state
+        x = rng.exponential(size=(rows, n))
+        total = x.sum(axis=1)
+        th = 2.0 * math.pi * x / total[:, None]
+        top = np.sort(th, axis=1)[:, -2:]
+        ok = (total > 0.0) & np.isfinite(total)
+        ok &= (th.min(axis=1) > 0.0) & (top[:, 0] + top[:, 1] < math.pi - 1e-12)
+        if not ok.any():
+            attempts += rows
+            continue
+        k = int(np.argmax(ok))
+        rng.bit_generator.state = state
+        x = rng.exponential(size=(k + 1, n))[k]
+        attempts += k + 1
+        # the scalar test decides; a row it rejects is one more failed attempt
         total = x.sum()
         if total <= 0.0 or not np.isfinite(total):
             continue

@@ -35,7 +35,7 @@ from .combinatorics import (
 )
 from .errors import NotEqualWeight, OutOfRange, PairingFailure, UnknownFormat
 from .jsonio import dumps_canonical
-from .lorentz import TOL_IDEAL, build_model, dihedral_angle
+from .lorentz import TOL_IDEAL, build_models, dihedral_angle
 from .moduli import triple_sums
 
 
@@ -323,6 +323,15 @@ def singular_edges(complex_: GluedComplex) -> dict:
                     f"image across the glued face"
                 )
 
+    # one kernel call builds every cell with an edge; a cell's recorded
+    # failure is raised when its first edge is met, in group order
+    built = sorted({ci for ci, _ in keys})
+    stack = (
+        build_models([complex_.theta] * len(built), [complex_.cells[ci].word for ci in built])
+        if built
+        else None
+    )
+    rows = {ci: row for row, ci in enumerate(built)}
     models: dict[int, object] = {}
     table = []
     for group in uf.groups():
@@ -331,7 +340,7 @@ def singular_edges(complex_: GluedComplex) -> dict:
         for i in group:
             ci, k = keys[i]
             if ci not in models:
-                models[ci] = build_model(complex_.theta, complex_.cells[ci].word)
+                models[ci] = stack.model(rows[ci])
             angle += dihedral_angle(models[ci], k, _cyc(k, 1, 6))
         table.append(
             {

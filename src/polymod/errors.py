@@ -87,7 +87,8 @@ class RouteDisagreement(PolymodError):
 
 
 class NegativeRatio(PolymodError):
-    """A squared shape parameter came out non-positive (broken feet orientation)."""
+    """A squared shape parameter came out non-positive (broken feet orientation),
+    or a squared Lorentz coordinate scale came out negative."""
 
 
 # --- fiber constructions ---------------------------------------------------------

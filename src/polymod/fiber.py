@@ -42,6 +42,7 @@ from .errors import (
     NotInTheta,
     OutOfRange,
     PairSumTooLarge,
+    PolymodError,
     SlideCollision,
     SumMismatch,
 )
@@ -50,8 +51,7 @@ from .moduli import (
     IDENTITY6,
     HexahedronShape,
     PentagonShape,
-    psi5,
-    psi6,
+    forward_shapes,
     scaled_residual,
 )
 from .planar import complete_triangle
@@ -257,32 +257,68 @@ def invert6(
 def inversion_report(n: int, s1, s2, tol: float = INVERT_TOL) -> dict:
     """Full inversion result: {'theta', 'w', 'residual'}.
 
-    Shared engine of invert5/invert6; the CLI uses the extra fields.  The
-    recovered weight vector is mapped forward on both words of
-    ``DESIGNATED[n]`` and every parameter is compared with the input pair.
+    Shared engine of invert5/invert6, and the one-pair case of
+    :func:`inversion_reports`; the CLI uses the extra fields.
     """
-    # module globals are read per call, so a rebound psi5 or fiber_theta5 is seen
+    report = inversion_reports(n, [(s1, s2)], tol)[0]
+    if isinstance(report, PolymodError):
+        raise report
+    return report
+
+
+def inversion_reports(
+    n: int, pairs: Sequence[tuple], tol: float = INVERT_TOL
+) -> list[dict | PolymodError]:
+    """:func:`inversion_report` over many shape pairs.
+
+    Each pair gets its report, or the error its inversion raises first:
+    the circles (NoIntersection, OutOfRange), the fiber construction
+    (InconsistentPair), then the forward verification, where the recovered
+    weight vector is mapped forward on both words of ``DESIGNATED[n]``
+    (the identity word's failure first) and every parameter is compared
+    with the input pair.  One :func:`forward_shapes` call maps every pair
+    that reaches the verification.
+    """
     if n == 5:
-        recover_w, fiber_theta, psi = recover_w5, fiber_theta5, psi5
+        recover_w, fiber_theta = recover_w5, fiber_theta5
     elif n == 6:
-        recover_w, fiber_theta, psi = recover_w6, fiber_theta6, psi6
+        recover_w, fiber_theta = recover_w6, fiber_theta6
     else:
         raise OutOfRange(f"inversion is defined for n in {{5, 6}}, got {n}")
-    identity, swapped = DESIGNATED[n]
-    w = recover_w(s1, s2)
-    try:
-        theta = fiber_theta(s1, w, identity)
-    except (SlideCollision, NotInTheta) as exc:
-        raise InconsistentPair(
-            f"no weight vector realizes this shape pair: {exc}"
-        ) from exc
-    forward = astuple(psi(theta, identity)) + astuple(psi(theta, swapped))
-    residual = max(map(scaled_residual, forward, astuple(s1) + astuple(s2)))
-    if residual > tol:
-        raise InconsistentPair(
-            f"forward verification failed: residual {residual:.17g} > {tol:g}"
-        )
-    return {"theta": theta, "w": w, "residual": residual}
+    words = DESIGNATED[n]
+    out: list = []
+    for s1, s2 in pairs:
+        try:
+            w = recover_w(s1, s2)
+            try:
+                theta = fiber_theta(s1, w, words[0])
+            except (SlideCollision, NotInTheta) as exc:
+                raise InconsistentPair(
+                    f"no weight vector realizes this shape pair: {exc}"
+                ) from exc
+        except PolymodError as exc:
+            out.append(exc)
+            continue
+        out.append({"theta": theta, "w": w})
+    solved = [i for i, report in enumerate(out) if isinstance(report, dict)]
+    forward = forward_shapes(
+        n, [out[i]["theta"] for i in solved for _ in words], list(words) * len(solved)
+    )
+    for k, i in enumerate(solved):
+        shapes = forward[2 * k : 2 * k + 2]
+        failure = next((s for s in shapes if isinstance(s, PolymodError)), None)
+        if failure is not None:
+            out[i] = failure
+            continue
+        given = astuple(pairs[i][0]) + astuple(pairs[i][1])
+        residual = max(map(scaled_residual, astuple(shapes[0]) + astuple(shapes[1]), given))
+        if residual > tol:
+            out[i] = InconsistentPair(
+                f"forward verification failed: residual {residual:.17g} > {tol:g}"
+            )
+        else:
+            out[i]["residual"] = residual
+    return out
 
 
 def verify_injectivity(

@@ -49,6 +49,7 @@ from .combinatorics import WeightVector, as_word
 from .errors import (
     DegenerateTriangle,
     FacetsDisjoint,
+    NegativeRatio,
     NoIntersection,
     NotTimelike,
     OutOfRange,
@@ -173,20 +174,33 @@ def _degenerate_triangle(t: list[float], n: int) -> PolymodError | None:
     return None
 
 
+def _scale(radicand: float, edge: int = 0) -> float:
+    """``math.sqrt`` of the radicand of edge ``edge``'s corner scale, or of
+    the apex scale for edge 0; NegativeRatio below 0."""
+    if radicand < 0.0:
+        name = f"edge {edge} corner" if edge else "apex"
+        raise NegativeRatio(f"squared {name} scale = {radicand:.17g} < 0")
+    return math.sqrt(radicand)
+
+
 def _coordinate_scales(t: list[float], n: int) -> tuple[float, list[float]]:
     """sqrt(apex height / 2) of the completion triangle, and the corner
     scales: sqrt of the area cut off by a unit edge 1, 3[, 5] with adjacent
     turning angles t_k, t_{k+1}.  Scalar math like ``complete_triangle``'s,
-    so every bit agrees with it."""
+    so every bit agrees with it.
+
+    Validated weight vectors keep every radicand positive.  A hand-built
+    one with a negative angle can make one negative; that raises
+    NegativeRatio, where ``math.sqrt`` alone would raise a bare ValueError."""
     ext_a, ext_b, ext_c = _exterior_angles(t, n)
     apex = (math.sin(math.pi - ext_b) / math.sin(math.pi - ext_c)) * cmath.exp(
         1j * (math.pi - ext_a)
     )
     corners = [
-        math.sqrt(math.sin(t[k]) * math.sin(t[k + 1]) / (2.0 * math.sin(t[k] + t[k + 1])))
+        _scale(math.sin(t[k]) * math.sin(t[k + 1]) / (2.0 * math.sin(t[k] + t[k + 1])), k + 1)
         for k in range(0, n - 1, 2)
     ]
-    return math.sqrt(apex.imag / 2.0), corners
+    return _scale(apex.imag / 2.0), corners
 
 
 def _parallel_base_lines(base: complex, *others: complex) -> PolymodError | None:
@@ -237,9 +251,9 @@ def _model_arrays(angles: np.ndarray) -> dict:
     arrays ``dirs``, ``basis``, ``gram``, ``coord_mat`` and ``facet_mat``
     with a leading row axis, and ``errors``: per row None or its first
     failure, gate by gate in the scalar order (completion triangle,
-    signature, base-width lines, diagonalization).  A failed row's arrays
-    are meaningless; it enters ``eigvalsh`` as the identity, so it cannot
-    make the stacked call raise.
+    signature, base-width lines, coordinate scales, diagonalization).  A
+    failed row's arrays are meaningless; it enters ``eigvalsh`` as the
+    identity, so it cannot make the stacked call raise.
     """
     rows, n = angles.shape
     dim = n - 2
@@ -287,7 +301,10 @@ def _model_arrays(angles: np.ndarray) -> dict:
         if errors[i] is None:
             errors[i] = _parallel_base_lines(*d)
         if errors[i] is None:
-            c_x[i, 0], corner[i] = _coordinate_scales(angles[i].tolist(), n)
+            try:
+                c_x[i, 0], corner[i] = _coordinate_scales(angles[i].tolist(), n)
+            except NegativeRatio as exc:
+                errors[i] = exc
     x_row = c_x * _base_widths(basis, dirs)
     # u, v[, w] scale the lengths of edges 1, 3[, 5]
     coord_mat = np.concatenate(

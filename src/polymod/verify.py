@@ -5,10 +5,11 @@ per-trial check; one pass over the trials (one pool or serial loop, ``all``
 included) runs every requested check.  Trial i draws its weight vector and
 a random label word once, from ``numpy.random.default_rng([seed, i])``.
 Trials run in chunks of ``TRIAL_CHUNK``: one stacked Lorentz kernel call
-builds the chunk's models and one maps the chunk forward on the designated
-label pair, and every row of a stacked call is computed as it would be
-alone.  Reports are deterministic for a fixed (n, samples, seed, tol) and
-byte-identical across runs and across worker counts.  Suites:
+builds the chunk's models, one maps the chunk forward on the designated
+label pair and one batched inversion inverts the chunk's shape pairs, and
+every row of a stacked call is computed as it would be alone.  Reports are
+deterministic for a fixed (n, samples, seed, tol) and byte-identical across
+runs and across worker counts.  Suites:
 
 * ``roundtrip``     — forward map on the designated label pair, then invert,
   followed by a scan for the minimum separation of the produced shape pairs;
@@ -33,7 +34,7 @@ import numpy as np
 from .combinatorics import WeightVector, sample_weight_rng
 from .complexes import build_complex, cusp_classes, euler_characteristic
 from .errors import OutOfRange, PolymodError
-from .fiber import DESIGNATED, inversion_report
+from .fiber import DESIGNATED, inversion_reports
 from .lorentz import LorentzModel, ModelStack, build_models, dihedral_angle
 from .moduli import forward_shapes, planar_shape
 
@@ -47,8 +48,8 @@ ORTHOGONAL_PAIRS = {
 
 _RIGHT_ANGLE = math.pi / 2.0
 
-#: Trials per pool task.  A task draws its trials, then makes at most two
-#: stacked Lorentz kernel calls for all of them.
+#: Trials per pool task.  A task draws its trials, then builds their models,
+#: maps them forward and inverts them with one stacked call each.
 TRIAL_CHUNK = 64
 
 #: Suites that read the trial's own Lorentz model.
@@ -57,11 +58,11 @@ _MODEL_SUITES = ("orthogonality", "signature", "crossroute")
 
 @dataclass(frozen=True)
 class _Trial:
-    """One trial's draw and its rows of its chunk's two kernel calls.
+    """One trial's draw and its rows of its chunk's stacked calls.
 
-    ``model``, ``intercepts()`` and ``forward()`` give the row's value or
-    raise the failure recorded for it, so every suite that reads a row
-    records the same failure.
+    ``model``, ``intercepts()``, ``forward()`` and ``inverse()`` give the
+    row's value or raise the failure recorded for it, so every suite that
+    reads a row records the same failure.
     """
 
     theta: WeightVector
@@ -69,6 +70,7 @@ class _Trial:
     models: ModelStack | None  # the chunk's trial models, row ``row``
     row: int
     pair: tuple | PolymodError  # the designated-pair shapes, or psi's first failure
+    inversion: dict | PolymodError | None  # inversion_report of ``pair``, or its failure
 
     @cached_property
     def model(self) -> LorentzModel:
@@ -83,6 +85,11 @@ class _Trial:
             raise self.pair
         return self.pair
 
+    def inverse(self) -> WeightVector:
+        if isinstance(self.inversion, PolymodError):
+            raise self.inversion
+        return self.inversion["theta"]
+
 
 # A per-trial check fills ``result`` with an ``error`` (compared against tol)
 # or a ``failure`` message, or raises; the runner turns an exception into a
@@ -96,7 +103,7 @@ def _roundtrip_trial(result: dict, trial: _Trial, tol: float) -> None:
     s1, s2 = trial.forward()
     # Recorded before inverting, so a trial whose inversion fails is still scanned.
     result["theta"], result["shapes"] = theta.theta, astuple(s1) + astuple(s2)
-    back = inversion_report(theta.n, s1, s2, tol)["theta"]
+    back = trial.inverse()
     result["error"] = max(abs(a - b) for a, b in zip(theta.theta, back.theta))
 
 
@@ -138,8 +145,9 @@ def _run_chunk(
 ) -> list[dict]:
     """Deterministic trials of each suite; trial i's rng depends only on (seed, i).
 
-    One kernel call builds every trial's model (when a suite reads it) and
-    one maps every trial forward on the designated label pair (roundtrip).
+    One kernel call builds every trial's model (when a suite reads it);
+    for roundtrip, one maps every trial forward on the designated label
+    pair and one batched inversion inverts every pair that mapped.
     """
     thetas, words = [], []
     for trial in trials:
@@ -148,6 +156,7 @@ def _run_chunk(
         words.append(tuple(int(m) + 1 for m in rng.permutation(n)))
     models = build_models(thetas, words) if set(suites) & set(_MODEL_SUITES) else None
     pairs: list = [()] * len(thetas)
+    inversions: list = [None] * len(thetas)
     if "roundtrip" in suites:
         designated = DESIGNATED[n]
         shapes = forward_shapes(
@@ -159,10 +168,13 @@ def _run_chunk(
             failures = [s for s in pair if isinstance(s, PolymodError)]
             # psi's first failure in word order, as two psi calls would raise it
             pairs.append(failures[0] if failures else tuple(pair))
+        mapped = [k for k, pair in enumerate(pairs) if not isinstance(pair, PolymodError)]
+        for k, report in zip(mapped, inversion_reports(n, [pairs[k] for k in mapped], tol)):
+            inversions[k] = report
 
     rows = []
     for k, trial in enumerate(trials):
-        row = _Trial(thetas[k], words[k], models, k, pairs[k])
+        row = _Trial(thetas[k], words[k], models, k, pairs[k], inversions[k])
         results = {}
         for suite in suites:
             result = results[suite] = {"trial": trial}

@@ -14,6 +14,7 @@ from polymod import (
     NotAPermutation,
     OutOfRange,
     PairSumTooLarge,
+    RejectionBudgetExceeded,
     SumMismatch,
     canonical_label,
     enumerate_labels,
@@ -24,7 +25,10 @@ from polymod import (
     validate_weight,
     vertex_config,
 )
-from polymod.combinatorics import sample_weight_rng
+from polymod import combinatorics
+from polymod.combinatorics import SAMPLE_BLOCK, sample_weight_rng
+
+import sampler_oracle as oracle
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,6 +136,58 @@ class TestSampling:
         """sample_weight(n, s) equals sampling from default_rng(s) directly."""
         rng = np.random.default_rng(42)
         assert sample_weight(5, 42).theta == sample_weight_rng(5, rng).theta
+
+
+def draw(sampler, n, seed, trial):
+    """A sampler's vector (or failure) for one (seed, trial) stream, and the
+    permutation drawn after it, which shows where the sampler left the stream."""
+    rng = np.random.default_rng([seed, trial])
+    try:
+        result = sampler(n, rng).theta
+    except RejectionBudgetExceeded as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, rng.permutation(n).tolist()
+
+
+class TestBlockSampler:
+    @pytest.mark.parametrize("n", [4, 5, 6, 12])
+    def test_numpy_draws_blocks_like_single_rows(self, n):
+        """What the block sampler relies on: exponential(size=(k, n)) gives
+        the values of k draws of size n and leaves the stream where they
+        do, and the row sums of a block have the bits of each row's sum."""
+        for k in (1, 2, 7, SAMPLE_BLOCK):
+            block_rng, row_rng = np.random.default_rng([k, n]), np.random.default_rng([k, n])
+            block = block_rng.exponential(size=(k, n))
+            rows = np.array([row_rng.exponential(size=n) for _ in range(k)])
+            assert np.array_equal(block, rows)
+            assert block_rng.bit_generator.state == row_rng.bit_generator.state
+            assert block.sum(axis=1).tolist() == [row.sum() for row in rows]
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 12])
+    def test_matches_the_scalar_sampler(self, monkeypatch, n):
+        """2,000 (seed, trial) streams per n: the same theta bits, and the
+        same permutation drawn next.  No n = 4 draw is ever accepted (a pair
+        sum below pi forces its complement above pi), so n = 4 runs on a
+        budget of one full block and a partial one."""
+        if n == 4:
+            monkeypatch.setattr(combinatorics, "REJECTION_BUDGET", SAMPLE_BLOCK + 6)
+        for seed in range(4):
+            for trial in range(500):
+                want = draw(oracle.sample_weight_rng, n, seed, trial)
+                assert draw(sample_weight_rng, n, seed, trial) == want, (seed, trial)
+
+    @pytest.mark.parametrize("budget", [1, 5, 2 * SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 5])
+    def test_a_spent_budget_fails_like_the_scalar_sampler(self, monkeypatch, budget):
+        """A lowered budget, a multiple of the block or not, runs out after
+        the same attempts with the same message."""
+        monkeypatch.setattr(combinatorics, "REJECTION_BUDGET", budget)
+        for n in (4, 5):
+            for trial in range(40):
+                want = draw(oracle.sample_weight_rng, n, 9, trial)
+                assert draw(sample_weight_rng, n, 9, trial) == want
+        # no n = 4 draw is accepted, so every n = 4 stream spends the budget
+        message = f"no valid weight vector for n=4 in {budget} attempts"
+        assert draw(sample_weight_rng, 4, 9, 0)[0] == ("RejectionBudgetExceeded", message)
 
 
 # ===========================================================================

@@ -13,6 +13,8 @@ from polymod import (
     NotInTheta,
     OutOfRange,
     PentagonShape,
+    PolymodError,
+    SignatureMismatch,
     UpperHalfPoint,
     circle_intersection,
     dumps_canonical,
@@ -20,6 +22,7 @@ from polymod import (
     fiber_theta5,
     fiber_theta6,
     inversion_report,
+    inversion_reports,
     invert5,
     invert6,
     psi5,
@@ -27,11 +30,13 @@ from polymod import (
     recover_w5,
     recover_w6,
     sample_weight,
+    validate_weight,
     verify_injectivity,
     w_from_theta,
 )
 from polymod.combinatorics import sample_weight_rng
-from polymod.fiber import SWAPPED5, SWAPPED6
+from polymod.fiber import DESIGNATED, SWAPPED5, SWAPPED6
+from polymod.moduli import planar_shape
 
 IDENT5 = (1, 2, 3, 4, 5)
 IDENT6 = (1, 2, 3, 4, 5, 6)
@@ -264,6 +269,92 @@ class TestInversion:
     def test_bad_n(self):
         with pytest.raises(OutOfRange):
             inversion_report(7, None, None)
+
+
+def planar_pair(n, angles):
+    """The designated shape pair of a weight vector, read on the planar route
+    alone: its inversion recovers a weight vector whose forward map fails."""
+    theta = validate_weight(angles)
+    return tuple(planar_shape(theta, word) for word in DESIGNATED[n])
+
+
+#: Per n, shape pairs failing each gate of the inversion, in gate order: the
+#: circles, the fiber construction, the forward check on the identity word,
+#: and on the swapped word alone.
+PLANTED = {
+    5: [
+        ("NoIntersection", "do not meet", (PentagonShape(6.0 / 19.0, 0.95), PentagonShape(0.95, 6.0 / 19.0))),
+        ("InconsistentPair", "no weight vector realizes", (PentagonShape(0.45, 0.9), PentagonShape(0.75, 0.75))),
+        ("SignatureMismatch", "fail to diagonalize", planar_pair(5, (
+            0.8901018907399227, 1.373507060241139, 1.7364836217684112,
+            1.4051090304126403, 0.8779837040174728,
+        ))),
+        ("SignatureMismatch", "fail to diagonalize", planar_pair(5, (
+            1.3864331250074187, 0.46622465289382614, 1.4688815150735404,
+            1.6727104716763548, 1.2889355425284463,
+        ))),
+    ],
+    6: [
+        ("NoIntersection", "do not meet", (HexahedronShape(0.1, 0.1, 1.0), HexahedronShape(0.1, 0.1, 1.0))),
+        ("InconsistentPair", "no weight vector realizes", (
+            HexahedronShape(1.71, 1.0, 1.23), HexahedronShape(0.35, 1.58, 1.21),
+        )),
+        ("SignatureMismatch", "fail to diagonalize", planar_pair(6, (
+            0.863838551271359, 0.8103922722571006, 1.792076603079277,
+            1.3495158972437633, 0.49004366000845395, 0.9773183233196332,
+        ))),
+        ("SignatureMismatch", "fail to diagonalize", planar_pair(6, (
+            1.619056452202006, 1.5225357665582437, 1.3776866674086923,
+            0.4571598036830406, 0.26747064470966153, 1.0392759726179424,
+        ))),
+    ],
+}
+
+
+def recovered_theta(n, pair):
+    """The weight vector the circles and the fiber construction give a pair."""
+    s1, s2 = pair
+    if n == 5:
+        return fiber_theta5(s1, recover_w5(s1, s2), IDENT5)
+    return fiber_theta6(s1, recover_w6(s1, s2), IDENT6)
+
+
+class TestBatchedInversion:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_a_mixed_batch_inverts_each_pair_alone(self, n):
+        """One batch holds a pair failing each gate between intact pairs;
+        every entry is what ``inversion_report`` gives for its pair alone."""
+        planted = list(PLANTED[n])
+        if n == 6:  # R never enters the circles, so only the residual gate sees it
+            s1, s2 = forward_pair(6, sample_weight(6, 51))
+            bad = (s1, HexahedronShape(s2.P, s2.Q, s2.R * 1.05))
+            planted.append(("InconsistentPair", "forward verification failed: residual", bad))
+        good = [forward_pair(n, sample_weight(n, seed)) for seed in range(len(planted) + 1)]
+        pairs = [good[0]]
+        for k, (_, _, pair) in enumerate(planted):
+            pairs += [pair, good[k + 1]]
+        reports = inversion_reports(n, pairs)
+        assert len(reports) == len(pairs)
+        for k, (cls, fragment, _) in enumerate(planted):
+            bad = reports[2 * k + 1]
+            assert type(bad).__name__ == cls and fragment in str(bad)
+        # the third planted pair fails on the identity word, the fourth on
+        # the swapped word alone
+        psi = psi5 if n == 5 else psi6
+        identity, swapped = DESIGNATED[n]
+        with pytest.raises(SignatureMismatch):
+            psi(recovered_theta(n, planted[2][2]), identity)
+        psi(recovered_theta(n, planted[3][2]), identity)
+        with pytest.raises(SignatureMismatch):
+            psi(recovered_theta(n, planted[3][2]), swapped)
+        for pair, report in zip(pairs, reports):
+            try:
+                alone = inversion_report(n, *pair)
+            except PolymodError as exc:
+                assert type(report) is type(exc) and str(report) == str(exc)
+            else:
+                assert report == alone
+        assert inversion_reports(n, []) == []
 
 
 # ===========================================================================

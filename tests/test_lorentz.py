@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from polymod import (
     ORTHOGONAL_PAIRS,
     FacetsDisjoint,
+    NegativeRatio,
     NoIntersection,
     NotTimelike,
     OutOfRange,
@@ -508,9 +509,20 @@ def failure(exc):
 
 def assert_rows_match_oracle(stack):
     """Every row equals the scalar build_model / axis_intercepts bit for bit,
-    or records the class and message the scalar code raises."""
+    or records the class and message the scalar code raises.
+
+    One documented departure: where a hand-built weight vector makes a
+    coordinate-scale radicand negative, the scalar code's ``math.sqrt``
+    raised a bare ValueError and the kernel records NegativeRatio."""
     for i, (theta, word) in enumerate(zip(stack.thetas, stack.words)):
-        kind, model = outcome(oracle.build_model, theta, word)
+        try:
+            kind, model = outcome(oracle.build_model, theta, word)
+        except ValueError as exc:
+            assert str(exc) == "math domain error"
+            assert type(stack.model_errors[i]) is NegativeRatio
+            assert "scale = -" in str(stack.model_errors[i])
+            assert stack.intercept_errors[i] is None
+            continue
         if kind != "ok":
             assert failure(stack.model_errors[i]) == (kind, model)
             assert stack.intercept_errors[i] is None
@@ -595,6 +607,12 @@ class TestStackedKernel:
                 0.4512732272831897, 0.8472543880371308, 1.1132332833896774,
                 1.922357226286056, 0.807538725590708, 1.1415284633387217,
             )),
+            # a negative angle passes the triangle, eigenvalue and parallel-line
+            # gates and makes the edge-1 corner radicand negative
+            ("NegativeRatio", "squared edge 1 corner scale = -", (
+                -0.3074158806642796, 0.5171497255675706, 0.8348716813027642,
+                0.23857298316690395, 1.9372646995452019, 0.46925787284396603,
+            )),
         ]
         thetas = []
         for k, (_, _, angles) in enumerate(gated):
@@ -608,6 +626,9 @@ class TestStackedKernel:
             # the route gate sits behind the kernel, in the forward map
             bad = shapes[2 * k + 1] if cls == "RouteDisagreement" else stack.model_errors[2 * k + 1]
             assert type(bad).__name__ == cls and fragment in str(bad)
+        # the one-row entry point raises the negative radicand's failure too
+        with pytest.raises(NegativeRatio, match="squared edge 1 corner scale = -"):
+            build_model(thetas[-2], ident)
         for theta, shape in zip(thetas, shapes):
             kind, want = outcome(oracle.psi, 6, theta, ident)
             if kind == "ok":

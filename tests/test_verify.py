@@ -40,9 +40,10 @@ def test_all_holds_each_suite_report(n, jobs):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_all_draws_and_builds_once_per_trial(monkeypatch, n):
-    """Each trial is drawn once and its model is one row of one kernel call."""
-    calls = {"sample_weight_rng": 0, "build_models": 0}
-    draw, build = verify.sample_weight_rng, verify.build_models
+    """Each trial is drawn once, its model is one row of one kernel call, and
+    each chunk inverts its shape pairs in one batched call."""
+    calls = {"sample_weight_rng": 0, "build_models": 0, "inversion_reports": 0, "inverted": 0}
+    draw, build, invert = verify.sample_weight_rng, verify.build_models, verify.inversion_reports
 
     def sample_weight_rng(*args):
         calls["sample_weight_rng"] += 1
@@ -52,10 +53,17 @@ def test_all_draws_and_builds_once_per_trial(monkeypatch, n):
         calls["build_models"] += len(thetas)
         return build(thetas, words)
 
+    def inversion_reports(n, pairs, tol):
+        calls["inversion_reports"] += 1
+        calls["inverted"] += len(pairs)
+        return invert(n, pairs, tol)
+
     monkeypatch.setattr(verify, "sample_weight_rng", sample_weight_rng)
     monkeypatch.setattr(verify, "build_models", build_models)
+    monkeypatch.setattr(verify, "inversion_reports", inversion_reports)
+    monkeypatch.setattr(verify, "TRIAL_CHUNK", 4)  # chunks of 4, 4 and 2 trials
     assert run_suite("all", n, 10, 2, jobs=1)["pass"]
-    assert calls == {"sample_weight_rng": 10, "build_models": 10}
+    assert calls == {"sample_weight_rng": 10, "build_models": 10, "inversion_reports": 3, "inverted": 10}
 
 
 def test_the_pool_has_no_more_workers_than_cores(monkeypatch):
@@ -94,10 +102,10 @@ def test_verify_injectivity_is_the_roundtrip_suite(n):
 def test_failed_inversions_still_enter_the_scan(monkeypatch):
     clean = run_suite("roundtrip", 5, 12, 4)
 
-    def inversion_report(*args):
-        raise InconsistentPair("planted")
+    def inversion_reports(n, pairs, tol):
+        return [InconsistentPair("planted") for _ in pairs]
 
-    monkeypatch.setattr(verify, "inversion_report", inversion_report)
+    monkeypatch.setattr(verify, "inversion_reports", inversion_reports)
     report = run_suite("roundtrip", 5, 12, 4)
     assert report["max_error"] is None
     assert len(report["failures"]) == 12
