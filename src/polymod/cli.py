@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .combinatorics import as_word, validate_weight
 from .complexes import (
@@ -62,8 +63,8 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise OutOfRange(f"tol must be positive, got {self.tol!r}")
+        if not 0.0 < self.tol < math.inf:
+            raise OutOfRange(f"tol must be positive and finite, got {self.tol!r}")
         if self.samples < 1:
             raise OutOfRange(f"samples must be >= 1, got {self.samples!r}")
         if self.jobs < 1:
@@ -171,8 +172,8 @@ def cmd_invert(args: argparse.Namespace) -> int:
             "schema": "polymod-invert/1",
             "version": 1,
             "n": args.n,
-            "shape1": list(astuple(s1)),
-            "shape2": list(astuple(s2)),
+            "shape1": list(s1.params),
+            "shape2": list(s2.params),
             "w": list(report["w"].as_pair),
             "theta": list(report["theta"].theta),
             "residual": report["residual"],
@@ -257,7 +258,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if isinstance(shape, PolymodError):
                 sys.stderr.write(f"row {row_number}: {type(shape).__name__}: {shape}\n")
                 continue
-            cells = list(theta.theta) + list(astuple(shape))
+            cells = list(theta.theta) + list(shape.params)
             if args.n == 6:
                 cells += [classify_hexahedron(shape)["type"]] + list(shape.signs)
             out_lines.append(csv_row(cells))

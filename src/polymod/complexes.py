@@ -33,10 +33,8 @@ from .combinatorics import (
     validate_weight,
     vertex_config,
 )
-from .errors import NotEqualWeight, OutOfRange, PairingFailure, UnknownFormat
-from .jsonio import dumps_canonical
+from .errors import NotEqualWeight, OutOfRange, PairingFailure
 from .lorentz import TOL_IDEAL, build_models, dihedral_angle
-from .moduli import triple_sums
 
 
 class _UnionFind:
@@ -351,34 +349,3 @@ def singular_edges(complex_: GluedComplex) -> dict:
         )
     table.sort(key=lambda row: row["config"])
     return {"classes": len(table), "table": table}
-
-
-def export_adjacency(complex_: GluedComplex, format: str = "json") -> str:
-    """Deterministic document listing cells, pairings, and orbit classes."""
-    if format == "json":
-        doc = {
-            "schema": "polymod-complex/1",
-            "version": 1,
-            "n": complex_.n,
-            "theta": list(complex_.theta.theta),
-            "cells": [str(lab) for lab in complex_.cells],
-            "pairings": [pairing_row(p) for p in complex_.pairings],
-        }
-        if complex_.n == 5:
-            doc["vertex_classes"] = [
-                [[ci, list(facets)] for ci, facets in group]
-                for group in complex_.vertex_classes
-            ]
-        elif _equal_weight(complex_.theta):
-            doc["cusp_classes"] = cusp_classes(complex_)["table"]
-        else:
-            doc["cusp_classes"] = None
-        return dumps_canonical(doc)
-    if format == "csv":
-        lines = ["cell,face,other_cell,other_face,config"]
-        for p in complex_.pairings:
-            lines.append(
-                f"{p.cell_a},{p.face_a},{p.cell_b},{p.face_b},{p.config.render()}"
-            )
-        return "\n".join(lines) + "\n"
-    raise UnknownFormat(f"unknown export format {format!r} (use 'json' or 'csv')")

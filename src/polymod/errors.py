@@ -62,14 +62,6 @@ class SignatureMismatch(PolymodError):
     """The area form did not have exactly one positive and n-3 negative eigenvalues."""
 
 
-class NotTimelike(PolymodError):
-    """A vector expected inside the positive-area cone has area <= 0."""
-
-
-class WrongSheet(PolymodError):
-    """A timelike vector lies on the opposite sheet (x <= 0)."""
-
-
 class NoIntersection(PolymodError):
     """Two loci that must meet (facet/axis, or the two recovery circles) do not."""
 
@@ -119,11 +111,7 @@ class NotEqualWeight(PolymodError):
     exit_code = 5
 
 
-# --- serialization / sampling ------------------------------------------------------
-
-class UnknownFormat(PolymodError):
-    """An export format name is not recognised."""
-
+# --- sampling --------------------------------------------------------------------------
 
 class RejectionBudgetExceeded(PolymodError):
     """Rejection sampling failed to produce a valid weight vector in budget."""

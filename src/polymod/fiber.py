@@ -31,7 +31,7 @@ This module holds geometry only; the randomized round-trip check lives in
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 from .combinatorics import WeightVector, validate_weight
@@ -89,16 +89,6 @@ class UpperHalfPoint:
         return (self.w.real, self.w.imag)
 
 
-@dataclass(frozen=True)
-class FiberConstruction:
-    """Marks and edge directions of one fiber construction."""
-
-    n: int
-    w: complex
-    marks: tuple[complex, ...]
-    dirs: tuple[complex, ...]
-
-
 def _as_w(w: UpperHalfPoint | complex) -> complex:
     if isinstance(w, UpperHalfPoint):
         return w.w
@@ -112,28 +102,31 @@ def _unit(z: complex) -> complex:
     return z / mag
 
 
-def fiber_construction5(shape: PentagonShape, w: UpperHalfPoint | complex) -> FiberConstruction:
-    """Marks and directions of the pentagon fiber construction."""
+def fiber_construction5(
+    shape: PentagonShape, w: UpperHalfPoint | complex
+) -> tuple[complex, ...]:
+    """Edge directions of the pentagon fiber construction, in label order."""
     wc = _as_w(w)
     f1 = 1.0 - shape.P**2
     f2 = shape.Q**2
-    dirs = (
+    return (
         _unit(f2 - wc),
         1.0 + 0.0j,
         _unit(wc - f1),
         _unit(wc - 1.0),
         _unit(-wc),
     )
-    return FiberConstruction(n=5, w=wc, marks=(f1 + 0.0j, f2 + 0.0j), dirs=dirs)
 
 
-def fiber_construction6(shape: HexahedronShape, w: UpperHalfPoint | complex) -> FiberConstruction:
-    """Marks and directions of the hexahedron fiber construction."""
+def fiber_construction6(
+    shape: HexahedronShape, w: UpperHalfPoint | complex
+) -> tuple[complex, ...]:
+    """Edge directions of the hexahedron fiber construction, in label order."""
     wc = _as_w(w)
     x_mark = complex(shape.P**2)
     y_mark = 1.0 + (wc - 1.0) * shape.Q**2
     z_mark = wc * (1.0 - shape.R**2)
-    dirs = (
+    return (
         _unit(x_mark - wc),
         1.0 + 0.0j,
         _unit(y_mark),
@@ -141,13 +134,11 @@ def fiber_construction6(shape: HexahedronShape, w: UpperHalfPoint | complex) -> 
         _unit(z_mark - 1.0),
         _unit(-wc),
     )
-    return FiberConstruction(n=6, w=wc, marks=(x_mark, y_mark, z_mark), dirs=dirs)
 
 
-def _angles_from_dirs(construction: FiberConstruction, label: Sequence[int]) -> WeightVector:
+def _angles_from_dirs(dirs: tuple[complex, ...], label: Sequence[int]) -> WeightVector:
     """Turning angles of the construction, assembled into a weight vector."""
-    dirs = construction.dirs
-    n = construction.n
+    n = len(dirs)
     word = tuple(label)
     if len(word) != n:
         raise OutOfRange(f"label has {len(word)} marks but the construction has {n}")
@@ -310,8 +301,8 @@ def inversion_reports(
         if failure is not None:
             out[i] = failure
             continue
-        given = astuple(pairs[i][0]) + astuple(pairs[i][1])
-        residual = max(map(scaled_residual, astuple(shapes[0]) + astuple(shapes[1]), given))
+        given = pairs[i][0].params + pairs[i][1].params
+        residual = max(map(scaled_residual, shapes[0].params + shapes[1].params, given))
         if residual > tol:
             out[i] = InconsistentPair(
                 f"forward verification failed: residual {residual:.17g} > {tol:g}"

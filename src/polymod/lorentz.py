@@ -24,15 +24,16 @@ the shoelace sum ``1/2 sum_j Im(conj(V_j) V_{j+1})`` is
 One stacked kernel computes every model: :func:`build_models` takes N
 (theta, word) rows and returns their arrays and axis intercepts, or each
 row's first failure; :func:`build_model`, :func:`facet_zero_ray` and
-:func:`axis_intercepts` are its one-row case.  The stacked ``matmul``,
-``eigvalsh`` and ``svd`` calls run the same routine on each row as on a 2-D
-array, so a row's bits do not depend on the rows stacked with it.
+:func:`axis_intercepts` are its one-row case, and :meth:`ModelStack.model`
+is the one place that assembles a :class:`LorentzModel`.  The stacked
+``matmul``, ``eigvalsh`` and ``svd`` calls run the same routine on each row
+as on a 2-D array, so a row's bits do not depend on the rows stacked with
+it.
 
-The Klein model lives in the affine slice ``x = 1``: a positive-area vector
-``e`` on the ``x > 0`` sheet projects to ``(u/x, v/x[, w/x])`` in the open
-unit ball, and ``arctanh`` of the Euclidean norm is the hyperbolic distance
-from the origin.  Facet ``k`` of the projectivized positive cone is the zero
-set of the edge functional ``xi_k``, oriented to be nonnegative on the cone.
+Facet ``k`` of the projectivized positive cone is the zero set of the edge
+functional ``xi_k``, oriented to be nonnegative on the cone; facet rays are
+normalized to the slice ``x = 1``.  Two facets whose dual cosine is within
+``TOL_IDEAL`` of 1 count as tangent.
 """
 
 from __future__ import annotations
@@ -51,32 +52,14 @@ from .errors import (
     FacetsDisjoint,
     NegativeRatio,
     NoIntersection,
-    NotTimelike,
     OutOfRange,
     PolymodError,
     SignatureMismatch,
-    WrongSheet,
 )
-from .planar import EPS_ANGLE, EdgeFrame
+from .planar import EPS_ANGLE
 
-#: Below this distance from the unit sphere a Klein point counts as ideal,
-#: and a facet-pair cosine within this band of 1 counts as tangency.
+#: A facet-pair cosine within this band of 1 counts as tangency.
 TOL_IDEAL = 1e-9
-
-#: Relative residual allowed when expressing an edge vector in the basis.
-TOL_CLOSING = 1e-9
-
-
-@dataclass(frozen=True)
-class KleinPoint:
-    """Affine coordinates in the slice x = 1, with an ideal-boundary flag."""
-
-    coords: tuple[float, ...]
-    ideal: bool
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.coords))
 
 
 @dataclass(frozen=True)
@@ -85,7 +68,6 @@ class LorentzModel:
 
     word: tuple[int, ...]
     theta: WeightVector
-    frame: EdgeFrame
     basis: np.ndarray       # (n-2, n): rows are edge-length vectors spanning E
     gram: np.ndarray        # (n-2, n-2): area bilinear form on basis coords
     coord_mat: np.ndarray   # (n-2, n-2): rows are the x, u, v[, w] functionals
@@ -103,42 +85,6 @@ class LorentzModel:
     def gram_inv(self) -> np.ndarray:
         """Inverse of the area form, computed on first use (dual pairings)."""
         return np.linalg.inv(self.gram)
-
-    # -- conversions ---------------------------------------------------------
-
-    def to_coords(self, e: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Express an edge vector (length n) or pass through basis coords."""
-        arr = np.asarray(e, dtype=float)
-        if arr.shape == (self.dim,):
-            return arr
-        if arr.shape != (self.n,):
-            raise OutOfRange(
-                f"expected a length-{self.n} edge vector or length-{self.dim} "
-                f"coordinate vector, got shape {arr.shape}"
-            )
-        coords, *_ = np.linalg.lstsq(self.basis.T, arr, rcond=None)
-        residual = np.linalg.norm(self.basis.T @ coords - arr)
-        if residual > TOL_CLOSING * (1.0 + np.linalg.norm(arr)):
-            raise OutOfRange(
-                "edge vector does not satisfy the closing condition "
-                f"(residual {residual:.3g})"
-            )
-        return coords
-
-    def edge_lengths(self, coords: np.ndarray) -> np.ndarray:
-        """Edge-length n-vector of a coordinate vector."""
-        return self.basis.T @ np.asarray(coords, dtype=float)
-
-    # -- the area form ---------------------------------------------------------
-
-    def area(self, e: Sequence[float] | np.ndarray) -> float:
-        """Signed polygon area (the quadratic form) of an edge vector."""
-        c = self.to_coords(e)
-        return float(c @ self.gram @ c)
-
-    def coordinates(self, e) -> np.ndarray:
-        """Values (x, u, v[, w]) of the coordinate functionals on e."""
-        return self.coord_mat @ self.to_coords(e)
 
 
 #: Direction pairs (a, b) with a < b, in the order the pivot search meets them.
@@ -245,10 +191,10 @@ def _first_failures(errors: list, failed: np.ndarray, make) -> None:
 
 @np.errstate(all="ignore")  # failed rows may divide by zero; their values go unread
 def _model_arrays(angles: np.ndarray) -> dict:
-    """The stacked body of :func:`build_model`.
+    """The stacked body of :func:`build_models`.
 
     ``angles`` is an (N, n) stack of angles in label order.  Returns the
-    arrays ``dirs``, ``basis``, ``gram``, ``coord_mat`` and ``facet_mat``
+    arrays ``basis``, ``gram``, ``coord_mat`` and ``facet_mat``
     with a leading row axis, and ``errors``: per row None or its first
     failure, gate by gate in the scalar order (completion triangle,
     signature, base-width lines, coordinate scales, diagonalization).  A
@@ -335,7 +281,7 @@ def _model_arrays(angles: np.ndarray) -> dict:
         ),
     )
     return {
-        "dirs": dirs, "basis": basis, "gram": gram, "coord_mat": coord_mat,
+        "basis": basis, "gram": gram, "coord_mat": coord_mat,
         "facet_mat": facet_mat, "errors": errors,
     }
 
@@ -393,15 +339,14 @@ def _intercepts(facet_mat: np.ndarray, coord_mat: np.ndarray, errors: list) -> n
 class ModelStack:
     """Lorentz models and axis intercepts of N (theta, word) rows.
 
-    Row i holds what ``build_model(thetas[i], words[i])`` and
-    ``axis_intercepts`` of it compute, bit for bit, or the first failure
-    each would raise: ``model_errors[i]`` for the model,
+    Row i holds the model of ``(thetas[i], words[i])`` and its axis
+    intercepts, bit for bit as the row alone gives them, or the first
+    failure of each: ``model_errors[i]`` for the model,
     ``intercept_errors[i]`` for the intercepts of a model that was built.
     """
 
     thetas: tuple[WeightVector, ...]
     words: tuple[tuple[int, ...], ...]
-    dirs: np.ndarray        # (N, n) complex edge directions
     basis: np.ndarray       # (N, n-2, n)
     gram: np.ndarray        # (N, n-2, n-2)
     coord_mat: np.ndarray   # (N, n-2, n-2)
@@ -414,11 +359,9 @@ class ModelStack:
         """Row i's model, or its recorded build failure raised."""
         if self.model_errors[i] is not None:
             raise self.model_errors[i]
-        theta, word = self.thetas[i], self.words[i]
         return LorentzModel(
-            word=word,
-            theta=theta,
-            frame=EdgeFrame(word=word, theta=theta, dirs=self.dirs[i]),
+            word=self.words[i],
+            theta=self.thetas[i],
             basis=self.basis[i],
             gram=self.gram[i],
             coord_mat=self.coord_mat[i],
@@ -481,47 +424,9 @@ def build_models(
 
 
 def build_model(theta: WeightVector, label: Sequence[int]) -> LorentzModel:
-    """Construct the Lorentzian model with verified signature (1, n-3).
-
-    The gram matrix is ``B M B^T`` with ``M[k, j] = 1/4 Im(conj(d_k) d_j)
-    sign(j - k)``: ``V_{j+1} = V_j + e_j d_j`` turns the shoelace sum into
-    ``1/2 sum_{k<j} e_k e_j Im(conj(d_k) d_j)``.  This is the one-row case
-    of the stacked kernel behind :func:`build_models`.
-    """
-    words, angles = _label_angles([theta], [label])
-    arrays = _model_arrays(angles)
-    error = arrays["errors"][0]
-    if error is not None:
-        raise error
-    return LorentzModel(
-        word=words[0],
-        theta=theta,
-        frame=EdgeFrame(word=words[0], theta=theta, dirs=arrays["dirs"][0]),
-        basis=arrays["basis"][0],
-        gram=arrays["gram"][0],
-        coord_mat=arrays["coord_mat"][0],
-        facet_mat=arrays["facet_mat"][0],
-    )
-
-
-def klein_point(model: LorentzModel, e: Sequence[float] | np.ndarray) -> KleinPoint:
-    """Project an x > 0 edge vector into the closed Klein ball.
-
-    Timelike vectors land inside the open ball, lightlike ones on the
-    boundary (flagged ``ideal``); spacelike vectors project outside and
-    raise NotTimelike.
-    """
-    coords = model.to_coords(e)
-    vals = model.coord_mat @ coords
-    if vals[0] <= 0.0:
-        raise WrongSheet(f"x(e) = {vals[0]:.17g} <= 0")
-    pt = tuple(float(val / vals[0]) for val in vals[1:])
-    norm = math.sqrt(sum(p * p for p in pt))
-    if norm > 1.0 + TOL_IDEAL:
-        raise NotTimelike(
-            f"edge vector is spacelike: Klein norm {norm:.17g} exceeds 1"
-        )
-    return KleinPoint(coords=pt, ideal=abs(norm - 1.0) <= TOL_IDEAL)
+    """Construct the Lorentzian model with verified signature (1, n-3):
+    the one row of ``build_models([theta], [label])``, or its failure."""
+    return build_models([theta], [label]).model(0)
 
 
 def facet_zero_ray(model: LorentzModel, facets: Sequence[int]) -> np.ndarray:
@@ -551,22 +456,6 @@ def axis_intercepts(model: LorentzModel) -> tuple[float, ...]:
     if errors[0] is not None:
         raise errors[0]
     return tuple(values[0].tolist())
-
-
-def hyperbolic_distance(model: LorentzModel, e1, e2) -> float:
-    """Hyperboloid distance arccosh(<e1,e2>/sqrt(<e1,e1><e2,e2>))."""
-    c1 = model.to_coords(e1)
-    c2 = model.to_coords(e2)
-    q1 = float(c1 @ model.gram @ c1)
-    q2 = float(c2 @ model.gram @ c2)
-    if q1 <= 0.0 or q2 <= 0.0:
-        raise NotTimelike("both arguments must have positive area")
-    x1 = float(model.coord_mat[0] @ c1)
-    x2 = float(model.coord_mat[0] @ c2)
-    if x1 * x2 <= 0.0:
-        raise WrongSheet("arguments lie on opposite sheets")
-    ratio = float(c1 @ model.gram @ c2) / math.sqrt(q1 * q2)
-    return math.acosh(max(ratio, 1.0))
 
 
 def dihedral_angle(model: LorentzModel, j: int, k: int) -> float:

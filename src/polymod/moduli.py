@@ -21,7 +21,7 @@ ideal and create no edge.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 from .combinatorics import WeightVector, as_word
@@ -60,6 +60,10 @@ class PentagonShape:
                 f"pentagon shape needs P^2 + Q^2 > 1, got "
                 f"{self.P**2 + self.Q**2:.17g}"
             )
+
+    @property
+    def params(self) -> tuple[float, float]:
+        return (self.P, self.Q)
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,7 @@ def forward_shapes(
         except PolymodError as exc:
             out[i] = exc
             continue
-        for name, a, b in zip("PQR", astuple(out[i]), lorentz_vals):
+        for name, a, b in zip("PQR", out[i].params, lorentz_vals):
             if scaled_residual(a, b) > ROUTE_TOL:
                 out[i] = RouteDisagreement(
                     f"psi{n}: planar {name} = {a:.17g} vs Lorentzian {name} = "

@@ -147,38 +147,3 @@ def pentagon_feet(theta: WeightVector, label: Sequence[int]) -> tuple[float, flo
             f"feet (f1, f2) = ({f1:.17g}, {f2:.17g}) violate 0 < f1 < f2 < 1"
         )
     return float(f1), float(f2)
-
-
-def polygon_area(vertices: Sequence[complex] | np.ndarray) -> float:
-    """Signed shoelace area of a closed polygon, positive counterclockwise."""
-    v = np.asarray(vertices)
-    if v.ndim == 2:
-        v = v[:, 0] + 1j * v[:, 1]
-    v = v.astype(complex)
-    return float(0.5 * np.sum((np.conj(v) * np.roll(v, -1)).imag))
-
-
-def chain_vertices(frame: EdgeFrame, lengths: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Vertices of the polygonal chain with the frame's directions.
-
-    Returns n points: V_0 = 0 and V_j the partial sums of lengths[k]*dirs[k].
-    For lengths satisfying the closing condition the chain is a closed
-    polygon (the omitted final vertex returns to 0).
-    """
-    x = np.asarray(lengths, dtype=float)
-    steps = x * frame.dirs
-    return np.concatenate(([0.0 + 0.0j], np.cumsum(steps)[:-1]))
-
-
-def tangential_lengths(theta: WeightVector, label: Sequence[int]) -> np.ndarray:
-    """Edge lengths of the polygon circumscribed about the unit circle.
-
-    With turning angle theta_{i_j} at the vertex joining edges j-1 and j,
-    edge j has length tan(theta_{i_j}/2) + tan(theta_{i_{j+1}}/2).  All
-    lengths are positive and the chain closes exactly, making this a
-    convenient strictly interior reference configuration.
-    """
-    frame = edge_frame(theta, label)
-    t = frame.ordered_angles()
-    half = np.tan(t / 2.0)
-    return half + np.roll(half, -1)

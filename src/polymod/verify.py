@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations
 from typing import Callable
@@ -102,7 +102,7 @@ def _roundtrip_trial(result: dict, trial: _Trial, tol: float) -> None:
     theta = trial.theta
     s1, s2 = trial.forward()
     # Recorded before inverting, so a trial whose inversion fails is still scanned.
-    result["theta"], result["shapes"] = theta.theta, astuple(s1) + astuple(s2)
+    result["theta"], result["shapes"] = theta.theta, s1.params + s2.params
     back = trial.inverse()
     result["error"] = max(abs(a - b) for a, b in zip(theta.theta, back.theta))
 
@@ -122,7 +122,7 @@ def _signature_trial(result: dict, trial: _Trial, tol: float) -> None:
 
 
 def _crossroute_trial(result: dict, trial: _Trial, tol: float) -> None:
-    planar = astuple(planar_shape(trial.theta, trial.word))
+    planar = planar_shape(trial.theta, trial.word).params
     lorentz = trial.intercepts()
     # Linear scale, unlike moduli.scaled_residual's squared one: squaring it
     # would loosen this gate, so the two rules stay apart until one

@@ -97,7 +97,7 @@ def build_model(theta, label):
         )
 
     return LorentzModel(
-        word=word, theta=theta, frame=frame, basis=basis, gram=gram,
+        word=word, theta=theta, basis=basis, gram=gram,
         coord_mat=coord_mat, facet_mat=facet_mat,
     )
 

@@ -519,6 +519,36 @@ class TestConfig:
         assert doc["message"] == "seed must be non-negative, got -1"
         assert err == ""
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "all", "--n", "5", "--samples", "2"],
+            # an inconsistent pair (residual 0.22) that an infinite tol would pass
+            ["invert", "--n", "6", "--shape1", "1,1,1.5", "--shape2", "1,1,1"],
+        ],
+        ids=["verify", "invert"],
+    )
+    def test_an_infinite_tol_exits_2_before_any_work(
+        self, capsys, tmp_path, monkeypatch, argv, source
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran with an infinite tol")
+
+        monkeypatch.setattr(cli, "run_suite", no_work)
+        monkeypatch.setattr(cli, "inversion_report", no_work)
+        if source == "flag":
+            argv = [*argv, "--tol", "inf"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"tol": 1e999}', encoding="utf-8")
+            monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
+        code, doc, err = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["error"] == "OutOfRange"
+        assert doc["message"] == "tol must be positive and finite, got inf"
+        assert err == ""
+
     def test_unknown_key_exits_2(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sample": 9}), encoding="utf-8")

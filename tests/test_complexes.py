@@ -1,6 +1,5 @@
 """Tests for glued complexes: pairings, orbit classes, cusps, singular edges."""
 
-import json
 import math
 
 import pytest
@@ -8,12 +7,10 @@ import pytest
 from polymod import (
     NotEqualWeight,
     OutOfRange,
-    UnknownFormat,
     build_complex,
     cusp_classes,
     equal_weight,
     euler_characteristic,
-    export_adjacency,
     pentagon_side_lengths,
     psi5,
     sample_weight,
@@ -180,35 +177,6 @@ class TestSingularEdges:
         first = singular_edges(build_complex(6, SINGULAR_THETA))
         second = singular_edges(build_complex(6, SINGULAR_THETA))
         assert first == second
-
-
-# ===========================================================================
-# adjacency export
-# ===========================================================================
-
-class TestExport:
-    @pytest.mark.parametrize("n", [5, 6])
-    def test_json_roundtrips_and_counts(self, n):
-        comp = build_complex(n)
-        doc = json.loads(export_adjacency(comp, "json"))
-        assert doc["schema"] == "polymod-complex/1"
-        assert doc["n"] == n
-        assert len(doc["cells"]) == comp.num_cells
-        assert len(doc["pairings"]) == comp.num_pairings
-
-    def test_json_is_deterministic(self):
-        comp = build_complex(6)
-        assert export_adjacency(comp, "json") == export_adjacency(comp, "json")
-
-    def test_csv_header_and_rows(self):
-        comp = build_complex(5)
-        lines = export_adjacency(comp, "csv").splitlines()
-        assert lines[0] == "cell,face,other_cell,other_face,config"
-        assert len(lines) - 1 == comp.num_pairings
-
-    def test_unknown_format(self):
-        with pytest.raises(UnknownFormat):
-            export_adjacency(build_complex(5), "xml")
 
 
 # ===========================================================================

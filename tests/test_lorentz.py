@@ -1,7 +1,8 @@
-"""Tests for the Lorentzian area model: signature, distances, dihedrals.
+"""Tests for the Lorentzian area model: signature, facet rays, dihedrals.
 
 The quadratic form is checked against the shoelace area of the actual
-polygon chain, and the axis intercepts against independent sine-ratio
+polygon chain (``shoelace``), Klein points are read off the model's
+coordinate rows, and the axis intercepts against independent sine-ratio
 oracles, so the two routes never share code.  The closed-form model is also
 checked against a reference that polarizes shoelace areas row by row, and
 the stacked kernel against the scalar route check in ``lorentz_oracle``,
@@ -23,31 +24,26 @@ from polymod import (
     FacetsDisjoint,
     NegativeRatio,
     NoIntersection,
-    NotTimelike,
     OutOfRange,
     PolymodError,
     SignatureMismatch,
     axis_intercepts,
     build_model,
-    chain_vertices,
     complete_triangle,
     dihedral_angle,
     edge_frame,
     equal_weight,
     facet_zero_ray,
-    hyperbolic_distance,
     klein_distance,
-    klein_point,
     line_intersection,
-    polygon_area,
     sample_weight,
-    tangential_lengths,
     validate_weight,
 )
 from polymod import WeightVector, build_models, forward_shapes, lorentz
 from polymod.combinatorics import sample_weight_rng
 
 import lorentz_oracle as oracle
+from shoelace import chain_vertices, polygon_area, tangential_lengths
 
 IDENT5 = (1, 2, 3, 4, 5)
 IDENT6 = (1, 2, 3, 4, 5, 6)
@@ -80,9 +76,23 @@ def oracle_params6(theta, word):
     return p, q, r
 
 
-def random_closing_vector(model, rng):
-    """A random element of the closing space as an edge n-vector."""
-    return model.basis.T @ rng.normal(size=model.dim)
+def basis_coords(model, e):
+    """Least-squares basis coordinates of the edge n-vector ``e``, which
+    must satisfy the closing condition."""
+    coords, *_ = np.linalg.lstsq(model.basis.T, e, rcond=None)
+    npt.assert_allclose(model.basis.T @ coords, e, rtol=0.0, atol=1e-9 * (1.0 + np.linalg.norm(e)))
+    return coords
+
+
+def area(model, coords):
+    """The area form on basis coordinates."""
+    return float(coords @ model.gram @ coords)
+
+
+def klein(model, coords):
+    """Klein coordinates (u/x, v/x[, w/x]) in the slice x = 1."""
+    vals = model.coord_mat @ coords
+    return vals[1:] / vals[0]
 
 
 def polarization_model(theta, word):
@@ -206,7 +216,7 @@ class TestBuildModel:
                 assert int((eig < 0).sum()) == n - 3
 
     def test_quadratic_form_is_shoelace_area(self):
-        """model.area equals the shoelace area of the chained polygon."""
+        """The area form equals the shoelace area of the chained polygon."""
         rng = np.random.default_rng(17)
         for n in (5, 6):
             theta = sample_weight_rng(n, rng)
@@ -214,9 +224,9 @@ class TestBuildModel:
             model = build_model(theta, word)
             frame = edge_frame(theta, word)
             for _ in range(20):
-                xi = random_closing_vector(model, rng)
-                shoelace = polygon_area(chain_vertices(frame, xi))
-                assert model.area(xi) == pytest.approx(shoelace, rel=1e-9, abs=1e-12)
+                coords = rng.normal(size=model.dim)
+                shoelace = polygon_area(chain_vertices(frame, model.basis.T @ coords))
+                assert area(model, coords) == pytest.approx(shoelace, rel=1e-9, abs=1e-12)
 
     def test_coordinates_diagonalize_area(self):
         """area = x^2 - u^2 - v^2 (- w^2) exactly in the model coordinates."""
@@ -226,9 +236,9 @@ class TestBuildModel:
             theta = sample_weight_rng(n, rng)
             model = build_model(theta, tuple(range(1, n + 1)))
             for _ in range(20):
-                xi = random_closing_vector(model, rng)
-                vals = model.coordinates(xi)
-                assert model.area(xi) == pytest.approx(
+                coords = rng.normal(size=model.dim)
+                vals = model.coord_mat @ coords
+                assert area(model, coords) == pytest.approx(
                     float(signs[n] @ (vals * vals)), rel=1e-9, abs=1e-12
                 )
 
@@ -238,14 +248,9 @@ class TestBuildModel:
             theta = sample_weight(n, 3)
             word = tuple(range(1, n + 1))
             model = build_model(theta, word)
-            xi = tangential_lengths(theta, word)
-            assert model.area(xi) > 0.0
-            assert model.coordinates(xi)[0] > 0.0
-
-    def test_to_coords_rejects_non_closing(self):
-        model = build_model(equal_weight(5), IDENT5)
-        with pytest.raises(OutOfRange):
-            model.to_coords(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+            coords = basis_coords(model, tangential_lengths(theta, word))
+            assert area(model, coords) > 0.0
+            assert (model.coord_mat @ coords)[0] > 0.0
 
     @given(model_inputs())
     @settings(max_examples=200, deadline=None)
@@ -291,34 +296,25 @@ class TestBuildModel:
 
 
 # ===========================================================================
-# Klein projection and distances
+# the Klein slice, facet rays and distances
 # ===========================================================================
 
 class TestKleinPoint:
-    def test_projective_invariance(self):
-        theta = sample_weight(5, 6)
-        model = build_model(theta, IDENT5)
-        xi = tangential_lengths(theta, IDENT5)
-        p1 = klein_point(model, xi)
-        p2 = klein_point(model, 3.75 * xi)
-        npt.assert_allclose(p1.coords, p2.coords, atol=1e-12)
-
     def test_interior_point_not_ideal(self):
+        """The circumscribed polygon projects into the open Klein ball."""
         theta = sample_weight(6, 2)
         model = build_model(theta, IDENT6)
-        pt = klein_point(model, tangential_lengths(theta, IDENT6))
-        assert not pt.ideal
-        assert pt.norm < 1.0
+        norm = np.linalg.norm(klein(model, basis_coords(model, tangential_lengths(theta, IDENT6))))
+        assert norm < 1.0 - lorentz.TOL_IDEAL
 
     def test_rejects_spacelike(self):
-        theta = sample_weight(5, 9)
-        model = build_model(theta, IDENT5)
+        """A negative-area vector on the x > 0 side projects outside the ball."""
+        model = build_model(sample_weight(5, 9), IDENT5)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            xi = random_closing_vector(model, rng)
-            if model.area(xi) < -1e-6 and model.coordinates(xi)[0] > 0.0:
-                with pytest.raises(NotTimelike):
-                    klein_point(model, xi)
+            coords = rng.normal(size=model.dim)
+            if area(model, coords) < -1e-6 and (model.coord_mat @ coords)[0] > 0.0:
+                assert np.linalg.norm(klein(model, coords)) > 1.0 + lorentz.TOL_IDEAL
                 break
         else:
             pytest.fail("no spacelike sample found")
@@ -329,10 +325,10 @@ class TestFacetRays:
         theta = sample_weight(5, 12)
         model = build_model(theta, IDENT5)
         ray = facet_zero_ray(model, (1, 4))
-        lengths = model.edge_lengths(ray)
+        lengths = model.basis.T @ ray
         assert abs(lengths[0]) < 1e-9   # xi_1 = 0
         assert abs(lengths[3]) < 1e-9   # xi_4 = 0
-        assert model.coordinates(ray)[0] == pytest.approx(1.0)
+        assert (model.coord_mat @ ray)[0] == pytest.approx(1.0)
 
     def test_dependent_facets_raise(self):
         model = build_model(sample_weight(5, 1), IDENT5)
@@ -345,59 +341,37 @@ class TestFacetRays:
         theta = sample_weight(5, 21)
         model = build_model(theta, IDENT5)
         p, q = axis_intercepts(model)
-        npt.assert_allclose(
-            klein_point(model, facet_zero_ray(model, (1, 3))).coords, (0, 0), atol=1e-9
-        )
-        npt.assert_allclose(
-            klein_point(model, facet_zero_ray(model, (1, 4))).coords, (0, p), atol=1e-9
-        )
-        npt.assert_allclose(
-            klein_point(model, facet_zero_ray(model, (3, 5))).coords, (q, 0), atol=1e-9
-        )
+        npt.assert_allclose(klein(model, facet_zero_ray(model, (1, 3))), (0, 0), atol=1e-9)
+        npt.assert_allclose(klein(model, facet_zero_ray(model, (1, 4))), (0, p), atol=1e-9)
+        npt.assert_allclose(klein(model, facet_zero_ray(model, (3, 5))), (q, 0), atol=1e-9)
 
     def test_equal_weight_hexahedron_vertices_are_ideal(self):
         model = build_model(equal_weight(6), IDENT6)
         for facets in ((3, 5, 6), (1, 2, 5), (1, 3, 4)):
-            pt = klein_point(model, facet_zero_ray(model, facets))
-            assert pt.ideal
+            norm = np.linalg.norm(klein(model, facet_zero_ray(model, facets)))
+            assert abs(norm - 1.0) <= lorentz.TOL_IDEAL
 
 
 class TestDistances:
-    def test_scale_invariance_and_symmetry(self):
-        theta = sample_weight(5, 31)
-        model = build_model(theta, IDENT5)
-        xi = tangential_lengths(theta, IDENT5)
-        ray = facet_zero_ray(model, (1, 3))
-        d1 = hyperbolic_distance(model, xi, ray)
-        d2 = hyperbolic_distance(model, 2.0 * xi, ray)
-        assert d1 == pytest.approx(d2, abs=1e-12)
-        assert d1 == pytest.approx(hyperbolic_distance(model, ray, xi), abs=1e-12)
-
-    def test_zero_distance(self):
-        theta = sample_weight(6, 31)
-        model = build_model(theta, IDENT6)
-        xi = tangential_lengths(theta, IDENT6)
-        assert hyperbolic_distance(model, xi, xi) == 0.0
-
     def test_matches_klein_formula(self):
-        """Minkowski arccosh distance equals the Klein-coordinates formula."""
+        """The hyperboloid distance arccosh(<c1,c2>/sqrt(<c1,c1><c2,c2>)) of
+        the area form equals klein_distance of the projected points."""
         theta = sample_weight(5, 40)
         model = build_model(theta, IDENT5)
         rng = np.random.default_rng(40)
+        centre = basis_coords(model, tangential_lengths(theta, IDENT5))
         points = []
         while len(points) < 4:
-            xi = tangential_lengths(theta, IDENT5) + 0.2 * random_closing_vector(
-                model, rng
-            )
-            if model.area(xi) > 0.0 and model.coordinates(xi)[0] > 0.0:
-                points.append(xi)
+            coords = centre + 0.2 * rng.normal(size=model.dim)
+            if area(model, coords) > 0.0 and (model.coord_mat @ coords)[0] > 0.0:
+                points.append(coords)
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
-                d_mink = hyperbolic_distance(model, points[i], points[j])
-                d_klein = klein_distance(
-                    klein_point(model, points[i]).coords,
-                    klein_point(model, points[j]).coords,
+                c1, c2 = points[i], points[j]
+                d_mink = math.acosh(
+                    max(float(c1 @ model.gram @ c2) / math.sqrt(area(model, c1) * area(model, c2)), 1.0)
                 )
+                d_klein = klein_distance(klein(model, c1), klein(model, c2))
                 assert d_mink == pytest.approx(d_klein, rel=1e-9, abs=1e-12)
 
     def test_axis_distance_is_arctanh_oracle(self):
@@ -405,8 +379,9 @@ class TestDistances:
         theta = sample_weight(5, 55)
         model = build_model(theta, IDENT5)
         p, _ = oracle_params5(theta, IDENT5)
-        d = hyperbolic_distance(
-            model, facet_zero_ray(model, (1, 3)), facet_zero_ray(model, (1, 4))
+        d = klein_distance(
+            klein(model, facet_zero_ray(model, (1, 3))),
+            klein(model, facet_zero_ray(model, (1, 4))),
         )
         assert d == pytest.approx(math.atanh(p), rel=1e-9)
 
@@ -530,7 +505,6 @@ def assert_rows_match_oracle(stack):
         assert stack.model_errors[i] is None
         for name in ("basis", "gram", "coord_mat", "facet_mat"):
             assert np.array_equal(getattr(stack, name)[i], getattr(model, name)), name
-        assert np.array_equal(stack.dirs[i], model.frame.dirs)
         kind, values = outcome(oracle.axis_intercepts, model)
         if kind != "ok":
             assert failure(stack.intercept_errors[i]) == (kind, values)

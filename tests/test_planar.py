@@ -1,7 +1,9 @@
-"""Tests for edge frames, completion triangles, feet, and areas.
+"""Tests for edge frames, completion triangles, feet, and the shoelace oracle.
 
 The feet are checked against independent closed-form sine-ratio oracles
 derived from similar triangles; these formulas never appear in the package.
+The shoelace helpers in ``shoelace`` are the area-form oracle of
+``test_lorentz``; their own checks live here.
 """
 
 import cmath
@@ -13,17 +15,16 @@ import pytest
 
 from polymod import (
     NoIntersection,
-    chain_vertices,
     complete_triangle,
     edge_frame,
     equal_weight,
     line_intersection,
     pentagon_feet,
-    polygon_area,
     sample_weight,
-    tangential_lengths,
     validate_weight,
 )
+
+from shoelace import chain_vertices, polygon_area, tangential_lengths
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
