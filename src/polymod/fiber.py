@@ -245,6 +245,19 @@ def invert6(
     return inversion_report(6, s1, s2, tol)["theta"]
 
 
+def designated_pairs(n: int, thetas: Sequence[WeightVector]) -> list[tuple | PolymodError]:
+    """Each weight vector's shapes on the two words of ``DESIGNATED[n]``,
+    or the first failure of the forward map on them in word order (the
+    identity word's first), as two ``psi`` calls would raise it.  One
+    :func:`forward_shapes` call maps every row on both words."""
+    words = DESIGNATED[n]
+    shapes = forward_shapes(
+        n, [theta for theta in thetas for _ in words], list(words) * len(thetas)
+    )
+    pairs = [tuple(shapes[k : k + 2]) for k in range(0, len(shapes), 2)]
+    return [next((s for s in pair if isinstance(s, PolymodError)), pair) for pair in pairs]
+
+
 def inversion_report(n: int, s1, s2, tol: float = INVERT_TOL) -> dict:
     """Full inversion result: {'theta', 'w', 'residual'}.
 
@@ -266,9 +279,8 @@ def inversion_reports(
     the circles (NoIntersection, OutOfRange), the fiber construction
     (InconsistentPair), then the forward verification, where the recovered
     weight vector is mapped forward on both words of ``DESIGNATED[n]``
-    (the identity word's failure first) and every parameter is compared
-    with the input pair.  One :func:`forward_shapes` call maps every pair
-    that reaches the verification.
+    (:func:`designated_pairs`, one call for every pair that reaches the
+    verification) and every parameter is compared with the input pair.
     """
     if n == 5:
         recover_w, fiber_theta = recover_w5, fiber_theta5
@@ -276,13 +288,12 @@ def inversion_reports(
         recover_w, fiber_theta = recover_w6, fiber_theta6
     else:
         raise OutOfRange(f"inversion is defined for n in {{5, 6}}, got {n}")
-    words = DESIGNATED[n]
     out: list = []
     for s1, s2 in pairs:
         try:
             w = recover_w(s1, s2)
             try:
-                theta = fiber_theta(s1, w, words[0])
+                theta = fiber_theta(s1, w, DESIGNATED[n][0])
             except (SlideCollision, NotInTheta) as exc:
                 raise InconsistentPair(
                     f"no weight vector realizes this shape pair: {exc}"
@@ -292,14 +303,9 @@ def inversion_reports(
             continue
         out.append({"theta": theta, "w": w})
     solved = [i for i, report in enumerate(out) if isinstance(report, dict)]
-    forward = forward_shapes(
-        n, [out[i]["theta"] for i in solved for _ in words], list(words) * len(solved)
-    )
-    for k, i in enumerate(solved):
-        shapes = forward[2 * k : 2 * k + 2]
-        failure = next((s for s in shapes if isinstance(s, PolymodError)), None)
-        if failure is not None:
-            out[i] = failure
+    for i, shapes in zip(solved, designated_pairs(n, [out[i]["theta"] for i in solved])):
+        if isinstance(shapes, PolymodError):
+            out[i] = shapes
             continue
         given = pairs[i][0].params + pairs[i][1].params
         residual = max(map(scaled_residual, shapes[0].params + shapes[1].params, given))

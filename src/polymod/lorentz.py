@@ -22,9 +22,11 @@ the shoelace sum ``1/2 sum_j Im(conj(V_j) V_{j+1})`` is
 ``B M B^T`` with ``M[k, j] = 1/4 Im(conj(d_k) d_j) sign(j - k)``.
 
 One stacked kernel computes every model: :func:`build_models` takes N
-(theta, word) rows and returns their arrays and axis intercepts, or each
-row's first failure; :func:`build_model`, :func:`facet_zero_ray` and
-:func:`axis_intercepts` are its one-row case, and :meth:`ModelStack.model`
+(theta, word) rows, reads their completion triangles (gate, edge directions
+and apex) from :func:`polymod.planar.complete_triangles`, and returns their
+arrays and axis intercepts, or each row's first failure; :func:`build_model`,
+:func:`facet_zero_ray` and :func:`axis_intercepts` are its one-row case, and
+:meth:`ModelStack.model`
 is the one place that assembles a :class:`LorentzModel`.  The stacked
 ``matmul``, ``eigvalsh`` and ``svd`` calls run the same routine on each row
 as on a 2-D array, so a row's bits do not depend on the rows stacked with
@@ -38,7 +40,6 @@ normalized to the slice ``x = 1``.  Two facets whose dual cosine is within
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,9 +47,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import WeightVector, as_word
+from .combinatorics import WeightVector
 from .errors import (
-    DegenerateTriangle,
     FacetsDisjoint,
     NegativeRatio,
     NoIntersection,
@@ -56,7 +56,7 @@ from .errors import (
     PolymodError,
     SignatureMismatch,
 )
-from .planar import EPS_ANGLE
+from .planar import Triangles, complete_triangles, label_angles
 
 #: A facet-pair cosine within this band of 1 counts as tangency.
 TOL_IDEAL = 1e-9
@@ -105,48 +105,20 @@ def _pivot(abs_cross: list[float]) -> int:
     return choice
 
 
-def _exterior_angles(t: list[float], n: int) -> tuple[float, float, float]:
-    """Exterior angles of the completion triangle at a, b and c."""
-    return t[0] + t[1], t[2] + t[3], t[4] if n == 5 else t[4] + t[5]
-
-
-def _degenerate_triangle(t: list[float], n: int) -> PolymodError | None:
-    """``complete_triangle``'s failure for angles ``t`` in label order."""
-    for name, ext in zip("abc", _exterior_angles(t, n)):
-        if not EPS_ANGLE < ext < math.pi - EPS_ANGLE:
-            return DegenerateTriangle(
-                f"exterior angle at {name} is {ext:.17g}, outside (0, pi)"
-            )
-    return None
-
-
-def _scale(radicand: float, edge: int = 0) -> float:
-    """``math.sqrt`` of the radicand of edge ``edge``'s corner scale, or of
-    the apex scale for edge 0; NegativeRatio below 0."""
-    if radicand < 0.0:
-        name = f"edge {edge} corner" if edge else "apex"
-        raise NegativeRatio(f"squared {name} scale = {radicand:.17g} < 0")
-    return math.sqrt(radicand)
-
-
-def _coordinate_scales(t: list[float], n: int) -> tuple[float, list[float]]:
-    """sqrt(apex height / 2) of the completion triangle, and the corner
-    scales: sqrt of the area cut off by a unit edge 1, 3[, 5] with adjacent
-    turning angles t_k, t_{k+1}.  Scalar math like ``complete_triangle``'s,
-    so every bit agrees with it.
+def _corner_scales(t: list[float], n: int) -> list[float]:
+    """The corner scales: sqrt of the area cut off by a unit edge 1, 3[, 5]
+    with adjacent turning angles t_k, t_{k+1}, in scalar ``math``.
 
     Validated weight vectors keep every radicand positive.  A hand-built
     one with a negative angle can make one negative; that raises
     NegativeRatio, where ``math.sqrt`` alone would raise a bare ValueError."""
-    ext_a, ext_b, ext_c = _exterior_angles(t, n)
-    apex = (math.sin(math.pi - ext_b) / math.sin(math.pi - ext_c)) * cmath.exp(
-        1j * (math.pi - ext_a)
-    )
-    corners = [
-        _scale(math.sin(t[k]) * math.sin(t[k + 1]) / (2.0 * math.sin(t[k] + t[k + 1])), k + 1)
-        for k in range(0, n - 1, 2)
-    ]
-    return _scale(apex.imag / 2.0), corners
+    scales = []
+    for k in range(0, n - 1, 2):
+        radicand = math.sin(t[k]) * math.sin(t[k + 1]) / (2.0 * math.sin(t[k] + t[k + 1]))
+        if radicand < 0.0:
+            raise NegativeRatio(f"squared edge {k + 1} corner scale = {radicand:.17g} < 0")
+        scales.append(math.sqrt(radicand))
+    return scales
 
 
 def _parallel_base_lines(base: complex, *others: complex) -> PolymodError | None:
@@ -164,7 +136,7 @@ def _base_widths(basis: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     edge 2) between its intersections with the lines along edges n and 4.
     Directions are fixed, so the width is linear in the edge vector and its
     values on the basis rows determine the functional.  Each intersection
-    is ``line_intersection``'s arithmetic, stacked.
+    is the scalar line-intersection arithmetic, stacked.
     """
     n = dirs.shape[1]
     base = dirs[:, 1:2]
@@ -190,24 +162,23 @@ def _first_failures(errors: list, failed: np.ndarray, make) -> None:
 
 
 @np.errstate(all="ignore")  # failed rows may divide by zero; their values go unread
-def _model_arrays(angles: np.ndarray) -> dict:
+def _model_arrays(tri: Triangles) -> dict:
     """The stacked body of :func:`build_models`.
 
-    ``angles`` is an (N, n) stack of angles in label order.  Returns the
-    arrays ``basis``, ``gram``, ``coord_mat`` and ``facet_mat``
-    with a leading row axis, and ``errors``: per row None or its first
-    failure, gate by gate in the scalar order (completion triangle,
-    signature, base-width lines, coordinate scales, diagonalization).  A
-    failed row's arrays are meaningless; it enters ``eigvalsh`` as the
-    identity, so it cannot make the stacked call raise.
+    ``tri`` holds the rows' completion triangles.  Returns the arrays
+    ``basis``, ``gram``, ``coord_mat`` and ``facet_mat`` with a leading row
+    axis, and ``errors``: per row None or its first failure, gate by gate
+    in the scalar order (completion triangle, signature, base-width lines,
+    corner scales, diagonalization).  A failed row's arrays are
+    meaningless; it enters ``eigvalsh`` as the identity, so it cannot make
+    the stacked call raise.
     """
+    angles, dirs = tri.angles, tri.dirs
     rows, n = angles.shape
     dim = n - 2
     idx = np.arange(rows)
-    errors: list = [_degenerate_triangle(t, n) for t in angles.tolist()]
+    errors = list(tri.errors)
 
-    cum = np.cumsum(angles, axis=1)
-    dirs = np.exp(1j * (cum - cum[:, 1:2]))  # edge directions, edge 2 along +1
     cross = (dirs.conjugate()[:, :, None] * dirs[:, None, :]).imag.copy()  # Im(conj(d_a) d_b)
 
     # Cramer basis: free column j closes with d_j + x d_p1 + y d_p2 = 0
@@ -240,7 +211,6 @@ def _model_arrays(angles: np.ndarray) -> dict:
 
     facet_mat = basis.transpose(0, 2, 1).copy()
 
-    c_x = np.ones((rows, 1))
     corner = np.ones((rows, n // 2))
     # the base line runs along edge 2, its neighbours along edges n and 4
     for i, d in enumerate(dirs[:, [1, n - 1, 3]].tolist()):
@@ -248,10 +218,11 @@ def _model_arrays(angles: np.ndarray) -> dict:
             errors[i] = _parallel_base_lines(*d)
         if errors[i] is None:
             try:
-                c_x[i, 0], corner[i] = _coordinate_scales(angles[i].tolist(), n)
+                corner[i] = _corner_scales(angles[i].tolist(), n)
             except NegativeRatio as exc:
                 errors[i] = exc
-    x_row = c_x * _base_widths(basis, dirs)
+    # sqrt(apex height / 2) of the completion triangle scales its base width
+    x_row = np.sqrt(tri.apex.imag / 2.0)[:, None] * _base_widths(basis, dirs)
     # u, v[, w] scale the lengths of edges 1, 3[, 5]
     coord_mat = np.concatenate(
         [x_row[:, None]] + [corner[:, j, None, None] * facet_mat[:, None, 2 * j] for j in range(n // 2)],
@@ -339,7 +310,8 @@ def _intercepts(facet_mat: np.ndarray, coord_mat: np.ndarray, errors: list) -> n
 class ModelStack:
     """Lorentz models and axis intercepts of N (theta, word) rows.
 
-    Row i holds the model of ``(thetas[i], words[i])`` and its axis
+    Row i holds the model of ``(thetas[i], words[i])``, its completion
+    triangle (``triangles``, the one the planar route reads) and its axis
     intercepts, bit for bit as the row alone gives them, or the first
     failure of each: ``model_errors[i]`` for the model,
     ``intercept_errors[i]`` for the intercepts of a model that was built.
@@ -347,13 +319,25 @@ class ModelStack:
 
     thetas: tuple[WeightVector, ...]
     words: tuple[tuple[int, ...], ...]
+    triangles: Triangles
     basis: np.ndarray       # (N, n-2, n)
     gram: np.ndarray        # (N, n-2, n-2)
     coord_mat: np.ndarray   # (N, n-2, n-2)
     facet_mat: np.ndarray   # (N, n, n-2)
-    intercepts: np.ndarray  # (N, n-3)
     model_errors: list
-    intercept_errors: list
+
+    @cached_property
+    def _axis(self) -> tuple[np.ndarray, list]:
+        """The (N, n-3) intercepts and their errors, computed for every row
+        on first read: a stack read for its models alone never pays for them."""
+        errors = list(self.model_errors)
+        values = _intercepts(self.facet_mat, self.coord_mat, errors)
+        # a row whose model failed has no intercepts to fail
+        return values, [None if m is not None else e for m, e in zip(self.model_errors, errors)]
+
+    @property
+    def intercept_errors(self) -> list:
+        return self._axis[1]
 
     def model(self, i: int) -> LorentzModel:
         """Row i's model, or its recorded build failure raised."""
@@ -373,26 +357,7 @@ class ModelStack:
         error = self.model_errors[i] or self.intercept_errors[i]
         if error is not None:
             raise error
-        return tuple(self.intercepts[i].tolist())
-
-
-def _label_angles(
-    thetas: Sequence[WeightVector], words: Sequence[Sequence[int]]
-) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Validated words and the (N, n) angles in label order."""
-    checked = []
-    for theta, label in zip(thetas, words, strict=True):
-        word = as_word(label)
-        n = theta.n
-        if len(word) != n:
-            raise OutOfRange(f"label has {len(word)} marks but theta has {n} angles")
-        if n not in (5, 6):
-            raise OutOfRange(f"Lorentz models are built for n in {{5, 6}}, got {n}")
-        checked.append(word)
-    if len({len(w) for w in checked}) > 1:
-        raise OutOfRange("a model stack needs one n for every row")
-    angles = np.array([[theta[m - 1] for m in w] for theta, w in zip(thetas, checked)], dtype=float)
-    return tuple(checked), angles
+        return tuple(self._axis[0][i].tolist())
 
 
 def build_models(
@@ -405,21 +370,14 @@ def build_models(
     :func:`axis_intercepts` would raise) and leaves its neighbours as they
     would be alone.  Every row must have the same n, 5 or 6.
     """
-    words, angles = _label_angles(thetas, words)
+    words, angles = label_angles(thetas, words)
     if not words:
         raise OutOfRange("a model stack needs at least one row")
-    arrays = _model_arrays(angles)
-    model_errors = arrays.pop("errors")
-    intercept_errors = list(model_errors)
-    intercepts = _intercepts(arrays["facet_mat"], arrays["coord_mat"], intercept_errors)
-    # a row whose model failed has no intercepts to fail
-    intercept_errors = [
-        None if model_error is not None else error
-        for model_error, error in zip(model_errors, intercept_errors)
-    ]
+    tri = complete_triangles(angles)
+    arrays = _model_arrays(tri)
     return ModelStack(
-        thetas=tuple(thetas), words=words, intercepts=intercepts,
-        model_errors=model_errors, intercept_errors=intercept_errors, **arrays,
+        thetas=tuple(thetas), words=words, triangles=tri,
+        model_errors=arrays.pop("errors"), **arrays,
     )
 
 

@@ -2,11 +2,13 @@
 
 A pentagon shape is the pair ``(P, Q)`` with ``0 < P, Q < 1`` and
 ``P^2 + Q^2 > 1``; a hexahedron shape is a triple of positive reals
-``(P, Q, R)``.  :func:`planar_shape` reads a shape from the planar
-completion-triangle feet alone; ``psi5``/``psi6`` also compute it from the
+``(P, Q, R)``.  :func:`planar_shapes` reads shapes from the feet of a stack
+of completion triangles alone; ``psi5``/``psi6`` also compute them from the
 Lorentzian axis intercepts, and the two routes must agree to ``ROUTE_TOL``
 under :func:`scaled_residual`.  :func:`forward_shapes` is the forward map
-over many rows, with one stacked Lorentz kernel call for all of them.
+over many rows, with one stacked Lorentz kernel call for all of them whose
+completion triangles both routes read; ``psi5`` and ``psi6`` are its
+one-row cases.
 
 The hexahedron sign rule: ``P - 1``, ``Q - 1`` and ``R - 1`` have the same
 signs as the consecutive-triple sums ``theta_{i5}+theta_{i6}+theta_{i1}``,
@@ -27,7 +29,7 @@ from typing import Sequence
 from .combinatorics import WeightVector, as_word
 from .errors import NegativeRatio, OutOfRange, PolymodError, RouteDisagreement
 from .lorentz import TOL_IDEAL, build_models
-from .planar import complete_triangle, pentagon_feet
+from .planar import Triangles
 
 #: Allowed relative disagreement between the planar and Lorentzian routes.
 ROUTE_TOL = 1e-9
@@ -80,6 +82,11 @@ class HexahedronShape:
                 f"hexahedron shape needs P, Q, R > 0, got "
                 f"({self.P!r}, {self.Q!r}, {self.R!r})"
             )
+        if not all(math.isfinite(v) for v in self.params):
+            raise OutOfRange(
+                f"hexahedron shape needs finite P, Q, R, got "
+                f"({self.P!r}, {self.Q!r}, {self.R!r})"
+            )
 
     @property
     def params(self) -> tuple[float, float, float]:
@@ -129,32 +136,34 @@ def scaled_residual(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b)) ** 2
 
 
-def _pentagon_shape(theta: WeightVector, label: Sequence[int]) -> PentagonShape:
-    f1, f2 = pentagon_feet(theta, label)
-    return PentagonShape(P=math.sqrt(1.0 - f1), Q=math.sqrt(f2))
-
-
-def _hexahedron_shape(theta: WeightVector, label: Sequence[int]) -> HexahedronShape:
-    tri = complete_triangle(theta, label)
-    if tri.feet is None:
-        raise OutOfRange("psi6 needs n=6")
-    for name, val in zip("PQR", tri.feet):
+def _shape(n: int, feet: list[float]) -> PentagonShape | HexahedronShape:
+    """The shape read from one row's feet, or its gate's failure raised."""
+    if n == 5:
+        f1, f2 = feet
+        return PentagonShape(P=math.sqrt(1.0 - f1), Q=math.sqrt(f2))
+    for name, val in zip("PQR", feet):
         if val <= 0.0:
             raise NegativeRatio(f"squared parameter {name}^2 = {val:.17g} <= 0")
-    return HexahedronShape(*(math.sqrt(val) for val in tri.feet))
+    return HexahedronShape(*(math.sqrt(val) for val in feet))
 
 
-def planar_shape(
-    theta: WeightVector, label: Sequence[int]
-) -> PentagonShape | HexahedronShape:
-    """The shape of ``theta.n`` read from the completion triangle alone.
+def planar_shapes(triangles: Triangles) -> list[PentagonShape | HexahedronShape | PolymodError]:
+    """The planar route over a stack of completion triangles.
 
     Pentagons take ``P^2 = 1 - f1`` and ``Q^2 = f2`` from the apex-cevian
     feet; hexahedra take ``P^2, Q^2, R^2`` from the three signed feet
-    ratios, which must be positive (NegativeRatio otherwise).  The shape's
-    own domain checks apply; the Lorentzian route is not consulted.
+    ratios, which must be positive (NegativeRatio otherwise).  Each row
+    gets its shape or its first failure: the feet's, then the shape's own
+    domain checks.  The Lorentzian route is not consulted.
     """
-    return (_pentagon_shape if theta.n == 5 else _hexahedron_shape)(theta, label)
+    feet, out = triangles.feet()
+    for i, row in enumerate(feet.tolist()):
+        if out[i] is None:
+            try:
+                out[i] = _shape(triangles.n, row)
+            except PolymodError as exc:
+                out[i] = exc
+    return out
 
 
 def forward_shapes(
@@ -162,30 +171,29 @@ def forward_shapes(
 ) -> list[PentagonShape | HexahedronShape | PolymodError]:
     """``psi5`` (n=5) or ``psi6`` (n=6) over many (theta, label) rows.
 
-    Each row gets its shape, or the error the forward map raises for it:
-    the planar route runs row by row, then one :func:`build_models` call
-    cross-checks every row that passed it against its Lorentzian axis
-    intercepts (RouteDisagreement beyond ROUTE_TOL under
-    :func:`scaled_residual`).
+    Each row gets its shape, or the error the forward map raises for it.
+    One :func:`build_models` call builds every row's completion triangle
+    and model; :func:`planar_shapes` reads the rows' shapes from those
+    triangles, and every row that passes is cross-checked against its
+    Lorentzian axis intercepts (RouteDisagreement beyond ROUTE_TOL under
+    :func:`scaled_residual`).  Every theta needs n angles and every label
+    n marks (OutOfRange for the whole call otherwise).
     """
-    planar = _pentagon_shape if n == 5 else _hexahedron_shape
-    out: list = []
-    for theta, label in zip(thetas, labels, strict=True):
+    if any(theta.n != n for theta in thetas):
+        raise OutOfRange(f"psi{n} maps weight vectors of n={n}")
+    if not thetas:
+        return []
+    stack = build_models(thetas, labels)
+    out = planar_shapes(stack.triangles)
+    for i, shape in enumerate(out):
+        if isinstance(shape, PolymodError):
+            continue
         try:
-            out.append(planar(theta, label))
-        except PolymodError as exc:
-            out.append(exc)
-    passed = [i for i, row in enumerate(out) if not isinstance(row, PolymodError)]
-    if not passed:
-        return out
-    stack = build_models([thetas[i] for i in passed], [labels[i] for i in passed])
-    for k, i in enumerate(passed):
-        try:
-            lorentz_vals = stack.axis_intercepts(k)
+            lorentz_vals = stack.axis_intercepts(i)
         except PolymodError as exc:
             out[i] = exc
             continue
-        for name, a, b in zip("PQR", out[i].params, lorentz_vals):
+        for name, a, b in zip("PQR", shape.params, lorentz_vals):
             if scaled_residual(a, b) > ROUTE_TOL:
                 out[i] = RouteDisagreement(
                     f"psi{n}: planar {name} = {a:.17g} vs Lorentzian {name} = "
@@ -205,7 +213,7 @@ def _forward(n: int, theta: WeightVector, label: Sequence[int]):
 def psi5(theta: WeightVector, label: Sequence[int] = IDENTITY5) -> PentagonShape:
     """Forward map to the right-pentagon shape (P, Q).
 
-    The shape of :func:`planar_shape`, returned once the Lorentzian axis
+    The shape of :func:`planar_shapes`, returned once the Lorentzian axis
     intercepts agree with it to ROUTE_TOL (RouteDisagreement otherwise):
     the one-row case of :func:`forward_shapes`.
     """

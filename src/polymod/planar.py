@@ -14,6 +14,11 @@ edge runs along the positive real axis:
 
 * Feet of cevians/parallels are reported as signed ratios along their host
   side, so they remain meaningful when they land on an extension.
+
+:func:`complete_triangles` computes the triangles of N rows at once, each
+row bit for bit as it is alone; the Lorentz kernel and the planar route
+read the same triangles, and :func:`complete_triangle` and
+:func:`pentagon_feet` are the one-row case.
 """
 
 from __future__ import annotations
@@ -32,100 +37,142 @@ from .errors import DegenerateTriangle, FootOutsideBase, NoIntersection, OutOfRa
 EPS_ANGLE = 1e-12
 
 
-@dataclass(frozen=True)
-class EdgeFrame:
-    """Unit edge directions of a labeled polygon, base edge rotated to +1."""
+def label_angles(
+    thetas: Sequence[WeightVector], words: Sequence[Sequence[int]]
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Validated words and the (N, n) angles in label order."""
+    checked = []
+    for theta, label in zip(thetas, words, strict=True):
+        word = as_word(label)
+        n = theta.n
+        if len(word) != n:
+            raise OutOfRange(f"label has {len(word)} marks but theta has {n} angles")
+        if n not in (5, 6):
+            raise OutOfRange(f"completion triangles exist for n in {{5, 6}}, got {n}")
+        checked.append(word)
+    if len({len(w) for w in checked}) > 1:
+        raise OutOfRange("a stack needs one n for every row")
+    angles = np.array([[theta[m - 1] for m in w] for theta, w in zip(thetas, checked)], dtype=float)
+    return tuple(checked), angles
 
-    word: tuple[int, ...]
-    theta: WeightVector
-    dirs: np.ndarray  # complex, length n, |dirs[j]| = 1, dirs[1] = 1
+
+def _side_ratio(u: tuple, v: tuple, r: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Where the line p + t*u meets the side p + r + s*v, per row: s, and
+    whether the two are parallel (or a direction vanishes).  Vectors are
+    (re, im) pairs of floats; Im(conj(x) y) is spelled out on them, which
+    gives Python's complex bits where numpy's array complex product may not."""
+    def im_conj(x: tuple, y: tuple) -> np.ndarray:
+        return x[0] * y[1] + (-x[1]) * y[0]
+
+    cross = im_conj(u, v)
+    parallel = np.abs(cross) <= 1e-15 * np.hypot(*u) * np.hypot(*v)
+    return im_conj(r, u) / cross, parallel
+
+
+@dataclass(frozen=True)
+class Triangles:
+    """Completion triangles of N rows, base [0, 1].
+
+    ``errors[i]`` is row i's first exterior angle outside (0, pi) by
+    ``EPS_ANGLE`` (DegenerateTriangle), or None; a failed row's apex is NaN.
+    """
+
+    angles: np.ndarray  # (N, n) angles in label order
+    ext: np.ndarray     # (N, 3) exterior angles at a, b and c
+    dirs: np.ndarray    # (N, n) complex unit edge directions, dirs[:, 1] = 1
+    apex: np.ndarray    # (N,) complex apex c
+    errors: list
 
     @property
     def n(self) -> int:
-        return len(self.word)
+        return self.dirs.shape[1]
 
-    def ordered_angles(self) -> np.ndarray:
-        """Angles in label order: entry j is theta at mark i_{j+1}."""
-        return np.array([self.theta[m - 1] for m in self.word])
+    @np.errstate(all="ignore")  # failed rows divide NaN; their values go unread
+    def feet(self) -> tuple[np.ndarray, list]:
+        """The signed feet of every row and each row's first failure.
+
+        Pentagons give (f1, f2), the base feet of the parallels through the
+        apex to edges 3 and 1.  Hexahedra give the signed ratios where the
+        side a->b meets the parallel to edge 1 through the apex, b->c the
+        parallel to edge 3 through ``a`` and c->a the parallel to edge 5
+        through ``b``.  Failures, in order: the triangle's, a foot line
+        parallel to its side (NoIntersection), and for pentagons feet
+        outside 0 < f1 < f2 < 1 (FootOutsideBase).
+        """
+        cr, ci = self.apex.real, self.apex.imag
+        d1, d3, d5 = ((self.dirs[:, k].real, self.dirs[:, k].imag) for k in (0, 2, 4))
+        base, a_c, c_b = (1.0, 0.0), (0.0 - cr, 0.0 - ci), (cr - 1.0, ci - 0.0)
+        if self.n == 5:  # f1 along edge 3, f2 along edge 1
+            lines = [(d3, base, a_c), (d1, base, a_c)]
+        else:
+            lines = [(d1, base, a_c), (d3, c_b, base), (d5, a_c, c_b)]
+        ratios, parallel = zip(*(_side_ratio(*line) for line in lines))
+        feet = np.stack(ratios, axis=1)
+        errors = list(self.errors)
+        for i in np.flatnonzero(np.any(parallel, axis=0)).tolist():
+            errors[i] = errors[i] or NoIntersection("lines are parallel or a direction vanishes")
+        if self.n == 5:
+            f1, f2 = feet.T
+            for i in np.flatnonzero(~((0.0 < f1) & (f1 < f2) & (f2 < 1.0))).tolist():
+                errors[i] = errors[i] or FootOutsideBase(
+                    f"feet (f1, f2) = ({f1[i]:.17g}, {f2[i]:.17g}) violate 0 < f1 < f2 < 1"
+                )
+        return feet, errors
+
+
+def complete_triangles(angles: np.ndarray) -> Triangles:
+    """The completion triangles of an (N, n) stack of angles in label order.
+
+    Extends edges 2, 4, 5 (n=5) or 2, 4, 6 (n=6).  The apex uses scalar
+    ``math``/``cmath`` per row, so each row keeps the bits it has alone.
+    """
+    ext = np.add.reduceat(angles, [0, 2, 4], axis=1)  # at a, b and c
+    bad = ~((ext > EPS_ANGLE) & (ext < math.pi - EPS_ANGLE))
+    errors: list = [None] * len(angles)
+    apex = np.full(len(angles), complex(math.nan, math.nan))
+    failed, first = bad.any(axis=1).tolist(), bad.argmax(axis=1).tolist()
+    for i, row in enumerate(ext.tolist()):
+        if failed[i]:
+            k = first[i]
+            errors[i] = DegenerateTriangle(
+                f"exterior angle at {'abc'[k]} is {row[k]:.17g}, outside (0, pi)"
+            )
+            continue
+        alpha, beta, gamma = (math.pi - e for e in row)
+        apex[i] = (math.sin(beta) / math.sin(gamma)) * cmath.exp(1j * alpha)
+    cum = np.cumsum(angles, axis=1)
+    dirs = np.exp(1j * (cum - cum[:, 1:2]))
+    return Triangles(angles=angles, ext=ext, dirs=dirs, apex=apex, errors=errors)
 
 
 @dataclass(frozen=True)
 class TriangleCompletion:
-    """Completion triangle with base [0, 1] and apex in the upper half-plane.
+    """One completion triangle, base corners ``a = 0`` and ``b = 1``, with
+    the word's unit edge directions; ``feet`` holds the three signed ratios
+    of :meth:`Triangles.feet` for hexahedra and is None for pentagons."""
 
-    ``frame`` is the edge frame the triangle was built from.  ``feet`` is
-    None for pentagons; for hexahedra it holds the three signed ratios
-    (c_foot on side a->b, a_foot on side b->c, b_foot on side c->a).
-    """
-
-    frame: EdgeFrame
-    a: complex
-    b: complex
+    word: tuple[int, ...]
+    dirs: np.ndarray
     c: complex
     ext_angles: tuple[float, float, float]
     feet: tuple[float, float, float] | None
 
-
-def edge_frame(theta: WeightVector, label: Sequence[int]) -> EdgeFrame:
-    """Unit direction vectors of the labeled polygon's edges."""
-    word = as_word(label)
-    if len(word) != theta.n:
-        raise OutOfRange(f"label has {len(word)} marks but theta has {theta.n} angles")
-    t = np.array([theta[m - 1] for m in word])
-    cum = np.cumsum(t)
-    dirs = np.exp(1j * (cum - cum[1]))
-    return EdgeFrame(word=word, theta=theta, dirs=dirs)
-
-
-def line_intersection(
-    p0: complex, u: complex, p1: complex, v: complex
-) -> tuple[float, float, complex]:
-    """Intersect lines p0 + t*u and p1 + s*v; returns (t, s, point)."""
-    cross = (u.conjugate() * v).imag
-    if abs(cross) <= 1e-15 * abs(u) * abs(v):
-        raise NoIntersection("lines are parallel or a direction vanishes")
-    r = p1 - p0
-    t = (r.conjugate() * v).imag / cross
-    s = (r.conjugate() * u).imag / cross
-    return t, s, p0 + t * u
+    a = 0j
+    b = 1 + 0j
 
 
 def complete_triangle(theta: WeightVector, label: Sequence[int]) -> TriangleCompletion:
-    """Extend edges 2, 4, 5 (n=5) or 2, 4, 6 (n=6) to a triangle.
-
-    The base is normalized to [0, 1]; for hexahedra the three feet are the
-    intersections of each side with the parallel to edge 1 through the apex,
-    to edge 3 through ``a``, and to edge 5 through ``b``, as signed ratios.
-    """
-    frame = edge_frame(theta, label)
-    n = frame.n
-    if n not in (5, 6):
-        raise OutOfRange(f"completion triangles exist for n in {{5, 6}}, got {n}")
-    t = frame.ordered_angles()
-    ext_a = t[0] + t[1]
-    ext_b = t[2] + t[3]
-    ext_c = t[4] if n == 5 else t[4] + t[5]
-    for name, ext in (("a", ext_a), ("b", ext_b), ("c", ext_c)):
-        if not EPS_ANGLE < ext < math.pi - EPS_ANGLE:
-            raise DegenerateTriangle(
-                f"exterior angle at {name} is {ext:.17g}, outside (0, pi)"
-            )
-    alpha = math.pi - ext_a
-    beta = math.pi - ext_b
-    gamma = math.pi - ext_c
-    a = 0.0 + 0.0j
-    b = 1.0 + 0.0j
-    c = (math.sin(beta) / math.sin(gamma)) * cmath.exp(1j * alpha)
-    feet = None
-    if n == 6:
-        dirs = frame.dirs
-        _, s_ab, _ = line_intersection(c, dirs[0], a, b - a)
-        _, s_bc, _ = line_intersection(a, dirs[2], b, c - b)
-        _, s_ca, _ = line_intersection(b, dirs[4], c, a - c)
-        feet = (float(s_ab), float(s_bc), float(s_ca))
+    """Row 0 of :func:`complete_triangles`, with its hexahedron feet, or
+    its first failure."""
+    words, angles = label_angles([theta], [label])
+    tri = complete_triangles(angles)
+    feet, errors = tri.feet() if tri.n == 6 else (None, tri.errors)
+    if errors[0] is not None:
+        raise errors[0]
     return TriangleCompletion(
-        frame=frame, a=a, b=b, c=c,
-        ext_angles=(float(ext_a), float(ext_b), float(ext_c)), feet=feet,
+        word=words[0], dirs=tri.dirs[0], c=complex(tri.apex[0]),
+        ext_angles=tuple(tri.ext[0].tolist()),
+        feet=None if feet is None else tuple(feet[0].tolist()),
     )
 
 
@@ -138,12 +185,7 @@ def pentagon_feet(theta: WeightVector, label: Sequence[int]) -> tuple[float, flo
     word = as_word(label)
     if len(word) != 5:
         raise OutOfRange(f"pentagon feet need n=5, got {len(word)}")
-    tri = complete_triangle(theta, label)
-    dirs = tri.frame.dirs
-    _, f2, _ = line_intersection(tri.c, dirs[0], tri.a, tri.b - tri.a)
-    _, f1, _ = line_intersection(tri.c, dirs[2], tri.a, tri.b - tri.a)
-    if not 0.0 < f1 < f2 < 1.0:
-        raise FootOutsideBase(
-            f"feet (f1, f2) = ({f1:.17g}, {f2:.17g}) violate 0 < f1 < f2 < 1"
-        )
-    return float(f1), float(f2)
+    feet, errors = complete_triangles(label_angles([theta], [word])[1]).feet()
+    if errors[0] is not None:
+        raise errors[0]
+    return tuple(feet[0].tolist())

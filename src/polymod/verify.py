@@ -5,7 +5,8 @@ per-trial check; one pass over the trials (one pool or serial loop, ``all``
 included) runs every requested check.  Trial i draws its weight vector and
 a random label word once, from ``numpy.random.default_rng([seed, i])``.
 Trials run in chunks of ``TRIAL_CHUNK``: one stacked Lorentz kernel call
-builds the chunk's models, one maps the chunk forward on the designated
+builds the chunk's models and completion triangles, whose feet give the
+chunk's planar shapes, one maps the chunk forward on the designated
 label pair and one batched inversion inverts the chunk's shape pairs, and
 every row of a stacked call is computed as it would be alone.  Reports are
 deterministic for a fixed (n, samples, seed, tol) and byte-identical across
@@ -34,9 +35,9 @@ import numpy as np
 from .combinatorics import WeightVector, sample_weight_rng
 from .complexes import build_complex, cusp_classes, euler_characteristic
 from .errors import OutOfRange, PolymodError
-from .fiber import DESIGNATED, inversion_reports
+from .fiber import designated_pairs, inversion_reports
 from .lorentz import LorentzModel, ModelStack, build_models, dihedral_angle
-from .moduli import forward_shapes, planar_shape
+from .moduli import planar_shapes
 
 SUITES = ("roundtrip", "orthogonality", "signature", "crossroute", "complex", "all")
 
@@ -56,39 +57,33 @@ TRIAL_CHUNK = 64
 _MODEL_SUITES = ("orthogonality", "signature", "crossroute")
 
 
+def _ok(value):
+    """A row's value, or the failure recorded for it raised."""
+    if isinstance(value, PolymodError):
+        raise value
+    return value
+
+
 @dataclass(frozen=True)
 class _Trial:
     """One trial's draw and its rows of its chunk's stacked calls.
 
-    ``model``, ``intercepts()``, ``forward()`` and ``inverse()`` give the
-    row's value or raise the failure recorded for it, so every suite that
-    reads a row records the same failure.
+    ``model`` gives the row's model or raises the failure recorded for it,
+    as ``_ok`` does for the other rows, so every suite that reads a row
+    records the same failure.
     """
 
     theta: WeightVector
-    word: tuple[int, ...]
     models: ModelStack | None  # the chunk's trial models, row ``row``
     row: int
     pair: tuple | PolymodError  # the designated-pair shapes, or psi's first failure
     inversion: dict | PolymodError | None  # inversion_report of ``pair``, or its failure
+    planar: object  # the planar shape on the trial's word, or its failure
 
     @cached_property
     def model(self) -> LorentzModel:
         # a raising row is not cached, so each suite records its failure
         return self.models.model(self.row)
-
-    def intercepts(self) -> tuple[float, ...]:
-        return self.models.axis_intercepts(self.row)
-
-    def forward(self) -> tuple:
-        if isinstance(self.pair, PolymodError):
-            raise self.pair
-        return self.pair
-
-    def inverse(self) -> WeightVector:
-        if isinstance(self.inversion, PolymodError):
-            raise self.inversion
-        return self.inversion["theta"]
 
 
 # A per-trial check fills ``result`` with an ``error`` (compared against tol)
@@ -100,10 +95,10 @@ Check = Callable[[dict, _Trial, float], None]
 def _roundtrip_trial(result: dict, trial: _Trial, tol: float) -> None:
     # The designated label pair, not the random word, determines theta.
     theta = trial.theta
-    s1, s2 = trial.forward()
+    s1, s2 = _ok(trial.pair)
     # Recorded before inverting, so a trial whose inversion fails is still scanned.
     result["theta"], result["shapes"] = theta.theta, s1.params + s2.params
-    back = trial.inverse()
+    back = _ok(trial.inversion)["theta"]
     result["error"] = max(abs(a - b) for a, b in zip(theta.theta, back.theta))
 
 
@@ -122,8 +117,8 @@ def _signature_trial(result: dict, trial: _Trial, tol: float) -> None:
 
 
 def _crossroute_trial(result: dict, trial: _Trial, tol: float) -> None:
-    planar = planar_shape(trial.theta, trial.word).params
-    lorentz = trial.intercepts()
+    planar = _ok(trial.planar).params
+    lorentz = trial.models.axis_intercepts(trial.row)
     # Linear scale, unlike moduli.scaled_residual's squared one: squaring it
     # would loosen this gate, so the two rules stay apart until one
     # derivation is settled for both.
@@ -145,9 +140,11 @@ def _run_chunk(
 ) -> list[dict]:
     """Deterministic trials of each suite; trial i's rng depends only on (seed, i).
 
-    One kernel call builds every trial's model (when a suite reads it);
-    for roundtrip, one maps every trial forward on the designated label
-    pair and one batched inversion inverts every pair that mapped.
+    One kernel call builds every trial's model and completion triangle
+    (when a suite reads them), and crossroute reads its planar shapes from
+    those triangles in one call; for roundtrip, one call maps every trial
+    forward on the designated label pair and one batched inversion inverts
+    every pair that mapped.
     """
     thetas, words = [], []
     for trial in trials:
@@ -155,26 +152,18 @@ def _run_chunk(
         thetas.append(sample_weight_rng(n, rng))
         words.append(tuple(int(m) + 1 for m in rng.permutation(n)))
     models = build_models(thetas, words) if set(suites) & set(_MODEL_SUITES) else None
+    planar = planar_shapes(models.triangles) if "crossroute" in suites else [None] * len(thetas)
     pairs: list = [()] * len(thetas)
     inversions: list = [None] * len(thetas)
     if "roundtrip" in suites:
-        designated = DESIGNATED[n]
-        shapes = forward_shapes(
-            n, [theta for theta in thetas for _ in designated], list(designated) * len(thetas)
-        )
-        pairs = []
-        for k in range(len(thetas)):
-            pair = shapes[2 * k : 2 * k + 2]
-            failures = [s for s in pair if isinstance(s, PolymodError)]
-            # psi's first failure in word order, as two psi calls would raise it
-            pairs.append(failures[0] if failures else tuple(pair))
+        pairs = designated_pairs(n, thetas)
         mapped = [k for k, pair in enumerate(pairs) if not isinstance(pair, PolymodError)]
         for k, report in zip(mapped, inversion_reports(n, [pairs[k] for k in mapped], tol)):
             inversions[k] = report
 
     rows = []
     for k, trial in enumerate(trials):
-        row = _Trial(thetas[k], words[k], models, k, pairs[k], inversions[k])
+        row = _Trial(thetas[k], models, k, pairs[k], inversions[k], planar[k])
         results = {}
         for suite in suites:
             result = results[suite] = {"trial": trial}

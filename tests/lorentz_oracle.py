@@ -16,8 +16,8 @@ from polymod.combinatorics import as_word
 from polymod.errors import NoIntersection, OutOfRange, RouteDisagreement, SignatureMismatch
 from polymod.lorentz import LorentzModel
 from polymod.moduli import ROUTE_TOL, scaled_residual
-from polymod.moduli import _hexahedron_shape, _pentagon_shape
-from polymod.planar import complete_triangle, line_intersection
+
+from planar_oracle import _hexahedron_shape, _pentagon_shape, complete_triangle, line_intersection
 
 
 def _corner_scale(t_in, t_out):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from polymod.planar import edge_frame
+from planar_oracle import edge_frame
 
 
 def polygon_area(vertices):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polymod import cli, verify
+from polymod import cli, fiber, verify
 from polymod.combinatorics import sample_weight_rng
 from polymod.errors import RouteDisagreement
 
@@ -202,6 +202,23 @@ class TestInvert:
         assert code == 4
         assert doc["error"] == "InconsistentPair"
 
+    @pytest.mark.parametrize(
+        "shape1, message",
+        [
+            ("inf,1,1", "needs finite P, Q, R, got (inf, 1.0, 1.0)"),
+            ("1,1,inf", "needs finite P, Q, R, got (1.0, 1.0, inf)"),
+            ("1,-inf,1", "needs P, Q, R > 0, got (1.0, -inf, 1.0)"),
+        ],
+    )
+    def test_a_non_finite_hexahedron_parameter_exits_2(self, capsys, shape1, message):
+        """An infinite parameter is an input error, not a failed inversion."""
+        code, doc, _ = run_json(
+            capsys, "invert", "--n", "6", "--shape1", shape1, "--shape2", "1,1,1",
+        )
+        assert code == 2
+        assert doc["error"] == "OutOfRange"
+        assert doc["message"] == f"hexahedron shape {message}"
+
 
 # ===========================================================================
 # complex
@@ -284,7 +301,7 @@ class TestVerify:
     def test_forward_failure_is_a_failed_trial(self, capsys, monkeypatch):
         """A forward-map error in one roundtrip trial fails that trial only."""
         bad = sample_weight_rng(5, np.random.default_rng([7, 3]))
-        original = verify.forward_shapes
+        original = fiber.forward_shapes
 
         def forward_shapes(n, thetas, labels):
             shapes = original(n, thetas, labels)
@@ -293,7 +310,8 @@ class TestVerify:
                 for theta, shape in zip(thetas, shapes)
             ]
 
-        monkeypatch.setattr(verify, "forward_shapes", forward_shapes)
+        # the designated-pair forward of a chunk is one fiber.forward_shapes call
+        monkeypatch.setattr(fiber, "forward_shapes", forward_shapes)
         code, doc, err = run_json(
             capsys, "verify", "--suite", "roundtrip", "--n", "5",
             "--samples", "8", "--seed", "7", "--jobs", "1",

@@ -36,7 +36,8 @@ from polymod import (
 )
 from polymod.combinatorics import sample_weight_rng
 from polymod.fiber import DESIGNATED, SWAPPED5, SWAPPED6
-from polymod.moduli import planar_shape
+
+from planar_oracle import planar_shape
 
 IDENT5 = (1, 2, 3, 4, 5)
 IDENT6 = (1, 2, 3, 4, 5, 6)

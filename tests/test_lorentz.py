@@ -29,13 +29,10 @@ from polymod import (
     SignatureMismatch,
     axis_intercepts,
     build_model,
-    complete_triangle,
     dihedral_angle,
-    edge_frame,
     equal_weight,
     facet_zero_ray,
     klein_distance,
-    line_intersection,
     sample_weight,
     validate_weight,
 )
@@ -43,6 +40,7 @@ from polymod import WeightVector, build_models, forward_shapes, lorentz
 from polymod.combinatorics import sample_weight_rng
 
 import lorentz_oracle as oracle
+from planar_oracle import complete_triangle, edge_frame, line_intersection
 from shoelace import chain_vertices, polygon_area, tangential_lengths
 
 IDENT5 = (1, 2, 3, 4, 5)

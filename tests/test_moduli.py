@@ -23,14 +23,19 @@ from polymod import (
     triple_sums,
     validate_weight,
 )
-from polymod import planar
+from polymod import forward_shapes, lorentz, moduli, planar
 from polymod.combinatorics import sample_weight_rng
-from polymod.moduli import planar_shape
+from polymod.moduli import planar_shapes
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 IDENT5 = (1, 2, 3, 4, 5)
 IDENT6 = (1, 2, 3, 4, 5, 6)
+
+
+def planar_shape(theta, word):
+    """The planar route alone, on one row."""
+    return planar_shapes(planar.complete_triangles(planar.label_angles([theta], [word])[1]))[0]
 
 
 def coth(x):
@@ -65,19 +70,28 @@ class TestPlanarShape:
         assert astuple(psi(theta, word)) == astuple(planar_shape(theta, word))
 
     @pytest.mark.parametrize("n", [5, 6])
-    def test_psi_builds_one_edge_frame(self, n, monkeypatch):
-        """The planar route builds the frame; the Lorentz kernel computes its
-        stacked edge directions without another one."""
+    def test_forward_shapes_makes_one_planar_call(self, n, monkeypatch):
+        """The planar route and the Lorentz kernel read one stacked
+        completion-triangle call, and the planar route runs once, for every
+        row of the call."""
         calls = []
-        original = planar.edge_frame
 
-        def edge_frame(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(name, original):
+            def wrapper(stack):
+                calls.append((name, len(getattr(stack, "dirs", stack))))
+                return original(stack)
 
-        monkeypatch.setattr(planar, "edge_frame", edge_frame)
-        (psi5 if n == 5 else psi6)(sample_weight(n, 5))
-        assert len(calls) == 1
+            return wrapper
+
+        wrapped = counted("complete_triangles", planar.complete_triangles)
+        for module in (planar, lorentz):
+            monkeypatch.setattr(module, "complete_triangles", wrapped)
+        monkeypatch.setattr(moduli, "planar_shapes", counted("planar_shapes", moduli.planar_shapes))
+        rng = np.random.default_rng(n)
+        thetas = [sample_weight_rng(n, rng) for _ in range(10)]
+        words = [tuple(int(m) + 1 for m in rng.permutation(n)) for _ in thetas]
+        forward_shapes(n, thetas, words)
+        assert calls == [("complete_triangles", 10), ("planar_shapes", 10)]
 
     def test_wrong_n_raises(self):
         with pytest.raises(OutOfRange):

@@ -1,9 +1,11 @@
-"""Tests for edge frames, completion triangles, feet, and the shoelace oracle.
+"""Tests for edge directions, completion triangles, feet, and the oracles.
 
 The feet are checked against independent closed-form sine-ratio oracles
 derived from similar triangles; these formulas never appear in the package.
-The shoelace helpers in ``shoelace`` are the area-form oracle of
-``test_lorentz``; their own checks live here.
+The stacked triangles are checked against the scalar route in
+``planar_oracle``, bit for bit.  The shoelace helpers in ``shoelace`` are
+the area-form oracle of ``test_lorentz``; their own checks, and those of
+the scalar line intersection, live here.
 """
 
 import cmath
@@ -12,18 +14,25 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymod import (
     NoIntersection,
+    PolymodError,
+    TriangleCompletion,
+    WeightVector,
     complete_triangle,
-    edge_frame,
     equal_weight,
-    line_intersection,
     pentagon_feet,
     sample_weight,
-    validate_weight,
 )
+from polymod.moduli import planar_shapes
+from polymod import planar
 
+import planar_oracle as oracle
+from lorentz_oracle import boundary_weights
+from planar_oracle import edge_frame, line_intersection
 from shoelace import chain_vertices, polygon_area, tangential_lengths
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -58,33 +67,38 @@ def random_word(rng, n):
     return tuple(int(m) + 1 for m in rng.permutation(n))
 
 
+def edge_dirs(theta, word):
+    """The triangle's unit edge directions, base edge rotated to +1."""
+    return complete_triangle(theta, word).dirs
+
+
 # ===========================================================================
-# edge frames
+# edge directions
 # ===========================================================================
 
 class TestEdgeFrame:
     def test_base_edge_is_one(self):
-        frame = edge_frame(equal_weight(5), IDENT5)
-        assert frame.dirs[1] == pytest.approx(1.0)
+        dirs = edge_dirs(equal_weight(5), IDENT5)
+        assert dirs[1] == pytest.approx(1.0)
 
     def test_unit_modulus(self):
-        frame = edge_frame(sample_weight(6, 3), (2, 1, 4, 3, 5, 6))
-        npt.assert_allclose(np.abs(frame.dirs), 1.0, atol=1e-15)
+        dirs = edge_dirs(sample_weight(6, 3), (2, 1, 4, 3, 5, 6))
+        npt.assert_allclose(np.abs(dirs), 1.0, atol=1e-15)
 
     def test_turning_angles_recover_theta(self):
         """arg(d_j / d_{j-1}) is the angle at mark i_j."""
         theta = sample_weight(5, 11)
         word = (3, 1, 5, 2, 4)
-        frame = edge_frame(theta, word)
+        dirs = edge_dirs(theta, word)
         for j in range(1, 5):
-            turn = cmath.phase(frame.dirs[j] / frame.dirs[j - 1])
+            turn = cmath.phase(dirs[j] / dirs[j - 1])
             assert turn == pytest.approx(theta[word[j] - 1], abs=1e-12)
 
     def test_equal_weight_dirs_are_roots_of_unity(self):
-        frame = edge_frame(equal_weight(5), IDENT5)
+        dirs = edge_dirs(equal_weight(5), IDENT5)
         for j in range(5):
             expected = cmath.exp(2j * math.pi * (j - 1) / 5)
-            assert frame.dirs[j] == pytest.approx(expected, abs=1e-14)
+            assert dirs[j] == pytest.approx(expected, abs=1e-14)
 
 
 class TestTangentialPolygon:
@@ -160,13 +174,14 @@ class TestCompletionTriangle:
         assert math.fsum(tri.ext_angles) == pytest.approx(2.0 * math.pi, abs=1e-12)
 
     def test_keeps_the_edge_frame_it_was_built_from(self):
+        """The triangle keeps its word and the scalar edge frame's directions."""
         rng = np.random.default_rng(7)
         for n in (5, 6):
             for _ in range(10):
                 theta, word = sample_weight(n, int(rng.integers(1000))), random_word(rng, n)
                 tri = complete_triangle(theta, word)
-                assert np.array_equal(tri.frame.dirs, edge_frame(theta, word).dirs)
-                assert tri.frame.word == word
+                assert np.array_equal(tri.dirs, edge_frame(theta, word).dirs)
+                assert tri.word == word
 
     def test_apex_matches_law_of_sines(self):
         """|c - a| = sin(beta)/sin(gamma) with the corner angles pi - ext."""
@@ -229,3 +244,101 @@ class TestHexahedronFeet:
         for seed in range(30):
             feet = complete_triangle(sample_weight(6, seed), IDENT6).feet
             assert min(feet) > 0.0
+
+
+# ===========================================================================
+# the stacked triangles against the scalar oracle
+# ===========================================================================
+
+def settled(value):
+    """A comparable form of a shape, a triangle, feet or a failure."""
+    if isinstance(value, PolymodError):
+        return type(value).__name__, str(value)
+    if isinstance(value, (TriangleCompletion, oracle.TriangleCompletion)):
+        dirs = value.dirs if isinstance(value, TriangleCompletion) else value.frame.dirs
+        return "ok", value.c, value.ext_angles, value.feet, dirs.tobytes()
+    return "ok", getattr(value, "params", value)
+
+
+def outcome(fn, *args):
+    try:
+        return settled(fn(*args))
+    except PolymodError as exc:
+        return settled(exc)
+
+
+def triangles(thetas, words):
+    """One stacked completion-triangle call for the rows."""
+    return planar.complete_triangles(planar.label_angles(thetas, words)[1])
+
+
+def assert_rows_match_oracle(thetas, words):
+    """Every row of one stacked call, and each row alone through the
+    one-row entry points, equals the scalar route bit for bit: the same
+    shape, triangle, feet and directions, or the same failure class and
+    message."""
+    n = thetas[0].n
+    tri = triangles(thetas, words)
+    shapes = planar_shapes(tri)
+    for i, (theta, word) in enumerate(zip(thetas, words)):
+        want = outcome(oracle.planar_shape, theta, word)
+        assert settled(shapes[i]) == want
+        assert tri.dirs[i].tobytes() == edge_frame(theta, word).dirs.tobytes()
+        want_tri = outcome(oracle.complete_triangle, theta, word)
+        assert outcome(complete_triangle, theta, word) == want_tri
+        if want_tri[0] == "ok":
+            assert tri.apex[i] == want_tri[1]
+        if n == 5:
+            assert outcome(pentagon_feet, theta, word) == outcome(oracle.pentagon_feet, theta, word)
+
+
+class TestStackedTriangles:
+    @given(
+        n=st.sampled_from((5, 6)),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_the_scalar_oracle(self, n, seed, rows):
+        """Generic and near-boundary rows, each with its own random word."""
+        rng = np.random.default_rng(seed)
+        thetas = boundary_weights(n, rng, rows)
+        assert_rows_match_oracle(thetas, [random_word(rng, n) for _ in thetas])
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_a_mixed_stack_fails_each_row_alone(self, n):
+        """One stack holds a row failing each planar gate between intact
+        rows; every row, failing or not, comes out as it does alone."""
+        rest = 2.0 * math.pi - 4.0
+        gated = [  # hand-built: they bypass validate_weight
+            ("DegenerateTriangle", "exterior angle at a is 3.", (
+                1.0354648741007701, 2.351391088977806, -0.0675211618410988,
+                2.3459483414117317, 0.6179021645303777,
+            ) if n == 5 else (
+                2.2, 1.2, 0.9, 0.7, 0.8, 2.0 * math.pi - 5.8,
+            )),
+            ("DegenerateTriangle", "at a is nan", (math.nan,) + (1.0,) * (n - 1)),
+            # a zero angle at mark i2 turns edge 1 parallel to the base
+            ("NoIntersection", "lines are parallel", (
+                (1.2, 0.0, 1.5, 1.3, rest) if n == 5 else (1.2, 0.0, 1.5, 1.3, 0.5, rest - 0.5)
+            )),
+            ("FootOutsideBase", "violate 0 < f1 < f2 < 1", (
+                2.251893114372708, -0.3812213700073914, 1.085767789780065,
+                0.8780076486562112, 2.4487381243779933,
+            )) if n == 5 else
+            ("NegativeRatio", "squared parameter R^2 = -", (
+                2.4749052299874, 0.5060669710714691, 2.1049419263738574,
+                0.9015162472950182, 1.5794358216332216, -1.2836808891813796,
+            )),
+        ]
+        good = [sample_weight(n, seed) for seed in range(len(gated) + 1)]
+        thetas = [good[0]]
+        for k, (_, _, angles) in enumerate(gated):
+            thetas += [WeightVector(n, angles), good[k + 1]]
+        words = [tuple(range(1, n + 1))] * len(thetas)
+        assert_rows_match_oracle(thetas, words)
+        shapes = planar_shapes(triangles(thetas, words))
+        for k, (cls, fragment, _) in enumerate(gated):
+            bad = shapes[2 * k + 1]
+            assert type(bad).__name__ == cls and fragment in str(bad)
+        assert not any(isinstance(shapes[i], PolymodError) for i in range(0, len(thetas), 2))

@@ -126,16 +126,16 @@ def _plant_model_failure(bad):
     return build_models
 
 
-def _plant_planar_failure(bad):
-    """A ``verify.planar_shape`` that raises for ``bad``."""
-    original = verify.planar_shape
+def _plant_planar_failure(row):
+    """A ``verify.planar_shapes`` whose ``row`` fails."""
+    original = verify.planar_shapes
 
-    def planar_shape(theta, word):
-        if theta == bad:
-            raise SignatureMismatch("planted")
-        return original(theta, word)
+    def planar_shapes(triangles):
+        shapes = original(triangles)
+        shapes[row] = SignatureMismatch("planted")
+        return shapes
 
-    return planar_shape
+    return planar_shapes
 
 
 @pytest.mark.parametrize(
@@ -146,8 +146,8 @@ def test_a_raising_trial_is_the_only_failure(monkeypatch, suite, target):
     bad = sample_weight_rng(6, np.random.default_rng([7, 3]))
     if target == "build_model":  # the trial models are rows of one kernel call
         monkeypatch.setattr(verify, "build_models", _plant_model_failure(bad))
-    else:
-        monkeypatch.setattr(verify, target, _plant_planar_failure(bad))
+    else:  # the crossroute planar shapes are rows of one planar call; trial 3 is row 3
+        monkeypatch.setattr(verify, "planar_shapes", _plant_planar_failure(3))
     report = run_suite(suite, 6, 8, 7, jobs=1)
     # Under ``all`` the three suites that share the trial's model each fail it.
     reports = report["reports"] if suite == "all" else {suite: report}
