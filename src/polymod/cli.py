@@ -12,8 +12,9 @@ error (usage errors included), 3 the recovery circles do not intersect,
 
 ``verify`` takes ``--tol``, ``--samples``, ``--seed`` and ``--jobs``;
 ``invert`` takes ``--tol``.  Only these two read the JSON file named by the
-environment variable POLYMOD_CONFIG, which may set defaults for ``tol``,
-``samples``, ``seed`` and ``jobs``; explicit flags override it.
+environment variable POLYMOD_CONFIG, which may set defaults for ``tol`` (a
+JSON number), ``samples``, ``seed`` and ``jobs`` (JSON integers); explicit
+flags override it.
 """
 
 from __future__ import annotations
@@ -34,18 +35,11 @@ from .complexes import (
     singular_edges,
 )
 from .errors import OutOfRange, PolymodError
-from .fiber import DESIGNATED, inversion_report
-from .jsonio import csv_row, dumps_canonical, parse_label, parse_shape, parse_theta
-from .moduli import (
-    HexahedronShape,
-    PentagonShape,
-    classify_hexahedron,
-    forward_shapes,
-    pentagon_side_lengths,
-    psi5,
-    psi6,
-)
-from .verify import SUITES, run_suite
+from .jsonio import SUITES, csv_row, dumps_canonical, parse_label, parse_shape, parse_theta
+
+# The numeric layers (moduli, fiber, verify) and numpy load inside the
+# commands that call them, after their input is validated, so ``complex``
+# reports and rejected input never load them.
 
 _CONFIG_ENV = "POLYMOD_CONFIG"
 
@@ -73,7 +67,8 @@ class RunConfig:
             raise OutOfRange(f"seed must be non-negative, got {self.seed!r}")
 
 
-_CONFIG_TYPES = {"tol": float, "samples": int, "seed": int, "jobs": int}
+#: The JSON value types each config key accepts; a bool is neither.
+_CONFIG_TYPES = {"tol": (int, float), "samples": (int,), "seed": (int,), "jobs": (int,)}
 
 
 def load_config(environ=None) -> RunConfig:
@@ -96,10 +91,15 @@ def load_config(environ=None) -> RunConfig:
                 f"unknown config key {key!r}; known keys: "
                 f"{', '.join(sorted(_CONFIG_TYPES))}"
             )
-        try:
-            fields[key] = _CONFIG_TYPES[key](value)
-        except (TypeError, ValueError) as exc:
-            raise OutOfRange(f"bad config value for {key!r}: {value!r}") from exc
+        if type(value) not in _CONFIG_TYPES[key]:
+            kind = "number" if key == "tol" else "integer"
+            raise OutOfRange(f"config value for {key!r} must be a JSON {kind}, got {value!r}")
+        if key == "tol":
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
+        fields[key] = value
     return RunConfig(**fields)
 
 
@@ -126,7 +126,7 @@ def _parse_weight(spec: str, n: int):
 
 def _parse_word(spec: str | None, n: int) -> tuple[int, ...]:
     if spec is None:
-        return DESIGNATED[n][0]  # the identity word
+        return tuple(range(1, n + 1))  # the identity word
     word = as_word(parse_label(spec))
     if len(word) != n:
         raise OutOfRange(f"--label has {len(word)} marks but --n is {n}")
@@ -140,6 +140,8 @@ def _parse_word(spec: str | None, n: int) -> tuple[int, ...]:
 def cmd_forward(args: argparse.Namespace) -> int:
     theta = _parse_weight(args.theta, args.n)
     word = _parse_word(args.label, args.n)
+    from .moduli import classify_hexahedron, pentagon_side_lengths, psi5, psi6
+
     doc = {
         "schema": "polymod-forward/1",
         "version": 1,
@@ -163,6 +165,9 @@ def cmd_forward(args: argparse.Namespace) -> int:
 
 def cmd_invert(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    from .fiber import inversion_report
+    from .moduli import HexahedronShape, PentagonShape
+
     shape_cls = PentagonShape if args.n == 5 else HexahedronShape
     s1 = shape_cls(*parse_shape(args.shape1, args.n))
     s2 = shape_cls(*parse_shape(args.shape2, args.n))
@@ -214,6 +219,8 @@ def cmd_complex(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    from .verify import run_suite
+
     report = run_suite(
         args.suite, args.n, config.samples, config.seed, config.tol, config.jobs
     )
@@ -223,6 +230,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     word = _parse_word(args.label, args.n)
+    from .moduli import classify_hexahedron, forward_shapes
+
     try:
         with open(args.input, encoding="utf-8") as fh:
             lines = fh.read().splitlines()

@@ -28,9 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     NonPositive,
@@ -41,8 +39,16 @@ from .errors import (
     SumMismatch,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Absolute tolerance on |sum(theta) - 2*pi| accepted by validate_weight.
 TOL_SUM = 1e-12
+
+#: Width of the band around an ideal value: a facet-pair cosine or a shape
+#: parameter within it of 1, a triple sum within it of pi, or every angle
+#: within it of 2*pi/n (equal weight) counts as that value.
+TOL_IDEAL = 1e-9
 
 #: Maximum number of rejection-sampling attempts before giving up.
 REJECTION_BUDGET = 10**6
@@ -150,6 +156,8 @@ def equal_weight(n: int) -> WeightVector:
 
 def sample_weight(n: int, seed: int) -> WeightVector:
     """Deterministic pseudo-random weight vector for (n, seed)."""
+    import numpy as np
+
     return sample_weight_rng(n, np.random.default_rng(seed))
 
 
@@ -167,6 +175,8 @@ def sample_weight_rng(n: int, rng: np.random.Generator) -> WeightVector:
     drawn again, so the stream ends where one draw per attempt would leave
     it and later draws from ``rng`` do not depend on the block size.
     """
+    import numpy as np
+
     if n < 4:
         raise OutOfRange(f"need n >= 4, got {n}")
     attempts = 0

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .combinatorics import (
+    TOL_IDEAL,
     DegenerateConfig,
     Label,
     WeightVector,
@@ -34,7 +35,6 @@ from .combinatorics import (
     vertex_config,
 )
 from .errors import NotEqualWeight, OutOfRange, PairingFailure
-from .lorentz import TOL_IDEAL, build_models, dihedral_angle
 
 
 class _UnionFind:
@@ -290,6 +290,8 @@ def singular_edges(complex_: GluedComplex) -> dict:
     sums within TOL_IDEAL of pi are tangencies and create no edge.  Each
     class reports its total cone angle (sum of member dihedral angles).
     """
+    from .lorentz import build_models, dihedral_angle  # numpy loads for this report only
+
     if complex_.n != 6:
         raise OutOfRange("singular edges are computed for n=6 complexes")
 

@@ -5,7 +5,12 @@ float at 17 significant digits, so equal data always produces identical
 bytes.  Angle tokens accept raw radians, expressions in ``pi`` such as
 ``2pi/5`` or ``2/5*2pi``, and a repetition prefix ``5x2pi/5``; the unicode
 spellings ``×`` and ``π`` are accepted as synonyms.  A repetition count is
-at most ``MAX_REPEAT``.
+at most ``MAX_REPEAT``.  ``SUITES`` names the accepted ``--suite`` tokens,
+so the command line can check them without loading the verification engine.
+
+numpy scalars and arrays serialize as they always have, but this module
+never imports numpy: until numpy is loaded no value can be of its types,
+so the type checks read numpy from ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -13,9 +18,8 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from typing import Sequence
-
-import numpy as np
 
 from .errors import OutOfRange
 
@@ -32,10 +36,21 @@ _REPEAT = re.compile(r"^(\d+)x(.+)$")
 #: Largest ``Nx`` repetition count; no function here uses more than 8 marks.
 MAX_REPEAT = 8
 
+#: The suites of ``verify --suite`` and ``verify.run_suite``.
+SUITES = ("roundtrip", "orthogonality", "signature", "crossroute", "complex", "all")
+
+
+def _numpy_types() -> tuple:
+    """numpy's (integer, floating, ndarray), or empty tuples, which match
+    nothing, while numpy is not loaded."""
+    np = sys.modules.get("numpy")
+    return ((), (), ()) if np is None else (np.integer, np.floating, np.ndarray)
+
 
 def format_float(x: float) -> str:
     """A float at 17 significant digits (shortest '%.17g' form)."""
-    if isinstance(x, (np.floating, np.integer)):
+    np_integer, np_floating, _ = _numpy_types()
+    if isinstance(x, (np_floating, np_integer)):
         x = x.item()
     if not math.isfinite(x):
         raise OutOfRange(f"cannot serialize non-finite float {x!r}")
@@ -50,15 +65,16 @@ def dumps_canonical(obj) -> str:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, (np.integer,)):
+    np_integer, np_floating, np_ndarray = _numpy_types()
+    if isinstance(obj, np_integer):
         return str(int(obj))
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, (float, np_floating)):
         return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple, np_ndarray)):
         items = list(obj)
         return "[" + ",".join(dumps_canonical(v) for v in items) + "]"
     if isinstance(obj, dict):
@@ -156,9 +172,10 @@ def parse_shape(spec: str, n: int) -> tuple[float, ...]:
 
 def csv_row(values: Sequence) -> str:
     """One CSV row: comma separation, floats at 17 significant digits."""
+    floats = (float, _numpy_types()[1])
     cells = []
     for v in values:
-        if isinstance(v, (float, np.floating)):
+        if isinstance(v, floats):
             cells.append(format_float(v))
         else:
             cells.append(str(v))

@@ -47,19 +47,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import WeightVector
+from .combinatorics import TOL_IDEAL, WeightVector
 from .errors import (
     FacetsDisjoint,
     NegativeRatio,
     NoIntersection,
     OutOfRange,
-    PolymodError,
     SignatureMismatch,
 )
-from .planar import Triangles, complete_triangles, label_angles
-
-#: A facet-pair cosine within this band of 1 counts as tangency.
-TOL_IDEAL = 1e-9
+from .planar import Triangles, complete_triangles, fail_parallel, label_angles, parallel_lines
 
 
 @dataclass(frozen=True)
@@ -119,14 +115,6 @@ def _corner_scales(t: list[float], n: int) -> list[float]:
             raise NegativeRatio(f"squared edge {k + 1} corner scale = {radicand:.17g} < 0")
         scales.append(math.sqrt(radicand))
     return scales
-
-
-def _parallel_base_lines(base: complex, *others: complex) -> PolymodError | None:
-    """The base-width lines' failure: a line parallel to the base line."""
-    for u in others:
-        if abs((u.conjugate() * base).imag) <= 1e-15 * abs(u) * abs(base):
-            return NoIntersection("lines are parallel or a direction vanishes")
-    return None
 
 
 def _base_widths(basis: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -211,11 +199,11 @@ def _model_arrays(tri: Triangles) -> dict:
 
     facet_mat = basis.transpose(0, 2, 1).copy()
 
+    # the base line runs along edge 2 and meets the lines along edges n and 4
+    base, side_n, side_4 = ((dirs[:, k].real, dirs[:, k].imag) for k in (1, n - 1, 3))
+    fail_parallel(errors, parallel_lines(side_n, base) | parallel_lines(side_4, base))
     corner = np.ones((rows, n // 2))
-    # the base line runs along edge 2, its neighbours along edges n and 4
-    for i, d in enumerate(dirs[:, [1, n - 1, 3]].tolist()):
-        if errors[i] is None:
-            errors[i] = _parallel_base_lines(*d)
+    for i in range(rows):
         if errors[i] is None:
             try:
                 corner[i] = _corner_scales(angles[i].tolist(), n)

@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .combinatorics import WeightVector, as_word
+from .combinatorics import TOL_IDEAL, WeightVector, as_word
 from .errors import NegativeRatio, OutOfRange, PolymodError, RouteDisagreement
-from .lorentz import TOL_IDEAL, build_models
+from .lorentz import build_models
 from .planar import Triangles
 
 #: Allowed relative disagreement between the planar and Lorentzian routes.

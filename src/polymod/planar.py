@@ -56,17 +56,29 @@ def label_angles(
     return tuple(checked), angles
 
 
+def _im_conj(x: tuple, y: tuple) -> np.ndarray:
+    """Im(conj(x) y) per row of (re, im) pairs of float arrays, spelled out
+    as Python's complex product computes it; numpy's array complex product
+    may differ in the last bit."""
+    return x[0] * y[1] + (-x[1]) * y[0]
+
+
+def parallel_lines(u: tuple, v: tuple) -> np.ndarray:
+    """Per row, whether lines along u and v are parallel or a direction
+    vanishes: |Im(conj(u) v)| <= 1e-15 |u| |v|.  Vectors are (re, im) pairs."""
+    return np.abs(_im_conj(u, v)) <= 1e-15 * np.hypot(*u) * np.hypot(*v)
+
+
+def fail_parallel(errors: list, parallel: np.ndarray) -> None:
+    """Record NoIntersection for each parallel row that had not failed."""
+    for i in np.flatnonzero(parallel).tolist():
+        errors[i] = errors[i] or NoIntersection("lines are parallel or a direction vanishes")
+
+
 def _side_ratio(u: tuple, v: tuple, r: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Where the line p + t*u meets the side p + r + s*v, per row: s, and
-    whether the two are parallel (or a direction vanishes).  Vectors are
-    (re, im) pairs of floats; Im(conj(x) y) is spelled out on them, which
-    gives Python's complex bits where numpy's array complex product may not."""
-    def im_conj(x: tuple, y: tuple) -> np.ndarray:
-        return x[0] * y[1] + (-x[1]) * y[0]
-
-    cross = im_conj(u, v)
-    parallel = np.abs(cross) <= 1e-15 * np.hypot(*u) * np.hypot(*v)
-    return im_conj(r, u) / cross, parallel
+    whether the two are parallel (:func:`parallel_lines`)."""
+    return _im_conj(r, u) / _im_conj(u, v), parallel_lines(u, v)
 
 
 @dataclass(frozen=True)
@@ -109,8 +121,7 @@ class Triangles:
         ratios, parallel = zip(*(_side_ratio(*line) for line in lines))
         feet = np.stack(ratios, axis=1)
         errors = list(self.errors)
-        for i in np.flatnonzero(np.any(parallel, axis=0)).tolist():
-            errors[i] = errors[i] or NoIntersection("lines are parallel or a direction vanishes")
+        fail_parallel(errors, np.any(parallel, axis=0))
         if self.n == 5:
             f1, f2 = feet.T
             for i in np.flatnonzero(~((0.0 < f1) & (f1 < f2) & (f2 < 1.0))).tolist():

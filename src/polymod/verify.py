@@ -36,10 +36,9 @@ from .combinatorics import WeightVector, sample_weight_rng
 from .complexes import build_complex, cusp_classes, euler_characteristic
 from .errors import OutOfRange, PolymodError
 from .fiber import designated_pairs, inversion_reports
+from .jsonio import SUITES
 from .lorentz import LorentzModel, ModelStack, build_models, dihedral_angle
 from .moduli import planar_shapes
-
-SUITES = ("roundtrip", "orthogonality", "signature", "crossroute", "complex", "all")
 
 #: facet pairs that meet at right angles for every weight vector and label
 ORTHOGONAL_PAIRS = {

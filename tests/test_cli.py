@@ -553,8 +553,8 @@ class TestConfig:
         def no_work(*args, **kwargs):
             raise AssertionError("ran with an infinite tol")
 
-        monkeypatch.setattr(cli, "run_suite", no_work)
-        monkeypatch.setattr(cli, "inversion_report", no_work)
+        monkeypatch.setattr(verify, "run_suite", no_work)
+        monkeypatch.setattr(fiber, "inversion_report", no_work)
         if source == "flag":
             argv = [*argv, "--tol", "inf"]
         else:
@@ -564,6 +564,62 @@ class TestConfig:
         code, doc, err = run_json(capsys, *argv)
         assert code == 2
         assert doc["error"] == "OutOfRange"
+        assert doc["message"] == "tol must be positive and finite, got inf"
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "roundtrip", "--n", "5", "--samples", "2"],
+            ["invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1"],
+        ],
+        ids=["verify", "invert"],
+    )
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("samples", 2.9, "integer"),
+            ("samples", 3.0, "integer"),
+            ("seed", True, "integer"),
+            ("seed", "4", "integer"),
+            ("jobs", 1.5, "integer"),
+            ("jobs", None, "integer"),
+            ("tol", True, "number"),
+            ("tol", "1e-9", "number"),
+            ("tol", [1e-9], "number"),
+        ],
+    )
+    def test_a_config_value_of_the_wrong_json_type_exits_2(
+        self, capsys, tmp_path, monkeypatch, argv, key, value, kind
+    ):
+        """The file takes what the flags take: no bool, float or string
+        where an integer is due, and no bool or string for ``tol``."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
+        code, doc, err = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["error"] == "OutOfRange"
+        assert doc["message"] == f"config value for {key!r} must be a JSON {kind}, got {value!r}"
+        assert err == ""
+
+    @pytest.mark.parametrize("text", ['{"tol": 1}', '{"tol": 1e-9}', '{"tol": 1.0, "seed": 0}'])
+    def test_tol_takes_any_json_number(self, capsys, tmp_path, monkeypatch, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
+        code, doc, _ = run_json(
+            capsys, "invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1"
+        )
+        assert code == 0
+        assert doc["schema"] == "polymod-invert/1"
+
+    def test_an_integer_tol_beyond_the_float_range_exits_2(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tol": 1' + "0" * 400 + "}", encoding="utf-8")
+        monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
+        code, doc, err = run_json(capsys, "verify", "--suite", "roundtrip", "--n", "5")
+        assert code == 2
         assert doc["message"] == "tol must be positive and finite, got inf"
         assert err == ""
 
