@@ -34,7 +34,7 @@ from .complexes import (
     pairing_row,
     singular_edges,
 )
-from .errors import OutOfRange, PolymodError
+from .errors import OutOfRange, PolymodError, check_settings, map_ok
 from .jsonio import SUITES, csv_row, dumps_canonical, parse_label, parse_shape, parse_theta
 
 # The numeric layers (moduli, fiber, verify) and numpy load inside the
@@ -57,14 +57,7 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise OutOfRange(f"tol must be positive and finite, got {self.tol!r}")
-        if self.samples < 1:
-            raise OutOfRange(f"samples must be >= 1, got {self.samples!r}")
-        if self.jobs < 1:
-            raise OutOfRange(f"jobs must be >= 1, got {self.jobs!r}")
-        if self.seed < 0:
-            raise OutOfRange(f"seed must be non-negative, got {self.seed!r}")
+        check_settings(self.tol, self.samples, self.seed, self.jobs)
 
 
 #: The JSON value types each config key accepts; a bool is neither.
@@ -235,7 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise OutOfRange(f"cannot read input file {args.input!r}: {exc}") from exc
 
     if args.n == 5:
@@ -260,10 +253,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 thetas.append(_parse_weight(text, args.n))
             except PolymodError as exc:
                 thetas.append(exc)
-        valid = [theta for theta in thetas if not isinstance(theta, PolymodError)]
-        shapes = iter(forward_shapes(args.n, valid, [word] * len(valid)))
-        for (row_number, _), theta in zip(chunk, thetas):
-            shape = theta if isinstance(theta, PolymodError) else next(shapes)
+        shapes = map_ok(lambda ok: forward_shapes(args.n, ok, [word] * len(ok)), thetas)
+        for (row_number, _), theta, shape in zip(chunk, thetas, shapes):
             if isinstance(shape, PolymodError):
                 sys.stderr.write(f"row {row_number}: {type(shape).__name__}: {shape}\n")
                 continue

@@ -5,9 +5,20 @@ used by the command-line layer: 2 for input/validation problems (the default),
 3 when the two recovery circles fail to intersect, 4 when a shape pair cannot
 be reproduced by any common weight vector, and 5 when an operation requires
 the equal-weight vector and did not get it.
+
+Stacked calls carry their rows' failures by one protocol: a row holds its
+value or its first ``PolymodError``, and a per-row error list holds None
+or that error.  :func:`unwrap` raises a recorded failure and returns
+anything else, :func:`map_ok` runs a stacked function once on the rows
+that hold values, and :func:`first_failures` records a gate's failure on
+the rows that have not failed yet.  :func:`check_settings` is the one
+domain rule for the run settings ``tol``, ``samples``, ``seed`` and ``jobs``.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Callable, Sequence
 
 
 class PolymodError(Exception):
@@ -115,3 +126,41 @@ class NotEqualWeight(PolymodError):
 
 class RejectionBudgetExceeded(PolymodError):
     """Rejection sampling failed to produce a valid weight vector in budget."""
+
+
+# --- the row protocol ----------------------------------------------------------------
+
+def unwrap(row):
+    """The row's value, or its recorded failure raised (None passes through)."""
+    if isinstance(row, PolymodError):
+        raise row
+    return row
+
+
+def map_ok(fn: Callable[[list], list], rows: Sequence) -> list:
+    """``fn`` over the rows that hold values, called once (on an empty list
+    when every row failed); each failed row keeps its place and its error."""
+    values = iter(fn([row for row in rows if not isinstance(row, PolymodError)]))
+    return [row if isinstance(row, PolymodError) else next(values) for row in rows]
+
+
+def first_failures(errors: list, mask, make: Callable[[int], PolymodError]) -> None:
+    """Record ``make(i)`` for each row of the 1-D boolean array ``mask``
+    whose entry of ``errors`` is still None; an earlier failure stays."""
+    for i in mask.nonzero()[0].tolist():
+        if errors[i] is None:
+            errors[i] = make(i)
+
+
+def check_settings(tol: float, samples: int = 1, seed: int = 0, jobs: int = 1) -> None:
+    """Reject a run setting outside its domain with OutOfRange: a tolerance
+    that is not positive and finite (NaN included), fewer than one sample
+    or job, or a negative seed."""
+    if not 0.0 < tol < math.inf:
+        raise OutOfRange(f"tol must be positive and finite, got {tol!r}")
+    if samples < 1:
+        raise OutOfRange(f"samples must be >= 1, got {samples!r}")
+    if jobs < 1:
+        raise OutOfRange(f"jobs must be >= 1, got {jobs!r}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be non-negative, got {seed!r}")

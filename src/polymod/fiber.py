@@ -45,6 +45,9 @@ from .errors import (
     PolymodError,
     SlideCollision,
     SumMismatch,
+    check_settings,
+    map_ok,
+    unwrap,
 )
 from .moduli import (
     IDENTITY5,
@@ -264,10 +267,7 @@ def inversion_report(n: int, s1, s2, tol: float = INVERT_TOL) -> dict:
     Shared engine of invert5/invert6, and the one-pair case of
     :func:`inversion_reports`; the CLI uses the extra fields.
     """
-    report = inversion_reports(n, [(s1, s2)], tol)[0]
-    if isinstance(report, PolymodError):
-        raise report
-    return report
+    return unwrap(inversion_reports(n, [(s1, s2)], tol)[0])
 
 
 def inversion_reports(
@@ -281,7 +281,9 @@ def inversion_reports(
     weight vector is mapped forward on both words of ``DESIGNATED[n]``
     (:func:`designated_pairs`, one call for every pair that reaches the
     verification) and every parameter is compared with the input pair.
+    A tolerance that is not positive and finite raises OutOfRange.
     """
+    check_settings(tol)
     if n == 5:
         recover_w, fiber_theta = recover_w5, fiber_theta5
     elif n == 6:
@@ -302,8 +304,8 @@ def inversion_reports(
             out.append(exc)
             continue
         out.append({"theta": theta, "w": w})
-    solved = [i for i, report in enumerate(out) if isinstance(report, dict)]
-    for i, shapes in zip(solved, designated_pairs(n, [out[i]["theta"] for i in solved])):
+    forward = map_ok(lambda ok: designated_pairs(n, [report["theta"] for report in ok]), out)
+    for i, shapes in enumerate(forward):
         if isinstance(shapes, PolymodError):
             out[i] = shapes
             continue

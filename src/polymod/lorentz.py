@@ -54,6 +54,8 @@ from .errors import (
     NoIntersection,
     OutOfRange,
     SignatureMismatch,
+    first_failures,
+    unwrap,
 )
 from .planar import Triangles, complete_triangles, fail_parallel, label_angles, parallel_lines
 
@@ -142,13 +144,6 @@ def _at_least_one(x: np.ndarray) -> np.ndarray:
     return np.where(x > 1.0, x, 1.0)
 
 
-def _first_failures(errors: list, failed: np.ndarray, make) -> None:
-    """Record ``make(i)`` for each row that fails now and had not failed."""
-    for i in np.flatnonzero(failed).tolist():
-        if errors[i] is None:
-            errors[i] = make(i)
-
-
 @np.errstate(all="ignore")  # failed rows may divide by zero; their values go unread
 def _model_arrays(tri: Triangles) -> dict:
     """The stacked body of :func:`build_models`.
@@ -189,7 +184,7 @@ def _model_arrays(tri: Triangles) -> dict:
     failed = np.array([e is not None for e in errors])
     eigs = np.linalg.eigvalsh(np.where(failed[:, None, None], np.eye(dim), gram))
     tol = (1e-12 * _at_least_one(np.abs(eigs).max(axis=1)))[:, None]
-    _first_failures(
+    first_failures(
         errors,
         ((eigs > tol).sum(axis=1) != 1) | ((eigs < -tol).sum(axis=1) != dim - 1),
         lambda i: SignatureMismatch(
@@ -232,7 +227,7 @@ def _model_arrays(tri: Triangles) -> dict:
     scale = _at_least_one(np.abs(gram).max(axis=(1, 2)))
     col = (coord_mat**2).sum(axis=1).max(axis=1)
     scale = np.where(col > scale, col, scale)
-    _first_failures(
+    first_failures(
         errors,
         ~(np.abs(recon - gram).max(axis=(1, 2)) <= 1e-9 * scale),
         lambda i: SignatureMismatch(
@@ -268,14 +263,17 @@ def _zero_rays(
     if sv.shape[2] >= dim - 1:
         dependent = sv[:, :, dim - 2] <= 1e-12 * _at_least_one(sv[:, :, 0])
     parallel = np.abs(x_val) <= 1e-12
-    for i in np.flatnonzero((dependent | parallel).any(axis=1) & ~failed).tolist():
+
+    def failure(i: int) -> NoIntersection:
         s = int(np.argmax(dependent[i] | parallel[i]))
         facets = tuple(specs[s])
-        errors[i] = NoIntersection(
+        return NoIntersection(
             f"facet planes {facets} are dependent"
             if dependent[i, s]
             else f"intersection of facets {facets} is parallel to the slice x = 1"
         )
+
+    first_failures(errors, (dependent | parallel).any(axis=1), failure)
     return ray / x_val[..., None]
 
 
@@ -329,8 +327,7 @@ class ModelStack:
 
     def model(self, i: int) -> LorentzModel:
         """Row i's model, or its recorded build failure raised."""
-        if self.model_errors[i] is not None:
-            raise self.model_errors[i]
+        unwrap(self.model_errors[i])
         return LorentzModel(
             word=self.words[i],
             theta=self.thetas[i],
@@ -342,9 +339,7 @@ class ModelStack:
 
     def axis_intercepts(self, i: int) -> tuple[float, ...]:
         """Row i's intercepts, or the first failure of its model or of them."""
-        error = self.model_errors[i] or self.intercept_errors[i]
-        if error is not None:
-            raise error
+        unwrap(self.model_errors[i] or self.intercept_errors[i])
         return tuple(self._axis[0][i].tolist())
 
 
@@ -384,8 +379,7 @@ def facet_zero_ray(model: LorentzModel, facets: Sequence[int]) -> np.ndarray:
     """
     errors = [None]
     rays = _zero_rays(model.facet_mat[None], model.coord_mat[None, 0], [facets], errors)
-    if errors[0] is not None:
-        raise errors[0]
+    unwrap(errors[0])
     return rays[0, 0]
 
 
@@ -399,8 +393,7 @@ def axis_intercepts(model: LorentzModel) -> tuple[float, ...]:
     """
     errors = [None]
     values = _intercepts(model.facet_mat[None], model.coord_mat[None], errors)
-    if errors[0] is not None:
-        raise errors[0]
+    unwrap(errors[0])
     return tuple(values[0].tolist())
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .combinatorics import TOL_IDEAL, WeightVector, as_word
-from .errors import NegativeRatio, OutOfRange, PolymodError, RouteDisagreement
+from .errors import NegativeRatio, OutOfRange, PolymodError, RouteDisagreement, unwrap
 from .lorentz import build_models
 from .planar import Triangles
 
@@ -203,13 +203,6 @@ def forward_shapes(
     return out
 
 
-def _forward(n: int, theta: WeightVector, label: Sequence[int]):
-    shape = forward_shapes(n, [theta], [label])[0]
-    if isinstance(shape, PolymodError):
-        raise shape
-    return shape
-
-
 def psi5(theta: WeightVector, label: Sequence[int] = IDENTITY5) -> PentagonShape:
     """Forward map to the right-pentagon shape (P, Q).
 
@@ -217,12 +210,12 @@ def psi5(theta: WeightVector, label: Sequence[int] = IDENTITY5) -> PentagonShape
     intercepts agree with it to ROUTE_TOL (RouteDisagreement otherwise):
     the one-row case of :func:`forward_shapes`.
     """
-    return _forward(5, theta, label)
+    return unwrap(forward_shapes(5, [theta], [label])[0])
 
 
 def psi6(theta: WeightVector, label: Sequence[int] = IDENTITY6) -> HexahedronShape:
     """Forward map to the hexahedron shape (P, Q, R), checked like psi5."""
-    return _forward(6, theta, label)
+    return unwrap(forward_shapes(6, [theta], [label])[0])
 
 
 def classify_hexahedron(shape: HexahedronShape) -> dict:

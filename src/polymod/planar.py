@@ -31,7 +31,14 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import WeightVector, as_word
-from .errors import DegenerateTriangle, FootOutsideBase, NoIntersection, OutOfRange
+from .errors import (
+    DegenerateTriangle,
+    FootOutsideBase,
+    NoIntersection,
+    OutOfRange,
+    first_failures,
+    unwrap,
+)
 
 #: Corner angles of a completion triangle must stay this far inside (0, pi).
 EPS_ANGLE = 1e-12
@@ -71,8 +78,9 @@ def parallel_lines(u: tuple, v: tuple) -> np.ndarray:
 
 def fail_parallel(errors: list, parallel: np.ndarray) -> None:
     """Record NoIntersection for each parallel row that had not failed."""
-    for i in np.flatnonzero(parallel).tolist():
-        errors[i] = errors[i] or NoIntersection("lines are parallel or a direction vanishes")
+    first_failures(
+        errors, parallel, lambda i: NoIntersection("lines are parallel or a direction vanishes")
+    )
 
 
 def _side_ratio(u: tuple, v: tuple, r: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -124,10 +132,13 @@ class Triangles:
         fail_parallel(errors, np.any(parallel, axis=0))
         if self.n == 5:
             f1, f2 = feet.T
-            for i in np.flatnonzero(~((0.0 < f1) & (f1 < f2) & (f2 < 1.0))).tolist():
-                errors[i] = errors[i] or FootOutsideBase(
+            first_failures(
+                errors,
+                ~((0.0 < f1) & (f1 < f2) & (f2 < 1.0)),
+                lambda i: FootOutsideBase(
                     f"feet (f1, f2) = ({f1[i]:.17g}, {f2[i]:.17g}) violate 0 < f1 < f2 < 1"
-                )
+                ),
+            )
         return feet, errors
 
 
@@ -178,8 +189,7 @@ def complete_triangle(theta: WeightVector, label: Sequence[int]) -> TriangleComp
     words, angles = label_angles([theta], [label])
     tri = complete_triangles(angles)
     feet, errors = tri.feet() if tri.n == 6 else (None, tri.errors)
-    if errors[0] is not None:
-        raise errors[0]
+    unwrap(errors[0])
     return TriangleCompletion(
         word=words[0], dirs=tri.dirs[0], c=complex(tri.apex[0]),
         ext_angles=tuple(tri.ext[0].tolist()),
@@ -197,6 +207,5 @@ def pentagon_feet(theta: WeightVector, label: Sequence[int]) -> tuple[float, flo
     if len(word) != 5:
         raise OutOfRange(f"pentagon feet need n=5, got {len(word)}")
     feet, errors = complete_triangles(label_angles([theta], [word])[1]).feet()
-    if errors[0] is not None:
-        raise errors[0]
+    unwrap(errors[0])
     return tuple(feet[0].tolist())

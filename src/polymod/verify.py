@@ -1,16 +1,21 @@
 """Randomized verification suites behind the command-line ``verify`` command.
 
-This module is the one verification engine.  Every sampled suite is a
-per-trial check; one pass over the trials (one pool or serial loop, ``all``
-included) runs every requested check.  Trial i draws its weight vector and
-a random label word once, from ``numpy.random.default_rng([seed, i])``.
-Trials run in chunks of ``TRIAL_CHUNK``: one stacked Lorentz kernel call
-builds the chunk's models and completion triangles, whose feet give the
-chunk's planar shapes, one maps the chunk forward on the designated
-label pair and one batched inversion inverts the chunk's shape pairs, and
-every row of a stacked call is computed as it would be alone.  Reports are
-deterministic for a fixed (n, samples, seed, tol) and byte-identical across
-runs and across worker counts.  Suites:
+This module is the one verification engine.  Every sampled suite is one
+function of a trial's rows that returns the trial's error; one pass over
+the trials (one pool or serial loop, ``all`` included) runs every requested
+suite.  Trial i draws its weight vector and a random label word once, from
+``numpy.random.default_rng([seed, i])``.  Trials run in chunks of
+``TRIAL_CHUNK``: one stacked Lorentz kernel call builds the chunk's models
+and completion triangles, whose feet give the chunk's planar shapes, one
+maps the chunk forward on the designated label pair and one batched
+inversion inverts the chunk's shape pairs, and every row of a stacked call
+is computed as it would be alone, or holds its failure
+(:func:`polymod.errors.unwrap`).  Outcomes are kept as columns: per suite,
+one entry per trial in trial order, its error or the ``"Class: message"``
+text of what it raised, so a trial's index is its position; the separation
+scan reads a ``(trial, theta, shapes)`` row for each designated pair that
+mapped.  Reports are deterministic for a fixed (n, samples, seed, tol) and
+byte-identical across runs and across worker counts.  Suites:
 
 * ``roundtrip``     — forward map on the designated label pair, then invert,
   followed by a scan for the minimum separation of the produced shape pairs;
@@ -25,8 +30,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import combinations
 from typing import Callable
 
@@ -34,10 +38,10 @@ import numpy as np
 
 from .combinatorics import WeightVector, sample_weight_rng
 from .complexes import build_complex, cusp_classes, euler_characteristic
-from .errors import OutOfRange, PolymodError
+from .errors import OutOfRange, PolymodError, check_settings, map_ok, unwrap
 from .fiber import designated_pairs, inversion_reports
 from .jsonio import SUITES
-from .lorentz import LorentzModel, ModelStack, build_models, dihedral_angle
+from .lorentz import LorentzModel, build_models, dihedral_angle
 from .moduli import planar_shapes
 
 #: facet pairs that meet at right angles for every weight vector and label
@@ -52,98 +56,58 @@ _RIGHT_ANGLE = math.pi / 2.0
 #: maps them forward and inverts them with one stacked call each.
 TRIAL_CHUNK = 64
 
-#: Suites that read the trial's own Lorentz model.
-_MODEL_SUITES = ("orthogonality", "signature", "crossroute")
+#: The sampled suites, in report order, and those that read the trial's own
+#: Lorentz model.
+_SAMPLED = ("roundtrip", "orthogonality", "signature", "crossroute")
+_MODEL_SUITES = _SAMPLED[1:]
 
 
-def _ok(value):
-    """A row's value, or the failure recorded for it raised."""
-    if isinstance(value, PolymodError):
-        raise value
-    return value
+def _outcome(check: Callable[[int], float], k: int) -> float | str:
+    """Row k's error, or the ``"Class: message"`` text of what its check raised."""
+    try:
+        return check(k)
+    except Exception as exc:  # failures are data, not crashes
+        return f"{type(exc).__name__}: {exc}"
 
 
-@dataclass(frozen=True)
-class _Trial:
-    """One trial's draw and its rows of its chunk's stacked calls.
-
-    ``model`` gives the row's model or raises the failure recorded for it,
-    as ``_ok`` does for the other rows, so every suite that reads a row
-    records the same failure.
-    """
-
-    theta: WeightVector
-    models: ModelStack | None  # the chunk's trial models, row ``row``
-    row: int
-    pair: tuple | PolymodError  # the designated-pair shapes, or psi's first failure
-    inversion: dict | PolymodError | None  # inversion_report of ``pair``, or its failure
-    planar: object  # the planar shape on the trial's word, or its failure
-
-    @cached_property
-    def model(self) -> LorentzModel:
-        # a raising row is not cached, so each suite records its failure
-        return self.models.model(self.row)
-
-
-# A per-trial check fills ``result`` with an ``error`` (compared against tol)
-# or a ``failure`` message, or raises; the runner turns an exception into a
-# ``failure`` entry.
-Check = Callable[[dict, _Trial, float], None]
-
-
-def _roundtrip_trial(result: dict, trial: _Trial, tol: float) -> None:
+def _roundtrip(theta: WeightVector, inversion: dict) -> float:
     # The designated label pair, not the random word, determines theta.
-    theta = trial.theta
-    s1, s2 = _ok(trial.pair)
-    # Recorded before inverting, so a trial whose inversion fails is still scanned.
-    result["theta"], result["shapes"] = theta.theta, s1.params + s2.params
-    back = _ok(trial.inversion)["theta"]
-    result["error"] = max(abs(a - b) for a, b in zip(theta.theta, back.theta))
+    back = inversion["theta"]
+    return max(abs(a - b) for a, b in zip(theta.theta, back.theta))
 
 
-def _orthogonality_trial(result: dict, trial: _Trial, tol: float) -> None:
-    result["error"] = max(
-        abs(dihedral_angle(trial.model, j, k) - _RIGHT_ANGLE)
-        for j, k in ORTHOGONAL_PAIRS[trial.theta.n]
+def _orthogonality(model: LorentzModel) -> float:
+    return max(
+        abs(dihedral_angle(model, j, k) - _RIGHT_ANGLE) for j, k in ORTHOGONAL_PAIRS[model.n]
     )
 
 
-def _signature_trial(result: dict, trial: _Trial, tol: float) -> None:
+def _signature(model: LorentzModel) -> float:
     # building the model is the check: it raises SignatureMismatch unless
     # the area form has signature (1, n-3)
-    trial.model  # noqa: B018
-    result["error"] = 0.0
+    return 0.0
 
 
-def _crossroute_trial(result: dict, trial: _Trial, tol: float) -> None:
-    planar = _ok(trial.planar).params
-    lorentz = trial.models.axis_intercepts(trial.row)
+def _crossroute(planar, lorentz: tuple[float, ...]) -> float:
     # Linear scale, unlike moduli.scaled_residual's squared one: squaring it
     # would loosen this gate, so the two rules stay apart until one
     # derivation is settled for both.
-    result["error"] = max(
-        abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(planar, lorentz)
-    )
-
-
-_TRIALS: dict[str, Check] = {
-    "roundtrip": _roundtrip_trial,
-    "orthogonality": _orthogonality_trial,
-    "signature": _signature_trial,
-    "crossroute": _crossroute_trial,
-}
+    return max(abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(planar.params, lorentz))
 
 
 def _run_chunk(
     suites: tuple[str, ...], n: int, seed: int, tol: float, trials: range
-) -> list[dict]:
+) -> tuple[dict[str, list], list[tuple]]:
     """Deterministic trials of each suite; trial i's rng depends only on (seed, i).
 
-    One kernel call builds every trial's model and completion triangle
-    (when a suite reads them), and crossroute reads its planar shapes from
-    those triangles in one call; for roundtrip, one call maps every trial
-    forward on the designated label pair and one batched inversion inverts
-    every pair that mapped.
+    Returns each suite's outcomes, one per trial in order (its error, or
+    its failure text), and a ``(trial, theta, shapes)`` scan row for each
+    trial whose designated pair mapped, so a trial whose inversion fails
+    is still scanned.  One kernel call builds every trial's model and
+    completion triangle (when a suite reads them), and crossroute reads its
+    planar shapes from those triangles in one call; for roundtrip, one call
+    maps every trial forward on the designated label pair and one batched
+    inversion inverts every pair that mapped.
     """
     thetas, words = [], []
     for trial in trials:
@@ -151,42 +115,41 @@ def _run_chunk(
         thetas.append(sample_weight_rng(n, rng))
         words.append(tuple(int(m) + 1 for m in rng.permutation(n)))
     models = build_models(thetas, words) if set(suites) & set(_MODEL_SUITES) else None
-    planar = planar_shapes(models.triangles) if "crossroute" in suites else [None] * len(thetas)
-    pairs: list = [()] * len(thetas)
-    inversions: list = [None] * len(thetas)
+    planar = planar_shapes(models.triangles) if "crossroute" in suites else None
+    inversions, scan = None, []
     if "roundtrip" in suites:
         pairs = designated_pairs(n, thetas)
-        mapped = [k for k, pair in enumerate(pairs) if not isinstance(pair, PolymodError)]
-        for k, report in zip(mapped, inversion_reports(n, [pairs[k] for k in mapped], tol)):
-            inversions[k] = report
+        inversions = map_ok(lambda ok: inversion_reports(n, ok, tol), pairs)
+        scan = [
+            (trial, theta.theta, pair[0].params + pair[1].params)
+            for trial, theta, pair in zip(trials, thetas, pairs)
+            if not isinstance(pair, PolymodError)
+        ]
+    # A row of a stacked call holds its failure, which ``unwrap`` and
+    # ``ModelStack`` raise, so each suite that reads the row records it.
+    checks = {
+        "roundtrip": lambda k: _roundtrip(thetas[k], unwrap(inversions[k])),
+        "orthogonality": lambda k: _orthogonality(models.model(k)),
+        "signature": lambda k: _signature(models.model(k)),
+        "crossroute": lambda k: _crossroute(unwrap(planar[k]), models.axis_intercepts(k)),
+    }
+    rows = range(len(trials))
+    return {suite: [_outcome(checks[suite], k) for k in rows] for suite in suites}, scan
 
-    rows = []
-    for k, trial in enumerate(trials):
-        row = _Trial(thetas[k], models, k, pairs[k], inversions[k], planar[k])
-        results = {}
-        for suite in suites:
-            result = results[suite] = {"trial": trial}
-            try:
-                _TRIALS[suite](result, row, tol)
-            except Exception as exc:  # failures are data, not crashes
-                result["failure"] = f"{type(exc).__name__}: {exc}"
-        rows.append(results)
-    return rows
 
+def _separation_scan(rows: list[tuple]) -> tuple[float | None, dict | None]:
+    """Minimum pairwise Chebyshev distance of the scanned shape pairs.
 
-def _separation_scan(results: list[dict]) -> tuple[float | None, dict | None]:
-    """Minimum pairwise Chebyshev distance of the recorded shape pairs.
-
+    ``rows`` holds a ``(trial, theta, shapes)`` row per pair that mapped.
     A zero distance between trials whose weight vectors differ is a
     collision, a counterexample to injectivity at sample scale.
     """
-    scanned = [res for res in results if "shapes" in res]
-    trials = [res["trial"] for res in scanned]
-    shapes = np.array([res["shapes"] for res in scanned])
-    thetas = np.array([res["theta"] for res in scanned])
+    trials = [trial for trial, _, _ in rows]
+    thetas = np.array([theta for _, theta, _ in rows])
+    shapes = np.array([pair for _, _, pair in rows])
     min_sep = math.inf
     collision = None
-    for i in range(len(scanned)):
+    for i in range(len(rows)):
         sep = np.abs(shapes[i + 1 :] - shapes[i]).max(axis=1)
         if sep.size:
             j = int(np.argmin(sep))
@@ -215,23 +178,21 @@ def _run_sampled(
             done = list(pool.map(run, chunks))
     else:
         done = [run(chunk) for chunk in chunks]
-    rows = [row for chunk in done for row in chunk]
 
     reports = {}
     for suite in suites:
-        results = [row[suite] for row in rows]
-        failures = []
-        errors = []
-        for res in results:
-            if "failure" in res:
-                failures.append({"trial": res["trial"], "failure": res["failure"]})
-                continue
-            errors.append(res["error"])
-            if res["error"] > tol:
-                failures.append({"trial": res["trial"], "error": res["error"]})
+        # chunks cover the trials in order, so a trial is its position
+        outcomes = [out for columns, _ in done for out in columns[suite]]
+        errors = [out for out in outcomes if not isinstance(out, str)]
+        failures = [
+            {"trial": trial, "failure" if isinstance(out, str) else "error": out}
+            for trial, out in enumerate(outcomes)
+            if isinstance(out, str) or out > tol
+        ]
         extra = {"max_error": max(errors) if errors else None}
         if suite == "roundtrip":
-            extra["min_shape_separation"], collision = _separation_scan(results)
+            scan = [row for _, rows in done for row in rows]
+            extra["min_shape_separation"], collision = _separation_scan(scan)
             if collision is not None:
                 failures.append({"collision": collision})
         reports[suite] = _report(suite, n, samples, seed, tol, **extra, failures=failures)
@@ -318,16 +279,13 @@ def run_suite(
         raise OutOfRange(f"unknown suite {suite!r}, expected one of {SUITES}")
     if n not in (5, 6):
         raise OutOfRange(f"n must be 5 or 6, got {n}")
-    if samples < 1:
-        raise OutOfRange(f"samples must be positive, got {samples}")
-    if seed < 0:
-        raise OutOfRange(f"seed must be non-negative, got {seed}")
+    check_settings(tol, samples, seed, jobs)
     if suite == "complex":
         return _run_complex(n, samples, seed, tol)
     if suite != "all":
         return _run_sampled((suite,), n, samples, seed, tol, jobs)[suite]
 
-    reports = _run_sampled(tuple(_TRIALS), n, samples, seed, tol, jobs)
+    reports = _run_sampled(_SAMPLED, n, samples, seed, tol, jobs)
     reports["complex"] = _run_complex(n, samples, seed, tol)
     doc = _report("all", n, samples, seed, tol, reports=reports)
     doc["pass"] = all(rep["pass"] for rep in reports.values())

@@ -462,6 +462,25 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_input_that_is_not_utf8_exits_2(self, tmp_path):
+        """A file that does not decode is a file error, not a crash: run as a
+        fresh process so an escaping traceback would show on stderr."""
+        src = tmp_path / "latin.csv"
+        src.write_bytes(b"2pi/5,2pi/5,2pi/5,2pi/5,2pi/5\n\xff\xfe,1\n")
+        env = {k: v for k, v in os.environ.items() if k != "POLYMOD_CONFIG"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "polymod.cli", "sweep", "--n", "5",
+             "--input", str(src), "--out", "-"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        doc = json.loads(proc.stdout)
+        assert doc["schema"] == "polymod-error/1"
+        assert doc["error"] == "OutOfRange"
+        assert doc["message"].startswith(f"cannot read input file {str(src)!r}: ")
+        assert proc.stderr == ""
+
 
 # ===========================================================================
 # config file

@@ -1,0 +1,121 @@
+"""The row protocol of stacked calls and the one rule for run settings."""
+
+import math
+
+import numpy as np
+import pytest
+
+from polymod.errors import (
+    FootOutsideBase,
+    NoIntersection,
+    OutOfRange,
+    SignatureMismatch,
+    check_settings,
+    first_failures,
+    map_ok,
+    unwrap,
+)
+
+
+class TestUnwrap:
+    def test_a_value_passes_through(self):
+        row = {"theta": (1.0, 2.0)}
+        assert unwrap(row) is row
+        assert unwrap(None) is None
+        assert unwrap(0.0) == 0.0
+
+    def test_a_recorded_failure_is_raised(self):
+        failure = NoIntersection("recorded")
+        with pytest.raises(NoIntersection) as info:
+            unwrap(failure)
+        assert info.value is failure
+
+    def test_a_plain_exception_is_a_value(self):
+        """Only a PolymodError is a recorded failure."""
+        value = ValueError("not a row failure")
+        assert unwrap(value) is value
+
+
+class TestMapOk:
+    def test_fn_is_called_once_on_the_values_and_failures_keep_their_place(self):
+        calls = []
+
+        def double(values):
+            calls.append(list(values))
+            return [2 * v for v in values]
+
+        first, second = NoIntersection("a"), SignatureMismatch("b")
+        assert map_ok(double, [1, first, 2, second, 3]) == [2, first, 4, second, 6]
+        assert calls == [[1, 2, 3]]
+
+    def test_fn_is_called_once_when_every_row_failed(self):
+        calls = []
+        failures = [NoIntersection("a"), FootOutsideBase("b")]
+
+        def record(values):
+            calls.append(list(values))
+            return []
+
+        assert map_ok(record, failures) == failures
+        assert calls == [[]]
+
+    def test_no_rows(self):
+        calls = []
+
+        def record(values):
+            calls.append(list(values))
+            return []
+
+        assert map_ok(record, []) == []
+        assert calls == [[]]
+
+
+class TestFirstFailures:
+    def test_an_earlier_failure_is_kept(self):
+        earlier = SignatureMismatch("earlier")
+        errors = [None, earlier, None, None]
+        mask = np.array([True, True, False, True])
+        first_failures(errors, mask, lambda i: NoIntersection(f"row {i}"))
+        assert errors[1] is earlier
+        assert [str(e) if e is not None else None for e in errors] == [
+            "row 0", "earlier", None, "row 3"
+        ]
+
+    def test_make_is_called_only_for_rows_it_records(self):
+        made = []
+
+        def make(i):
+            made.append(i)
+            return NoIntersection(str(i))
+
+        errors = [NoIntersection("x"), None, None]
+        first_failures(errors, np.array([True, True, False]), make)
+        assert made == [1]
+
+    def test_an_empty_mask_records_nothing(self):
+        errors = []
+        first_failures(errors, np.zeros(0, dtype=bool), lambda i: NoIntersection(str(i)))
+        assert errors == []
+
+
+class TestCheckSettings:
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf])
+    def test_a_tol_that_is_not_positive_and_finite_is_rejected(self, tol):
+        with pytest.raises(OutOfRange, match="tol must be positive and finite"):
+            check_settings(tol)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"samples": 0}, "samples must be >= 1, got 0"),
+            ({"jobs": 0}, "jobs must be >= 1, got 0"),
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_counts_and_seed(self, bad, message):
+        with pytest.raises(OutOfRange, match=message):
+            check_settings(1e-9, **bad)
+
+    def test_good_settings_pass(self):
+        check_settings(1e-9, samples=1, seed=0, jobs=1)
+        check_settings(1e300, samples=10**6, seed=2**40, jobs=64)

@@ -271,6 +271,18 @@ class TestInversion:
         with pytest.raises(OutOfRange):
             inversion_report(7, None, None)
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, float("inf")])
+    def test_a_tol_that_is_not_positive_and_finite_is_rejected(self, tol):
+        """With a NaN tolerance the residual gate would pass any pair, such
+        as this one, whose residual is 0.222 (InconsistentPair by default)."""
+        s1, s2 = HexahedronShape(1, 1, 1.5), HexahedronShape(1, 1, 1)
+        with pytest.raises(InconsistentPair):
+            inversion_report(6, s1, s2)
+        with pytest.raises(OutOfRange, match="tol must be positive and finite"):
+            inversion_report(6, s1, s2, tol)
+        with pytest.raises(OutOfRange, match="tol must be positive and finite"):
+            inversion_reports(6, [(s1, s2)], tol)
+
 
 def planar_pair(n, angles):
     """The designated shape pair of a weight vector, read on the planar route

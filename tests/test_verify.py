@@ -156,3 +156,63 @@ def test_a_raising_trial_is_the_only_failure(monkeypatch, suite, target):
     for name, sub in reports.items():
         assert sub["failures"] == ([planted] if name in hit else [])
         assert sub.get("max_error", 0.0) is not None
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9, float("inf")])
+@pytest.mark.parametrize("suite", ["roundtrip", "complex", "all"])
+def test_a_tol_that_is_not_positive_and_finite_is_rejected(suite, tol):
+    """A NaN tolerance would switch every ``error > tol`` gate off."""
+    with pytest.raises(OutOfRange, match="tol must be positive and finite"):
+        run_suite(suite, 5, 20, 0, tol=tol)
+
+
+@pytest.mark.parametrize("suite", ["roundtrip", "all"])
+def test_jobs_below_one_is_rejected(suite):
+    with pytest.raises(OutOfRange, match="jobs must be >= 1, got 0"):
+        run_suite(suite, 5, 20, 0, jobs=0)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_trial_indices_hold_across_chunks(monkeypatch, n):
+    """Chunks of 4, 4 and 2 trials: failures planted at trials 5 and 9
+    (inversion) and 6 (model) are reported under those trial numbers, in
+    trial order, and the scan still reads the trials whose inversion failed."""
+    seed = 2
+    clean = run_suite("all", n, 10, seed)
+    assert clean["pass"]
+
+    def draw(trial):
+        return sample_weight_rng(n, np.random.default_rng([seed, trial]))
+
+    bad_pairs = set(verify.designated_pairs(n, [draw(5), draw(9)]))
+    invert, scan = verify.inversion_reports, verify._separation_scan
+    scanned = []
+
+    def separation_scan(rows):
+        scanned.extend(trial for trial, _, _ in rows)
+        return scan(rows)
+
+    def inversion_reports(n, pairs, tol):
+        reports = invert(n, pairs, tol)
+        return [
+            InconsistentPair("planted") if pair in bad_pairs else report
+            for pair, report in zip(pairs, reports)
+        ]
+
+    monkeypatch.setattr(verify, "inversion_reports", inversion_reports)
+    monkeypatch.setattr(verify, "build_models", _plant_model_failure(draw(6)))
+    monkeypatch.setattr(verify, "_separation_scan", separation_scan)
+    monkeypatch.setattr(verify, "TRIAL_CHUNK", 4)
+    reports = run_suite("all", n, 10, seed)["reports"]
+    assert scanned == list(range(10))
+    roundtrip = reports["roundtrip"]
+    assert roundtrip["failures"] == [
+        {"trial": 5, "failure": "InconsistentPair: planted"},
+        {"trial": 9, "failure": "InconsistentPair: planted"},
+    ]
+    sep = "min_shape_separation"
+    assert roundtrip[sep] == clean["reports"]["roundtrip"][sep]
+    planted = {"trial": 6, "failure": "SignatureMismatch: planted"}
+    for name in ("orthogonality", "signature", "crossroute"):
+        assert reports[name]["failures"] == [planted]
+    assert reports["complex"] == clean["reports"]["complex"]
