@@ -5,7 +5,10 @@ One cell per label; face ``k`` of a cell collapses the adjacent mark pair
 configurations coincide.  The pairing is a perfect matching with no
 face glued to itself and no two faces of the same cell glued.
 
-Orbits of deeper strata are computed by union-find over the pairings:
+Orbits of deeper strata come from one gluing walk over the pairings: a
+report names its nodes and, for each face, the configuration key of every
+node on it; each pairing glues the nodes with equal keys on its two sides.
+The orbits are:
 
 * pentagon vertices (two disjoint collided pairs) — 15 classes of size 4;
 * hexahedron ideal vertices at the equal weight, keyed by the partition of
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combinatorics import (
     TOL_IDEAL,
@@ -35,37 +38,6 @@ from .combinatorics import (
     vertex_config,
 )
 from .errors import NotEqualWeight, OutOfRange, PairingFailure
-
-
-class _UnionFind:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def groups(self) -> list[list[int]]:
-        buckets: dict[int, list[int]] = {}
-        for a in range(len(self.parent)):
-            buckets.setdefault(self.find(a), []).append(a)
-        return [sorted(g) for g in sorted(buckets.values())]
 
 
 @dataclass(frozen=True)
@@ -149,37 +121,58 @@ def build_complex(n: int, theta: WeightVector | Sequence[float] | None = None) -
     )
 
 
+def _glued_classes(
+    cells: tuple[Label, ...], pairings: Sequence[FacePairing], nodes: list, on_face: Callable
+) -> list[list]:
+    """Classes of ``nodes`` under the gluing, in the order of their first node.
+
+    ``on_face(cell, face)`` maps the configuration key of each node on that
+    face to the node.  Each pairing glues every node on its first side to
+    the node with the same key on its second side; a key with no such node
+    raises PairingFailure.  Members are listed in node order.
+    """
+    index = {node: i for i, node in enumerate(nodes)}
+    root = list(range(len(nodes)))  # every class is rooted at its first node
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for p in pairings:
+        side_b = on_face(p.cell_b, p.face_b)
+        for key, node in on_face(p.cell_a, p.face_a).items():
+            match = side_b.get(key)
+            if match is None:
+                shown = key.render() if isinstance(key, DegenerateConfig) else _partition_key(key)
+                raise PairingFailure(
+                    f"{shown} on face {p.face_a} of cell {cells[p.cell_a]} has no match "
+                    f"on face {p.face_b} of cell {cells[p.cell_b]}"
+                )
+            a, b = find(index[node]), find(index[match])
+            root[max(a, b)] = min(a, b)
+    classes: dict[int, list] = {}
+    for i, node in enumerate(nodes):
+        classes.setdefault(find(i), []).append(node)
+    return list(classes.values())
+
+
 def _pentagon_vertex_classes(
     cells: tuple[Label, ...], pairings: list[FacePairing]
 ) -> tuple[tuple[tuple[int, tuple[int, int]], ...], ...]:
-    """Union-find orbits of pentagon vertices (facet pairs (k, k+2))."""
-    nodes: list[tuple[int, tuple[int, int]]] = []
-    index: dict[tuple[int, tuple[int, int]], int] = {}
-    for ci in range(len(cells)):
-        for k in range(1, 6):
-            key = (ci, tuple(sorted((k, _cyc(k, 2, 5)))))
-            index[key] = len(nodes)
-            nodes.append(key)
-    uf = _UnionFind(len(nodes))
+    """Orbits of pentagon vertices (facet pairs (k, k+2))."""
+    nodes = [
+        (ci, tuple(sorted((k, _cyc(k, 2, 5))))) for ci in range(len(cells)) for k in range(1, 6)
+    ]
 
-    def endpoints(ci: int, face: int) -> dict[DegenerateConfig, tuple[int, tuple[int, int]]]:
-        out = {}
-        for other in (_cyc(face, 2, 5), _cyc(face, -2, 5)):
-            cfg = vertex_config(cells[ci].word, face, other)
-            out[cfg] = (ci, tuple(sorted((face, other))))
-        return out
+    def on_face(ci: int, face: int) -> dict:
+        return {
+            vertex_config(cells[ci].word, face, other): (ci, tuple(sorted((face, other))))
+            for other in (_cyc(face, 2, 5), _cyc(face, -2, 5))
+        }
 
-    for p in pairings:
-        ends_a = endpoints(p.cell_a, p.face_a)
-        ends_b = endpoints(p.cell_b, p.face_b)
-        if set(ends_a) != set(ends_b):
-            raise PairingFailure(
-                f"glued faces {p} disagree on their endpoint configurations"
-            )
-        for cfg, node_a in ends_a.items():
-            uf.union(index[node_a], index[ends_b[cfg]])
-
-    return tuple(tuple(nodes[i] for i in group) for group in uf.groups())
+    return tuple(map(tuple, _glued_classes(cells, pairings, nodes, on_face)))
 
 
 def euler_characteristic(complex_: GluedComplex) -> int:
@@ -240,43 +233,24 @@ def cusp_classes(complex_: GluedComplex) -> dict:
             "cusp enumeration requires the equal-weight vector (ideal vertices)"
         )
 
-    nodes: list[tuple[int, frozenset[frozenset[int]]]] = []
-    index: dict[tuple[int, frozenset[frozenset[int]]], int] = {}
-    for ci, lab in enumerate(complex_.cells):
-        for part in _partitions_of(lab.word):
-            key = (ci, part)
-            index[key] = len(nodes)
-            nodes.append(key)
-    uf = _UnionFind(len(nodes))
+    cells = complex_.cells
+    parts = [_partitions_of(lab.word) for lab in cells]
+    nodes = [(ci, part) for ci in range(len(cells)) for part in parts[ci]]
 
-    for p in complex_.pairings:
-        merged = p.config.merged
-        if len(merged) != 1 or len(merged[0]) != 2:
-            raise PairingFailure(f"face configuration {p.config} is not a pair collision")
-        pair = set(merged[0])
-        for part in _partitions_of(complex_.cells[p.cell_a].word):
-            if any(pair <= piece for piece in part):
-                other = (p.cell_b, part)
-                if other not in index:
-                    raise PairingFailure(
-                        f"partition {_partition_key(part)} missing from glued cell "
-                        f"{complex_.cells[p.cell_b]}"
-                    )
-                uf.union(index[(p.cell_a, part)], index[other])
+    def on_face(ci: int, face: int) -> dict:
+        pair = {cells[ci].word[face - 1], cells[ci].word[face % 6]}
+        return {
+            part: (ci, part) for part in parts[ci] if any(pair <= piece for piece in part)
+        }
 
-    table = []
-    for group in uf.groups():
-        partitions = {nodes[i][1] for i in group}
-        if len(partitions) != 1:
-            raise PairingFailure("a cusp class mixes distinct triple partitions")
-        labels = sorted(str(complex_.cells[nodes[i][0]]) for i in group)
-        table.append(
-            {
-                "partition": _partition_key(partitions.pop()),
-                "labels": labels,
-                "incidences": len(group),
-            }
-        )
+    table = [
+        {
+            "partition": _partition_key(group[0][1]),
+            "labels": sorted(str(cells[ci]) for ci, _ in group),
+            "incidences": len(group),
+        }
+        for group in _glued_classes(cells, complex_.pairings, nodes, on_face)
+    ]
     table.sort(key=lambda row: row["partition"])
     return {"classes": len(table), "total_incidences": len(nodes), "table": table}
 
@@ -290,10 +264,9 @@ def singular_edges(complex_: GluedComplex) -> dict:
     sums within TOL_IDEAL of pi are tangencies and create no edge.  Each
     class reports its total cone angle (sum of member dihedral angles).
     """
-    from .lorentz import build_models, dihedral_angle  # numpy loads for this report only
-
     if complex_.n != 6:
         raise OutOfRange("singular edges are computed for n=6 complexes")
+    from .lorentz import build_models, dihedral_angle  # numpy loads for this report only
 
     fired: dict[tuple[int, int], DegenerateConfig] = {}
     for ci, lab in enumerate(complex_.cells):
@@ -303,29 +276,15 @@ def singular_edges(complex_: GluedComplex) -> dict:
             if total < math.pi - TOL_IDEAL:
                 fired[(ci, k)] = triple_config(lab.word, k)
 
-    keys = sorted(fired)
-    index = {key: i for i, key in enumerate(keys)}
-    uf = _UnionFind(len(keys))
-    for p in complex_.pairings:
-        for k in (_cyc(p.face_a, -1, 6), p.face_a):
-            if (p.cell_a, k) not in fired:
-                continue
-            cfg = fired[(p.cell_a, k)]
-            matched = False
-            for k2 in (_cyc(p.face_b, -1, 6), p.face_b):
-                if fired.get((p.cell_b, k2)) == cfg:
-                    uf.union(index[(p.cell_a, k)], index[(p.cell_b, k2)])
-                    matched = True
-                    break
-            if not matched:
-                raise PairingFailure(
-                    f"singular edge {cfg} of cell {complex_.cells[p.cell_a]} has no "
-                    f"image across the glued face"
-                )
+    def on_face(ci: int, face: int) -> dict:
+        edges = ((ci, _cyc(face, -1, 6)), (ci, face))
+        return {fired[edge]: edge for edge in edges if edge in fired}
+
+    groups = _glued_classes(complex_.cells, complex_.pairings, sorted(fired), on_face)
 
     # one kernel call builds every cell with an edge; a cell's recorded
     # failure is raised when its first edge is met, in group order
-    built = sorted({ci for ci, _ in keys})
+    built = sorted({ci for ci, _ in fired})
     stack = (
         build_models([complex_.theta] * len(built), [complex_.cells[ci].word for ci in built])
         if built
@@ -334,17 +293,15 @@ def singular_edges(complex_: GluedComplex) -> dict:
     rows = {ci: row for row, ci in enumerate(built)}
     models: dict[int, object] = {}
     table = []
-    for group in uf.groups():
-        cfg = fired[keys[group[0]]]
+    for group in groups:
         angle = 0.0
-        for i in group:
-            ci, k = keys[i]
+        for ci, k in group:
             if ci not in models:
                 models[ci] = stack.model(rows[ci])
             angle += dihedral_angle(models[ci], k, _cyc(k, 1, 6))
         table.append(
             {
-                "config": cfg.render(),
+                "config": fired[group[0]].render(),
                 "members": len(group),
                 "cone_angle": angle,
             }

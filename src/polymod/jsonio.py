@@ -4,9 +4,10 @@ JSON documents are rendered with sorted keys, compact separators, and every
 float at 17 significant digits, so equal data always produces identical
 bytes.  Angle tokens accept raw radians, expressions in ``pi`` such as
 ``2pi/5`` or ``2/5*2pi``, and a repetition prefix ``5x2pi/5``; the unicode
-spellings ``×`` and ``π`` are accepted as synonyms.  A repetition count is
-at most ``MAX_REPEAT``.  ``SUITES`` names the accepted ``--suite`` tokens,
-so the command line can check them without loading the verification engine.
+spellings ``×`` and ``π`` are accepted as synonyms, and a token containing
+``@`` is rejected.  A repetition count is at most ``MAX_REPEAT``.
+``SUITES`` names the accepted ``--suite`` tokens, so the command line can
+check them without loading the verification engine.
 
 numpy scalars and arrays serialize as they always have, but this module
 never imports numpy: until numpy is loaded no value can be of its types,
@@ -19,6 +20,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from typing import Sequence
 
 from .errors import OutOfRange
@@ -102,8 +104,8 @@ def _eval_angle(expr: str) -> float:
 
 def _eval_expression(expr: str, e: str) -> float:
     """``eval`` of the normalized token ``e`` of ``expr`` in pi alone."""
-    e = e.replace("pi", "@")
-    if not _ANGLE_CHARS.match(e):
+    # ``@`` stands for pi below, so it is refused before pi is rewritten to it
+    if "@" in e or not _ANGLE_CHARS.match(e := e.replace("pi", "@")):
         raise OutOfRange(f"angle token {expr!r} contains unsupported characters")
     # ``**`` can build integers of unbounded size and ``//`` floors: no angle uses them
     if "**" in e or "//" in e:
@@ -112,9 +114,12 @@ def _eval_expression(expr: str, e: str) -> float:
     e = re.sub(r"(?<=[0-9.)])@", "*@", e)
     e = re.sub(r"@(?=[0-9.(])", "@*", e)
     try:
-        value = eval(  # noqa: S307 - characters and operators restricted above
-            e.replace("@", "pi"), {"__builtins__": {}}, {"pi": math.pi}
-        )
+        # compiling a token such as ``2(3)`` warns that an int is not callable
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SyntaxWarning)
+            value = eval(  # noqa: S307 - characters and operators restricted above
+                e.replace("@", "pi"), {"__builtins__": {}}, {"pi": math.pi}
+            )
         return float(value)
     except Exception as exc:
         raise OutOfRange(f"cannot parse angle token {expr!r}: {exc}") from exc

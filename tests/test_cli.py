@@ -147,6 +147,41 @@ class TestForward:
         assert "exceeds 8" in doc["message"]
         assert proc.stderr == ""
 
+    def test_token_compiling_with_a_warning_writes_nothing_to_stderr(self, tmp_path):
+        """``2(3)`` compiles with a SyntaxWarning: neither ``forward`` nor
+        ``sweep`` (which parses row 1 twice, once for header detection) may
+        print it.  Fresh processes, since a warning prints once per process."""
+        env = {k: v for k, v in os.environ.items() if k != "POLYMOD_CONFIG"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        theta = "2(3),1,1,1,1"
+        forward = subprocess.run(
+            [sys.executable, "-m", "polymod.cli", "forward", "--n", "5", "--theta", theta],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert forward.returncode == 2
+        doc = json.loads(forward.stdout)
+        assert doc["error"] == "OutOfRange"
+        assert doc["message"] == "cannot parse angle token '2(3)': 'int' object is not callable"
+        assert forward.stderr == ""
+
+        src = tmp_path / "rows.csv"
+        src.write_text(f"{theta}\n{EQUAL5}\n", encoding="utf-8")
+        sweep = subprocess.run(
+            [sys.executable, "-m", "polymod.cli", "sweep", "--n", "5",
+             "--input", str(src), "--out", "-"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert sweep.returncode == 0
+        assert len(sweep.stdout.splitlines()) == 2
+        assert sweep.stderr == f"row 1: OutOfRange: {doc['message']}\n"
+
+    @pytest.mark.parametrize("theta", ["5x2@/5", "2@/5,2pi/5,2pi/5,2pi/5,2pi/5"])
+    def test_at_sign_is_not_a_spelling_of_pi(self, capsys, theta):
+        code, doc, _ = run_json(capsys, "forward", "--n", "5", "--theta", theta)
+        assert code == 2
+        assert doc["error"] == "OutOfRange"
+        assert doc["message"] == "angle token '2@/5' contains unsupported characters"
+
 
 # ===========================================================================
 # invert

@@ -1,12 +1,15 @@
 """Tests for glued complexes: pairings, orbit classes, cusps, singular edges."""
 
+import dataclasses
 import math
+import re
 
 import pytest
 
 from polymod import (
     NotEqualWeight,
     OutOfRange,
+    PairingFailure,
     build_complex,
     cusp_classes,
     equal_weight,
@@ -17,7 +20,8 @@ from polymod import (
     singular_edges,
     validate_weight,
 )
-from polymod.combinatorics import vertex_config
+from polymod import complexes
+from polymod.combinatorics import face_config, vertex_config
 
 TWO_PI = 2.0 * math.pi
 
@@ -177,6 +181,58 @@ class TestSingularEdges:
         first = singular_edges(build_complex(6, SINGULAR_THETA))
         second = singular_edges(build_complex(6, SINGULAR_THETA))
         assert first == second
+
+
+# ===========================================================================
+# planted gluing faults
+# ===========================================================================
+
+def swap_glued_sides(comp, i=0, j=7):
+    """The complex with the second sides of pairings ``i`` and ``j`` exchanged."""
+    pairings = list(comp.pairings)
+    a, b = pairings[i], pairings[j]
+    pairings[i] = dataclasses.replace(a, cell_b=b.cell_b, face_b=b.face_b)
+    pairings[j] = dataclasses.replace(b, cell_b=a.cell_b, face_b=a.face_b)
+    return dataclasses.replace(comp, pairings=tuple(pairings))
+
+
+class TestGluingFaults:
+    def test_vertex_without_a_match_across_its_face(self, monkeypatch):
+        """Cell 12345's vertex {1, 3} wears the key of its vertex {2, 4}."""
+
+        def planted(word, k, m):
+            if tuple(word) == (1, 2, 3, 4, 5) and {k, m} == {1, 3}:
+                return vertex_config(word, 2, 4)
+            return vertex_config(word, k, m)
+
+        monkeypatch.setattr(complexes, "vertex_config", planted)
+        with pytest.raises(PairingFailure, match=re.escape("1(23)(45) on face 1 of cell 12345 ")):
+            build_complex(5)
+
+    def test_face_key_shared_by_three_slots(self, monkeypatch):
+        """Face 1 of 12345 wears the key of its face 2."""
+
+        def planted(word, k):
+            if tuple(word) == (1, 2, 3, 4, 5) and k == 1:
+                return face_config(word, 2)
+            return face_config(word, k)
+
+        monkeypatch.setattr(complexes, "face_config", planted)
+        with pytest.raises(PairingFailure, match="matched 3 face slots"):
+            build_complex(5)
+
+    def test_cusp_without_a_match_across_its_face(self):
+        message = (
+            "[[1, 2, 6], [3, 4, 5]] on face 1 of cell 123456 "
+            "has no match on face 2 of cell 132465"
+        )
+        with pytest.raises(PairingFailure, match=re.escape(message)):
+            cusp_classes(swap_glued_sides(build_complex(6)))
+
+    def test_singular_edge_without_a_match_across_its_face(self):
+        message = "(126)345 on face 1 of cell 123456 has no match on face 2 of cell 132465"
+        with pytest.raises(PairingFailure, match=re.escape(message)):
+            singular_edges(swap_glued_sides(build_complex(6, SINGULAR_THETA)))
 
 
 # ===========================================================================

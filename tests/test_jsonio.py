@@ -4,11 +4,12 @@ import math
 import re
 import struct
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polymod.errors import OutOfRange
-from polymod.jsonio import _eval_angle
+from polymod.jsonio import _eval_angle, parse_theta
 
 _ANGLE_CHARS = re.compile(r"^[0-9eE@+\-*/().]*$")
 
@@ -60,3 +61,9 @@ def outcome(parse, token):
 @example("٣.٥")
 def test_float_tokens_parse_as_eval_parses_them(token):
     assert outcome(_eval_angle, token) == outcome(eval_angle_by_eval, token)
+
+
+@pytest.mark.parametrize("spec", ["2@", "@", "2@/5", "5x@", "pi@"])
+def test_at_sign_is_rejected_and_not_read_as_pi(spec):
+    with pytest.raises(OutOfRange, match="contains unsupported characters"):
+        parse_theta(spec)

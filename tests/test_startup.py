@@ -69,8 +69,12 @@ EQUAL6_OFF = "0.9,0.9,0.9,1.2,1.2,1.1831853071795865"
             2, "polymod-error/1", "PairSumTooLarge",
         ),
         (["forward", "--n", "6", "--theta", "5x2pi/5"], 2, "polymod-error/1", "OutOfRange"),
+        (["complex", "--n", "5", "--report", "singular"], 2, "polymod-error/1", "OutOfRange"),
     ],
-    ids=["euler", "cusps", "pairings", "not-equal-weight", "pair-sum", "count-mismatch"],
+    ids=[
+        "euler", "cusps", "pairings", "not-equal-weight", "pair-sum", "count-mismatch",
+        "singular-n5",
+    ],
 )
 def test_commands_without_numeric_work_never_load_numpy(argv, code, schema, error):
     doc_line, status_line = python(_RUN_MAIN, *argv).splitlines()
