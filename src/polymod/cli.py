@@ -24,26 +24,29 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-from .combinatorics import as_word, validate_weight
-from .complexes import (
-    build_complex,
-    cusp_classes,
-    euler_characteristic,
-    pairing_row,
-    singular_edges,
+from .combinatorics import as_word, validate_weight, validate_weights
+from .errors import OutOfRange, PolymodError, check_settings
+from .jsonio import (
+    SUITES,
+    dumps_canonical,
+    parse_label,
+    parse_rows,
+    parse_shape,
+    parse_theta,
+    plain_floats,
 )
-from .errors import OutOfRange, PolymodError, check_settings, map_ok
-from .jsonio import SUITES, csv_row, dumps_canonical, parse_label, parse_shape, parse_theta
 
 # The numeric layers (moduli, fiber, verify) and numpy load inside the
 # commands that call them, after their input is validated, so ``complex``
-# reports and rejected input never load them.
+# reports and rejected input never load them; ``complexes`` loads for the
+# ``complex`` command alone.
 
 _CONFIG_ENV = "POLYMOD_CONFIG"
 
-#: Input rows per stacked forward-map call in ``sweep``.
+#: Input rows that ``sweep`` parses, validates, maps and formats as one stack.
 SWEEP_CHUNK = 256
 
 
@@ -111,7 +114,10 @@ def _emit(doc: dict) -> None:
 
 
 def _parse_weight(spec: str, n: int):
-    theta = validate_weight(parse_theta(spec))
+    return _check_count(validate_weight(parse_theta(spec)), n)
+
+
+def _check_count(theta, n: int):
     if theta.n != n:
         raise OutOfRange(f"--theta has {theta.n} angles but --n is {n}")
     return theta
@@ -182,6 +188,14 @@ def cmd_invert(args: argparse.Namespace) -> int:
 
 def cmd_complex(args: argparse.Namespace) -> int:
     theta = _parse_weight(args.theta, args.n) if args.theta else None
+    from .complexes import (
+        build_complex,
+        cusp_classes,
+        euler_characteristic,
+        pairing_row,
+        singular_edges,
+    )
+
     complex_ = build_complex(args.n, theta)
     doc = {
         "schema": "polymod-complex/1",
@@ -223,67 +237,143 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     word = _parse_word(args.label, args.n)
-    from .moduli import classify_hexahedron, forward_shapes
-
     try:
-        with open(args.input, encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark, as spreadsheets write one, is no data
+        with open(args.input, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise OutOfRange(f"cannot read input file {args.input!r}: {exc}") from exc
+    with _output(args.out) as out:
+        out.writelines(_sweep_csv(args.n, word, lines))
+    return 0
 
-    if args.n == 5:
-        header = [f"theta{i}" for i in range(1, 6)] + ["P", "Q"]
-    else:
-        header = (
-            [f"theta{i}" for i in range(1, 7)]
-            + ["P", "Q", "R", "type", "sign_P", "sign_Q", "sign_R"]
-        )
-    out_lines = [",".join(header)]
+
+@contextmanager
+def _output(path: str):
+    """Where ``sweep`` writes: stdout for '-', else ``path``, opened before
+    any row is mapped, so a path that cannot be written costs no work; an
+    OSError opening or writing it is OutOfRange."""
+    if path == "-":
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise OutOfRange(f"cannot write output file {path!r}: {exc}") from exc
+
+
+def _sweep_csv(n: int, word: tuple[int, ...], lines: list[str]) -> list[str]:
+    """The output CSV of ``sweep`` over the input lines, one string per
+    chunk; each failed row is reported on stderr, one chunk at a time.
+
+    A chunk is parsed (:func:`polymod.jsonio.parse_rows`), validated and
+    mapped as arrays, and its rows are written with one ``%`` template:
+    the bytes of mapping and formatting the rows one at a time.
+    """
+    import numpy as np
+
+    from .moduli import forward_params, hexahedron_signs
+
+    header = [f"theta{i}" for i in range(1, n + 1)] + ["P", "Q"]
+    template = ",".join(["%.17g"] * (n + 2))
+    if n == 6:
+        header += ["R", "type", "sign_P", "sign_Q", "sign_R"]
+        template += ",%.17g,%s,%d,%d,%d"
+    template += "\n"
+    out = [",".join(header) + "\n"]
 
     rows = [
         (row_number, text)
         for row_number, text in enumerate((line.strip() for line in lines), start=1)
-        if text and not (row_number == 1 and _looks_like_header(text))
+        if text
     ]
+    first = None  # row 1's angles or failure when it is data, parsed once
+    if rows and rows[0][0] == 1:
+        first = _row_one(rows[0][1], n)
+        if first is None:  # a header
+            rows = rows[1:]
     for start in range(0, len(rows), SWEEP_CHUNK):
         chunk = rows[start : start + SWEEP_CHUNK]
-        thetas: list = []
-        for _, text in chunk:
+        texts = [text for _, text in chunk]
+        if start == 0 and first is not None:
+            parsed = [first] + parse_rows(texts[1:], n)
+        else:
+            parsed = parse_rows(texts, n)
+        theta, errors = _validate_rows(parsed, n)
+        ok = [i for i, e in enumerate(errors) if e is None]
+        params, failures = forward_params(n, theta[ok], [word] * len(ok))
+        for i, e in zip(ok, failures):
+            errors[i] = e
+        mapped = [j for j, e in enumerate(failures) if e is None]
+        values = np.concatenate([theta[ok][mapped], params[mapped]], axis=1)
+        # the gates keep every mapped value finite; a row that is not would
+        # stop the run there, as serializing it one row at a time did
+        finite = np.isfinite(values).all(axis=1)
+        stop = len(chunk) if finite.all() else ok[mapped[int(finite.argmin())]]
+        sys.stderr.write(
+            "".join(
+                f"row {row_number}: {type(e).__name__}: {e}\n"
+                for (row_number, _), e in zip(chunk[:stop], errors)
+                if e is not None
+            )
+        )
+        if stop < len(chunk):
+            x = values[~np.isfinite(values)][0].item()
+            raise OutOfRange(f"cannot serialize non-finite float {x!r}")
+        cells = values.tolist()
+        if n == 6:
+            signs = hexahedron_signs(params[mapped])
+            types = ["abcd"[k] for k in (signs > 0).sum(axis=1).tolist()]
+            cells = [c + [t] + s for c, t, s in zip(cells, types, signs.tolist())]
+        out.append("".join([template % tuple(c) for c in cells]))
+    return out
+
+
+def _row_one(text: str, n: int) -> list[float] | PolymodError | None:
+    """Row 1's angles or failure as :func:`parse_rows` gives them, or None
+    when it is a header: no cell parses as an angle token.  Each cell is
+    parsed at most once, and the row is not parsed again."""
+    values = plain_floats(text, n)
+    if values is not None:  # a float literal parses: data
+        return values
+    cells = text.split(",")
+    parsed = []
+    for cell in cells:
+        try:
+            parsed.append(parse_theta(cell))
+        except PolymodError as exc:
+            parsed.append(exc)
+    if all(isinstance(p, PolymodError) for p in parsed):
+        return None
+    for cell, p in zip(cells, parsed):
+        if isinstance(p, PolymodError):
+            # parse_theta of the whole row names the row in this message
+            return OutOfRange(f"empty angle token in {text!r}") if not cell.strip() else p
+    return [value for p in parsed for value in p]
+
+
+def _validate_rows(parsed: list, n: int) -> tuple:
+    """Rows from :func:`parse_rows` validated as :func:`_parse_weight`
+    validates them: the (N, n) angles and each row's failure or None.
+    Rows of n angles are validated as one stack; a failed row's angles are
+    meaningless."""
+    import numpy as np
+
+    errors = [row if isinstance(row, PolymodError) else None for row in parsed]
+    for i, row in enumerate(parsed):
+        if errors[i] is None and len(row) != n:
             try:
-                thetas.append(_parse_weight(text, args.n))
+                _check_count(validate_weight(row), n)
             except PolymodError as exc:
-                thetas.append(exc)
-        shapes = map_ok(lambda ok: forward_shapes(args.n, ok, [word] * len(ok)), thetas)
-        for (row_number, _), theta, shape in zip(chunk, thetas, shapes):
-            if isinstance(shape, PolymodError):
-                sys.stderr.write(f"row {row_number}: {type(shape).__name__}: {shape}\n")
-                continue
-            cells = list(theta.theta) + list(shape.params)
-            if args.n == 6:
-                cells += [classify_hexahedron(shape)["type"]] + list(shape.signs)
-            out_lines.append(csv_row(cells))
-
-    data = "\n".join(out_lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(data)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise OutOfRange(f"cannot write output file {args.out!r}: {exc}") from exc
-    return 0
-
-
-def _looks_like_header(line: str) -> bool:
-    """True when no cell of the first row parses as an angle token."""
-    for cell in line.split(","):
-        try:
-            parse_theta(cell)
-        except PolymodError:
-            continue
-        return False
-    return True
+                errors[i] = exc
+    ok = [i for i, e in enumerate(errors) if e is None]
+    theta, failures = validate_weights(np.array([parsed[i] for i in ok]).reshape(len(ok), n))
+    full = np.zeros((len(parsed), n))
+    full[ok] = theta
+    for i, e in zip(ok, failures):
+        errors[i] = e
+    return full, errors
 
 
 # --------------------------------------------------------------------------- #

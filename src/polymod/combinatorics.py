@@ -37,6 +37,8 @@ from .errors import (
     PairSumTooLarge,
     RejectionBudgetExceeded,
     SumMismatch,
+    first_failures,
+    unwrap,
 )
 
 if TYPE_CHECKING:
@@ -116,6 +118,36 @@ class DegenerateConfig:
 # weight vectors
 # --------------------------------------------------------------------------- #
 
+def _non_positive(i: int, t: float) -> NonPositive:
+    return NonPositive(f"theta[{i + 1}] = {t!r} is not a positive finite angle")
+
+
+def _fsum(values: Sequence[float]) -> float:
+    """``math.fsum``, or inf where the exact sum overflows (fsum raises)."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _sum_mismatch(total: float) -> SumMismatch:
+    return SumMismatch(
+        f"sum(theta) = {total:.17g} differs from 2*pi by "
+        f"{abs(total - 2.0 * math.pi):.3g} (> {TOL_SUM:g})"
+    )
+
+
+def _large_pair(scaled: Sequence[float]) -> PairSumTooLarge | None:
+    """The first pair, in (i, j) order, whose sum reaches pi, or None."""
+    n = len(scaled)
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = scaled[i] + scaled[j]
+            if pair >= math.pi:
+                return PairSumTooLarge(i + 1, j + 1, pair)
+    return None
+
+
 def validate_weight(theta: Iterable[float]) -> WeightVector:
     """Validate a raw angle sequence and return an exact-sum WeightVector.
 
@@ -128,23 +160,49 @@ def validate_weight(theta: Iterable[float]) -> WeightVector:
         raise OutOfRange(f"need at least 4 angles, got {n}")
     for i, t in enumerate(values):
         if not math.isfinite(t) or t <= 0.0:
-            raise NonPositive(f"theta[{i + 1}] = {t!r} is not a positive finite angle")
-    total = math.fsum(values)
+            raise _non_positive(i, t)
+    total = _fsum(values)
     if abs(total - 2.0 * math.pi) > TOL_SUM:
-        raise SumMismatch(
-            f"sum(theta) = {total:.17g} differs from 2*pi by "
-            f"{abs(total - 2.0 * math.pi):.3g} (> {TOL_SUM:g})"
-        )
+        raise _sum_mismatch(total)
     # Pair sums are checked on the rescaled angles that are returned:
     # rescaling can lift a raw pair sum just below pi onto or above it.
     scale = 2.0 * math.pi / total
     scaled = tuple(t * scale for t in values)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = scaled[i] + scaled[j]
-            if pair >= math.pi:
-                raise PairSumTooLarge(i + 1, j + 1, pair)
+    unwrap(_large_pair(scaled))
     return WeightVector(n=n, theta=scaled)
+
+
+def validate_weights(raw: np.ndarray) -> tuple[np.ndarray, list]:
+    """:func:`validate_weight` over the rows of an (N, n) array, n >= 4.
+
+    Returns the rescaled (N, n) angles and, per row, None or the error
+    validate_weight raises for it, class and message alike; a failed row's
+    angles are meaningless.  Each clause runs on the whole stack in
+    validate_weight's order.  The sums are ``math.fsum`` per row, as there
+    (a numpy sum rounds differently), and the rescaling is the same IEEE
+    product, so every angle keeps its bits.  Float addition is monotone,
+    so a row whose two largest angles sum below pi has no pair reaching
+    it, and only the other rows run the pair loop.
+    """
+    import numpy as np
+
+    rows, n = raw.shape
+    errors: list = [None] * rows
+    bad = ~(np.isfinite(raw) & (raw > 0.0))
+    first = bad.argmax(axis=1)
+    first_failures(
+        errors, bad.any(axis=1), lambda i: _non_positive(int(first[i]), raw[i, first[i]].item())
+    )
+    two_pi = 2.0 * math.pi
+    totals = [two_pi if e is not None else _fsum(row) for row, e in zip(raw.tolist(), errors)]
+    total = np.array(totals)
+    first_failures(errors, np.abs(total - two_pi) > TOL_SUM, lambda i: _sum_mismatch(totals[i]))
+    with np.errstate(all="ignore"):  # a failed row may hold inf or nan
+        scaled = raw * (two_pi / total)[:, None]
+        top = np.partition(scaled, n - 2, axis=1)
+        reach = top[:, n - 2] + top[:, n - 1] >= math.pi
+    first_failures(errors, reach, lambda i: _large_pair(scaled[i].tolist()))
+    return scaled, errors
 
 
 def equal_weight(n: int) -> WeightVector:

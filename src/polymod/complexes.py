@@ -126,10 +126,12 @@ def _glued_classes(
 ) -> list[list]:
     """Classes of ``nodes`` under the gluing, in the order of their first node.
 
-    ``on_face(cell, face)`` maps the configuration key of each node on that
-    face to the node.  Each pairing glues every node on its first side to
-    the node with the same key on its second side; a key with no such node
-    raises PairingFailure.  Members are listed in node order.
+    ``on_face(cell, face)`` maps the key of each node on that face to the
+    node: a configuration's ``word`` tuple (it hashes in C, where a
+    DegenerateConfig hashes in Python) or a cusp partition.  Each pairing
+    glues every node on its first side to the node with the same key on
+    its second side; a key with no such node raises PairingFailure.
+    Members are listed in node order.
     """
     index = {node: i for i, node in enumerate(nodes)}
     root = list(range(len(nodes)))  # every class is rooted at its first node
@@ -145,7 +147,10 @@ def _glued_classes(
         for key, node in on_face(p.cell_a, p.face_a).items():
             match = side_b.get(key)
             if match is None:
-                shown = key.render() if isinstance(key, DegenerateConfig) else _partition_key(key)
+                if isinstance(key, tuple):
+                    shown = DegenerateConfig(key).render()
+                else:
+                    shown = _partition_key(key)
                 raise PairingFailure(
                     f"{shown} on face {p.face_a} of cell {cells[p.cell_a]} has no match "
                     f"on face {p.face_b} of cell {cells[p.cell_b]}"
@@ -168,7 +173,7 @@ def _pentagon_vertex_classes(
 
     def on_face(ci: int, face: int) -> dict:
         return {
-            vertex_config(cells[ci].word, face, other): (ci, tuple(sorted((face, other))))
+            vertex_config(cells[ci].word, face, other).word: (ci, tuple(sorted((face, other))))
             for other in (_cyc(face, 2, 5), _cyc(face, -2, 5))
         }
 
@@ -278,7 +283,7 @@ def singular_edges(complex_: GluedComplex) -> dict:
 
     def on_face(ci: int, face: int) -> dict:
         edges = ((ci, _cyc(face, -1, 6)), (ci, face))
-        return {fired[edge]: edge for edge in edges if edge in fired}
+        return {fired[edge].word: edge for edge in edges if edge in fired}
 
     groups = _glued_classes(complex_.cells, complex_.pairings, sorted(fired), on_face)
 

@@ -21,6 +21,7 @@ import math
 import re
 import sys
 import warnings
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import OutOfRange
@@ -30,9 +31,8 @@ _ANGLE_CHARS = re.compile(r"^[0-9eE@+\-*/().]*$")
 # gives the value eval gives, bit for bit; integer literals are left to
 # eval, which rejects leading zeros, turns -0 into +0.0 and raises on an
 # integer too large for a float.
-_FLOAT_LITERAL = re.compile(
-    r"[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|[0-9]+e[+-]?[0-9]+)"
-)
+_FLOAT = r"[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)"
+_FLOAT_LITERAL = re.compile(_FLOAT)
 _REPEAT = re.compile(r"^(\d+)x(.+)$")
 
 #: Largest ``Nx`` repetition count; no function here uses more than 8 marks.
@@ -145,6 +145,39 @@ def parse_theta(spec: str) -> list[float]:
             out.extend([_eval_angle(rep.group(2))] * count)
         else:
             out.append(_eval_angle(token))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _plain_row(n: int) -> re.Pattern:
+    """Exactly ``n`` comma-separated plain float literals, no spaces."""
+    return re.compile(",".join([_FLOAT] * n))
+
+
+def plain_floats(text: str, n: int) -> list[float] | None:
+    """The angles of a row of exactly ``n`` plain float literals, each
+    converted by one ``float()`` (parse_theta's values, bit for bit), or
+    None for any other row: expressions, ``Nx`` repeats, integers, spaces
+    inside the row, another cell count, or a literal such as ``1e999``
+    that overflows to inf."""
+    if not _plain_row(n).fullmatch(text):
+        return None
+    values = list(map(float, text.split(",")))
+    return values if math.isfinite(sum(values)) else None
+
+
+def parse_rows(texts: Sequence[str], n: int) -> list[list[float] | OutOfRange]:
+    """:func:`parse_theta` over many rows: each row's angles, or its error.
+    A row of ``n`` plain float literals takes :func:`plain_floats`."""
+    out: list = []
+    for text in texts:
+        values = plain_floats(text, n)
+        if values is None:
+            try:
+                values = parse_theta(text)
+            except OutOfRange as exc:
+                values = exc
+        out.append(values)
     return out
 
 

@@ -22,11 +22,14 @@ the shoelace sum ``1/2 sum_j Im(conj(V_j) V_{j+1})`` is
 ``B M B^T`` with ``M[k, j] = 1/4 Im(conj(d_k) d_j) sign(j - k)``.
 
 One stacked kernel computes every model: :func:`build_models` takes N
-(theta, word) rows, reads their completion triangles (gate, edge directions
-and apex) from :func:`polymod.planar.complete_triangles`, and returns their
-arrays and axis intercepts, or each row's first failure; :func:`build_model`,
-:func:`facet_zero_ray` and :func:`axis_intercepts` are its one-row case, and
-:meth:`ModelStack.model`
+(theta, word) rows, the thetas as WeightVectors or as an (N, n) array,
+reads their completion triangles (gate, edge directions and apex) from
+:func:`polymod.planar.complete_triangles`, and returns their arrays and
+axis intercepts, or each row's first failure.  Python visits a row only
+to record its failure: the pivot search runs over the 10 or 15 direction
+pairs with the rows as columns, and the corner scales map ``math.sin``
+over flat lists.  :func:`build_model`, :func:`facet_zero_ray` and
+:func:`axis_intercepts` are its one-row case, and :meth:`ModelStack.model`
 is the one place that assembles a :class:`LorentzModel`.  The stacked
 ``matmul``, ``eigvalsh`` and ``svd`` calls run the same routine on each row
 as on a 2-D array, so a row's bits do not depend on the rows stacked with
@@ -57,7 +60,15 @@ from .errors import (
     first_failures,
     unwrap,
 )
-from .planar import Triangles, complete_triangles, fail_parallel, label_angles, parallel_lines
+from .planar import (
+    Triangles,
+    angle_rows,
+    complete_triangles,
+    fail_parallel,
+    label_angles,
+    libm,
+    parallel_lines,
+)
 
 
 @dataclass(frozen=True)
@@ -92,30 +103,42 @@ _PAIRS = {n: np.array([(a, b) for a in range(n) for b in range(a + 1, n)]).T for
 _J_FORM = {dim: np.diag([1.0] + [-1.0] * (dim - 1)) for dim in (3, 4)}
 
 
-def _pivot(abs_cross: list[float]) -> int:
-    """Index of the first direction pair, in (a, b) order, that beats the
-    running best by more than 1e-15: the best-conditioned pair, stable on
-    near-ties."""
-    best, choice = -1.0, 0
-    for k, value in enumerate(abs_cross):
-        if value > best + 1e-15:
-            best, choice = value, k
+def _pivots(abs_cross: np.ndarray) -> np.ndarray:
+    """Per row of (N, pairs) values, the index of the first direction pair,
+    in (a, b) order, that beats the running best by more than 1e-15: the
+    best-conditioned pair, stable on near-ties."""
+    rows, pairs = abs_cross.shape
+    best, choice = np.full(rows, -1.0), np.zeros(rows, dtype=int)
+    for k in range(pairs):
+        beats = abs_cross[:, k] > best + 1e-15
+        best = np.where(beats, abs_cross[:, k], best)
+        choice[beats] = k
     return choice
 
 
-def _corner_scales(t: list[float], n: int) -> list[float]:
-    """The corner scales: sqrt of the area cut off by a unit edge 1, 3[, 5]
-    with adjacent turning angles t_k, t_{k+1}, in scalar ``math``.
+def _corner_scales(angles: np.ndarray, errors: list) -> np.ndarray:
+    """The (N, n // 2) corner scales: sqrt of the area cut off by a unit
+    edge 1, 3[, 5] with adjacent turning angles t_k, t_{k+1}.
 
-    Validated weight vectors keep every radicand positive.  A hand-built
-    one with a negative angle can make one negative; that raises
-    NegativeRatio, where ``math.sqrt`` alone would raise a bare ValueError."""
-    scales = []
-    for k in range(0, n - 1, 2):
-        radicand = math.sin(t[k]) * math.sin(t[k + 1]) / (2.0 * math.sin(t[k] + t[k + 1]))
-        if radicand < 0.0:
-            raise NegativeRatio(f"squared edge {k + 1} corner scale = {radicand:.17g} < 0")
-        scales.append(math.sqrt(radicand))
+    Rows that failed before keep scale 1.  Validated weight vectors keep
+    every radicand positive; a hand-built one with a negative angle can
+    make one negative, which records NegativeRatio at the first such edge.
+    """
+    rows, n = angles.shape
+    scales = np.ones((rows, n // 2))
+    ok = [i for i, e in enumerate(errors) if e is None]
+    t = angles[ok]
+    t_in, t_out = t[:, 0 : n - 1 : 2], t[:, 1:n:2]
+    radicand = libm(math.sin, t_in) * libm(math.sin, t_out) / (2.0 * libm(math.sin, t_in + t_out))
+    negative = radicand < 0.0
+    failed = negative.any(axis=1)
+    edge = negative.argmax(axis=1)
+    for j in failed.nonzero()[0].tolist():
+        errors[ok[j]] = NegativeRatio(
+            f"squared edge {2 * edge[j] + 1} corner scale = {float(radicand[j, edge[j]]):.17g} < 0"
+        )
+    radicand[failed] = 1.0
+    scales[ok] = np.sqrt(radicand)
     return scales
 
 
@@ -166,7 +189,7 @@ def _model_arrays(tri: Triangles) -> dict:
 
     # Cramer basis: free column j closes with d_j + x d_p1 + y d_p2 = 0
     a, b = _PAIRS[n]
-    choice = [_pivot(row) for row in np.abs(cross[:, a, b]).tolist()]
+    choice = _pivots(np.abs(cross[:, a, b]))
     p1, p2 = a[choice], b[choice]
     keep = np.ones((rows, n), dtype=bool)
     keep[idx, p1] = False
@@ -197,13 +220,7 @@ def _model_arrays(tri: Triangles) -> dict:
     # the base line runs along edge 2 and meets the lines along edges n and 4
     base, side_n, side_4 = ((dirs[:, k].real, dirs[:, k].imag) for k in (1, n - 1, 3))
     fail_parallel(errors, parallel_lines(side_n, base) | parallel_lines(side_4, base))
-    corner = np.ones((rows, n // 2))
-    for i in range(rows):
-        if errors[i] is None:
-            try:
-                corner[i] = _corner_scales(angles[i].tolist(), n)
-            except NegativeRatio as exc:
-                errors[i] = exc
+    corner = _corner_scales(angles, errors)
     # sqrt(apex height / 2) of the completion triangle scales its base width
     x_row = np.sqrt(tri.apex.imag / 2.0)[:, None] * _base_widths(basis, dirs)
     # u, v[, w] scale the lengths of edges 1, 3[, 5]
@@ -296,14 +313,14 @@ def _intercepts(facet_mat: np.ndarray, coord_mat: np.ndarray, errors: list) -> n
 class ModelStack:
     """Lorentz models and axis intercepts of N (theta, word) rows.
 
-    Row i holds the model of ``(thetas[i], words[i])``, its completion
+    Row i holds the model of ``(theta[i], words[i])``, its completion
     triangle (``triangles``, the one the planar route reads) and its axis
     intercepts, bit for bit as the row alone gives them, or the first
     failure of each: ``model_errors[i]`` for the model,
     ``intercept_errors[i]`` for the intercepts of a model that was built.
     """
 
-    thetas: tuple[WeightVector, ...]
+    theta: np.ndarray       # (N, n) angles, in mark order
     words: tuple[tuple[int, ...], ...]
     triangles: Triangles
     basis: np.ndarray       # (N, n-2, n)
@@ -322,15 +339,26 @@ class ModelStack:
         return values, [None if m is not None else e for m, e in zip(self.model_errors, errors)]
 
     @property
+    def intercepts(self) -> np.ndarray:
+        """The (N, n-3) intercepts; a failed row's are meaningless."""
+        return self._axis[0]
+
+    @property
     def intercept_errors(self) -> list:
         return self._axis[1]
+
+    @property
+    def thetas(self) -> tuple[WeightVector, ...]:
+        """The rows' weight vectors."""
+        n = self.theta.shape[1]
+        return tuple(WeightVector(n=n, theta=tuple(row)) for row in self.theta.tolist())
 
     def model(self, i: int) -> LorentzModel:
         """Row i's model, or its recorded build failure raised."""
         unwrap(self.model_errors[i])
         return LorentzModel(
             word=self.words[i],
-            theta=self.thetas[i],
+            theta=WeightVector(n=self.theta.shape[1], theta=tuple(self.theta[i].tolist())),
             basis=self.basis[i],
             gram=self.gram[i],
             coord_mat=self.coord_mat[i],
@@ -344,23 +372,24 @@ class ModelStack:
 
 
 def build_models(
-    thetas: Sequence[WeightVector], words: Sequence[Sequence[int]]
+    thetas: Sequence[WeightVector] | np.ndarray, words: Sequence[Sequence[int]]
 ) -> ModelStack:
     """Build the Lorentz models and axis intercepts of many rows at once.
 
-    Rows share nothing but the stacked arrays; a failing row records its
-    error (the class and message :func:`build_model` or
+    ``thetas`` holds WeightVectors or is an (N, n) array of validated
+    angles.  Rows share nothing but the stacked arrays; a failing row
+    records its error (the class and message :func:`build_model` or
     :func:`axis_intercepts` would raise) and leaves its neighbours as they
     would be alone.  Every row must have the same n, 5 or 6.
     """
-    words, angles = label_angles(thetas, words)
+    theta = angle_rows(thetas)
+    words, angles = label_angles(theta, words)
     if not words:
         raise OutOfRange("a model stack needs at least one row")
     tri = complete_triangles(angles)
     arrays = _model_arrays(tri)
     return ModelStack(
-        thetas=tuple(thetas), words=words, triangles=tri,
-        model_errors=arrays.pop("errors"), **arrays,
+        theta=theta, words=words, triangles=tri, model_errors=arrays.pop("errors"), **arrays
     )
 
 

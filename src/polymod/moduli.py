@@ -2,13 +2,21 @@
 
 A pentagon shape is the pair ``(P, Q)`` with ``0 < P, Q < 1`` and
 ``P^2 + Q^2 > 1``; a hexahedron shape is a triple of positive reals
-``(P, Q, R)``.  :func:`planar_shapes` reads shapes from the feet of a stack
-of completion triangles alone; ``psi5``/``psi6`` also compute them from the
-Lorentzian axis intercepts, and the two routes must agree to ``ROUTE_TOL``
-under :func:`scaled_residual`.  :func:`forward_shapes` is the forward map
-over many rows, with one stacked Lorentz kernel call for all of them whose
-completion triangles both routes read; ``psi5`` and ``psi6`` are its
-one-row cases.
+``(P, Q, R)``.  :func:`planar_params` reads shape parameters from the feet
+of a stack of completion triangles alone; ``psi5``/``psi6`` also compute
+them from the Lorentzian axis intercepts, and the two routes must agree to
+``ROUTE_TOL`` under :func:`scaled_residual`.  :func:`forward_params` is the
+forward map over an array of rows, with one stacked Lorentz kernel call
+for all of them whose completion triangles both routes read.
+
+The stacked code keeps to the row protocol of :mod:`polymod.errors`: the
+parameters are an (N, n-3) array and each row holds None or its first
+failure.  Every gate (the square roots, NegativeRatio, the shapes' domain
+checks and the route check) runs on the columns.  The scalar rules, the
+shape constructors and :func:`scaled_residual`, give each failure its
+class and message, and they decide every row that comes near a gate.
+:func:`planar_shapes` and :func:`forward_shapes` give the same rows as
+shape objects, and ``psi5`` and ``psi6`` are their one-row cases.
 
 The hexahedron sign rule: ``P - 1``, ``Q - 1`` and ``R - 1`` have the same
 signs as the consecutive-triple sums ``theta_{i5}+theta_{i6}+theta_{i1}``,
@@ -26,9 +34,18 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .combinatorics import TOL_IDEAL, WeightVector, as_word
-from .errors import NegativeRatio, OutOfRange, PolymodError, RouteDisagreement, unwrap
-from .lorentz import build_models
+from .errors import (
+    NegativeRatio,
+    OutOfRange,
+    PolymodError,
+    RouteDisagreement,
+    first_failures,
+    unwrap,
+)
+from .lorentz import ModelStack, build_models
 from .planar import Triangles
 
 #: Allowed relative disagreement between the planar and Lorentzian routes.
@@ -45,6 +62,24 @@ _EDGE_BELOW = (5, 1, 3)
 _EDGE_ABOVE = (2, 4, 6)
 
 
+def _pentagon_error(P: float, Q: float) -> OutOfRange | None:
+    """Why (P, Q) is no pentagon shape, or None."""
+    if not (0.0 < P < 1.0 and 0.0 < Q < 1.0):
+        return OutOfRange(f"pentagon shape needs 0 < P, Q < 1, got ({P!r}, {Q!r})")
+    if P**2 + Q**2 <= 1.0:
+        return OutOfRange(f"pentagon shape needs P^2 + Q^2 > 1, got {P**2 + Q**2:.17g}")
+    return None
+
+
+def _hexahedron_error(P: float, Q: float, R: float) -> OutOfRange | None:
+    """Why (P, Q, R) is no hexahedron shape, or None."""
+    if not (P > 0.0 and Q > 0.0 and R > 0.0):
+        return OutOfRange(f"hexahedron shape needs P, Q, R > 0, got ({P!r}, {Q!r}, {R!r})")
+    if not all(math.isfinite(v) for v in (P, Q, R)):
+        return OutOfRange(f"hexahedron shape needs finite P, Q, R, got ({P!r}, {Q!r}, {R!r})")
+    return None
+
+
 @dataclass(frozen=True)
 class PentagonShape:
     """A right-pentagon shape (P, Q) in the open region P^2 + Q^2 > 1."""
@@ -53,15 +88,7 @@ class PentagonShape:
     Q: float
 
     def __post_init__(self):
-        if not (0.0 < self.P < 1.0 and 0.0 < self.Q < 1.0):
-            raise OutOfRange(
-                f"pentagon shape needs 0 < P, Q < 1, got ({self.P!r}, {self.Q!r})"
-            )
-        if self.P**2 + self.Q**2 <= 1.0:
-            raise OutOfRange(
-                f"pentagon shape needs P^2 + Q^2 > 1, got "
-                f"{self.P**2 + self.Q**2:.17g}"
-            )
+        unwrap(_pentagon_error(self.P, self.Q))
 
     @property
     def params(self) -> tuple[float, float]:
@@ -77,16 +104,7 @@ class HexahedronShape:
     R: float
 
     def __post_init__(self):
-        if not (self.P > 0.0 and self.Q > 0.0 and self.R > 0.0):
-            raise OutOfRange(
-                f"hexahedron shape needs P, Q, R > 0, got "
-                f"({self.P!r}, {self.Q!r}, {self.R!r})"
-            )
-        if not all(math.isfinite(v) for v in self.params):
-            raise OutOfRange(
-                f"hexahedron shape needs finite P, Q, R, got "
-                f"({self.P!r}, {self.Q!r}, {self.R!r})"
-            )
+        unwrap(_hexahedron_error(self.P, self.Q, self.R))
 
     @property
     def params(self) -> tuple[float, float, float]:
@@ -136,34 +154,105 @@ def scaled_residual(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b)) ** 2
 
 
-def _shape(n: int, feet: list[float]) -> PentagonShape | HexahedronShape:
-    """The shape read from one row's feet, or its gate's failure raised."""
-    if n == 5:
-        f1, f2 = feet
-        return PentagonShape(P=math.sqrt(1.0 - f1), Q=math.sqrt(f2))
-    for name, val in zip("PQR", feet):
-        if val <= 0.0:
-            raise NegativeRatio(f"squared parameter {name}^2 = {val:.17g} <= 0")
-    return HexahedronShape(*(math.sqrt(val) for val in feet))
+#: The stacked gates square with ``x * x`` where the scalar rules call
+#: ``x**2`` (libm ``pow``), which may round the last bit the other way.  A
+#: row whose stacked value comes within this factor of its gate is decided
+#: by the scalar rule, so no row's outcome depends on which one ran.
+_NEAR_GATE = 1.0 - 1e-9
 
 
-def planar_shapes(triangles: Triangles) -> list[PentagonShape | HexahedronShape | PolymodError]:
-    """The planar route over a stack of completion triangles.
+@np.errstate(all="ignore")  # failed rows hold NaN; their values go unread
+def planar_params(triangles: Triangles) -> tuple[np.ndarray, list]:
+    """The planar route over a stack of completion triangles, as arrays.
 
     Pentagons take ``P^2 = 1 - f1`` and ``Q^2 = f2`` from the apex-cevian
     feet; hexahedra take ``P^2, Q^2, R^2`` from the three signed feet
-    ratios, which must be positive (NegativeRatio otherwise).  Each row
-    gets its shape or its first failure: the feet's, then the shape's own
-    domain checks.  The Lorentzian route is not consulted.
+    ratios, which must be positive (NegativeRatio otherwise).  Returns the
+    (N, n-3) parameters and each row's first failure or None: the feet's,
+    then the shape's own domain checks, whose class and message the
+    :class:`PentagonShape` and :class:`HexahedronShape` constructors
+    give.  The Lorentzian route is not consulted.
     """
-    feet, out = triangles.feet()
-    for i, row in enumerate(feet.tolist()):
-        if out[i] is None:
-            try:
-                out[i] = _shape(triangles.n, row)
-            except PolymodError as exc:
-                out[i] = exc
-    return out
+    feet, errors = triangles.feet()
+    if triangles.n == 5:
+        params = np.sqrt(np.stack([1.0 - feet[:, 0], feet[:, 1]], axis=1))
+        P, Q = params.T
+        suspect = ~((0.0 < P) & (P < 1.0) & (0.0 < Q) & (Q < 1.0))
+        suspect |= ~(P * P + Q * Q > 1.0 / _NEAR_GATE)
+        first_failures(errors, suspect, lambda i: _pentagon_error(*params[i].tolist()))
+        return params, errors
+    negative = feet <= 0.0
+    name = negative.argmax(axis=1)
+    first_failures(
+        errors,
+        negative.any(axis=1),
+        lambda i: NegativeRatio(
+            f"squared parameter {'PQR'[name[i]]}^2 = {float(feet[i, name[i]]):.17g} <= 0"
+        ),
+    )
+    params = np.sqrt(feet)
+    suspect = ~(np.all(params > 0.0, axis=1) & np.isfinite(params).all(axis=1))
+    first_failures(errors, suspect, lambda i: _hexahedron_error(*params[i].tolist()))
+    return params, errors
+
+
+def planar_shapes(triangles: Triangles) -> list[PentagonShape | HexahedronShape | PolymodError]:
+    """:func:`planar_params` as one shape, or the first failure, per row."""
+    params, errors = planar_params(triangles)
+    shape = PentagonShape if triangles.n == 5 else HexahedronShape
+    return [shape(*row) if e is None else e for row, e in zip(params.tolist(), errors)]
+
+
+def _disagreement(
+    n: int, shape: Sequence[float], lorentz: Sequence[float]
+) -> RouteDisagreement | None:
+    """The first parameter whose two routes differ beyond ROUTE_TOL under
+    :func:`scaled_residual`, or None."""
+    for name, a, b in zip("PQR", shape, lorentz):
+        if scaled_residual(a, b) > ROUTE_TOL:
+            return RouteDisagreement(
+                f"psi{n}: planar {name} = {a:.17g} vs Lorentzian {name} = "
+                f"{b:.17g} disagree beyond {ROUTE_TOL:g} of squared magnitude"
+            )
+    return None
+
+
+@np.errstate(all="ignore")
+def _cross_check(n: int, stack: ModelStack, params: np.ndarray, errors: list) -> list:
+    """``errors`` after the route check: each row that passed the planar
+    route gets its Lorentz model's or axis intercepts' failure, then
+    RouteDisagreement where a parameter differs from its intercept.
+
+    :func:`scaled_residual` runs on the columns; a row whose stacked
+    residual comes near ROUTE_TOL is decided by the scalar rule."""
+    errors = [
+        e if e is not None else (m or x)
+        for e, m, x in zip(errors, stack.model_errors, stack.intercept_errors)
+    ]
+    lorentz = stack.intercepts
+    scale = np.fmax(np.fmax(np.abs(params), np.abs(lorentz)), 1.0)
+    residual = np.abs(params - lorentz) / (scale * scale)
+    first_failures(
+        errors,
+        (residual > ROUTE_TOL * _NEAR_GATE).any(axis=1),
+        lambda i: _disagreement(n, params[i].tolist(), lorentz[i].tolist()),
+    )
+    return errors
+
+
+def forward_params(
+    n: int, theta: np.ndarray, labels: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, list]:
+    """:func:`forward_shapes` as arrays, for an (N, n) array of validated
+    angles: the (N, n-3) shape parameters and each row's failure or None.
+    A failed row's parameters are meaningless."""
+    if theta.shape[1] != n:
+        raise OutOfRange(f"psi{n} maps weight vectors of n={n}")
+    if not len(theta):
+        return np.zeros((0, n - 3)), []
+    stack = build_models(theta, labels)
+    params, errors = planar_params(stack.triangles)
+    return params, _cross_check(n, stack, params, errors)
 
 
 def forward_shapes(
@@ -185,22 +274,15 @@ def forward_shapes(
         return []
     stack = build_models(thetas, labels)
     out = planar_shapes(stack.triangles)
-    for i, shape in enumerate(out):
-        if isinstance(shape, PolymodError):
-            continue
-        try:
-            lorentz_vals = stack.axis_intercepts(i)
-        except PolymodError as exc:
-            out[i] = exc
-            continue
-        for name, a, b in zip("PQR", shape.params, lorentz_vals):
-            if scaled_residual(a, b) > ROUTE_TOL:
-                out[i] = RouteDisagreement(
-                    f"psi{n}: planar {name} = {a:.17g} vs Lorentzian {name} = "
-                    f"{b:.17g} disagree beyond {ROUTE_TOL:g} of squared magnitude"
-                )
-                break
-    return out
+    failed = [isinstance(shape, PolymodError) for shape in out]
+    params = np.array([(math.nan,) * (n - 3) if f else s.params for s, f in zip(out, failed)])
+    errors = _cross_check(n, stack, params, [s if f else None for s, f in zip(out, failed)])
+    return [shape if e is None else e for shape, e in zip(out, errors)]
+
+
+def hexahedron_signs(params: np.ndarray) -> np.ndarray:
+    """:attr:`HexahedronShape.signs` of each row of an (N, 3) array."""
+    return np.where(np.abs(params - 1.0) <= TOL_IDEAL, 0, np.where(params > 1.0, 1, -1))
 
 
 def psi5(theta: WeightVector, label: Sequence[int] = IDENTITY5) -> PentagonShape:

@@ -18,7 +18,12 @@ edge runs along the positive real axis:
 :func:`complete_triangles` computes the triangles of N rows at once, each
 row bit for bit as it is alone; the Lorentz kernel and the planar route
 read the same triangles, and :func:`complete_triangle` and
-:func:`pentagon_feet` are the one-row case.
+:func:`pentagon_feet` are the one-row case.  The rows are WeightVectors or
+an (N, n) array of angles; :func:`label_angles` validates each distinct
+label word once and gathers every row's angles in its word's order.
+Elementary functions that decide bits (the apex's ``sin`` and ``exp``)
+are the scalar ``math``/``cmath`` calls mapped over flat lists
+(:func:`libm`), since numpy's may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import WeightVector, as_word
+from .combinatorics import Label, WeightVector, as_word
 from .errors import (
     DegenerateTriangle,
     FootOutsideBase,
@@ -44,23 +49,56 @@ from .errors import (
 EPS_ANGLE = 1e-12
 
 
-def label_angles(
-    thetas: Sequence[WeightVector], words: Sequence[Sequence[int]]
-) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Validated words and the (N, n) angles in label order."""
-    checked = []
-    for theta, label in zip(thetas, words, strict=True):
-        word = as_word(label)
-        n = theta.n
-        if len(word) != n:
-            raise OutOfRange(f"label has {len(word)} marks but theta has {n} angles")
-        if n not in (5, 6):
-            raise OutOfRange(f"completion triangles exist for n in {{5, 6}}, got {n}")
-        checked.append(word)
-    if len({len(w) for w in checked}) > 1:
+def libm(fn, x: np.ndarray) -> np.ndarray:
+    """The scalar ``math`` function ``fn`` at every entry of ``x``: numpy's
+    own elementary functions may differ from libm in the last bit."""
+    return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
+
+
+def angle_rows(thetas: Sequence[WeightVector] | np.ndarray) -> np.ndarray:
+    """The (N, n) angles of a stack: an array of rows as it is, or the
+    angles of WeightVectors of one n."""
+    if isinstance(thetas, np.ndarray):
+        return thetas
+    ns = {theta.n for theta in thetas}
+    if len(ns) > 1:
         raise OutOfRange("a stack needs one n for every row")
-    angles = np.array([[theta[m - 1] for m in w] for theta, w in zip(thetas, checked)], dtype=float)
-    return tuple(checked), angles
+    return np.array([theta.theta for theta in thetas], dtype=float).reshape(
+        len(thetas), ns.pop() if ns else 0
+    )
+
+
+def label_angles(
+    thetas: Sequence[WeightVector] | np.ndarray, words: Sequence[Sequence[int]]
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Validated words and the (N, n) angles in label order.
+
+    ``thetas`` is a sequence of WeightVectors or an (N, n) array of angles
+    (:func:`angle_rows`).  Each distinct word is validated once, and one
+    gather puts every row's angles in its word's order.
+    """
+    theta = angle_rows(thetas)
+    n = theta.shape[1]
+    index: dict = {}
+    distinct: list[tuple[int, ...]] = []
+    rows = []
+    for label in words:
+        key = label if isinstance(label, Label) else tuple(label)
+        if key not in index:
+            word = as_word(label)
+            if len(word) != n:
+                raise OutOfRange(f"label has {len(word)} marks but theta has {n} angles")
+            if n not in (5, 6):
+                raise OutOfRange(f"completion triangles exist for n in {{5, 6}}, got {n}")
+            index[key] = len(distinct)
+            distinct.append(word)
+        rows.append(index[key])
+    if len(rows) != len(theta):
+        raise ValueError(f"{len(theta)} weight vectors but {len(rows)} words")
+    if not rows:
+        return (), theta
+    marks = np.array(distinct)[rows] - 1
+    return tuple(distinct[k] for k in rows), np.take_along_axis(theta, marks, axis=1)
 
 
 def _im_conj(x: tuple, y: tuple) -> np.ndarray:
@@ -151,17 +189,19 @@ def complete_triangles(angles: np.ndarray) -> Triangles:
     ext = np.add.reduceat(angles, [0, 2, 4], axis=1)  # at a, b and c
     bad = ~((ext > EPS_ANGLE) & (ext < math.pi - EPS_ANGLE))
     errors: list = [None] * len(angles)
+    failed, first = bad.any(axis=1), bad.argmax(axis=1)
+    first_failures(
+        errors,
+        failed,
+        lambda i: DegenerateTriangle(
+            f"exterior angle at {'abc'[first[i]]} is {float(ext[i, first[i]]):.17g}, "
+            "outside (0, pi)"
+        ),
+    )
     apex = np.full(len(angles), complex(math.nan, math.nan))
-    failed, first = bad.any(axis=1).tolist(), bad.argmax(axis=1).tolist()
-    for i, row in enumerate(ext.tolist()):
-        if failed[i]:
-            k = first[i]
-            errors[i] = DegenerateTriangle(
-                f"exterior angle at {'abc'[k]} is {row[k]:.17g}, outside (0, pi)"
-            )
-            continue
-        alpha, beta, gamma = (math.pi - e for e in row)
-        apex[i] = (math.sin(beta) / math.sin(gamma)) * cmath.exp(1j * alpha)
+    alpha, beta, gamma = (math.pi - ext[~failed]).T
+    ratio = libm(math.sin, beta) / libm(math.sin, gamma)
+    apex[~failed] = [r * cmath.exp(1j * a) for r, a in zip(ratio.tolist(), alpha.tolist())]
     cum = np.cumsum(angles, axis=1)
     dirs = np.exp(1j * (cum - cum[:, 1:2]))
     return Triangles(angles=angles, ext=ext, dirs=dirs, apex=apex, errors=errors)

@@ -4,16 +4,20 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymod import cli, fiber, verify
 from polymod.combinatorics import sample_weight_rng
-from polymod.errors import RouteDisagreement
+from polymod.errors import PolymodError, RouteDisagreement
+from polymod.jsonio import parse_rows, parse_theta
 
 from lorentz_oracle import boundary_weights
 
@@ -515,6 +519,216 @@ class TestSweep:
         assert doc["error"] == "OutOfRange"
         assert doc["message"].startswith(f"cannot read input file {str(src)!r}: ")
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize(
+        "first", ["2pi/5,2pi/5,2pi/5,2pi/5,2pi/5", "theta1,theta2,theta3,theta4,theta5"]
+    )
+    def test_a_byte_order_mark_is_not_data(self, capsys, tmp_path, first):
+        """A file saved as "CSV UTF-8" starts with a BOM; it used to make
+        row 1 an unparsable token, losing a data row."""
+        src = tmp_path / "bom.csv"
+        src.write_bytes(
+            b"\xef\xbb\xbf" + f"{first}\n0.9,1.4,1.2,1.5,1.2831853071795865\n".encode()
+        )
+        code, out, err = run(capsys, "sweep", "--n", "5", "--input", str(src), "--out", "-")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == (3 if first[0] == "2" else 2)
+
+    def test_an_unwritable_out_fails_before_any_work(self, capsys, tmp_path):
+        """--out is opened once the input is read: a path that cannot be
+        written exits 2 before any row is mapped, so row 3 is not reported."""
+        src = tmp_path / "thetas.csv"
+        src.write_text(SWEEP_ROWS, encoding="utf-8")
+        out = tmp_path / "missing" / "shapes.csv"
+        code, doc, err = run_json(
+            capsys, "sweep", "--n", "5", "--input", str(src), "--out", str(out)
+        )
+        assert (code, doc["error"], err) == (2, "OutOfRange", "")
+        assert doc["message"].startswith(f"cannot write output file {str(out)!r}: ")
+
+    def test_an_unreadable_input_leaves_the_output_file_alone(self, capsys, tmp_path):
+        out = tmp_path / "shapes.csv"
+        out.write_text("kept\n", encoding="utf-8")
+        code, doc, _ = run_json(
+            capsys, "sweep", "--n", "5", "--input", str(tmp_path / "missing.csv"), "--out", str(out)
+        )
+        assert (code, doc["error"]) == (2, "OutOfRange")
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
+    def test_row_one_is_parsed_once(self, capsys, tmp_path, monkeypatch):
+        """Header detection parses each cell of row 1, and that parse is the
+        row's: parse_theta never sees the whole row."""
+        from polymod import jsonio
+
+        calls = []
+        original = jsonio.parse_theta
+
+        def parse_theta(spec):
+            calls.append(spec)
+            return original(spec)
+
+        for module in (jsonio, cli):
+            monkeypatch.setattr(module, "parse_theta", parse_theta)
+        src = tmp_path / "one.csv"
+        src.write_text("2pi/5,2pi/5,2pi/5,2pi/5,2pi/5\n", encoding="utf-8")
+        code, out, err = run(capsys, "sweep", "--n", "5", "--input", str(src), "--out", "-")
+        assert (code, err, len(out.splitlines())) == (0, "", 2)
+        assert calls == ["2pi/5"] * 5
+
+    def test_a_row_whose_sum_overflows_is_reported(self, capsys, tmp_path):
+        """math.fsum raised OverflowError on it, ending the run in a traceback."""
+        src = tmp_path / "huge.csv"
+        src.write_text("1e308,1e308,1.0,1.0,1.0\n" + SWEEP_ROWS, encoding="utf-8")
+        code, out, err = run(capsys, "sweep", "--n", "5", "--input", str(src), "--out", "-")
+        assert code == 0
+        assert err.startswith("row 1: SumMismatch: sum(theta) = inf differs from 2*pi by inf")
+        assert len(out.splitlines()) == 3
+
+    def test_a_non_finite_value_stops_the_run_at_its_row(self, capsys, tmp_path, monkeypatch):
+        """The gates keep every mapped value finite; were one not, the run
+        would stop at its row with OutOfRange, the earlier rows reported, as
+        serializing the rows one at a time did."""
+        from polymod import moduli
+
+        original = moduli.forward_params
+
+        def forward_params(n, theta, labels):
+            params, errors = original(n, theta, labels)
+            params[1, 0] = math.inf  # row 4 of SWEEP_ROWS
+            return params, errors
+
+        monkeypatch.setattr(moduli, "forward_params", forward_params)
+        src = tmp_path / "thetas.csv"
+        src.write_text(SWEEP_ROWS + "bad,2,2,2,2\n", encoding="utf-8")
+        code, doc, err = run_json(capsys, "sweep", "--n", "5", "--input", str(src), "--out", "-")
+        assert (code, doc["error"]) == (2, "OutOfRange")
+        assert doc["message"] == "cannot serialize non-finite float inf"
+        assert err == "row 3: OutOfRange: angle token 'bad' contains unsupported characters\n"
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_stdout_and_stderr_equal_the_one_row_oracle(self, capsys, tmp_path, n):
+        """Near-boundary rows, planted bad rows on both sides of a chunk
+        boundary, a blank line and a header: sweep prints what mapping the
+        rows one at a time prints."""
+        word = tuple(range(1, n + 1))[::-1]
+        thetas = boundary_weights(n, np.random.default_rng(70 + n), 2 * cli.SWEEP_CHUNK + 40)
+        rows = [",".join(map(repr, theta.theta)) for theta in thetas]
+        rest = repr((2 * math.pi - 3.2) / (n - 2))
+        planted = {
+            cli.SWEEP_CHUNK - 2: ",".join(["1.0"] * n),  # SumMismatch
+            cli.SWEEP_CHUNK - 1: "abc," + rows[0].partition(",")[2],  # OutOfRange
+            cli.SWEEP_CHUNK: ",".join(["1.6", "1.6"] + [rest] * (n - 2)),  # PairSumTooLarge
+            cli.SWEEP_CHUNK + 1: "-" + rows[1],  # NonPositive
+            cli.SWEEP_CHUNK + 3: f"{n}x2pi/{n}",
+            cli.SWEEP_CHUNK + 5: ",".join(rows[2].split(",")[:-1]),  # too few angles
+            cli.SWEEP_CHUNK + 7: rows[3].replace(",", ", "),
+        }
+        for k, text in planted.items():
+            rows[k] = text
+        lines = [",".join(f"theta{i}" for i in range(1, n + 1))] + rows[:9] + [""] + rows[9:]
+        src = tmp_path / "rows.csv"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "sweep", "--n", str(n), "--input", str(src),
+            "--label", "".join(map(str, word)), "--out", "-",
+        )
+        assert code == 0
+        want_out, want_err = sweep_one_row_at_a_time(n, word, lines)
+        assert err == want_err
+        assert out == want_out
+        reported = re.findall(r"^row \d+: (\w+): ", err, flags=re.M)
+        classes = {"SignatureMismatch", "SumMismatch", "OutOfRange", "PairSumTooLarge", "NonPositive"}
+        assert classes <= set(reported)
+
+
+def sweep_one_row_at_a_time(n, word, lines):
+    """stdout and stderr of sweep as the one-row functions give them:
+    ``_parse_weight``, psi5/psi6, classify_hexahedron and csv_row."""
+    from polymod.jsonio import csv_row
+    from polymod.moduli import classify_hexahedron, psi5, psi6
+
+    header = [f"theta{i}" for i in range(1, n + 1)] + ["P", "Q"]
+    if n == 6:
+        header += ["R", "type", "sign_P", "sign_Q", "sign_R"]
+    out, err = [",".join(header)], []
+    rows = [(k, text.strip()) for k, text in enumerate(lines, start=1) if text.strip()]
+    if rows and rows[0][0] == 1 and all(
+        outcome(parse_theta, cell)[0] != "ok" for cell in rows[0][1].split(",")
+    ):
+        rows = rows[1:]
+    for k, text in rows:
+        try:
+            theta = cli._parse_weight(text, n)
+            shape = (psi5 if n == 5 else psi6)(theta, word)
+        except PolymodError as exc:
+            err.append(f"row {k}: {type(exc).__name__}: {exc}\n")
+            continue
+        cells = list(theta.theta) + list(shape.params)
+        if n == 6:
+            cells += [classify_hexahedron(shape)["type"]] + list(shape.signs)
+        out.append(csv_row(cells))
+    return "\n".join(out) + "\n", "".join(err)
+
+
+def outcome(fn, *args):
+    """("ok", the value with every float as its bits), or the error's class
+    and message."""
+    try:
+        value = fn(*args)
+    except PolymodError as exc:
+        return type(exc).__name__, str(exc)
+    values = value.theta if hasattr(value, "theta") else value
+    return "ok", tuple(struct.pack("<d", v) for v in values)
+
+
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(0.05, 2.0).map(repr),
+    st.sampled_from([
+        "-0.0", "1", "01", "1_0", "inf", "nan", "1E5", "1e5", "1e999", ".5", "1.", "+1.0",
+        " 1.5", "1.5 ", "1. 5", "2pi/5", "5x2pi/5", "2×π/5", "", " ", "abc", "0x1", "1e-400",
+    ]),
+)
+
+
+@st.composite
+def sweep_rows(draw, n):
+    """A stripped CSV row: a weight vector's float literals, in any case
+    and with any padding, or cells of any kind and a count near n."""
+    if draw(st.booleans()):
+        w = draw(st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n))
+        cells = [repr(2.0 * math.pi * x / math.fsum(w)) for x in w]
+        cells = [c.upper() if draw(st.booleans()) else c for c in cells]
+        if draw(st.booleans()):
+            cells[draw(st.integers(0, n - 1))] = draw(CELLS)
+        sep = draw(st.sampled_from([",", ",", ", ", " ,"]))
+    else:
+        cells = draw(st.lists(CELLS, min_size=n - 1, max_size=n + 1))
+        sep = ","
+    return sep.join(cells).strip()
+
+
+class TestStackedParse:
+    @given(data=st.data(), n=st.sampled_from([5, 6]))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_parse_weight(self, data, n):
+        """Every row gets ``_parse_weight``'s angles bit for bit, or its error
+        class and message; so does row 1 parsed cell by cell, unless no cell
+        parses and it is a header."""
+        texts = data.draw(st.lists(sweep_rows(n), min_size=1, max_size=10))
+        theta, errors = cli._validate_rows(parse_rows(texts, n), n)
+        for text, row, error in zip(texts, theta.tolist(), errors):
+            got = outcome(lambda: row) if error is None else (type(error).__name__, str(error))
+            assert got == outcome(cli._parse_weight, text, n)
+        first = cli._row_one(texts[0], n)
+        if first is None:
+            assert all(outcome(parse_theta, cell)[0] != "ok" for cell in texts[0].split(","))
+        else:
+            theta, errors = cli._validate_rows([first], n)
+            got = outcome(lambda: theta[0].tolist()) if errors[0] is None else (
+                type(errors[0]).__name__, str(errors[0])
+            )
+            assert got == outcome(cli._parse_weight, texts[0], n)
 
 
 # ===========================================================================

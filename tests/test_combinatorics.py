@@ -1,6 +1,7 @@
 """Tests for weight vectors, circular labels, and configuration keys."""
 
 import math
+import struct
 from itertools import combinations, permutations
 
 import numpy as np
@@ -14,6 +15,7 @@ from polymod import (
     NotAPermutation,
     OutOfRange,
     PairSumTooLarge,
+    PolymodError,
     RejectionBudgetExceeded,
     SumMismatch,
     canonical_label,
@@ -89,6 +91,67 @@ class TestValidateWeight:
     def test_nan_rejected(self):
         with pytest.raises(NonPositive):
             validate_weight([math.nan, 2.0, 2.0, 2.0, TWO_PI - 6.0 - math.nan])
+
+
+    def test_a_sum_that_overflows_is_a_sum_mismatch(self):
+        """fsum raised OverflowError here, which escaped as a traceback."""
+        with pytest.raises(SumMismatch, match=r"sum\(theta\) = inf differs"):
+            validate_weight([1e308, 1e308, 1.0, 1.0, 1.0])
+
+
+def validated(values):
+    """validate_weight's angles as bits, or its error class and message."""
+    try:
+        return tuple(struct.pack("<d", t) for t in validate_weight(values).theta)
+    except PolymodError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def stacked_rows(n):
+    """Rows of n angles: near 2*pi with a pair near pi, or with a planted
+    zero, negative, NaN, infinite, huge or drifting angle."""
+    base = st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n).map(
+        lambda w: [TWO_PI * x / math.fsum(w) for x in w]
+    )
+    near_pi = st.tuples(st.integers(-6, 6), st.floats(0.05, 1.0)).map(
+        lambda t: [math.pi / 2 + t[0] * 2.0**-52, math.pi / 2]
+        + [(math.pi - 2.0**-52 * t[0]) / (n - 2)] * (n - 2)
+    )
+    bad = st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 5e-324])
+
+    @st.composite
+    def row(draw):
+        values = draw(st.one_of(base, near_pi))
+        if draw(st.booleans()):
+            values[draw(st.integers(0, n - 1))] = draw(bad)
+        if draw(st.booleans()):
+            values[0] *= 1.0 + draw(st.sampled_from([1e-16, 1e-13, 1e-12, 1e-3]))
+        return values
+
+    return row()
+
+
+class TestValidateWeights:
+    @given(data=st.data(), n=st.sampled_from([4, 5, 6, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_is_validate_weight(self, data, n):
+        """Every row gets validate_weight's angles bit for bit, or its error
+        class and message, whatever its neighbours hold."""
+        rows = data.draw(st.lists(stacked_rows(n), min_size=1, max_size=12))
+        theta, errors = combinatorics.validate_weights(np.array(rows))
+        for values, got, error in zip(rows, theta.tolist(), errors):
+            want = validated(values)
+            if error is None:
+                assert tuple(struct.pack("<d", t) for t in got) == want
+            else:
+                assert (type(error).__name__, str(error)) == want
+
+    def test_pair_order_and_an_empty_stack(self):
+        rest = (TWO_PI - 3.2) / 3
+        _, errors = combinatorics.validate_weights(np.array([[rest, 1.6, rest, 1.6, rest]]))
+        assert errors[0].pair == (2, 4)
+        theta, errors = combinatorics.validate_weights(np.zeros((0, 5)))
+        assert theta.shape == (0, 5) and errors == []
 
 
 class TestValidateWeightBoundary:
