@@ -273,7 +273,7 @@ def _sweep_csv(n: int, word: tuple[int, ...], lines: list[str]) -> list[str]:
     """
     import numpy as np
 
-    from .moduli import forward_params, hexahedron_signs
+    from .moduli import forward_params, hexahedron_signs, hexahedron_types
 
     header = [f"theta{i}" for i in range(1, n + 1)] + ["P", "Q"]
     template = ",".join(["%.17g"] * (n + 2))
@@ -324,7 +324,7 @@ def _sweep_csv(n: int, word: tuple[int, ...], lines: list[str]) -> list[str]:
         cells = values.tolist()
         if n == 6:
             signs = hexahedron_signs(params[mapped])
-            types = ["abcd"[k] for k in (signs > 0).sum(axis=1).tolist()]
+            types = hexahedron_types(signs)
             cells = [c + [t] + s for c, t, s in zip(cells, types, signs.tolist())]
         out.append("".join([template % tuple(c) for c in cells]))
     return out

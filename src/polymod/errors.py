@@ -8,11 +8,12 @@ the equal-weight vector and did not get it.
 
 Stacked calls carry their rows' failures by one protocol: a row holds its
 value or its first ``PolymodError``, and a per-row error list holds None
-or that error.  :func:`unwrap` raises a recorded failure and returns
-anything else, :func:`map_ok` runs a stacked function once on the rows
-that hold values, and :func:`first_failures` records a gate's failure on
-the rows that have not failed yet.  :func:`check_settings` is the one
-domain rule for the run settings ``tol``, ``samples``, ``seed`` and ``jobs``.
+or that error; :func:`rows` pairs an array of values with its error list.
+:func:`unwrap` raises a recorded failure and returns anything else,
+:func:`map_ok` runs a stacked function once on the rows that hold values,
+and :func:`first_failures` records a gate's failure on the rows that have
+not failed yet.  :func:`check_settings` is the one domain rule for the run
+settings ``tol``, ``samples``, ``seed`` and ``jobs``.
 """
 
 from __future__ import annotations
@@ -135,6 +136,12 @@ def unwrap(row):
     if isinstance(row, PolymodError):
         raise row
     return row
+
+
+def rows(values, errors: list) -> list:
+    """Each row of a stacked result, from its array of values and its
+    error list: the row's values as a list, or its failure."""
+    return [row if e is None else e for row, e in zip(values.tolist(), errors)]
 
 
 def map_ok(fn: Callable[[list], list], rows: Sequence) -> list:

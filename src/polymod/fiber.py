@@ -22,7 +22,8 @@ pair pins ``w`` down as the intersection of two circles: for pentagons
 
 The inversion solvers always re-run the forward maps on the recovered
 weight vector and compare against *both* input shapes — for hexahedra this
-includes the R parameters, which the circles never see.
+includes the R parameters, which the circles never see.  The check runs in
+columns (:func:`designated_pairs`), each row compared with its input pair.
 
 This module holds geometry only; the randomized round-trip check lives in
 :mod:`polymod.verify`, and :func:`verify_injectivity` is a view of it.
@@ -34,7 +35,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .combinatorics import WeightVector, validate_weight
+import numpy as np
+
+from .combinatorics import WeightVector, as_word, validate_weight
 from .errors import (
     InconsistentPair,
     NoIntersection,
@@ -47,6 +50,7 @@ from .errors import (
     SumMismatch,
     check_settings,
     map_ok,
+    rows,
     unwrap,
 )
 from .moduli import (
@@ -54,7 +58,7 @@ from .moduli import (
     IDENTITY6,
     HexahedronShape,
     PentagonShape,
-    forward_shapes,
+    forward_params,
     scaled_residual,
 )
 from .planar import complete_triangle
@@ -124,11 +128,16 @@ def fiber_construction5(
 def fiber_construction6(
     shape: HexahedronShape, w: UpperHalfPoint | complex
 ) -> tuple[complex, ...]:
-    """Edge directions of the hexahedron fiber construction, in label order."""
+    """Edge directions of the hexahedron fiber construction, in label order.
+
+    A parameter whose square overflows a double is OutOfRange."""
     wc = _as_w(w)
-    x_mark = complex(shape.P**2)
-    y_mark = 1.0 + (wc - 1.0) * shape.Q**2
-    z_mark = wc * (1.0 - shape.R**2)
+    try:
+        x_mark = complex(shape.P**2)
+        y_mark = 1.0 + (wc - 1.0) * shape.Q**2
+        z_mark = wc * (1.0 - shape.R**2)
+    except OverflowError as exc:
+        raise OutOfRange(f"hexahedron shape {shape.params!r}: a square overflows") from exc
     return (
         _unit(x_mark - wc),
         1.0 + 0.0j,
@@ -142,7 +151,7 @@ def fiber_construction6(
 def _angles_from_dirs(dirs: tuple[complex, ...], label: Sequence[int]) -> WeightVector:
     """Turning angles of the construction, assembled into a weight vector."""
     n = len(dirs)
-    word = tuple(label)
+    word = as_word(label)
     if len(word) != n:
         raise OutOfRange(f"label has {len(word)} marks but the construction has {n}")
     turns = []
@@ -226,8 +235,10 @@ def recover_w5(s1: PentagonShape, s2: PentagonShape) -> UpperHalfPoint:
 
 def recover_w6(s1: HexahedronShape, s2: HexahedronShape) -> UpperHalfPoint:
     """Recover w from hexahedron shapes of the label pair <123456>, <214356>:
-    ``|w| = P1*P2`` and ``|w - 1| = 1/(Q1*Q2)``."""
-    return circle_intersection(s1.P * s2.P, 1.0 / (s1.Q * s2.Q))
+    ``|w| = P1*P2`` and ``|w - 1| = 1/(Q1*Q2)``, an infinite radius where
+    the product underflows to 0 (the circles then do not meet)."""
+    q = s1.Q * s2.Q
+    return circle_intersection(s1.P * s2.P, 1.0 / q if q else math.inf)
 
 
 def invert5(
@@ -248,17 +259,16 @@ def invert6(
     return inversion_report(6, s1, s2, tol)["theta"]
 
 
-def designated_pairs(n: int, thetas: Sequence[WeightVector]) -> list[tuple | PolymodError]:
-    """Each weight vector's shapes on the two words of ``DESIGNATED[n]``,
-    or the first failure of the forward map on them in word order (the
-    identity word's first), as two ``psi`` calls would raise it.  One
-    :func:`forward_shapes` call maps every row on both words."""
+def designated_pairs(n: int, theta: np.ndarray) -> tuple[np.ndarray, list]:
+    """The shapes of each row of an (N, n) array of weight vectors on the
+    two words of ``DESIGNATED[n]``, as (N, 2(n-3)) parameters (the identity
+    word's first), and each row's first failure of the forward map on them
+    in word order, as two ``psi`` calls would raise it: one
+    :func:`forward_params` call maps every row on both words."""
     words = DESIGNATED[n]
-    shapes = forward_shapes(
-        n, [theta for theta in thetas for _ in words], list(words) * len(thetas)
-    )
-    pairs = [tuple(shapes[k : k + 2]) for k in range(0, len(shapes), 2)]
-    return [next((s for s in pair if isinstance(s, PolymodError)), pair) for pair in pairs]
+    params, errors = forward_params(n, np.repeat(theta, 2, axis=0), words * len(theta))
+    first = [a or b for a, b in zip(errors[::2], errors[1::2])]
+    return params.reshape(len(theta), 2 * (n - 3)), first
 
 
 def inversion_report(n: int, s1, s2, tol: float = INVERT_TOL) -> dict:
@@ -304,13 +314,16 @@ def inversion_reports(
             out.append(exc)
             continue
         out.append({"theta": theta, "w": w})
-    forward = map_ok(lambda ok: designated_pairs(n, [report["theta"] for report in ok]), out)
-    for i, shapes in enumerate(forward):
-        if isinstance(shapes, PolymodError):
-            out[i] = shapes
+
+    def forward(ok: list) -> list:
+        return rows(*designated_pairs(n, np.array([r["theta"].theta for r in ok]).reshape(-1, n)))
+
+    for i, params in enumerate(map_ok(forward, out)):
+        if isinstance(params, PolymodError):
+            out[i] = params
             continue
         given = pairs[i][0].params + pairs[i][1].params
-        residual = max(map(scaled_residual, shapes[0].params + shapes[1].params, given))
+        residual = max(map(scaled_residual, params, given))
         if residual > tol:
             out[i] = InconsistentPair(
                 f"forward verification failed: residual {residual:.17g} > {tol:g}"

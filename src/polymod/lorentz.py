@@ -347,12 +347,6 @@ class ModelStack:
     def intercept_errors(self) -> list:
         return self._axis[1]
 
-    @property
-    def thetas(self) -> tuple[WeightVector, ...]:
-        """The rows' weight vectors."""
-        n = self.theta.shape[1]
-        return tuple(WeightVector(n=n, theta=tuple(row)) for row in self.theta.tolist())
-
     def model(self, i: int) -> LorentzModel:
         """Row i's model, or its recorded build failure raised."""
         unwrap(self.model_errors[i])

@@ -12,11 +12,11 @@ for all of them whose completion triangles both routes read.
 The stacked code keeps to the row protocol of :mod:`polymod.errors`: the
 parameters are an (N, n-3) array and each row holds None or its first
 failure.  Every gate (the square roots, NegativeRatio, the shapes' domain
-checks and the route check) runs on the columns.  The scalar rules, the
-shape constructors and :func:`scaled_residual`, give each failure its
-class and message, and they decide every row that comes near a gate.
-:func:`planar_shapes` and :func:`forward_shapes` give the same rows as
-shape objects, and ``psi5`` and ``psi6`` are their one-row cases.
+checks and the route check) decides on the columns with the scalar rules'
+own ``x**2``, so as the scalar rule would; the scalar rules only word each
+failure.  Shapes are objects only at the one-row edge:
+:func:`forward_shapes` adds a shape object to each row of
+:func:`forward_params` that mapped, and ``psi5``/``psi6`` are its one-row case.
 
 The hexahedron sign rule: ``P - 1``, ``Q - 1`` and ``R - 1`` have the same
 signs as the consecutive-triple sums ``theta_{i5}+theta_{i6}+theta_{i1}``,
@@ -46,7 +46,7 @@ from .errors import (
     unwrap,
 )
 from .lorentz import ModelStack, build_models
-from .planar import Triangles
+from .planar import Triangles, angle_rows, libm
 
 #: Allowed relative disagreement between the planar and Lorentzian routes.
 ROUTE_TOL = 1e-9
@@ -118,13 +118,7 @@ class HexahedronShape:
     @property
     def signs(self) -> tuple[int, int, int]:
         """Signs of (P-1, Q-1, R-1) with a zero band of width TOL_IDEAL."""
-        out = []
-        for v in self.params:
-            if abs(v - 1.0) <= TOL_IDEAL:
-                out.append(0)
-            else:
-                out.append(1 if v > 1.0 else -1)
-        return tuple(out)
+        return tuple(hexahedron_signs(np.array(self.params)).tolist())
 
     @property
     def ideal_flags(self) -> tuple[bool, bool, bool]:
@@ -151,14 +145,16 @@ def scaled_residual(a: float, b: float) -> float:
     honest rounding grows like M^2; an unscaled gate would trip on noise
     near the boundary, where an absolute 1e-9 exceeds double precision.
     """
-    return abs(a - b) / max(1.0, abs(a), abs(b)) ** 2
+    return abs(a - b) / _square(max(1.0, abs(a), abs(b)))
 
 
-#: The stacked gates square with ``x * x`` where the scalar rules call
-#: ``x**2`` (libm ``pow``), which may round the last bit the other way.  A
-#: row whose stacked value comes within this factor of its gate is decided
-#: by the scalar rule, so no row's outcome depends on which one ran.
-_NEAR_GATE = 1.0 - 1e-9
+def _square(x: float) -> float:
+    """``x**2`` (libm ``pow``), or inf where it overflows.  The stacked gates
+    map it over their columns: ``x * x`` may round the last bit otherwise."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 @np.errstate(all="ignore")  # failed rows hold NaN; their values go unread
@@ -176,10 +172,10 @@ def planar_params(triangles: Triangles) -> tuple[np.ndarray, list]:
     feet, errors = triangles.feet()
     if triangles.n == 5:
         params = np.sqrt(np.stack([1.0 - feet[:, 0], feet[:, 1]], axis=1))
-        P, Q = params.T
-        suspect = ~((0.0 < P) & (P < 1.0) & (0.0 < Q) & (Q < 1.0))
-        suspect |= ~(P * P + Q * Q > 1.0 / _NEAR_GATE)
-        first_failures(errors, suspect, lambda i: _pentagon_error(*params[i].tolist()))
+        (P, Q), squares = params.T, libm(_square, params)
+        inside = (0.0 < P) & (P < 1.0) & (0.0 < Q) & (Q < 1.0)
+        fail = ~(inside & (squares[:, 0] + squares[:, 1] > 1.0))
+        first_failures(errors, fail, lambda i: _pentagon_error(*params[i].tolist()))
         return params, errors
     negative = feet <= 0.0
     name = negative.argmax(axis=1)
@@ -194,13 +190,6 @@ def planar_params(triangles: Triangles) -> tuple[np.ndarray, list]:
     suspect = ~(np.all(params > 0.0, axis=1) & np.isfinite(params).all(axis=1))
     first_failures(errors, suspect, lambda i: _hexahedron_error(*params[i].tolist()))
     return params, errors
-
-
-def planar_shapes(triangles: Triangles) -> list[PentagonShape | HexahedronShape | PolymodError]:
-    """:func:`planar_params` as one shape, or the first failure, per row."""
-    params, errors = planar_params(triangles)
-    shape = PentagonShape if triangles.n == 5 else HexahedronShape
-    return [shape(*row) if e is None else e for row, e in zip(params.tolist(), errors)]
 
 
 def _disagreement(
@@ -221,20 +210,18 @@ def _disagreement(
 def _cross_check(n: int, stack: ModelStack, params: np.ndarray, errors: list) -> list:
     """``errors`` after the route check: each row that passed the planar
     route gets its Lorentz model's or axis intercepts' failure, then
-    RouteDisagreement where a parameter differs from its intercept.
-
-    :func:`scaled_residual` runs on the columns; a row whose stacked
-    residual comes near ROUTE_TOL is decided by the scalar rule."""
+    RouteDisagreement where a parameter differs from its intercept under
+    :func:`scaled_residual`, computed on the columns."""
     errors = [
         e if e is not None else (m or x)
         for e, m, x in zip(errors, stack.model_errors, stack.intercept_errors)
     ]
     lorentz = stack.intercepts
     scale = np.fmax(np.fmax(np.abs(params), np.abs(lorentz)), 1.0)
-    residual = np.abs(params - lorentz) / (scale * scale)
+    residual = np.abs(params - lorentz) / libm(_square, scale)
     first_failures(
         errors,
-        (residual > ROUTE_TOL * _NEAR_GATE).any(axis=1),
+        (residual > ROUTE_TOL).any(axis=1),
         lambda i: _disagreement(n, params[i].tolist(), lorentz[i].tolist()),
     )
     return errors
@@ -243,13 +230,20 @@ def _cross_check(n: int, stack: ModelStack, params: np.ndarray, errors: list) ->
 def forward_params(
     n: int, theta: np.ndarray, labels: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, list]:
-    """:func:`forward_shapes` as arrays, for an (N, n) array of validated
-    angles: the (N, n-3) shape parameters and each row's failure or None.
-    A failed row's parameters are meaningless."""
-    if theta.shape[1] != n:
-        raise OutOfRange(f"psi{n} maps weight vectors of n={n}")
+    """``psi5`` (n=5) or ``psi6`` (n=6) over an (N, n) array of validated
+    angles, one label word per row: the (N, n-3) shape parameters (a failed
+    row's are meaningless) and each row's failure or None.
+
+    One :func:`build_models` call builds every row's completion triangle
+    and model; :func:`planar_params` reads the parameters from those
+    triangles, and :func:`_cross_check` checks them against the axis
+    intercepts.  Every row needs n angles and every label n marks
+    (OutOfRange for the whole call otherwise).
+    """
     if not len(theta):
         return np.zeros((0, n - 3)), []
+    if theta.shape[1] != n:
+        raise OutOfRange(f"psi{n} maps weight vectors of n={n}")
     stack = build_models(theta, labels)
     params, errors = planar_params(stack.triangles)
     return params, _cross_check(n, stack, params, errors)
@@ -258,39 +252,33 @@ def forward_params(
 def forward_shapes(
     n: int, thetas: Sequence[WeightVector], labels: Sequence[Sequence[int]]
 ) -> list[PentagonShape | HexahedronShape | PolymodError]:
-    """``psi5`` (n=5) or ``psi6`` (n=6) over many (theta, label) rows.
-
-    Each row gets its shape, or the error the forward map raises for it.
-    One :func:`build_models` call builds every row's completion triangle
-    and model; :func:`planar_shapes` reads the rows' shapes from those
-    triangles, and every row that passes is cross-checked against its
-    Lorentzian axis intercepts (RouteDisagreement beyond ROUTE_TOL under
-    :func:`scaled_residual`).  Every theta needs n angles and every label
-    n marks (OutOfRange for the whole call otherwise).
-    """
+    """:func:`forward_params` over WeightVectors: each row's shape, or the
+    error the forward map raises for it."""
     if any(theta.n != n for theta in thetas):
         raise OutOfRange(f"psi{n} maps weight vectors of n={n}")
-    if not thetas:
-        return []
-    stack = build_models(thetas, labels)
-    out = planar_shapes(stack.triangles)
-    failed = [isinstance(shape, PolymodError) for shape in out]
-    params = np.array([(math.nan,) * (n - 3) if f else s.params for s, f in zip(out, failed)])
-    errors = _cross_check(n, stack, params, [s if f else None for s, f in zip(out, failed)])
-    return [shape if e is None else e for shape, e in zip(out, errors)]
+    params, errors = forward_params(n, angle_rows(thetas), labels)
+    shape = PentagonShape if n == 5 else HexahedronShape
+    return [shape(*row) if e is None else e for row, e in zip(params.tolist(), errors)]
 
 
 def hexahedron_signs(params: np.ndarray) -> np.ndarray:
-    """:attr:`HexahedronShape.signs` of each row of an (N, 3) array."""
+    """The sign of each parameter minus 1, 0 within TOL_IDEAL of 1: the
+    :attr:`HexahedronShape.signs` of each row of an (N, 3) array."""
     return np.where(np.abs(params - 1.0) <= TOL_IDEAL, 0, np.where(params > 1.0, 1, -1))
+
+
+def hexahedron_types(signs: np.ndarray) -> list[str]:
+    """The type letter of each row of an (N, 3) array of signs: the count of
+    parameters above 1, 'a' for none through 'd' for all three."""
+    return ["abcd"[k] for k in (signs > 0).sum(axis=1).tolist()]
 
 
 def psi5(theta: WeightVector, label: Sequence[int] = IDENTITY5) -> PentagonShape:
     """Forward map to the right-pentagon shape (P, Q).
 
-    The shape of :func:`planar_shapes`, returned once the Lorentzian axis
-    intercepts agree with it to ROUTE_TOL (RouteDisagreement otherwise):
-    the one-row case of :func:`forward_shapes`.
+    The planar route's shape, returned once the Lorentzian axis intercepts
+    agree with it to ROUTE_TOL (RouteDisagreement otherwise): the one-row
+    case of :func:`forward_shapes`.
     """
     return unwrap(forward_shapes(5, [theta], [label])[0])
 
@@ -307,24 +295,17 @@ def classify_hexahedron(shape: HexahedronShape) -> dict:
     i_{k+1})).  Each parameter strictly below/above 1 contributes one edge
     between a consecutive face pair; face m then has 3 + [edge m-1] +
     [edge m] sides.  The type letter counts parameters above 1: 'a' for
-    none through 'd' for all three.
+    none through 'd' for all three (:func:`hexahedron_types`).
     """
     signs = shape.signs
-    edges = set()
-    for i, s in enumerate(signs):
-        if s < 0:
-            edges.add(_EDGE_BELOW[i])
-        elif s > 0:
-            edges.add(_EDGE_ABOVE[i])
-    faces = {}
-    for m in range(1, 7):
-        prev = (m - 2) % 6 + 1
-        count = 3 + (prev in edges) + (m in edges)
-        faces[str(m)] = _FACE_NAMES[count]
-    type_letter = "abcd"[sum(1 for s in signs if s > 0)]
+    edges = {(_EDGE_BELOW if s < 0 else _EDGE_ABOVE)[i] for i, s in enumerate(signs) if s}
+    # face m has edge m-1 (cyclic) before it and edge m after it
+    faces = {
+        str(m): _FACE_NAMES[3 + ((m - 2) % 6 + 1 in edges) + (m in edges)] for m in range(1, 7)
+    }
     p, q, r = shape.pqr
     return {
-        "type": type_letter,
+        "type": hexahedron_types(np.array([signs]))[0],
         "signs": list(signs),
         "ideal": [bool(f) for f in shape.ideal_flags],
         "adjacent_edges": sorted(edges),

@@ -94,7 +94,7 @@ def label_angles(
             distinct.append(word)
         rows.append(index[key])
     if len(rows) != len(theta):
-        raise ValueError(f"{len(theta)} weight vectors but {len(rows)} words")
+        raise OutOfRange(f"{len(theta)} weight vectors but {len(rows)} words")
     if not rows:
         return (), theta
     marks = np.array(distinct)[rows] - 1

@@ -6,15 +6,16 @@ the trials (one pool or serial loop, ``all`` included) runs every requested
 suite.  Trial i draws its weight vector and a random label word once, from
 ``numpy.random.default_rng([seed, i])``.  Trials run in chunks of
 ``TRIAL_CHUNK``: one stacked Lorentz kernel call builds the chunk's models
-and completion triangles, whose feet give the chunk's planar shapes, one
-maps the chunk forward on the designated label pair and one batched
+and completion triangles, whose feet give the chunk's planar parameters,
+one maps the chunk forward on the designated label pair and one batched
 inversion inverts the chunk's shape pairs, and every row of a stacked call
 is computed as it would be alone, or holds its failure
 (:func:`polymod.errors.unwrap`).  Outcomes are kept as columns: per suite,
 one entry per trial in trial order, its error or the ``"Class: message"``
-text of what it raised, so a trial's index is its position; the separation
-scan reads a ``(trial, theta, shapes)`` row for each designated pair that
-mapped.  Reports are deterministic for a fixed (n, samples, seed, tol) and
+text of what it raised, so a trial's index is its position.  The separation
+scan reads three arrays, the trial index, theta and shape parameters of
+each designated pair that mapped, concatenated once over the chunks.
+Reports are deterministic for a fixed (n, samples, seed, tol) and
 byte-identical across runs and across worker counts.  Suites:
 
 * ``roundtrip``     — forward map on the designated label pair, then invert,
@@ -38,11 +39,11 @@ import numpy as np
 
 from .combinatorics import WeightVector, sample_weight_rng
 from .complexes import build_complex, cusp_classes, euler_characteristic
-from .errors import OutOfRange, PolymodError, check_settings, map_ok, unwrap
+from .errors import OutOfRange, check_settings, map_ok, rows, unwrap
 from .fiber import designated_pairs, inversion_reports
 from .jsonio import SUITES
 from .lorentz import LorentzModel, build_models, dihedral_angle
-from .moduli import planar_shapes
+from .moduli import HexahedronShape, PentagonShape, planar_params
 
 #: facet pairs that meet at right angles for every weight vector and label
 ORTHOGONAL_PAIRS = {
@@ -88,43 +89,44 @@ def _signature(model: LorentzModel) -> float:
     return 0.0
 
 
-def _crossroute(planar, lorentz: tuple[float, ...]) -> float:
+def _crossroute(planar: list[float], lorentz: tuple[float, ...]) -> float:
     # Linear scale, unlike moduli.scaled_residual's squared one: squaring it
     # would loosen this gate, so the two rules stay apart until one
     # derivation is settled for both.
-    return max(abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(planar.params, lorentz))
+    return max(abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(planar, lorentz))
 
 
 def _run_chunk(
     suites: tuple[str, ...], n: int, seed: int, tol: float, trials: range
-) -> tuple[dict[str, list], list[tuple]]:
+) -> tuple[dict[str, list], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Deterministic trials of each suite; trial i's rng depends only on (seed, i).
 
     Returns each suite's outcomes, one per trial in order (its error, or
-    its failure text), and a ``(trial, theta, shapes)`` scan row for each
-    trial whose designated pair mapped, so a trial whose inversion fails
-    is still scanned.  One kernel call builds every trial's model and
-    completion triangle (when a suite reads them), and crossroute reads its
-    planar shapes from those triangles in one call; for roundtrip, one call
-    maps every trial forward on the designated label pair and one batched
-    inversion inverts every pair that mapped.
+    its failure text), and the scan columns: the trial index, theta and
+    designated-pair shape parameters of each trial whose pair mapped, so a
+    trial whose inversion fails is still scanned.  One kernel call builds
+    every trial's model and completion triangle (when a suite reads them),
+    and crossroute reads its planar parameters from those triangles; for
+    roundtrip, one call maps every trial forward on the designated label
+    pair and one batched inversion inverts every pair that mapped.
     """
     thetas, words = [], []
     for trial in trials:
         rng = np.random.default_rng([seed, trial])
         thetas.append(sample_weight_rng(n, rng))
         words.append(tuple(int(m) + 1 for m in rng.permutation(n)))
-    models = build_models(thetas, words) if set(suites) & set(_MODEL_SUITES) else None
-    planar = planar_shapes(models.triangles) if "crossroute" in suites else None
-    inversions, scan = None, []
+    theta = np.array([t.theta for t in thetas])
+    models = build_models(theta, words) if set(suites) & set(_MODEL_SUITES) else None
+    planar = rows(*planar_params(models.triangles)) if "crossroute" in suites else None
+    inversions = scan = None
     if "roundtrip" in suites:
-        pairs = designated_pairs(n, thetas)
+        params, errors = designated_pairs(n, theta)
+        shape, k = PentagonShape if n == 5 else HexahedronShape, n - 3
+        # inversion takes shape objects: one pair per mapped row, else its failure
+        pairs = [e or (shape(*row[:k]), shape(*row[k:])) for row, e in zip(params.tolist(), errors)]
         inversions = map_ok(lambda ok: inversion_reports(n, ok, tol), pairs)
-        scan = [
-            (trial, theta.theta, pair[0].params + pair[1].params)
-            for trial, theta, pair in zip(trials, thetas, pairs)
-            if not isinstance(pair, PolymodError)
-        ]
+        mapped = np.array([e is None for e in errors])
+        scan = (np.array(trials)[mapped], theta[mapped], params[mapped])
     # A row of a stacked call holds its failure, which ``unwrap`` and
     # ``ModelStack`` raise, so each suite that reads the row records it.
     checks = {
@@ -133,23 +135,23 @@ def _run_chunk(
         "signature": lambda k: _signature(models.model(k)),
         "crossroute": lambda k: _crossroute(unwrap(planar[k]), models.axis_intercepts(k)),
     }
-    rows = range(len(trials))
-    return {suite: [_outcome(checks[suite], k) for k in rows] for suite in suites}, scan
+    indices = range(len(trials))
+    return {suite: [_outcome(checks[suite], k) for k in indices] for suite in suites}, scan
 
 
-def _separation_scan(rows: list[tuple]) -> tuple[float | None, dict | None]:
+def _separation_scan(
+    trials: np.ndarray, thetas: np.ndarray, shapes: np.ndarray
+) -> tuple[float | None, dict | None]:
     """Minimum pairwise Chebyshev distance of the scanned shape pairs.
 
-    ``rows`` holds a ``(trial, theta, shapes)`` row per pair that mapped.
-    A zero distance between trials whose weight vectors differ is a
-    collision, a counterexample to injectivity at sample scale.
+    The columns hold the trial index, theta and shape parameters of each
+    designated pair that mapped.  A zero distance between trials whose
+    weight vectors differ is a collision, a counterexample to injectivity
+    at sample scale.
     """
-    trials = [trial for trial, _, _ in rows]
-    thetas = np.array([theta for _, theta, _ in rows])
-    shapes = np.array([pair for _, _, pair in rows])
     min_sep = math.inf
     collision = None
-    for i in range(len(rows)):
+    for i in range(len(shapes)):
         sep = np.abs(shapes[i + 1 :] - shapes[i]).max(axis=1)
         if sep.size:
             j = int(np.argmin(sep))
@@ -158,7 +160,7 @@ def _separation_scan(rows: list[tuple]) -> tuple[float | None, dict | None]:
                 theta_sep = float(np.abs(thetas[i + 1 + j] - thetas[i]).max())
                 if min_sep == 0.0 and theta_sep > 1e-6:
                     collision = {
-                        "trials": [trials[i], trials[i + 1 + j]],
+                        "trials": [int(trials[i]), int(trials[i + 1 + j])],
                         "theta_separation": theta_sep,
                     }
     return (min_sep if math.isfinite(min_sep) else None), collision
@@ -191,8 +193,8 @@ def _run_sampled(
         ]
         extra = {"max_error": max(errors) if errors else None}
         if suite == "roundtrip":
-            scan = [row for _, rows in done for row in rows]
-            extra["min_shape_separation"], collision = _separation_scan(scan)
+            scan = (np.concatenate(column) for column in zip(*(cols for _, cols in done)))
+            extra["min_shape_separation"], collision = _separation_scan(*scan)
             if collision is not None:
                 failures.append({"collision": collision})
         reports[suite] = _report(suite, n, samples, seed, tol, **extra, failures=failures)

@@ -259,6 +259,31 @@ class TestInvert:
         assert doc["message"] == f"hexahedron shape {message}"
 
 
+    @pytest.mark.parametrize(
+        "shape1, shape2, code, error, message",
+        [
+            ("1e160,1,1", "1e-160,1,1", 2, "OutOfRange",
+             "hexahedron shape (1e+160, 1.0, 1.0): a square overflows"),
+            ("1,1,1e200", "1,1,1e-200", 2, "OutOfRange",
+             "hexahedron shape (1.0, 1.0, 1e+200): a square overflows"),
+            ("1,1e-200,1", "1,1e-200,1", 3, "NoIntersection",
+             "circles |w| = 1 about 0 and |w - 1| = inf about 1 do not meet"),
+        ],
+    )
+    def test_a_parameter_beyond_the_double_range_exits_with_a_document(
+        self, capsys, shape1, shape2, code, error, message
+    ):
+        """A square that overflows is an input error; a product Q1*Q2 that
+        underflows to 0 is an infinite circle radius, so the circles do not
+        meet.  Neither prints a traceback."""
+        got, doc, err = run_json(
+            capsys, "invert", "--n", "6", "--shape1", shape1, "--shape2", shape2
+        )
+        assert (got, doc["schema"], doc["error"]) == (code, "polymod-error/1", error)
+        assert doc["message"].startswith(message)
+        assert err == ""
+
+
 # ===========================================================================
 # complex
 # ===========================================================================
@@ -340,17 +365,17 @@ class TestVerify:
     def test_forward_failure_is_a_failed_trial(self, capsys, monkeypatch):
         """A forward-map error in one roundtrip trial fails that trial only."""
         bad = sample_weight_rng(5, np.random.default_rng([7, 3]))
-        original = fiber.forward_shapes
+        original = fiber.forward_params
 
-        def forward_shapes(n, thetas, labels):
-            shapes = original(n, thetas, labels)
-            return [
-                RouteDisagreement("planted") if theta == bad else shape
-                for theta, shape in zip(thetas, shapes)
+        def forward_params(n, theta, labels):
+            params, errors = original(n, theta, labels)
+            return params, [
+                RouteDisagreement("planted") if row == list(bad.theta) else e
+                for row, e in zip(theta.tolist(), errors)
             ]
 
-        # the designated-pair forward of a chunk is one fiber.forward_shapes call
-        monkeypatch.setattr(fiber, "forward_shapes", forward_shapes)
+        # the designated-pair forward of a chunk is one fiber.forward_params call
+        monkeypatch.setattr(fiber, "forward_params", forward_params)
         code, doc, err = run_json(
             capsys, "verify", "--suite", "roundtrip", "--n", "5",
             "--samples", "8", "--seed", "7", "--jobs", "1",

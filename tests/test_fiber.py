@@ -10,6 +10,7 @@ from polymod import (
     HexahedronShape,
     InconsistentPair,
     NoIntersection,
+    NotAPermutation,
     NotInTheta,
     OutOfRange,
     PentagonShape,
@@ -151,6 +152,15 @@ class TestFiberTheta:
             fiber_theta5(shape, complex(0.5, 8.0))
         with pytest.raises(NotInTheta):
             fiber_theta5(shape, complex(2.0, 1.0))
+
+
+    def test_a_label_that_is_no_permutation_is_rejected(self):
+        """A repeated mark is NotAPermutation, not a constructed weight
+        vector that leaves the domain (NotInTheta)."""
+        with pytest.raises(NotAPermutation):
+            fiber_theta5(PentagonShape(0.8, 0.8), 0.3 + 0.5j, (1, 1, 3, 4, 5))
+        with pytest.raises(NotAPermutation):
+            fiber_theta6(HexahedronShape(1.0, 1.0, 1.0), 0.5 + 0.8j, (1, 2, 3, 4, 5, 7))
 
 
 # ===========================================================================

@@ -16,7 +16,7 @@ from dataclasses import astuple
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polymod import (
@@ -96,19 +96,24 @@ def klein(model, coords):
 def polarization_model(theta, word):
     """Reference (basis, gram, coord_mat) built the long way round.
 
-    The basis comes from one 2x2 solve per row, the area form from
-    polarizing shoelace areas of the chained basis rows, the base width from
-    per-row line intersections, and the reference signs from a least-squares
-    fit of the circumscribed polygon.  The signature and diagonalization
+    The basis comes from one 2x2 solve per row on the kernel's pivot pair,
+    the area form from polarizing shoelace areas of the chained basis rows,
+    the base width from per-row line intersections, and the reference signs
+    from a least-squares fit of the circumscribed polygon.  The signature and diagonalization
     checks raise SignatureMismatch at the same tolerances as build_model.
     """
     frame = edge_frame(theta, word)
     n, d = frame.n, frame.dirs
     dim = n - 2
+    # The pivot pair is chosen from numpy's cross products, as the kernel
+    # chooses it: Python's complex product can round the last bit the other
+    # way, and on a near-tie (within 1e-15) that picks another, equally valid
+    # pair.  The pivot rule itself is pinned by the ``lorentz_oracle`` tests.
+    cross = (d.conjugate()[:, None] * d).imag
     best = (-1.0, 0, 1)
     for a in range(n):
         for b in range(a + 1, n):
-            c = abs((d[a].conjugate() * d[b]).imag)
+            c = abs(cross[a, b])
             if c > best[0] + 1e-15:
                 best = (c, a, b)
     _, p1, p2 = best
@@ -251,6 +256,13 @@ class TestBuildModel:
             assert (model.coord_mat @ coords)[0] > 0.0
 
     @given(model_inputs())
+    @example((  # near-tied pivot pairs: (0, 5) and (1, 2) differ by under 1e-15
+        validate_weight((
+            0.9261604848457428, 0.9971766611052728, 1.0722079957422603,
+            1.107716084872025, 1.107716084872025, 1.0722079957422603,
+        )),
+        (5, 1, 4, 3, 2, 6),
+    ))
     @settings(max_examples=200, deadline=None)
     def test_closed_form_matches_polarization(self, case):
         """The closed-form basis, area form and coordinates equal the
@@ -480,14 +492,15 @@ def failure(exc):
     return None if exc is None else (type(exc).__name__, str(exc))
 
 
-def assert_rows_match_oracle(stack):
+def assert_rows_match_oracle(stack, thetas):
     """Every row equals the scalar build_model / axis_intercepts bit for bit,
     or records the class and message the scalar code raises.
 
     One documented departure: where a hand-built weight vector makes a
     coordinate-scale radicand negative, the scalar code's ``math.sqrt``
     raised a bare ValueError and the kernel records NegativeRatio."""
-    for i, (theta, word) in enumerate(zip(stack.thetas, stack.words)):
+    assert stack.theta.tobytes() == np.array([theta.theta for theta in thetas]).tobytes()
+    for i, (theta, word) in enumerate(zip(thetas, stack.words)):
         try:
             kind, model = outcome(oracle.build_model, theta, word)
         except ValueError as exc:
@@ -512,6 +525,16 @@ def assert_rows_match_oracle(stack):
 
 
 class TestStackedKernel:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_a_word_count_that_differs_from_the_row_count_is_rejected(self, n):
+        """One word per row, or OutOfRange for the whole call."""
+        theta = sample_weight(n, 1)
+        ident = tuple(range(1, n + 1))
+        with pytest.raises(OutOfRange, match="1 weight vectors but 0 words"):
+            build_models([theta], [])
+        with pytest.raises(OutOfRange, match="1 weight vectors but 2 words"):
+            forward_shapes(n, [theta], [ident, ident])
+
     @given(
         n=st.sampled_from((5, 6)),
         seed=st.integers(0, 2**32 - 1),
@@ -524,7 +547,7 @@ class TestStackedKernel:
         thetas = oracle.boundary_weights(n, rng, rows)
         words = [tuple(int(m) + 1 for m in rng.permutation(n)) for _ in thetas]
         stack = build_models(thetas, words)
-        assert_rows_match_oracle(stack)
+        assert_rows_match_oracle(stack, thetas)
         # the one-row entry points are the same kernel
         for theta, word in zip(thetas, words):
             kind, model = outcome(oracle.build_model, theta, word)
@@ -544,7 +567,7 @@ class TestStackedKernel:
         thetas = oracle.boundary_weights(n, rng, 600)
         words = [tuple(int(m) + 1 for m in rng.permutation(n)) for _ in thetas]
         stack = build_models(thetas, words)
-        assert_rows_match_oracle(stack)
+        assert_rows_match_oracle(stack, thetas)
         classes = {type(e).__name__ for e in stack.model_errors if e is not None}
         assert {"DegenerateTriangle", "SignatureMismatch"} <= classes
         for shape, theta, word in zip(forward_shapes(n, thetas, words), thetas, words):
@@ -592,7 +615,7 @@ class TestStackedKernel:
         thetas.append(good[-1])
         words = [ident] * len(thetas)
         stack = build_models(thetas, words)
-        assert_rows_match_oracle(stack)
+        assert_rows_match_oracle(stack, thetas)
         shapes = forward_shapes(6, thetas, words)
         for k, (cls, fragment, _) in enumerate(gated):
             # the route gate sits behind the kernel, in the forward map

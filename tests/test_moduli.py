@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -25,7 +26,8 @@ from polymod import (
 )
 from polymod import forward_shapes, lorentz, moduli, planar
 from polymod.combinatorics import sample_weight_rng
-from polymod.moduli import planar_shapes
+from polymod.errors import unwrap
+from polymod.moduli import planar_params
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -34,8 +36,17 @@ IDENT6 = (1, 2, 3, 4, 5, 6)
 
 
 def planar_shape(theta, word):
-    """The planar route alone, on one row."""
-    return planar_shapes(planar.complete_triangles(planar.label_angles([theta], [word])[1]))[0]
+    """The planar route alone, on one row: its shape, or its failure raised."""
+    params, errors = planar_params(
+        planar.complete_triangles(planar.label_angles([theta], [word])[1])
+    )
+    unwrap(errors[0])
+    return (PentagonShape if theta.n == 5 else HexahedronShape)(*params[0].tolist())
+
+
+def failure(error):
+    """None, or the class and message of a failure."""
+    return None if error is None else (type(error).__name__, str(error))
 
 
 def coth(x):
@@ -86,12 +97,12 @@ class TestPlanarShape:
         wrapped = counted("complete_triangles", planar.complete_triangles)
         for module in (planar, lorentz):
             monkeypatch.setattr(module, "complete_triangles", wrapped)
-        monkeypatch.setattr(moduli, "planar_shapes", counted("planar_shapes", moduli.planar_shapes))
+        monkeypatch.setattr(moduli, "planar_params", counted("planar_params", moduli.planar_params))
         rng = np.random.default_rng(n)
         thetas = [sample_weight_rng(n, rng) for _ in range(10)]
         words = [tuple(int(m) + 1 for m in rng.permutation(n)) for _ in thetas]
         forward_shapes(n, thetas, words)
-        assert calls == [("complete_triangles", 10), ("planar_shapes", 10)]
+        assert calls == [("complete_triangles", 10), ("planar_params", 10)]
 
     def test_wrong_n_raises(self):
         with pytest.raises(OutOfRange):
@@ -100,6 +111,48 @@ class TestPlanarShape:
             psi6(equal_weight(5), IDENT5)
         with pytest.raises(OutOfRange):
             psi5(equal_weight(6))
+
+
+class TestGateDecisions:
+    """The stacked gates square with the scalar rules' own ``x**2``, so they
+    decide every row as ``_pentagon_error`` and ``_disagreement`` do.  The
+    values sit on a gate where ``x * x`` and ``x**2`` (libm ``pow``) round
+    differently on glibc, so the old ``x * x`` columns decided them the
+    other way."""
+
+    #: (P, Q) next to P^2 + Q^2 = 1.
+    PENTAGON = [
+        (0.5761719009414266, 0.8173285389398458),
+        (0.918166850650951, 0.3961939352964836),
+        (0.7480177336254095, 0.6636787401912962),
+    ]
+    #: (planar, Lorentzian) values whose scaled residual is next to ROUTE_TOL.
+    ROUTE = [
+        (1789425203.0152006, -1412617354.1707916),
+        (1349541785.02582, -471721244.5048567),
+        (1213806860.6342077, -259520234.28846347),
+    ]
+
+    def test_pentagon_gate_decides_as_the_scalar_rule(self):
+        P, Q = np.array(self.PENTAGON).T
+        feet = np.stack([1.0 - P * P, Q * Q], axis=1)  # square roots give P, Q back
+        triangles = SimpleNamespace(n=5, feet=lambda: (feet, [None] * len(feet)))
+        params, errors = planar_params(triangles)
+        assert params.tolist() == [list(pq) for pq in self.PENTAGON]
+        for (p, q), error in zip(self.PENTAGON, errors):
+            assert failure(error) == failure(moduli._pentagon_error(p, q))
+
+    def test_route_gate_decides_as_the_scalar_rule(self):
+        planar_values = np.array([[a, 1.0, 1.0] for a, _ in self.ROUTE])
+        lorentz_values = np.array([[b, 1.0, 1.0] for _, b in self.ROUTE])
+        rows = len(self.ROUTE)
+        stack = SimpleNamespace(
+            model_errors=[None] * rows, intercept_errors=[None] * rows, intercepts=lorentz_values
+        )
+        errors = moduli._cross_check(6, stack, planar_values, [None] * rows)
+        for (a, b), error in zip(self.ROUTE, errors):
+            assert failure(error) == failure(moduli._disagreement(6, (a, 1.0, 1.0), (b, 1.0, 1.0)))
+        assert {error is None for error in errors} == {True, False}
 
 
 class TestPsi5:

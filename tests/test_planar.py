@@ -27,7 +27,7 @@ from polymod import (
     pentagon_feet,
     sample_weight,
 )
-from polymod.moduli import planar_shapes
+from polymod.moduli import planar_params
 from polymod import planar
 
 import planar_oracle as oracle
@@ -267,6 +267,12 @@ def outcome(fn, *args):
         return settled(exc)
 
 
+def planar_rows(tri):
+    """Each row's planar shape parameters as a tuple, or its failure."""
+    params, errors = planar_params(tri)
+    return [tuple(row) if e is None else e for row, e in zip(params.tolist(), errors)]
+
+
 def triangles(thetas, words):
     """One stacked completion-triangle call for the rows."""
     return planar.complete_triangles(planar.label_angles(thetas, words)[1])
@@ -279,7 +285,7 @@ def assert_rows_match_oracle(thetas, words):
     message."""
     n = thetas[0].n
     tri = triangles(thetas, words)
-    shapes = planar_shapes(tri)
+    shapes = planar_rows(tri)
     for i, (theta, word) in enumerate(zip(thetas, words)):
         want = outcome(oracle.planar_shape, theta, word)
         assert settled(shapes[i]) == want
@@ -337,7 +343,7 @@ class TestStackedTriangles:
             thetas += [WeightVector(n, angles), good[k + 1]]
         words = [tuple(range(1, n + 1))] * len(thetas)
         assert_rows_match_oracle(thetas, words)
-        shapes = planar_shapes(triangles(thetas, words))
+        shapes = planar_rows(triangles(thetas, words))
         for k, (cls, fragment, _) in enumerate(gated):
             bad = shapes[2 * k + 1]
             assert type(bad).__name__ == cls and fragment in str(bad)

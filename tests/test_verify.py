@@ -16,6 +16,7 @@ from polymod import (
     verify_injectivity,
 )
 from polymod.combinatorics import sample_weight_rng
+from polymod.planar import angle_rows
 
 
 @pytest.mark.parametrize(
@@ -118,8 +119,8 @@ def _plant_model_failure(bad):
 
     def build_models(thetas, words):
         stack = original(thetas, words)
-        for i, theta in enumerate(thetas):
-            if theta == bad:
+        for i, row in enumerate(angle_rows(thetas).tolist()):
+            if tuple(row) == bad.theta:
                 stack.model_errors[i] = SignatureMismatch("planted")
         return stack
 
@@ -127,15 +128,15 @@ def _plant_model_failure(bad):
 
 
 def _plant_planar_failure(row):
-    """A ``verify.planar_shapes`` whose ``row`` fails."""
-    original = verify.planar_shapes
+    """A ``verify.planar_params`` whose ``row`` fails."""
+    original = verify.planar_params
 
-    def planar_shapes(triangles):
-        shapes = original(triangles)
-        shapes[row] = SignatureMismatch("planted")
-        return shapes
+    def planar_params(triangles):
+        params, errors = original(triangles)
+        errors[row] = SignatureMismatch("planted")
+        return params, errors
 
-    return planar_shapes
+    return planar_params
 
 
 @pytest.mark.parametrize(
@@ -146,8 +147,8 @@ def test_a_raising_trial_is_the_only_failure(monkeypatch, suite, target):
     bad = sample_weight_rng(6, np.random.default_rng([7, 3]))
     if target == "build_model":  # the trial models are rows of one kernel call
         monkeypatch.setattr(verify, "build_models", _plant_model_failure(bad))
-    else:  # the crossroute planar shapes are rows of one planar call; trial 3 is row 3
-        monkeypatch.setattr(verify, "planar_shapes", _plant_planar_failure(3))
+    else:  # the crossroute planar parameters are rows of one planar call; trial 3 is row 3
+        monkeypatch.setattr(verify, "planar_params", _plant_planar_failure(3))
     report = run_suite(suite, 6, 8, 7, jobs=1)
     # Under ``all`` the three suites that share the trial's model each fail it.
     reports = report["reports"] if suite == "all" else {suite: report}
@@ -184,19 +185,20 @@ def test_trial_indices_hold_across_chunks(monkeypatch, n):
     def draw(trial):
         return sample_weight_rng(n, np.random.default_rng([seed, trial]))
 
-    bad_pairs = set(verify.designated_pairs(n, [draw(5), draw(9)]))
+    params, _ = verify.designated_pairs(n, np.array([draw(5).theta, draw(9).theta]))
+    bad_pairs = set(map(tuple, params.tolist()))
     invert, scan = verify.inversion_reports, verify._separation_scan
     scanned = []
 
-    def separation_scan(rows):
-        scanned.extend(trial for trial, _, _ in rows)
-        return scan(rows)
+    def separation_scan(trials, thetas, shapes):
+        scanned.extend(trials.tolist())
+        return scan(trials, thetas, shapes)
 
     def inversion_reports(n, pairs, tol):
         reports = invert(n, pairs, tol)
         return [
-            InconsistentPair("planted") if pair in bad_pairs else report
-            for pair, report in zip(pairs, reports)
+            InconsistentPair("planted") if s1.params + s2.params in bad_pairs else report
+            for (s1, s2), report in zip(pairs, reports)
         ]
 
     monkeypatch.setattr(verify, "inversion_reports", inversion_reports)
