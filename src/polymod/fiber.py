@@ -128,16 +128,11 @@ def fiber_construction5(
 def fiber_construction6(
     shape: HexahedronShape, w: UpperHalfPoint | complex
 ) -> tuple[complex, ...]:
-    """Edge directions of the hexahedron fiber construction, in label order.
-
-    A parameter whose square overflows a double is OutOfRange."""
+    """Edge directions of the hexahedron fiber construction, in label order."""
     wc = _as_w(w)
-    try:
-        x_mark = complex(shape.P**2)
-        y_mark = 1.0 + (wc - 1.0) * shape.Q**2
-        z_mark = wc * (1.0 - shape.R**2)
-    except OverflowError as exc:
-        raise OutOfRange(f"hexahedron shape {shape.params!r}: a square overflows") from exc
+    x_mark = complex(shape.P**2)
+    y_mark = 1.0 + (wc - 1.0) * shape.Q**2
+    z_mark = wc * (1.0 - shape.R**2)
     return (
         _unit(x_mark - wc),
         1.0 + 0.0j,
@@ -271,6 +266,19 @@ def designated_pairs(n: int, theta: np.ndarray) -> tuple[np.ndarray, list]:
     return params.reshape(len(theta), 2 * (n - 3)), first
 
 
+def _check_squares(shape: PentagonShape | HexahedronShape) -> None:
+    """OutOfRange for a shape with a parameter whose square overflows a
+    double.  The inversion squares every parameter of both input shapes (the
+    fiber construction, and :func:`scaled_residual` in the verification),
+    so it takes no such shape."""
+    for v in shape.params:
+        try:
+            v**2
+        except OverflowError as exc:
+            kind = "pentagon" if isinstance(shape, PentagonShape) else "hexahedron"
+            raise OutOfRange(f"{kind} shape {shape.params!r}: a square overflows") from exc
+
+
 def inversion_report(n: int, s1, s2, tol: float = INVERT_TOL) -> dict:
     """Full inversion result: {'theta', 'w', 'residual'}.
 
@@ -286,6 +294,7 @@ def inversion_reports(
     """:func:`inversion_report` over many shape pairs.
 
     Each pair gets its report, or the error its inversion raises first:
+    a parameter of either shape beyond :func:`check_squares` (OutOfRange),
     the circles (NoIntersection, OutOfRange), the fiber construction
     (InconsistentPair), then the forward verification, where the recovered
     weight vector is mapped forward on both words of ``DESIGNATED[n]``
@@ -303,6 +312,8 @@ def inversion_reports(
     out: list = []
     for s1, s2 in pairs:
         try:
+            _check_squares(s1)
+            _check_squares(s2)
             w = recover_w(s1, s2)
             try:
                 theta = fiber_theta(s1, w, DESIGNATED[n][0])

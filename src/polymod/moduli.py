@@ -144,6 +144,8 @@ def scaled_residual(a: float, b: float) -> float:
     A parameter of magnitude M is a ratio over a feet gap of order 1/M, so
     honest rounding grows like M^2; an unscaled gate would trip on noise
     near the boundary, where an absolute 1e-9 exceeds double precision.
+    It is 0 where the square overflows (the route check's columns divide by
+    the same inf); the inversion rejects such input parameters first.
     """
     return abs(a - b) / _square(max(1.0, abs(a), abs(b)))
 

@@ -266,6 +266,12 @@ class TestInvert:
              "hexahedron shape (1e+160, 1.0, 1.0): a square overflows"),
             ("1,1,1e200", "1,1,1e-200", 2, "OutOfRange",
              "hexahedron shape (1.0, 1.0, 1e+200): a square overflows"),
+            # the designated pair of theta (0.9, 0.9, 0.9, 1.2, 1.2, *) but for
+            # R2, which only the forward verification reads
+            ("1.1203086020009727,0.7704232062363703,1.0657184013244674",
+             "1.1203086020009727,0.9166856546393473,1e200", 2, "OutOfRange",
+             "hexahedron shape (1.1203086020009727, 0.9166856546393473, 1e+200): "
+             "a square overflows"),
             ("1,1e-200,1", "1,1e-200,1", 3, "NoIntersection",
              "circles |w| = 1 about 0 and |w - 1| = inf about 1 do not meet"),
         ],
@@ -273,9 +279,9 @@ class TestInvert:
     def test_a_parameter_beyond_the_double_range_exits_with_a_document(
         self, capsys, shape1, shape2, code, error, message
     ):
-        """A square that overflows is an input error; a product Q1*Q2 that
-        underflows to 0 is an infinite circle radius, so the circles do not
-        meet.  Neither prints a traceback."""
+        """A square that overflows, in either shape, is an input error; a
+        product Q1*Q2 that underflows to 0 is an infinite circle radius, so
+        the circles do not meet.  Neither prints a traceback."""
         got, doc, err = run_json(
             capsys, "invert", "--n", "6", "--shape1", shape1, "--shape2", shape2
         )
