@@ -8,7 +8,9 @@ stdout carries data (JSON documents or CSV), stderr carries diagnostics.
 Every JSON document has ``schema`` and ``version`` fields and floats at 17
 significant digits.  Exit codes: 0 success, 1 verification failures, 2 input
 error (usage errors included), 3 the recovery circles do not intersect,
-4 inconsistent shape pair, 5 an equal-weight precondition was violated.
+4 inconsistent shape pair, 5 an equal-weight precondition was violated,
+6 an unexpected exception (a bug), reported as a ``polymod-error/1``
+document that names its class, never as a traceback.
 
 ``verify`` takes ``--tol``, ``--samples``, ``--seed`` and ``--jobs``;
 ``invert`` takes ``--tol``.  Only these two read the JSON file named by the
@@ -445,7 +447,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except PolymodError as exc:
+    except Exception as exc:  # a PolymodError exits with its code, a bug with 6
         _emit(
             {
                 "schema": "polymod-error/1",
@@ -454,7 +456,7 @@ def main(argv=None) -> int:
                 "message": str(exc),
             }
         )
-        return exc.exit_code
+        return exc.exit_code if isinstance(exc, PolymodError) else 6
 
 
 if __name__ == "__main__":

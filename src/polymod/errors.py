@@ -4,7 +4,9 @@ Every error derives from :class:`PolymodError` and carries an ``exit_code``
 used by the command-line layer: 2 for input/validation problems (the default),
 3 when the two recovery circles fail to intersect, 4 when a shape pair cannot
 be reproduced by any common weight vector, and 5 when an operation requires
-the equal-weight vector and did not get it.
+the equal-weight vector and did not get it.  Any other exception is a bug:
+the command-line layer reports it with exit code 6, and ``verify`` never
+counts it as a failed trial.
 
 Stacked calls carry their rows' failures by one protocol: a row holds its
 value or its first ``PolymodError``, and a per-row error list holds None

@@ -30,10 +30,11 @@ to record its failure: the pivot search runs over the 10 or 15 direction
 pairs with the rows as columns, and the corner scales map ``math.sin``
 over flat lists.  :func:`build_model`, :func:`facet_zero_ray` and
 :func:`axis_intercepts` are its one-row case, and :meth:`ModelStack.model`
-is the one place that assembles a :class:`LorentzModel`.  The stacked
-``matmul``, ``eigvalsh`` and ``svd`` calls run the same routine on each row
-as on a 2-D array, so a row's bits do not depend on the rows stacked with
-it.
+is the one place that assembles a :class:`LorentzModel`.  The products
+``Im(conj(d_a) d_b)`` are :func:`polymod.planar._im_conj`'s, the base width
+is a closed form in them and the facet rays are cross products, so a row's
+bits do not depend on the rows stacked with it (the stacked ``matmul`` and
+``eigvalsh`` run the same routine on each row as on a 2-D array).
 
 Facet ``k`` of the projectivized positive cone is the zero set of the edge
 functional ``xi_k``, oriented to be nonnegative on the cone; facet rays are
@@ -62,6 +63,7 @@ from .errors import (
 )
 from .planar import (
     Triangles,
+    _im_conj,
     angle_rows,
     complete_triangles,
     fail_parallel,
@@ -142,31 +144,6 @@ def _corner_scales(angles: np.ndarray, errors: list) -> np.ndarray:
     return scales
 
 
-def _base_widths(basis: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Base width of the completion triangle on each basis row: (N, dim).
-
-    The width is the signed length of the base line (through V_1 along
-    edge 2) between its intersections with the lines along edges n and 4.
-    Directions are fixed, so the width is linear in the edge vector and its
-    values on the basis rows determine the functional.  Each intersection
-    is the scalar line-intersection arithmetic, stacked.
-    """
-    n = dirs.shape[1]
-    base = dirs[:, 1:2]
-    v = np.cumsum(basis * dirs[:, None, :], axis=2)  # v[:, :, j] is V_{j+1} of each row
-
-    def corner(j: int, u: np.ndarray) -> np.ndarray:
-        r = v[:, :, 0] - v[:, :, j]
-        return v[:, :, j] + ((r.conjugate() * base).imag / (u.conjugate() * base).imag) * u
-
-    return ((corner(2, dirs[:, 3:4]) - corner(n - 2, dirs[:, n - 1 :])) * base.conjugate()).real
-
-
-def _at_least_one(x: np.ndarray) -> np.ndarray:
-    """``max(1.0, x)`` per entry, NaN mapping to 1.0 as Python's max does."""
-    return np.where(x > 1.0, x, 1.0)
-
-
 @np.errstate(all="ignore")  # failed rows may divide by zero; their values go unread
 def _model_arrays(tri: Triangles) -> dict:
     """The stacked body of :func:`build_models`.
@@ -185,16 +162,14 @@ def _model_arrays(tri: Triangles) -> dict:
     idx = np.arange(rows)
     errors = list(tri.errors)
 
-    cross = (dirs.conjugate()[:, :, None] * dirs[:, None, :]).imag.copy()  # Im(conj(d_a) d_b)
+    dx, dy = dirs.real, dirs.imag
+    cross = _im_conj((dx[:, :, None], dy[:, :, None]), (dx[:, None, :], dy[:, None, :]))
 
     # Cramer basis: free column j closes with d_j + x d_p1 + y d_p2 = 0
     a, b = _PAIRS[n]
     choice = _pivots(np.abs(cross[:, a, b]))
     p1, p2 = a[choice], b[choice]
-    keep = np.ones((rows, n), dtype=bool)
-    keep[idx, p1] = False
-    keep[idx, p2] = False
-    free = np.nonzero(keep)[1].reshape(rows, dim)
+    free = np.array([[j for j in range(n) if j not in pair] for pair in zip(a, b)])[choice]
     pivot = cross[idx, p1, p2][:, None]
     basis = np.zeros((rows, dim, n))
     basis[idx[:, None], np.arange(dim), free] = 1.0
@@ -206,7 +181,7 @@ def _model_arrays(tri: Triangles) -> dict:
 
     failed = np.array([e is not None for e in errors])
     eigs = np.linalg.eigvalsh(np.where(failed[:, None, None], np.eye(dim), gram))
-    tol = (1e-12 * _at_least_one(np.abs(eigs).max(axis=1)))[:, None]
+    tol = (1e-12 * np.fmax(np.abs(eigs).max(axis=1), 1.0))[:, None]  # NaN -> 1, as max(1, NaN)
     first_failures(
         errors,
         ((eigs > tol).sum(axis=1) != 1) | ((eigs < -tol).sum(axis=1) != dim - 1),
@@ -217,12 +192,17 @@ def _model_arrays(tri: Triangles) -> dict:
 
     facet_mat = basis.transpose(0, 2, 1).copy()
 
-    # the base line runs along edge 2 and meets the lines along edges n and 4
-    base, side_n, side_4 = ((dirs[:, k].real, dirs[:, k].imag) for k in (1, n - 1, 3))
+    # The base line runs from V_1 along edge 2 (d_2 = 1).  With 1-based X[a, b] =
+    # Im(conj(d_a) d_b), it meets the lines along edges 4 and n at e_2 + e_3 X[4,3]/X[4,2]
+    # and -e_1 X[n,1]/X[n,2] from V_1, so the width is basis @ (X[n,1]/X[n,2], 1,
+    # X[4,3]/X[4,2], 0, ...).  Parallel lines fail first.
+    base, side_n, side_4 = ((dx[:, k], dy[:, k]) for k in (1, n - 1, 3))
     fail_parallel(errors, parallel_lines(side_n, base) | parallel_lines(side_4, base))
     corner = _corner_scales(angles, errors)
+    ratio = cross[:, [n - 1, 3], [0, 2]] / cross[:, [n - 1, 3], [1, 1]]
+    width = basis[:, :, 0] * ratio[:, :1] + basis[:, :, 1] + basis[:, :, 2] * ratio[:, 1:]
     # sqrt(apex height / 2) of the completion triangle scales its base width
-    x_row = np.sqrt(tri.apex.imag / 2.0)[:, None] * _base_widths(basis, dirs)
+    x_row = np.sqrt(tri.apex.imag / 2.0)[:, None] * width
     # u, v[, w] scale the lengths of edges 1, 3[, 5]
     coord_mat = np.concatenate(
         [x_row[:, None]] + [corner[:, j, None, None] * facet_mat[:, None, 2 * j] for j in range(n // 2)],
@@ -241,53 +221,60 @@ def _model_arrays(tri: Triangles) -> dict:
     # the base line), so the tolerance has to scale with those products
     # rather than with the gram entries alone.
     recon = coord_mat.transpose(0, 2, 1) @ _J_FORM[dim] @ coord_mat
-    scale = _at_least_one(np.abs(gram).max(axis=(1, 2)))
+    scale = np.fmax(np.abs(gram).max(axis=(1, 2)), 1.0)
     col = (coord_mat**2).sum(axis=1).max(axis=1)
     scale = np.where(col > scale, col, scale)
     first_failures(
         errors,
         ~(np.abs(recon - gram).max(axis=(1, 2)) <= 1e-9 * scale),
-        lambda i: SignatureMismatch(
-            "coordinate functionals fail to diagonalize the area form"
-        ),
+        lambda i: SignatureMismatch("coordinate functionals fail to diagonalize the area form"),
     )
-    return {
-        "basis": basis, "gram": gram, "coord_mat": coord_mat,
-        "facet_mat": facet_mat, "errors": errors,
-    }
+    return dict(basis=basis, gram=gram, coord_mat=coord_mat, facet_mat=facet_mat, errors=errors)
+
+
+def _cross(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """``a x b`` of 3-vectors given as component arrays, as ``np.cross`` computes it."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
 @np.errstate(all="ignore")
 def _zero_rays(
     facet_mat: np.ndarray, x_rows: np.ndarray, specs: Sequence[Sequence[int]], errors: list
 ) -> np.ndarray:
-    """The stacked body of :func:`facet_zero_ray`: (N, S, dim) rays.
+    """The stacked body of :func:`facet_zero_ray`: (N, S, dim) rays, in C
+    order, since the bits of the matmuls that read them follow the layout.
 
-    Row i, spec s is the ray on which the 1-based facets ``specs[s]`` vanish,
-    normalized by the coordinate functional ``x_rows[i]``.  ``errors`` is
-    updated in place with each row's first failure, spec by spec: dependent
-    facet planes, then a ray parallel to the slice x = 1.  One stacked SVD
-    serves every row and spec; rows already failed are left out of it.
+    Row i, spec s is the ray on which the dim-1 facets ``specs[s]`` vanish:
+    the generalized cross product ``c`` of their rows ``r_k`` (dim 4: signed
+    3x3 cofactors, ``a . (b x c)`` on the columns left by dropping each one),
+    normalized by ``x_rows[i]``.  ``errors`` takes each row's first failure,
+    spec by spec: dependent planes, ``|c| <= 1e-12 prod |r_k|``, then a ray
+    parallel to the slice, ``|x . c| <= 1e-12 |c|`` (the unit ray's test).
+    ``|c|`` is the product of the singular values, at most ``prod |r_k|``
+    (Hadamard): the ratio is a volume sine that ignores a row's scale, as its
+    zero set does.  Rounding leaves ``c`` a few ulps of ``prod |r_k|`` in
+    error, so below 1e-12 the ray keeps under four digits.  A failed row's NaN
+    trips no gate.
     """
-    dim = facet_mat.shape[2]
-    sub = facet_mat[:, np.array(specs, dtype=int) - 1]  # (N, S, m, dim)
-    failed = np.array([e is not None for e in errors])
-    sub[failed] = np.eye(sub.shape[2], dim)
-    _, sv, vt = np.linalg.svd(sub)
-    ray = vt[:, :, -1]
+    sub = facet_mat[:, np.array(specs, dtype=int) - 1]  # (N, S, dim-1, dim)
+    rows = np.moveaxis(sub, (2, 3), (0, 1))  # rows[k, j]: entry j of facet row k
+    if len(rows) == 2:
+        ray = np.stack(_cross(*rows), axis=-1)
+    else:  # a, b, c on the columns left by dropping column j: (3, 4 values of j, N, S)
+        a, b, c = np.moveaxis(rows[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]], 2, 1)
+        bc = _cross(b, c)
+        ray = np.stack(list(a[0] * bc[0] + a[1] * bc[1] + a[2] * bc[2]), axis=-1) * [1, -1, 1, -1]
+    size = np.linalg.norm(ray, axis=-1)
     x_val = (x_rows[:, None, None, :] @ ray[..., None])[:, :, 0, 0]
-    dependent = np.zeros(x_val.shape, dtype=bool)
-    if sv.shape[2] >= dim - 1:
-        dependent = sv[:, :, dim - 2] <= 1e-12 * _at_least_one(sv[:, :, 0])
-    parallel = np.abs(x_val) <= 1e-12
+    dependent = size <= 1e-12 * np.linalg.norm(sub, axis=-1).prod(axis=-1)
+    parallel = np.abs(x_val) <= 1e-12 * size
 
     def failure(i: int) -> NoIntersection:
         s = int(np.argmax(dependent[i] | parallel[i]))
-        facets = tuple(specs[s])
+        if dependent[i, s]:
+            return NoIntersection(f"facet planes {tuple(specs[s])} are dependent")
         return NoIntersection(
-            f"facet planes {facets} are dependent"
-            if dependent[i, s]
-            else f"intersection of facets {facets} is parallel to the slice x = 1"
+            f"intersection of facets {tuple(specs[s])} is parallel to the slice x = 1"
         )
 
     first_failures(errors, (dependent | parallel).any(axis=1), failure)
@@ -396,10 +383,13 @@ def build_model(theta: WeightVector, label: Sequence[int]) -> LorentzModel:
 def facet_zero_ray(model: LorentzModel, facets: Sequence[int]) -> np.ndarray:
     """Coordinates of the 1-dimensional intersection of facet planes.
 
-    ``facets`` are 1-based facet indices whose edge functionals are set to
-    zero; exactly dim-1 independent constraints are required.  The ray is
-    normalized to x = 1 (NoIntersection when x vanishes on it).
+    ``facets`` are exactly dim-1 facet indices in 1..n whose edge
+    functionals are set to zero (OutOfRange otherwise); dependent planes
+    raise NoIntersection.  The ray is normalized to x = 1 (NoIntersection
+    when x vanishes on it).
     """
+    if len(facets) != model.dim - 1 or not all(1 <= k <= model.n for k in facets):
+        raise OutOfRange(f"need {model.dim - 1} facet indices in 1..{model.n}, got {tuple(facets)}")
     errors = [None]
     rays = _zero_rays(model.facet_mat[None], model.coord_mat[None, 0], [facets], errors)
     unwrap(errors[0])

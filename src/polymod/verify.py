@@ -39,7 +39,7 @@ import numpy as np
 
 from .combinatorics import WeightVector, sample_weight_rng
 from .complexes import build_complex, cusp_classes, euler_characteristic
-from .errors import OutOfRange, check_settings, map_ok, rows, unwrap
+from .errors import OutOfRange, PolymodError, check_settings, map_ok, rows, unwrap
 from .fiber import designated_pairs, inversion_reports
 from .jsonio import SUITES
 from .lorentz import LorentzModel, build_models, dihedral_angle
@@ -64,10 +64,11 @@ _MODEL_SUITES = _SAMPLED[1:]
 
 
 def _outcome(check: Callable[[int], float], k: int) -> float | str:
-    """Row k's error, or the ``"Class: message"`` text of what its check raised."""
+    """Row k's error, or the ``"Class: message"`` text of the PolymodError
+    its check raised; any other exception is a bug and propagates."""
     try:
         return check(k)
-    except Exception as exc:  # failures are data, not crashes
+    except PolymodError as exc:  # failures are data, not crashes
         return f"{type(exc).__name__}: {exc}"
 
 

@@ -1,10 +1,15 @@
 """The scalar Lorentz route check, one model per call: the tests' oracle.
 
 This is the per-row code that ``polymod.lorentz``'s stacked kernel
-replaced, kept verbatim so the kernel can be compared with it bit for bit:
-``build_model``, ``facet_zero_ray`` and ``axis_intercepts`` as they were
-before the kernel, and ``psi`` (planar shape, then the route check) as
-``psi5``/``psi6`` computed it.
+replaced, so the kernel can be compared with it bit for bit:
+``build_model``, ``facet_zero_ray`` and ``axis_intercepts`` one model at a
+time, and ``psi`` (planar shape, then the route check) as ``psi5``/``psi6``
+computed it.  The rules are the kernel's closed forms: the products
+``Im(conj(d_a) d_b)`` as Python's complex product gives them, the base
+width from the two corner ratios, and a facet ray as the cross product (or
+the signed 3x3 cofactors) of its facet rows.  ``facet_zero_ray_svd`` keeps
+the earlier rule, the null vector of a singular value decomposition, as a
+reference for the rays.
 """
 
 import math
@@ -17,7 +22,7 @@ from polymod.errors import NoIntersection, OutOfRange, RouteDisagreement, Signat
 from polymod.lorentz import LorentzModel
 from polymod.moduli import ROUTE_TOL, scaled_residual
 
-from planar_oracle import _hexahedron_shape, _pentagon_shape, complete_triangle, line_intersection
+from planar_oracle import _hexahedron_shape, _pentagon_shape, complete_triangle
 
 
 def _corner_scale(t_in, t_out):
@@ -26,13 +31,17 @@ def _corner_scale(t_in, t_out):
     )
 
 
-def _basewidth_values(frame, basis):
-    n = frame.n
-    v = np.cumsum(basis * frame.dirs, axis=1)
-    d = frame.dirs.tolist()
-    _, _, corner_a = line_intersection(v[:, n - 2], d[n - 1], v[:, 0], d[1])
-    _, _, corner_b = line_intersection(v[:, 2], d[3], v[:, 0], d[1])
-    return ((corner_b - corner_a) * d[1].conjugate()).real
+def _basewidth_values(d, cross, basis):
+    """The base width on each basis row, once neither line along edge n or 4
+    is parallel to the base (edge 2): the base line from V_1 meets them at
+    -e_1 X[n,1]/X[n,2] and e_2 + e_3 X[4,3]/X[4,2], X[a, b] = cross[a-1, b-1]."""
+    n = len(d)
+    for k in (n - 1, 3):
+        if abs(cross[k, 1]) <= 1e-15 * abs(d[k]) * abs(d[1]):
+            raise NoIntersection("lines are parallel or a direction vanishes")
+    ratio_n = cross[n - 1, 0] / cross[n - 1, 1]
+    ratio_4 = cross[3, 2] / cross[3, 1]
+    return basis[:, 0] * ratio_n + basis[:, 1] + basis[:, 2] * ratio_4
 
 
 def build_model(theta, label):
@@ -44,7 +53,8 @@ def build_model(theta, label):
         raise OutOfRange(f"Lorentz models are built for n in {{5, 6}}, got {n}")
     tri = complete_triangle(theta, word)
     frame = tri.frame
-    cross = (frame.dirs.conjugate()[:, None] * frame.dirs).imag
+    d = frame.dirs.tolist()
+    cross = np.array([[(a.conjugate() * b).imag for b in d] for a in d])
 
     best = (-1.0, 0, 1)
     abs_cross = np.abs(cross).tolist()
@@ -74,7 +84,7 @@ def build_model(theta, label):
 
     t = frame.ordered_angles()
     c_x = math.sqrt(tri.c.imag / 2.0)
-    x_row = c_x * _basewidth_values(frame, basis)
+    x_row = c_x * _basewidth_values(d, cross, basis)
     corners = range(0, n - 1, 2)
     coord_mat = np.vstack(
         [x_row] + [_corner_scale(t[k], t[k + 1]) * facet_mat[k] for k in corners]
@@ -103,6 +113,29 @@ def build_model(theta, label):
 
 
 def facet_zero_ray(model, facets):
+    rows = np.array([model.facet_mat[k - 1] for k in facets])
+    if model.dim == 3:
+        ray = np.cross(rows[0], rows[1])
+    else:
+        ray = np.empty(4)
+        for j in range(4):
+            a, b, c = rows[:, [k for k in range(4) if k != j]]
+            bc = np.cross(b, c)
+            ray[j] = (-1.0) ** j * (a[0] * bc[0] + a[1] * bc[1] + a[2] * bc[2])
+    size = np.linalg.norm(ray)
+    if size <= 1e-12 * np.prod(np.linalg.norm(rows, axis=1)):
+        raise NoIntersection(f"facet planes {tuple(facets)} are dependent")
+    x_val = float(model.coord_mat[0] @ ray)
+    if abs(x_val) <= 1e-12 * size:
+        raise NoIntersection(
+            f"intersection of facets {tuple(facets)} is parallel to the slice x = 1"
+        )
+    return ray / x_val
+
+
+def facet_zero_ray_svd(model, facets):
+    """The earlier rule: the unit null vector of the facet rows, dependent
+    when the smallest singular value is within 1e-12 of max(1, largest)."""
     rows = np.array([model.facet_mat[k - 1] for k in facets])
     _, sv, vt = np.linalg.svd(rows)
     if sv.size >= model.dim - 1 and sv[model.dim - 2] <= 1e-12 * max(1.0, sv[0]):

@@ -402,6 +402,21 @@ class TestVerify:
         assert code == 1
         assert doc["pass"] is False
 
+    @pytest.mark.parametrize("suite", ["orthogonality", "all"])
+    def test_a_bug_in_a_check_exits_6_not_as_a_failed_trial(self, capsys, monkeypatch, suite):
+        """A non-polymod exception is a bug, not a failed trial: one error
+        document naming its class, exit 6, and nothing on stderr."""
+        def orthogonality(model):
+            raise TypeError("planted")
+
+        monkeypatch.setattr(verify, "_orthogonality", orthogonality)
+        code, doc, err = run_json(capsys, "verify", "--suite", suite, "--n", "5", "--samples", "4")
+        assert code == 6
+        assert doc == {
+            "schema": "polymod-error/1", "version": 1, "error": "TypeError", "message": "planted",
+        }
+        assert err == ""
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_exits_2(self, capsys, tmp_path, monkeypatch, source):
         argv = ["verify", "--suite", "all", "--n", "5", "--samples", "2"]

@@ -12,6 +12,7 @@ bit for bit.
 import dataclasses
 import math
 from dataclasses import astuple
+from itertools import combinations
 
 import numpy as np
 import numpy.testing as npt
@@ -105,15 +106,13 @@ def polarization_model(theta, word):
     frame = edge_frame(theta, word)
     n, d = frame.n, frame.dirs
     dim = n - 2
-    # The pivot pair is chosen from numpy's cross products, as the kernel
-    # chooses it: Python's complex product can round the last bit the other
-    # way, and on a near-tie (within 1e-15) that picks another, equally valid
-    # pair.  The pivot rule itself is pinned by the ``lorentz_oracle`` tests.
-    cross = (d.conjugate()[:, None] * d).imag
+    # The pivot pair is chosen from Python's complex products, as the kernel
+    # chooses it; the pivot rule itself is pinned by the ``lorentz_oracle`` tests.
+    dirs = d.tolist()
     best = (-1.0, 0, 1)
     for a in range(n):
         for b in range(a + 1, n):
-            c = abs(cross[a, b])
+            c = abs((dirs[a].conjugate() * dirs[b]).imag)
             if c > best[0] + 1e-15:
                 best = (c, a, b)
     _, p1, p2 = best
@@ -342,8 +341,39 @@ class TestFacetRays:
 
     def test_dependent_facets_raise(self):
         model = build_model(sample_weight(5, 1), IDENT5)
-        with pytest.raises(NoIntersection):
+        with pytest.raises(NoIntersection, match=r"\(2, 2\) are dependent"):
             facet_zero_ray(model, (2, 2))
+        model = build_model(equal_weight(6), IDENT6)
+        with pytest.raises(NoIntersection, match=r"\(1, 4, 1\) are dependent"):
+            facet_zero_ray(model, (1, 4, 1))
+
+    @pytest.mark.parametrize(
+        "n, facets",
+        [(5, (1,)), (5, (1, 2, 3)), (5, (0, 4)), (5, (6, 4)), (5, ()),
+         (6, (1, 2)), (6, (1, 2, 3, 4)), (6, (0, 1, 2)), (6, (1, 2, 7)), (6, (-1, 2, 3))],
+    )
+    def test_a_facet_list_it_cannot_solve_is_out_of_range(self, n, facets):
+        """Exactly dim-1 indices in 1..n: no ray for too few or too many
+        planes, and no index read from the end of the facet rows."""
+        model = build_model(equal_weight(n), tuple(range(1, n + 1)))
+        with pytest.raises(OutOfRange, match=f"need {n - 3} facet indices in 1..{n}"):
+            facet_zero_ray(model, facets)
+
+    def test_rays_match_the_svd_reference(self):
+        """Every facet ray equals the earlier SVD null vector, normalized to
+        x = 1, within 1e-12 of max(1, |ray|), or both rules raise alike."""
+        rng = np.random.default_rng(91)
+        for n in (5, 6):
+            for _ in range(60):
+                theta = sample_weight_rng(n, rng)
+                model = build_model(theta, tuple(int(m) + 1 for m in rng.permutation(n)))
+                for facets in combinations(range(1, n + 1), n - 3):
+                    kind, ray = outcome(facet_zero_ray, model, facets)
+                    want_kind, want = outcome(oracle.facet_zero_ray_svd, model, facets)
+                    assert kind == want_kind
+                    if kind == "ok":
+                        scale = max(1.0, float(np.abs(want).max()))
+                        npt.assert_allclose(ray, want, rtol=0.0, atol=1e-12 * scale)
 
     def test_pentagon_axis_vertices(self):
         """The rays of facet pairs (1,3), (1,4), (3,5) project to the Klein
@@ -631,15 +661,27 @@ class TestStackedKernel:
             else:
                 assert failure(shape) == (kind, want)
 
-        # The facet gates do not fire on weight vectors; plant them in one
-        # row's facets (dependent planes) and another's x functional (a ray
-        # parallel to the slice), with intact rows around them.
+        # The facet gates do not fire on weight vectors; plant them in the
+        # facets and x functionals of the intact rows, with intact rows around
+        # them.
+        specs = [(3, 5, 6), (1, 2, 5), (1, 3, 4)]
         facet_mat = stack.facet_mat[::2].copy()
         coord_mat = stack.coord_mat[::2].copy()
-        facet_mat[1, 4] = facet_mat[1, 2]  # facets 3 and 5 of the first spec
-        coord_mat[3, 0] = 0.0
+        intact = lorentz._zero_rays(facet_mat, coord_mat[:, 0], specs, [None] * len(facet_mat))
+        f = facet_mat
+        f[1, 4] = f[1, 2]  # equal rows: facets 3 and 5 of the first spec
+        coord_mat[3, 0] = 0.0  # x vanishes on every ray
+        # dependent to about 1e-14 relative: facet 5 is facet 3 plus a 1e-14 sliver of facet 1
+        f[5, 4] = f[5, 2] + 1e-14 * np.linalg.norm(f[5, 2]) / np.linalg.norm(f[5, 0]) * f[5, 0]
+        # Facet 3 scaled by 1e-13: its plane, and so every ray, is the same.
+        # The SVD rule called it dependent, its smallest singular value being
+        # under 1e-12 in absolute terms; the cross-product rule is scale-free
+        # and keeps the rays, as a facet's zero set ignores its scale.
+        f[6, 2] *= 1e-13
+        # x orthogonal to the ray of the second spec only
+        c = intact[7, 1]
+        coord_mat[7, 0] -= (coord_mat[7, 0] @ c) / (c @ c) * c
         errors = [None] * len(facet_mat)
-        specs = [(3, 5, 6), (1, 2, 5), (1, 3, 4)]
         rays = lorentz._zero_rays(facet_mat, coord_mat[:, 0], specs, errors)
         for i, rows in enumerate(zip(facet_mat, coord_mat)):
             model = dataclasses.replace(stack.model(2 * i), facet_mat=rows[0], coord_mat=rows[1])
@@ -649,5 +691,12 @@ class TestStackedKernel:
             if first is None:
                 for s, (_, ray) in enumerate(want):
                     assert np.array_equal(rays[i, s], ray)
-        assert "are dependent" in str(errors[1])
-        assert "parallel to the slice" in str(errors[3])
+        assert failure(errors[1]) == ("NoIntersection", "facet planes (3, 5, 6) are dependent")
+        assert failure(errors[5]) == ("NoIntersection", "facet planes (3, 5, 6) are dependent")
+        assert "facets (3, 5, 6) is parallel to the slice" in str(errors[3])
+        assert "facets (1, 2, 5) is parallel to the slice" in str(errors[7])
+        assert errors[6] is None
+        npt.assert_allclose(rays[6], intact[6], rtol=1e-13)
+        scaled = dataclasses.replace(stack.model(12), facet_mat=f[6], coord_mat=coord_mat[6])
+        with pytest.raises(NoIntersection, match=r"\(3, 5, 6\) are dependent"):
+            oracle.facet_zero_ray_svd(scaled, specs[0])
