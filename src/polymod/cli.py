@@ -27,8 +27,8 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 
+from ._record import record, replace
 from .combinatorics import as_word, validate_weight, validate_weights
 from .errors import OutOfRange, PolymodError, check_settings
 from .jsonio import (
@@ -52,7 +52,7 @@ _CONFIG_ENV = "POLYMOD_CONFIG"
 SWEEP_CHUNK = 256
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     """Tolerance, sampling, and parallelism of ``verify`` (``invert`` reads ``tol``)."""
 

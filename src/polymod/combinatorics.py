@@ -26,10 +26,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from ._record import record
 from .errors import (
     NonPositive,
     NotAPermutation,
@@ -59,7 +59,7 @@ REJECTION_BUDGET = 10**6
 SAMPLE_BLOCK = 32
 
 
-@dataclass(frozen=True)
+@record
 class WeightVector:
     """A validated weight vector: ``n`` angles, exact sum ``2*pi``."""
 
@@ -73,7 +73,7 @@ class WeightVector:
         return self.theta[i]
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Label:
     """A canonical circular-permutation label of the marks ``1..n``."""
 
@@ -87,7 +87,7 @@ class Label:
         return "".join(str(m) for m in self.word)
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class DegenerateConfig:
     """A canonical cyclic word of merged marks (collision pattern).
 

@@ -22,9 +22,9 @@ The orbits are:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._record import record
 from .combinatorics import (
     TOL_IDEAL,
     DegenerateConfig,
@@ -40,7 +40,7 @@ from .combinatorics import (
 from .errors import NotEqualWeight, OutOfRange, PairingFailure
 
 
-@dataclass(frozen=True)
+@record
 class FacePairing:
     """A glued face pair; cells are indices into the complex's cell list."""
 
@@ -51,7 +51,7 @@ class FacePairing:
     config: DegenerateConfig
 
 
-@dataclass(frozen=True)
+@record
 class GluedComplex:
     """The glued configuration-space complex for one n and weight vector."""
 

@@ -23,7 +23,8 @@ pair pins ``w`` down as the intersection of two circles: for pentagons
 The inversion solvers always re-run the forward maps on the recovered
 weight vector and compare against *both* input shapes — for hexahedra this
 includes the R parameters, which the circles never see.  The check runs in
-columns (:func:`designated_pairs`), each row compared with its input pair.
+columns (:func:`designated_pairs`), each row compared with its input pair
+on the input's own scale (:func:`polymod.moduli.relative_residual`).
 
 This module holds geometry only; the randomized round-trip check lives in
 :mod:`polymod.verify`, and :func:`verify_injectivity` is a view of it.
@@ -32,11 +33,11 @@ This module holds geometry only; the randomized round-trip check lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import record
 from .combinatorics import WeightVector, as_word, validate_weight
 from .errors import (
     InconsistentPair,
@@ -59,7 +60,7 @@ from .moduli import (
     HexahedronShape,
     PentagonShape,
     forward_params,
-    scaled_residual,
+    relative_residual,
 )
 from .planar import complete_triangle
 
@@ -77,7 +78,7 @@ SWAPPED6 = (2, 1, 4, 3, 5, 6)
 DESIGNATED = {5: (IDENTITY5, SWAPPED5), 6: (IDENTITY6, SWAPPED6)}
 
 
-@dataclass(frozen=True)
+@record
 class UpperHalfPoint:
     """A point of the open upper half-plane."""
 
@@ -268,9 +269,8 @@ def designated_pairs(n: int, theta: np.ndarray) -> tuple[np.ndarray, list]:
 
 def _check_squares(shape: PentagonShape | HexahedronShape) -> None:
     """OutOfRange for a shape with a parameter whose square overflows a
-    double.  The inversion squares every parameter of both input shapes (the
-    fiber construction, and :func:`scaled_residual` in the verification),
-    so it takes no such shape."""
+    double.  The fiber construction squares every parameter of both input
+    shapes, so the inversion takes no such shape."""
     for v in shape.params:
         try:
             v**2
@@ -299,7 +299,8 @@ def inversion_reports(
     (InconsistentPair), then the forward verification, where the recovered
     weight vector is mapped forward on both words of ``DESIGNATED[n]``
     (:func:`designated_pairs`, one call for every pair that reaches the
-    verification) and every parameter is compared with the input pair.
+    verification) and every parameter is compared with the input pair
+    under :func:`relative_residual`.
     A tolerance that is not positive and finite raises OutOfRange.
     """
     check_settings(tol)
@@ -334,7 +335,7 @@ def inversion_reports(
             out[i] = params
             continue
         given = pairs[i][0].params + pairs[i][1].params
-        residual = max(map(scaled_residual, params, given))
+        residual = max(map(relative_residual, params, given))
         if residual > tol:
             out[i] = InconsistentPair(
                 f"forward verification failed: residual {residual:.17g} > {tol:g}"

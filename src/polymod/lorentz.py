@@ -45,12 +45,13 @@ normalized to the slice ``x = 1``.  Two facets whose dual cosine is within
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from ._record import record
 from .combinatorics import TOL_IDEAL, WeightVector
 from .errors import (
     FacetsDisjoint,
@@ -73,7 +74,7 @@ from .planar import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class LorentzModel:
     """Immutable Lorentzian model of the closing space for (theta, word)."""
 
@@ -296,7 +297,7 @@ def _intercepts(facet_mat: np.ndarray, coord_mat: np.ndarray, errors: list) -> n
     return (axis_rows[:, :, None, :] @ rays[..., None])[:, :, 0, 0]
 
 
-@dataclass(frozen=True)
+@record
 class ModelStack:
     """Lorentz models and axis intercepts of N (theta, word) rows.
 
@@ -380,15 +381,20 @@ def build_model(theta: WeightVector, label: Sequence[int]) -> LorentzModel:
     return build_models([theta], [label]).model(0)
 
 
+def _facet_index(k, n: int) -> bool:
+    """Whether ``k`` is a facet index: an integer (1.5 and 1.0 are not) in 1..n."""
+    return isinstance(k, numbers.Integral) and 1 <= k <= n
+
+
 def facet_zero_ray(model: LorentzModel, facets: Sequence[int]) -> np.ndarray:
     """Coordinates of the 1-dimensional intersection of facet planes.
 
-    ``facets`` are exactly dim-1 facet indices in 1..n whose edge
+    ``facets`` are exactly dim-1 integer facet indices in 1..n whose edge
     functionals are set to zero (OutOfRange otherwise); dependent planes
     raise NoIntersection.  The ray is normalized to x = 1 (NoIntersection
     when x vanishes on it).
     """
-    if len(facets) != model.dim - 1 or not all(1 <= k <= model.n for k in facets):
+    if len(facets) != model.dim - 1 or not all(_facet_index(k, model.n) for k in facets):
         raise OutOfRange(f"need {model.dim - 1} facet indices in 1..{model.n}, got {tuple(facets)}")
     errors = [None]
     rays = _zero_rays(model.facet_mat[None], model.coord_mat[None, 0], [facets], errors)
@@ -411,14 +417,15 @@ def axis_intercepts(model: LorentzModel) -> tuple[float, ...]:
 
 
 def dihedral_angle(model: LorentzModel, j: int, k: int) -> float:
-    """Interior dihedral angle between facets j and k (1-based).
+    """Interior dihedral angle between facets j and k (1-based integers,
+    OutOfRange otherwise).
 
     Returns a value in [0, pi): arccos of the normalized dual pairing of the
     two inward edge functionals, 0 for tangent facets (within TOL_IDEAL),
     and raises FacetsDisjoint when the planes miss each other.
     """
     n = model.n
-    if not (1 <= j <= n and 1 <= k <= n) or j == k:
+    if not (_facet_index(j, n) and _facet_index(k, n)) or j == k:
         raise OutOfRange(f"need two distinct facet indices in 1..{n}, got {j}, {k}")
     pj = model.facet_mat[j - 1]
     pk = model.facet_mat[k - 1]

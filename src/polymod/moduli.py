@@ -31,11 +31,11 @@ ideal and create no edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import record
 from .combinatorics import TOL_IDEAL, WeightVector, as_word
 from .errors import (
     NegativeRatio,
@@ -80,7 +80,7 @@ def _hexahedron_error(P: float, Q: float, R: float) -> OutOfRange | None:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class PentagonShape:
     """A right-pentagon shape (P, Q) in the open region P^2 + Q^2 > 1."""
 
@@ -95,7 +95,7 @@ class PentagonShape:
         return (self.P, self.Q)
 
 
-@dataclass(frozen=True)
+@record
 class HexahedronShape:
     """A hexahedron shape (P, Q, R), all positive."""
 
@@ -145,9 +145,19 @@ def scaled_residual(a: float, b: float) -> float:
     honest rounding grows like M^2; an unscaled gate would trip on noise
     near the boundary, where an absolute 1e-9 exceeds double precision.
     It is 0 where the square overflows (the route check's columns divide by
-    the same inf); the inversion rejects such input parameters first.
+    the same inf).
     """
     return abs(a - b) / _square(max(1.0, abs(a), abs(b)))
+
+
+def relative_residual(a: float, b: float) -> float:
+    """``|a - b| / max(1, |a|, |b|)``: a parameter compared on its own scale.
+
+    The squared scale of :func:`scaled_residual` suits two computed routes
+    to one value; against a user's input it would accept any R2 above about
+    1/tol for a true R2 of 1.
+    """
+    return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
 def _square(x: float) -> float:
@@ -329,7 +339,7 @@ def klein_distance(p: Sequence[float], q: Sequence[float]) -> float:
     return math.acosh(max(arg, 1.0))
 
 
-@dataclass(frozen=True)
+@record
 class PentagonSides:
     """Side lengths of a right pentagon, cyclically ordered by facet.
 

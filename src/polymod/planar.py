@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import record
 from .combinatorics import Label, WeightVector, as_word
 from .errors import (
     DegenerateTriangle,
@@ -127,7 +127,7 @@ def _side_ratio(u: tuple, v: tuple, r: tuple) -> tuple[np.ndarray, np.ndarray]:
     return _im_conj(r, u) / _im_conj(u, v), parallel_lines(u, v)
 
 
-@dataclass(frozen=True)
+@record
 class Triangles:
     """Completion triangles of N rows, base [0, 1].
 
@@ -207,7 +207,7 @@ def complete_triangles(angles: np.ndarray) -> Triangles:
     return Triangles(angles=angles, ext=ext, dirs=dirs, apex=apex, errors=errors)
 
 
-@dataclass(frozen=True)
+@record
 class TriangleCompletion:
     """One completion triangle, base corners ``a = 0`` and ``b = 1``, with
     the word's unit edge directions; ``feet`` holds the three signed ratios

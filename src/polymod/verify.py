@@ -43,7 +43,7 @@ from .errors import OutOfRange, PolymodError, check_settings, map_ok, rows, unwr
 from .fiber import designated_pairs, inversion_reports
 from .jsonio import SUITES
 from .lorentz import LorentzModel, build_models, dihedral_angle
-from .moduli import HexahedronShape, PentagonShape, planar_params
+from .moduli import HexahedronShape, PentagonShape, planar_params, relative_residual
 
 #: facet pairs that meet at right angles for every weight vector and label
 ORTHOGONAL_PAIRS = {
@@ -94,7 +94,7 @@ def _crossroute(planar: list[float], lorentz: tuple[float, ...]) -> float:
     # Linear scale, unlike moduli.scaled_residual's squared one: squaring it
     # would loosen this gate, so the two rules stay apart until one
     # derivation is settled for both.
-    return max(abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(planar, lorentz))
+    return max(map(relative_residual, planar, lorentz))
 
 
 def _run_chunk(

@@ -13,7 +13,6 @@ reference for the rays.
 """
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 
@@ -165,7 +164,7 @@ def psi(n, theta, label):
     """``psi5``/``psi6``: the planar shape once the Lorentzian route agrees."""
     shape = (_pentagon_shape if n == 5 else _hexahedron_shape)(theta, label)
     lorentz_vals = axis_intercepts(build_model(theta, label))
-    for name, a, b in zip("PQR", astuple(shape), lorentz_vals):
+    for name, a, b in zip("PQR", shape.params, lorentz_vals):
         if scaled_residual(a, b) > ROUTE_TOL:
             raise RouteDisagreement(
                 f"psi{n}: planar {name} = {a:.17g} vs Lorentzian {name} = "

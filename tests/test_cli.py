@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polymod import cli, fiber, verify
+from polymod import cli, fiber, psi5, psi6, validate_weight, verify
 from polymod.combinatorics import sample_weight_rng
 from polymod.errors import PolymodError, RouteDisagreement
 from polymod.jsonio import parse_rows, parse_theta
@@ -240,6 +242,42 @@ class TestInvert:
         )
         assert code == 4
         assert doc["error"] == "InconsistentPair"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([5, 6]),
+        seed=st.integers(0, 2**32 - 1),
+        slot=st.integers(0, 5),
+        exponent=st.floats(math.log10(1.0 + 1e-6), 12.0),
+    )
+    @example(n=6, seed=0, slot=5, exponent=10.0)  # R2: only the verification reads it
+    @example(n=6, seed=1, slot=2, exponent=12.0)
+    def test_a_pair_exits_0_only_within_tol_of_its_input(self, n, seed, slot, exponent):
+        """A true designated pair inverts; the same pair with one parameter
+        scaled by 1 + 1e-6 to 1e12 may exit 0 only when each input parameter
+        is within tol of the forward map of the printed theta, relative to
+        the larger of 1 and the two values, not to its square."""
+        theta = sample_weight_rng(n, np.random.default_rng(seed))
+        psi = psi5 if n == 5 else psi6
+        params = [v for word in fiber.DESIGNATED[n] for v in psi(theta, word).params]
+        perturbed = list(params)
+        perturbed[slot % len(params)] *= 10.0**exponent
+        for values, true in ((params, True), (perturbed, False)):
+            half = len(values) // 2
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main([
+                    "invert", "--n", str(n),
+                    "--shape1", ",".join(map(repr, values[:half])),
+                    "--shape2", ",".join(map(repr, values[half:])),
+                ])
+            assert code == 0 or not true, out.getvalue()
+            if code == 0:
+                back = validate_weight(json.loads(out.getvalue())["theta"])
+                image = [v for word in fiber.DESIGNATED[n] for v in psi(back, word).params]
+                assert all(
+                    abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b)) for a, b in zip(values, image)
+                ), (values, image)
 
     @pytest.mark.parametrize(
         "shape1, message",

@@ -1,6 +1,5 @@
 """Tests for glued complexes: pairings, orbit classes, cusps, singular edges."""
 
-import dataclasses
 import math
 import re
 
@@ -21,6 +20,7 @@ from polymod import (
     validate_weight,
 )
 from polymod import complexes
+from polymod._record import replace
 from polymod.combinatorics import face_config, vertex_config
 
 TWO_PI = 2.0 * math.pi
@@ -191,9 +191,9 @@ def swap_glued_sides(comp, i=0, j=7):
     """The complex with the second sides of pairings ``i`` and ``j`` exchanged."""
     pairings = list(comp.pairings)
     a, b = pairings[i], pairings[j]
-    pairings[i] = dataclasses.replace(a, cell_b=b.cell_b, face_b=b.face_b)
-    pairings[j] = dataclasses.replace(b, cell_b=a.cell_b, face_b=a.face_b)
-    return dataclasses.replace(comp, pairings=tuple(pairings))
+    pairings[i] = replace(a, cell_b=b.cell_b, face_b=b.face_b)
+    pairings[j] = replace(b, cell_b=a.cell_b, face_b=a.face_b)
+    return replace(comp, pairings=tuple(pairings))
 
 
 class TestGluingFaults:

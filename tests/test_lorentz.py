@@ -11,7 +11,6 @@ bit for bit.
 
 import dataclasses
 import math
-from dataclasses import astuple
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +37,7 @@ from polymod import (
     validate_weight,
 )
 from polymod import WeightVector, build_models, forward_shapes, lorentz
+from polymod._record import replace
 from polymod.combinatorics import sample_weight_rng
 
 import lorentz_oracle as oracle
@@ -350,14 +350,22 @@ class TestFacetRays:
     @pytest.mark.parametrize(
         "n, facets",
         [(5, (1,)), (5, (1, 2, 3)), (5, (0, 4)), (5, (6, 4)), (5, ()),
-         (6, (1, 2)), (6, (1, 2, 3, 4)), (6, (0, 1, 2)), (6, (1, 2, 7)), (6, (-1, 2, 3))],
+         (6, (1, 2)), (6, (1, 2, 3, 4)), (6, (0, 1, 2)), (6, (1, 2, 7)), (6, (-1, 2, 3)),
+         (5, (1.5, 4)), (5, (1.0, 4)), (6, (1, 2, 3.0)), (5, ("1", 4))],
     )
     def test_a_facet_list_it_cannot_solve_is_out_of_range(self, n, facets):
-        """Exactly dim-1 indices in 1..n: no ray for too few or too many
-        planes, and no index read from the end of the facet rows."""
+        """Exactly dim-1 integer indices in 1..n: no ray for too few or too
+        many planes, no index read from the end of the facet rows, and no
+        facet 1 read from 1.5 or 1.0."""
         model = build_model(equal_weight(n), tuple(range(1, n + 1)))
         with pytest.raises(OutOfRange, match=f"need {n - 3} facet indices in 1..{n}"):
             facet_zero_ray(model, facets)
+
+    def test_numpy_integers_are_facet_indices(self):
+        model = build_model(equal_weight(5), IDENT5)
+        one, three, four = map(np.int64, (1, 3, 4))
+        assert np.array_equal(facet_zero_ray(model, (one, four)), facet_zero_ray(model, (1, 4)))
+        assert dihedral_angle(model, one, three) == dihedral_angle(model, 1, 3)
 
     def test_rays_match_the_svd_reference(self):
         """Every facet ray equals the earlier SVD null vector, normalized to
@@ -504,6 +512,10 @@ class TestDihedralAngles:
             dihedral_angle(model, 1, 1)
         with pytest.raises(OutOfRange):
             dihedral_angle(model, 0, 2)
+        # not facet 1 for 1.5 or 1.0, nor a bare IndexError from the facet rows
+        for j, k in [(1.5, 3), (1.0, 3), (3, 1.0), (2, "4")]:
+            with pytest.raises(OutOfRange, match="need two distinct facet indices in 1..5"):
+                dihedral_angle(model, j, k)
 
 
 # ===========================================================================
@@ -603,7 +615,7 @@ class TestStackedKernel:
         for shape, theta, word in zip(forward_shapes(n, thetas, words), thetas, words):
             kind, want = outcome(oracle.psi, n, theta, word)
             if kind == "ok":
-                assert astuple(shape) == astuple(want)
+                assert shape.params == want.params
             else:
                 assert failure(shape) == (kind, want)
 
@@ -657,7 +669,7 @@ class TestStackedKernel:
         for theta, shape in zip(thetas, shapes):
             kind, want = outcome(oracle.psi, 6, theta, ident)
             if kind == "ok":
-                assert astuple(shape) == astuple(want)
+                assert shape.params == want.params
             else:
                 assert failure(shape) == (kind, want)
 
@@ -684,7 +696,7 @@ class TestStackedKernel:
         errors = [None] * len(facet_mat)
         rays = lorentz._zero_rays(facet_mat, coord_mat[:, 0], specs, errors)
         for i, rows in enumerate(zip(facet_mat, coord_mat)):
-            model = dataclasses.replace(stack.model(2 * i), facet_mat=rows[0], coord_mat=rows[1])
+            model = replace(stack.model(2 * i), facet_mat=rows[0], coord_mat=rows[1])
             want = [outcome(oracle.facet_zero_ray, model, facets) for facets in specs]
             first = next((w for w in want if w[0] != "ok"), None)
             assert failure(errors[i]) == first
@@ -697,6 +709,6 @@ class TestStackedKernel:
         assert "facets (1, 2, 5) is parallel to the slice" in str(errors[7])
         assert errors[6] is None
         npt.assert_allclose(rays[6], intact[6], rtol=1e-13)
-        scaled = dataclasses.replace(stack.model(12), facet_mat=f[6], coord_mat=coord_mat[6])
+        scaled = replace(stack.model(12), facet_mat=f[6], coord_mat=coord_mat[6])
         with pytest.raises(NoIntersection, match=r"\(3, 5, 6\) are dependent"):
             oracle.facet_zero_ray_svd(scaled, specs[0])

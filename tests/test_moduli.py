@@ -1,7 +1,6 @@
 """Tests for the forward shape maps, classification, and pentagon geometry."""
 
 import math
-from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,7 +77,7 @@ class TestPlanarShape:
         theta = sample_weight_rng(n, np.random.default_rng(seed))
         word = tuple(data.draw(st.permutations(range(1, n + 1))))
         psi = psi5 if n == 5 else psi6
-        assert astuple(psi(theta, word)) == astuple(planar_shape(theta, word))
+        assert psi(theta, word).params == planar_shape(theta, word).params
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_forward_shapes_makes_one_planar_call(self, n, monkeypatch):

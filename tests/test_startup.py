@@ -2,10 +2,13 @@
 
 ``import polymod`` loads no layer, ``import polymod.cli`` loads no numpy,
 and the commands that need no numeric layer finish without loading numpy.
+No module loads ``dataclasses`` or ``inspect`` (record classes compile no
+source), so neither does an import of the CLI or a ``complex`` report.
 Every check runs in a fresh interpreter, since this test process has long
 since loaded everything.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -49,6 +52,51 @@ def test_importing_the_cli_registers_every_traced_layer_without_numpy(monkeypatc
         *layers,
     )
     assert json.loads(out) == {"numpy": False, "missing": []}
+
+
+#: What building classes with generated source would load (about 10 ms).
+CODEGEN_MODULES = ["dataclasses", "inspect"]
+
+
+def test_neither_import_nor_a_complex_report_loads_dataclasses_or_inspect():
+    out = python(
+        "import io, sys, contextlib\n"
+        "import polymod.cli\n"
+        "after_import = [m for m in sys.argv[1:] if m in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = polymod.cli.main(['complex', '--n', '6', '--report', 'cusps'])\n"
+        "print(json.dumps({'code': code, 'after_import': after_import,\n"
+        "                  'after_report': [m for m in sys.argv[1:] if m in sys.modules]}))",
+        *CODEGEN_MODULES,
+    )
+    assert json.loads(out) == {"code": 0, "after_import": [], "after_report": []}
+
+
+def module_level_imports(tree: ast.Module):
+    """Modules a source file imports when it runs: every import outside a
+    function body (class bodies and ``if``/``try`` blocks run too)."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_dataclasses_or_inspect_when_it_loads():
+    files = sorted((SRC / "polymod").glob("*.py"))
+    assert len(files) >= 12
+    found = {
+        path.name: name
+        for path in files
+        for name in module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if name.split(".")[0] in CODEGEN_MODULES
+    }
+    assert found == {}
 
 
 EQUAL6_OFF = "0.9,0.9,0.9,1.2,1.2,1.1831853071795865"
