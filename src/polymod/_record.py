@@ -22,7 +22,7 @@ def record(cls=None, *, order: bool = False):
     defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
     get = operator.attrgetter(*names)
-    key = get if len(names) > 1 else lambda self: (get(self),)
+    single = len(names) == 1  # attrgetter of one name gives the value, not a 1-tuple
 
     def bind(args: tuple, kwargs: dict) -> dict:
         """The fields of an init call, in field order, or TypeError."""
@@ -46,13 +46,21 @@ def record(cls=None, *, order: bool = False):
             post_init(self)
 
     def __repr__(self):
-        body = ", ".join(f"{f}={v!r}" for f, v in zip(names, key(self)))
+        values = (get(self),) if single else get(self)
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(names, values))
         return f"{self.__class__.__qualname__}({body})"
 
+    # one Python frame each; a single field's 1-tuple keeps hash(r) == hash(fields)
     def compare(op):
-        return lambda self, other: (
-            op(key(self), key(other)) if other.__class__ is self.__class__ else NotImplemented
-        )
+        def method(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return op((get(self),), (get(other),)) if single else op(get(self), get(other))
+
+        return method
+
+    def __hash__(self):
+        return hash((get(self),) if single else get(self))
 
     def __setattr__(self, name, value):
         raise _frozen(f"cannot assign to field {name!r}")
@@ -62,7 +70,7 @@ def record(cls=None, *, order: bool = False):
 
     methods = {"__init__": __init__, "__repr__": __repr__, "__setattr__": __setattr__,
                "__delattr__": __delattr__, "__eq__": compare(operator.eq),
-               "__hash__": lambda self: hash(key(self))}
+               "__hash__": __hash__}
     if order:
         for op in ("lt", "le", "gt", "ge"):
             methods[f"__{op}__"] = compare(getattr(operator, op))

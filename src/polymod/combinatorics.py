@@ -26,7 +26,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from functools import reduce
+from itertools import combinations, permutations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._record import record
@@ -55,8 +56,11 @@ TOL_IDEAL = 1e-9
 #: Maximum number of rejection-sampling attempts before giving up.
 REJECTION_BUDGET = 10**6
 
-#: Attempts drawn per numpy call by the rejection sampler.
+#: Attempts drawn per generator and numpy call by the rejection sampler, by
+#: n (``SAMPLE_BLOCK`` for any other): the fastest on 64-generator chunks at
+#: acceptance rates of 1.07 % (n = 5) and 6.25 % (n = 6) over 200,000 draws.
 SAMPLE_BLOCK = 32
+SAMPLE_BLOCKS = {5: 64, 6: 32}
 
 
 @record
@@ -220,51 +224,58 @@ def sample_weight(n: int, seed: int) -> WeightVector:
 
 
 def sample_weight_rng(n: int, rng: np.random.Generator) -> WeightVector:
-    """Rejection-sample a weight vector using an explicit generator.
+    """Rejection-sample a weight vector using an explicit generator: the
+    one-generator case of :func:`sample_weights`."""
+    return WeightVector(n=n, theta=tuple(sample_weights(n, [rng])[0].tolist()))
 
-    Draws uniform simplex points (normalized exponentials) scaled to 2*pi
-    and keeps the first draw whose largest two angles sum below pi.  A thin
-    safety margin keeps the subsequent exact-sum rescaling from crossing
-    the open boundary.
 
-    Attempts are drawn ``SAMPLE_BLOCK`` at a time and tested row by row
-    with the same float operations as one attempt alone.  When row k is
-    accepted, the generator is rewound and exactly k + 1 attempts are
-    drawn again, so the stream ends where one draw per attempt would leave
-    it and later draws from ``rng`` do not depend on the block size.
+def sample_weights(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One rejection-sampled weight vector per generator, as (N, n) angles.
+
+    An attempt (normalized exponentials scaled to 2*pi) is kept when its
+    largest two angles sum below pi, by a margin that keeps the rescaling of
+    :func:`validate_weights` off the boundary.  Each generator draws blocks
+    of ``SAMPLE_BLOCKS[n]`` attempts, tested at once with the float
+    operations of one attempt alone; a generator first accepted at attempt
+    k of a block is rewound and draws k + 1 attempts, ending where one draw
+    per attempt leaves it.  The first to spend ``REJECTION_BUDGET`` attempts
+    raises RejectionBudgetExceeded.
     """
     import numpy as np
 
     if n < 4:
         raise OutOfRange(f"need n >= 4, got {n}")
-    attempts = 0
-    while attempts < REJECTION_BUDGET:
-        rows = min(SAMPLE_BLOCK, REJECTION_BUDGET - attempts)
-        state = rng.bit_generator.state
-        x = rng.exponential(size=(rows, n))
-        total = x.sum(axis=1)
-        th = 2.0 * math.pi * x / total[:, None]
-        top = np.sort(th, axis=1)[:, -2:]
-        ok = (total > 0.0) & np.isfinite(total)
-        ok &= (th.min(axis=1) > 0.0) & (top[:, 0] + top[:, 1] < math.pi - 1e-12)
-        if not ok.any():
-            attempts += rows
-            continue
-        k = int(np.argmax(ok))
-        rng.bit_generator.state = state
-        x = rng.exponential(size=(k + 1, n))[k]
-        attempts += k + 1
-        # the scalar test decides; a row it rejects is one more failed attempt
-        total = x.sum()
-        if total <= 0.0 or not np.isfinite(total):
-            continue
-        th = 2.0 * math.pi * x / total
-        top = np.partition(th, n - 2)[-2:]
-        if th.min() > 0.0 and top[0] + top[1] < math.pi - 1e-12:
-            return validate_weight(th)
-    raise RejectionBudgetExceeded(
-        f"no valid weight vector for n={n} in {REJECTION_BUDGET} attempts"
-    )
+    block, budget = SAMPLE_BLOCKS.get(n, SAMPLE_BLOCK), REJECTION_BUDGET
+    raw = np.zeros((len(rngs), n))
+    pending, attempts = list(range(len(rngs))), 0
+    while pending and attempts < budget:
+        rows = min(block, budget - attempts)
+        states = [rngs[i].bit_generator.state for i in pending]
+        x = np.array([rngs[i].exponential(size=(rows, n)) for i in pending])
+        total = x.sum(axis=2)
+        th = 2.0 * math.pi * x / total[..., None]
+        # Float addition is monotone, so the largest pair sum is the sum of
+        # the two largest angles that the test of one attempt takes.
+        cols = [th[..., j] for j in range(n)]
+        top = reduce(np.maximum, (a + b for a, b in combinations(cols, 2)))
+        ok = (total > 0.0) & np.isfinite(total) & (reduce(np.minimum, cols) > 0.0)
+        ok &= top < math.pi - 1e-12
+        first = ok.argmax(axis=1).tolist()
+        for p in ok.any(axis=1).nonzero()[0].tolist():
+            rng, k = rngs[pending[p]], first[p]
+            rng.bit_generator.state = states[p]
+            rng.exponential(size=(k + 1, n))
+            raw[pending[p]] = th[p, k]
+            pending[p] = None
+        pending = [i for i in pending if i is not None]
+        attempts += rows
+    angles, errors = validate_weights(raw)
+    spent = f"no valid weight vector for n={n} in {budget} attempts"
+    for i in pending:
+        errors[i] = RejectionBudgetExceeded(spent)
+    for e in errors:
+        unwrap(e)
+    return angles
 
 
 # --------------------------------------------------------------------------- #

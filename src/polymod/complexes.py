@@ -37,7 +37,7 @@ from .combinatorics import (
     validate_weight,
     vertex_config,
 )
-from .errors import NotEqualWeight, OutOfRange, PairingFailure
+from .errors import NotEqualWeight, OutOfRange, PairingFailure, unwrap
 
 
 @record
@@ -271,7 +271,7 @@ def singular_edges(complex_: GluedComplex) -> dict:
     """
     if complex_.n != 6:
         raise OutOfRange("singular edges are computed for n=6 complexes")
-    from .lorentz import build_models, dihedral_angle  # numpy loads for this report only
+    from .lorentz import build_models, dihedral_angles  # numpy loads for this report only
 
     fired: dict[tuple[int, int], DegenerateConfig] = {}
     for ci, lab in enumerate(complex_.cells):
@@ -287,29 +287,26 @@ def singular_edges(complex_: GluedComplex) -> dict:
 
     groups = _glued_classes(complex_.cells, complex_.pairings, sorted(fired), on_face)
 
-    # one kernel call builds every cell with an edge; a cell's recorded
-    # failure is raised when its first edge is met, in group order
-    built = sorted({ci for ci, _ in fired})
-    stack = (
-        build_models([complex_.theta] * len(built), [complex_.cells[ci].word for ci in built])
-        if built
-        else None
-    )
-    rows = {ci: row for row, ci in enumerate(built)}
-    models: dict[int, object] = {}
+    # one kernel call builds every cell with an edge and one pairs the facets
+    # of every edge; an edge's failure (its cell's first) is raised when the
+    # edge is met, in group order
+    edges = sorted(fired)
+    built = sorted({ci for ci, _ in edges})
+    row_of = {ci: row for row, ci in enumerate(built)}
+    angles: dict = {}
+    if edges:
+        words = [complex_.cells[ci].word for ci in built]
+        stack = build_models([complex_.theta] * len(built), words)
+        entries = [row_of[ci] for ci, _ in edges], [(k, _cyc(k, 1, 6)) for _, k in edges]
+        values, errors = dihedral_angles(stack.gram, stack.facet_mat, stack.model_errors, *entries)
+        angles = dict(zip(edges, zip(values.tolist(), errors)))
     table = []
     for group in groups:
         angle = 0.0
-        for ci, k in group:
-            if ci not in models:
-                models[ci] = stack.model(rows[ci])
-            angle += dihedral_angle(models[ci], k, _cyc(k, 1, 6))
-        table.append(
-            {
-                "config": fired[group[0]].render(),
-                "members": len(group),
-                "cone_angle": angle,
-            }
-        )
+        for edge in group:
+            value, error = angles[edge]
+            unwrap(error)
+            angle += value
+        table.append(dict(config=fired[group[0]].render(), members=len(group), cone_angle=angle))
     table.sort(key=lambda row: row["config"])
     return {"classes": len(table), "table": table}

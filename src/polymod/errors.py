@@ -10,18 +10,16 @@ counts it as a failed trial.
 
 Stacked calls carry their rows' failures by one protocol: a row holds its
 value or its first ``PolymodError``, and a per-row error list holds None
-or that error; :func:`rows` pairs an array of values with its error list.
-:func:`unwrap` raises a recorded failure and returns anything else,
-:func:`map_ok` runs a stacked function once on the rows that hold values,
-and :func:`first_failures` records a gate's failure on the rows that have
-not failed yet.  :func:`check_settings` is the one domain rule for the run
-settings ``tol``, ``samples``, ``seed`` and ``jobs``.
+or that error.  :func:`unwrap` raises a recorded failure and returns
+anything else, and :func:`first_failures` records a gate's failure on the
+rows that have not failed yet.  :func:`check_settings` is the one domain
+rule for the run settings ``tol``, ``samples``, ``seed`` and ``jobs``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 
 class PolymodError(Exception):
@@ -138,19 +136,6 @@ def unwrap(row):
     if isinstance(row, PolymodError):
         raise row
     return row
-
-
-def rows(values, errors: list) -> list:
-    """Each row of a stacked result, from its array of values and its
-    error list: the row's values as a list, or its failure."""
-    return [row if e is None else e for row, e in zip(values.tolist(), errors)]
-
-
-def map_ok(fn: Callable[[list], list], rows: Sequence) -> list:
-    """``fn`` over the rows that hold values, called once (on an empty list
-    when every row failed); each failed row keeps its place and its error."""
-    values = iter(fn([row for row in rows if not isinstance(row, PolymodError)]))
-    return [row if isinstance(row, PolymodError) else next(values) for row in rows]
 
 
 def first_failures(errors: list, mask, make: Callable[[int], PolymodError]) -> None:

@@ -22,9 +22,9 @@ pair pins ``w`` down as the intersection of two circles: for pentagons
 
 The inversion solvers always re-run the forward maps on the recovered
 weight vector and compare against *both* input shapes — for hexahedra this
-includes the R parameters, which the circles never see.  The check runs in
-columns (:func:`designated_pairs`), each row compared with its input pair
-on the input's own scale (:func:`polymod.moduli.relative_residual`).
+includes the R parameters, which the circles never see.  The inverse runs
+in columns (:func:`invert_params`), each row bit for bit as Python's scalar
+arithmetic computes it alone; the one-pair functions are its one-row case.
 
 This module holds geometry only; the randomized round-trip check lives in
 :mod:`polymod.verify`, and :func:`verify_injectivity` is a view of it.
@@ -38,20 +38,16 @@ from typing import Sequence
 import numpy as np
 
 from ._record import record
-from .combinatorics import WeightVector, as_word, validate_weight
+from .combinatorics import WeightVector, as_word, validate_weights
 from .errors import (
     InconsistentPair,
     NoIntersection,
-    NonPositive,
     NotInTheta,
     OutOfRange,
-    PairSumTooLarge,
     PolymodError,
     SlideCollision,
-    SumMismatch,
     check_settings,
-    map_ok,
-    rows,
+    first_failures,
     unwrap,
 )
 from .moduli import (
@@ -59,10 +55,11 @@ from .moduli import (
     IDENTITY6,
     HexahedronShape,
     PentagonShape,
+    _square,
     forward_params,
     relative_residual,
 )
-from .planar import complete_triangle
+from .planar import complete_triangle, libm
 
 #: Minimum imaginary part for a point of the open upper half-plane.
 TOL_IM = 1e-12
@@ -85,114 +82,124 @@ class UpperHalfPoint:
     w: complex
 
     def __post_init__(self):
-        if not (math.isfinite(self.w.real) and math.isfinite(self.w.imag)):
-            raise OutOfRange(f"w = {self.w!r} is not finite")
-        if self.w.imag <= TOL_IM:
-            raise OutOfRange(
-                f"Im(w) = {self.w.imag:.17g} must exceed {TOL_IM:g}"
-            )
+        unwrap(_w_error(self.w))
 
     @property
     def as_pair(self) -> tuple[float, float]:
         return (self.w.real, self.w.imag)
 
 
-def _as_w(w: UpperHalfPoint | complex) -> complex:
-    if isinstance(w, UpperHalfPoint):
-        return w.w
-    return UpperHalfPoint(complex(w)).w
+def _w_error(w: complex) -> OutOfRange | None:
+    """Why ``w`` is no point of the open upper half-plane, or None."""
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+        return OutOfRange(f"w = {w!r} is not finite")
+    if w.imag <= TOL_IM:
+        return OutOfRange(f"Im(w) = {w.imag:.17g} must exceed {TOL_IM:g}")
+    return None
 
 
-def _unit(z: complex) -> complex:
-    mag = abs(z)
-    if mag < 1e-15:
-        raise SlideCollision("a construction edge has collapsed to a point")
-    return z / mag
+def _quot(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``a / b`` per entry of (re, im) pairs of float arrays, spelled out as
+    Python's complex quotient computes it (Smith's method, scaled by the
+    larger part of ``b``); numpy's complex division may differ in the last bit."""
+    (ar, ai), (br, bi) = a, b
+    by_re = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_re, bi / br, br / bi)
+    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+    re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+    return re, np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
 
 
-def fiber_construction5(
-    shape: PentagonShape, w: UpperHalfPoint | complex
-) -> tuple[complex, ...]:
+@np.errstate(all="ignore")  # failed rows may overflow or divide by zero; their values go unread
+def _fiber_dirs(n: int, sq: np.ndarray, wr: np.ndarray, wi: np.ndarray, errors: list) -> tuple:
+    """The (re, im) unit edge directions, (N, n) each, of the construction
+    from squared shape parameters ``sq`` at fiber points ``wr + i wi``, in
+    Python's complex arithmetic written out (a float operand is a complex
+    with imaginary part 0.0), or SlideCollision where an edge collapses."""
+    base, w_1 = (np.ones_like(wr), np.zeros_like(wr)), (wr - 1.0, wi - 0.0)
+    if n == 5:  # f2 - w, 1, w - f1, w - 1, -w with f1 = 1 - P^2, f2 = Q^2
+        edges = [(sq[:, 1] - wr, 0.0 - wi), base, (wr - (1.0 - sq[:, 0]), wi - 0.0), w_1]
+    else:  # X - w, 1, Y, w - 1, Z - 1 with X = P^2, Y = 1 + (w - 1) Q^2, Z = w (1 - R^2)
+        q, r, (ar, ai) = sq[:, 1], 1.0 - sq[:, 2], w_1
+        y_mark = (1.0 + (ar * q - ai * 0.0), 0.0 + (ar * 0.0 + ai * q))
+        z_mark = (wr * r - wi * 0.0, wr * 0.0 + wi * r)
+        edges = [(sq[:, 0] - wr, 0.0 - wi), base, y_mark, w_1, (z_mark[0] - 1.0, z_mark[1] - 0.0)]
+    re, im = (np.stack(part, axis=1) for part in zip(*edges, (-wr, -wi)))  # ..., -w
+    mag = np.hypot(re, im)  # abs() of a complex
+    collapsed = "a construction edge has collapsed to a point"
+    first_failures(errors, (mag < 1e-15).any(axis=1), lambda i: SlideCollision(collapsed))
+    return _quot((re, im), (mag, np.zeros_like(mag)))
+
+
+@np.errstate(all="ignore")
+def _turning_angles(re: np.ndarray, im: np.ndarray, word: Sequence[int], errors: list):
+    """The (N, n) weight vectors of the constructions with unit directions
+    ``re + i im``: the turning angle of ``dirs[j] / dirs[j-1]`` (Python's
+    quotient, ``math.atan2``) goes to mark ``word[j]``.  ``errors`` takes
+    each row's first failure: an angle that is not positive or a winding
+    other than once (``math.fsum`` per row), SlideCollision both, then the
+    weight domain (NotInTheta)."""
+    ratio = _quot((re, im), (np.roll(re, 1, axis=1), np.roll(im, 1, axis=1)))
+    turns = libm(math.atan2, ratio[1], ratio[0])
+    bad, two_pi = turns <= 0.0, 2.0 * math.pi
+    j = bad.argmax(axis=1)
+    first_failures(errors, bad.any(axis=1), lambda i: SlideCollision(
+        f"turning angle at edge {j[i] + 1} is {turns[i, j[i]]:.17g}; slid edges intersect"))
+    total = np.array([two_pi if e else math.fsum(t) for t, e in zip(turns.tolist(), errors)])
+    first_failures(errors, np.abs(total - two_pi) > 1e-9, lambda i: SlideCollision(
+        f"turning angles wind {total[i] / two_pi:.6f} times instead of once"))
+    theta, domain = validate_weights(turns[:, np.argsort(word)])  # edge j's angle to mark word[j]
+    first_failures(errors, np.array([e is not None for e in domain]), lambda i: NotInTheta(
+        f"constructed angles leave the weight domain: {domain[i]}"))
+    return theta
+
+
+def _construction(n: int, shape, w: UpperHalfPoint | complex) -> tuple:
+    """One row of :func:`_fiber_dirs`, or its failure raised."""
+    wc, errors = w.w if isinstance(w, UpperHalfPoint) else UpperHalfPoint(complex(w)).w, [None]
+    sq = libm(_square, np.array([shape.params], dtype=float))
+    dirs = _fiber_dirs(n, sq, np.array([wc.real]), np.array([wc.imag]), errors)
+    unwrap(errors[0])
+    return dirs
+
+
+def fiber_construction5(shape: PentagonShape, w: UpperHalfPoint | complex) -> tuple[complex, ...]:
     """Edge directions of the pentagon fiber construction, in label order."""
-    wc = _as_w(w)
-    f1 = 1.0 - shape.P**2
-    f2 = shape.Q**2
-    return (
-        _unit(f2 - wc),
-        1.0 + 0.0j,
-        _unit(wc - f1),
-        _unit(wc - 1.0),
-        _unit(-wc),
-    )
+    return tuple(map(complex, *(part[0].tolist() for part in _construction(5, shape, w))))
 
 
-def fiber_construction6(
-    shape: HexahedronShape, w: UpperHalfPoint | complex
-) -> tuple[complex, ...]:
+def fiber_construction6(shape: HexahedronShape, w: UpperHalfPoint | complex) -> tuple[complex, ...]:
     """Edge directions of the hexahedron fiber construction, in label order."""
-    wc = _as_w(w)
-    x_mark = complex(shape.P**2)
-    y_mark = 1.0 + (wc - 1.0) * shape.Q**2
-    z_mark = wc * (1.0 - shape.R**2)
-    return (
-        _unit(x_mark - wc),
-        1.0 + 0.0j,
-        _unit(y_mark),
-        _unit(wc - 1.0),
-        _unit(z_mark - 1.0),
-        _unit(-wc),
-    )
+    return tuple(map(complex, *(part[0].tolist() for part in _construction(6, shape, w))))
 
 
-def _angles_from_dirs(dirs: tuple[complex, ...], label: Sequence[int]) -> WeightVector:
-    """Turning angles of the construction, assembled into a weight vector."""
-    n = len(dirs)
+def _fiber_theta(n: int, shape, w: UpperHalfPoint | complex, label: Sequence[int]) -> WeightVector:
+    re, im = _construction(n, shape, w)
     word = as_word(label)
     if len(word) != n:
         raise OutOfRange(f"label has {len(word)} marks but the construction has {n}")
-    turns = []
-    for j in range(n):
-        ratio = dirs[j] / dirs[j - 1]
-        ang = math.atan2(ratio.imag, ratio.real)
-        if ang <= 0.0:
-            raise SlideCollision(
-                f"turning angle at edge {j + 1} is {ang:.17g}; slid edges intersect"
-            )
-        turns.append(ang)
-    total = math.fsum(turns)
-    if abs(total - 2.0 * math.pi) > 1e-9:
-        raise SlideCollision(
-            f"turning angles wind {total / (2 * math.pi):.6f} times instead of once"
-        )
-    theta = [0.0] * n
-    for j, mark in enumerate(word):
-        theta[mark - 1] = turns[j]
-    try:
-        return validate_weight(theta)
-    except (PairSumTooLarge, NonPositive, SumMismatch) as exc:
-        raise NotInTheta(f"constructed angles leave the weight domain: {exc}") from exc
+    errors = [None]
+    theta = _turning_angles(re, im, word, errors)
+    unwrap(errors[0])
+    return WeightVector(n=n, theta=tuple(theta[0].tolist()))
 
 
 def fiber_theta5(
-    shape: PentagonShape,
-    w: UpperHalfPoint | complex,
-    label: Sequence[int] = IDENTITY5,
+    shape: PentagonShape, w: UpperHalfPoint | complex, label: Sequence[int] = IDENTITY5
 ) -> WeightVector:
     """Weight vector whose pentagon for ``label`` has the given shape.
 
     Raises SlideCollision when the construction self-intersects and
     NotInTheta when the resulting angles violate the weight-vector domain.
     """
-    return _angles_from_dirs(fiber_construction5(shape, w), label)
+    return _fiber_theta(5, shape, w, label)
 
 
 def fiber_theta6(
-    shape: HexahedronShape,
-    w: UpperHalfPoint | complex,
-    label: Sequence[int] = IDENTITY6,
+    shape: HexahedronShape, w: UpperHalfPoint | complex, label: Sequence[int] = IDENTITY6
 ) -> WeightVector:
     """Weight vector whose hexahedron for ``label`` has the given shape."""
-    return _angles_from_dirs(fiber_construction6(shape, w), label)
+    return _fiber_theta(6, shape, w, label)
 
 
 def w_from_theta(theta: WeightVector, label: Sequence[int]) -> UpperHalfPoint:
@@ -201,23 +208,43 @@ def w_from_theta(theta: WeightVector, label: Sequence[int]) -> UpperHalfPoint:
     return UpperHalfPoint(w=tri.c)
 
 
-def circle_intersection(r0: float, r1: float) -> UpperHalfPoint:
-    """Upper intersection of circles |w| = r0 and |w - 1| = r1."""
-    if r0 <= 0.0 or r1 <= 0.0:
-        raise OutOfRange(f"radii must be positive, got ({r0!r}, {r1!r})")
+@np.errstate(all="ignore")  # failed rows may overflow; their values go unread
+def _circles(r0: np.ndarray, r1: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """The upper intersections (x, y) of the circles |w| = r0 and
+    |w - 1| = r1 per row, and each row's first failure: radii that are not
+    positive (OutOfRange), circles that miss (NoIntersection), then a point
+    outside the open upper half-plane (OutOfRange)."""
+    first_failures(errors, (r0 <= 0.0) | (r1 <= 0.0), lambda i: OutOfRange(
+        f"radii must be positive, got ({r0.item(i)!r}, {r1.item(i)!r})"))
     x = (1.0 + r0 * r0 - r1 * r1) / 2.0
     # Heron-style factored form of r0^2 - x^2: each factor is a tangency
     # margin, so near-tangent circles lose no precision to cancellation.
     gap = 1.0 - r0
-    y_sq = (
-        (r1 - gap) * (r1 + gap) * ((1.0 + r0) - r1) * ((1.0 + r0) + r1) / 4.0
-    )
-    if y_sq <= TOL_IM * TOL_IM:
-        raise NoIntersection(
-            f"circles |w| = {r0:.17g} about 0 and |w - 1| = {r1:.17g} about 1 "
-            "do not meet in the upper half-plane (need |r0 - r1| < 1 < r0 + r1)"
-        )
-    return UpperHalfPoint(w=complex(x, math.sqrt(y_sq)))
+    y_sq = (r1 - gap) * (r1 + gap) * ((1.0 + r0) - r1) * ((1.0 + r0) + r1) / 4.0
+    first_failures(errors, y_sq <= TOL_IM * TOL_IM, lambda i: NoIntersection(
+        f"circles |w| = {r0[i]:.17g} about 0 and |w - 1| = {r1[i]:.17g} about 1 "
+        "do not meet in the upper half-plane (need |r0 - r1| < 1 < r0 + r1)"))
+    y = np.sqrt(y_sq)
+    outside = ~(np.isfinite(x) & np.isfinite(y) & (y > TOL_IM))
+    first_failures(errors, outside, lambda i: _w_error(complex(x[i], y[i])))
+    return x, y
+
+
+def circle_intersection(r0: float, r1: float) -> UpperHalfPoint:
+    """Upper intersection of circles |w| = r0 and |w - 1| = r1."""
+    errors = [None]
+    x, y = _circles(np.array([r0], dtype=float), np.array([r1], dtype=float), errors)
+    unwrap(errors[0])
+    return UpperHalfPoint(w=complex(x[0], y[0]))
+
+
+@np.errstate(divide="ignore")
+def _radii(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The circle radii (r0, r1) of each row of designated shape pairs."""
+    if n == 5:
+        return pairs[:, 1] * pairs[:, 3], pairs[:, 0] * pairs[:, 2]
+    q = pairs[:, 1] * pairs[:, 4]
+    return pairs[:, 0] * pairs[:, 3], np.where(q != 0.0, 1.0 / q, math.inf)
 
 
 def recover_w5(s1: PentagonShape, s2: PentagonShape) -> UpperHalfPoint:
@@ -226,27 +253,22 @@ def recover_w5(s1: PentagonShape, s2: PentagonShape) -> UpperHalfPoint:
     The swapped label exchanges the cevian roles, so the two shape pairs
     constrain ``|w| = Q1*Q2`` and ``|w - 1| = P1*P2``.
     """
-    return circle_intersection(s1.Q * s2.Q, s1.P * s2.P)
+    return circle_intersection(*(r.item() for r in _radii(5, np.array([s1.params + s2.params]))))
 
 
 def recover_w6(s1: HexahedronShape, s2: HexahedronShape) -> UpperHalfPoint:
     """Recover w from hexahedron shapes of the label pair <123456>, <214356>:
     ``|w| = P1*P2`` and ``|w - 1| = 1/(Q1*Q2)``, an infinite radius where
     the product underflows to 0 (the circles then do not meet)."""
-    q = s1.Q * s2.Q
-    return circle_intersection(s1.P * s2.P, 1.0 / q if q else math.inf)
+    return circle_intersection(*(r.item() for r in _radii(6, np.array([s1.params + s2.params]))))
 
 
-def invert5(
-    s1: PentagonShape, s2: PentagonShape, tol: float = INVERT_TOL
-) -> WeightVector:
+def invert5(s1: PentagonShape, s2: PentagonShape, tol: float = INVERT_TOL) -> WeightVector:
     """The unique weight vector whose <12345>/<21435> pentagons are (s1, s2)."""
     return inversion_report(5, s1, s2, tol)["theta"]
 
 
-def invert6(
-    s1: HexahedronShape, s2: HexahedronShape, tol: float = INVERT_TOL
-) -> WeightVector:
+def invert6(s1: HexahedronShape, s2: HexahedronShape, tol: float = INVERT_TOL) -> WeightVector:
     """The unique weight vector whose <123456>/<214356> hexahedra are (s1, s2).
 
     The circle solve uses only (P, Q); the forward verification also checks
@@ -267,16 +289,53 @@ def designated_pairs(n: int, theta: np.ndarray) -> tuple[np.ndarray, list]:
     return params.reshape(len(theta), 2 * (n - 3)), first
 
 
-def _check_squares(shape: PentagonShape | HexahedronShape) -> None:
-    """OutOfRange for a shape with a parameter whose square overflows a
-    double.  The fiber construction squares every parameter of both input
-    shapes, so the inversion takes no such shape."""
-    for v in shape.params:
-        try:
-            v**2
-        except OverflowError as exc:
-            kind = "pentagon" if isinstance(shape, PentagonShape) else "hexahedron"
-            raise OutOfRange(f"{kind} shape {shape.params!r}: a square overflows") from exc
+def _check_inversion(n: int, tol: float) -> None:
+    check_settings(tol)
+    if n not in (5, 6):
+        raise OutOfRange(f"inversion is defined for n in {{5, 6}}, got {n}")
+
+
+def invert_params(n: int, pairs: np.ndarray, tol: float = INVERT_TOL) -> tuple:
+    """The inversions of an (N, 2(n-3)) array of designated shape pairs (the
+    identity word's first), in columns: the recovered (N, n) angles, the (N,)
+    complex fiber points, the residuals and each row's failure or None, each
+    row as :func:`inversion_report` gives it alone.  The failures, in order:
+    a square that overflows (OutOfRange), the circles (OutOfRange,
+    NoIntersection), the construction (InconsistentPair), then the forward
+    verification: one :func:`designated_pairs` call maps the recovered
+    weight vectors forward, and :func:`relative_residual` compares every
+    parameter with its input.  A bad tolerance raises OutOfRange.
+    """
+    _check_inversion(n, tol)
+    k, errors = n - 3, [None] * len(pairs)
+    sq = libm(_square, pairs)
+    over = np.isinf(sq) & np.isfinite(pairs)
+    kind = "pentagon" if n == 5 else "hexahedron"
+
+    def overflow(i: int) -> OutOfRange:
+        shape = pairs[i, :k] if over[i, :k].any() else pairs[i, k:]
+        return OutOfRange(f"{kind} shape {tuple(shape.tolist())!r}: a square overflows")
+
+    first_failures(errors, over.any(axis=1), overflow)
+    x, y = _circles(*_radii(n, pairs), errors)
+    construction = list(errors)
+    dirs = _fiber_dirs(n, sq[:, :k], x, y, construction)
+    theta = _turning_angles(*dirs, DESIGNATED[n][0], construction)
+    errors = [
+        e or c and InconsistentPair(f"no weight vector realizes this shape pair: {c}")
+        for e, c in zip(errors, construction)
+    ]
+    ok = [i for i, e in enumerate(errors) if e is None]
+    params, forward_errors = designated_pairs(n, theta[ok])
+    residual = [math.nan] * len(pairs)
+    for i, e, row in zip(ok, forward_errors, relative_residual(params, pairs[ok]).tolist()):
+        residual[i] = r = max(row)  # the first of equal values, as Python's max picks them
+        if e is None and r > tol:
+            e = InconsistentPair(f"forward verification failed: residual {r:.17g} > {tol:g}")
+        errors[i] = e
+    w = x.astype(complex)
+    w.imag = y
+    return theta, w, residual, errors
 
 
 def inversion_report(n: int, s1, s2, tol: float = INVERT_TOL) -> dict:
@@ -291,58 +350,15 @@ def inversion_report(n: int, s1, s2, tol: float = INVERT_TOL) -> dict:
 def inversion_reports(
     n: int, pairs: Sequence[tuple], tol: float = INVERT_TOL
 ) -> list[dict | PolymodError]:
-    """:func:`inversion_report` over many shape pairs.
-
-    Each pair gets its report, or the error its inversion raises first:
-    a parameter of either shape beyond :func:`check_squares` (OutOfRange),
-    the circles (NoIntersection, OutOfRange), the fiber construction
-    (InconsistentPair), then the forward verification, where the recovered
-    weight vector is mapped forward on both words of ``DESIGNATED[n]``
-    (:func:`designated_pairs`, one call for every pair that reaches the
-    verification) and every parameter is compared with the input pair
-    under :func:`relative_residual`.
-    A tolerance that is not positive and finite raises OutOfRange.
-    """
-    check_settings(tol)
-    if n == 5:
-        recover_w, fiber_theta = recover_w5, fiber_theta5
-    elif n == 6:
-        recover_w, fiber_theta = recover_w6, fiber_theta6
-    else:
-        raise OutOfRange(f"inversion is defined for n in {{5, 6}}, got {n}")
-    out: list = []
-    for s1, s2 in pairs:
-        try:
-            _check_squares(s1)
-            _check_squares(s2)
-            w = recover_w(s1, s2)
-            try:
-                theta = fiber_theta(s1, w, DESIGNATED[n][0])
-            except (SlideCollision, NotInTheta) as exc:
-                raise InconsistentPair(
-                    f"no weight vector realizes this shape pair: {exc}"
-                ) from exc
-        except PolymodError as exc:
-            out.append(exc)
-            continue
-        out.append({"theta": theta, "w": w})
-
-    def forward(ok: list) -> list:
-        return rows(*designated_pairs(n, np.array([r["theta"].theta for r in ok]).reshape(-1, n)))
-
-    for i, params in enumerate(map_ok(forward, out)):
-        if isinstance(params, PolymodError):
-            out[i] = params
-            continue
-        given = pairs[i][0].params + pairs[i][1].params
-        residual = max(map(relative_residual, params, given))
-        if residual > tol:
-            out[i] = InconsistentPair(
-                f"forward verification failed: residual {residual:.17g} > {tol:g}"
-            )
-        else:
-            out[i]["residual"] = residual
-    return out
+    """:func:`inversion_report` over many shape pairs: each pair's report,
+    or the error its inversion raises first (:func:`invert_params`)."""
+    _check_inversion(n, tol)
+    params = np.array([s1.params + s2.params for s1, s2 in pairs], dtype=float)
+    theta, w, residual, errors = invert_params(n, params.reshape(-1, 2 * (n - 3)), tol)
+    return [
+        e or {"theta": WeightVector(n=n, theta=tuple(t)), "w": UpperHalfPoint(w=z), "residual": r}
+        for e, t, z, r in zip(errors, theta.tolist(), w.tolist(), residual)
+    ]
 
 
 def verify_injectivity(

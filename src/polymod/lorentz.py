@@ -39,7 +39,8 @@ bits do not depend on the rows stacked with it (the stacked ``matmul`` and
 Facet ``k`` of the projectivized positive cone is the zero set of the edge
 functional ``xi_k``, oriented to be nonnegative on the cone; facet rays are
 normalized to the slice ``x = 1``.  Two facets whose dual cosine is within
-``TOL_IDEAL`` of 1 count as tangent.
+``TOL_IDEAL`` of 1 count as tangent; :func:`dihedral_angles` pairs the
+facets of many models at once, and :func:`dihedral_angle` is its one case.
 """
 
 from __future__ import annotations
@@ -92,11 +93,6 @@ class LorentzModel:
     @property
     def dim(self) -> int:
         return self.n - 2
-
-    @cached_property
-    def gram_inv(self) -> np.ndarray:
-        """Inverse of the area form, computed on first use (dual pairings)."""
-        return np.linalg.inv(self.gram)
 
 
 #: Direction pairs (a, b) with a < b, in the order the pivot search meets them.
@@ -347,11 +343,6 @@ class ModelStack:
             facet_mat=self.facet_mat[i],
         )
 
-    def axis_intercepts(self, i: int) -> tuple[float, ...]:
-        """Row i's intercepts, or the first failure of its model or of them."""
-        unwrap(self.model_errors[i] or self.intercept_errors[i])
-        return tuple(self._axis[0][i].tolist())
-
 
 def build_models(
     thetas: Sequence[WeightVector] | np.ndarray, words: Sequence[Sequence[int]]
@@ -416,29 +407,44 @@ def axis_intercepts(model: LorentzModel) -> tuple[float, ...]:
     return tuple(values[0].tolist())
 
 
+@np.errstate(all="ignore")  # failed entries may divide by zero; their values go unread
+def dihedral_angles(gram: np.ndarray, facet_mat: np.ndarray, model_errors: list, rows, pairs):
+    """:func:`dihedral_angle` of the models of a :class:`ModelStack`'s arrays
+    and errors, per entry e for facet pair ``pairs[e]`` of model ``rows[e]``:
+    the angles and each entry's first failure or None (the model's, then a
+    normal that is not spacelike, then FacetsDisjoint).  One stacked inverse
+    serves every model, a failed one as the identity; each dual row
+    ``f G^-1`` is a vector-matrix product and each pairing a dot product, as
+    ``f_j @ G^-1 @ f_k`` computes them alone, so an angle keeps its bits."""
+    n, dim = facet_mat.shape[1:]
+    for j, k in set(pairs):
+        if not (_facet_index(j, n) and _facet_index(k, n)) or j == k:
+            raise OutOfRange(f"need two distinct facet indices in 1..{n}, got {j}, {k}")
+    j, k = np.array(pairs, dtype=int).reshape(-1, 2).T - 1
+    failed = np.array([e is not None for e in model_errors])[:, None, None]
+    dual = facet_mat[:, :, None, :] @ np.linalg.inv(np.where(failed, np.eye(dim), gram))[:, None]
+    (d_j, f_j), (d_k, f_k) = ((dual[rows, a], facet_mat[rows, a, :, None]) for a in (j, k))
+    m_jj, m_kk, m_jk = ((d @ f)[:, 0, 0] for d, f in ((d_j, f_j), (d_k, f_k), (d_j, f_k)))
+    cval = m_jk / np.sqrt(m_jj * m_kk)
+    timelike = (m_jj >= 0.0) | (m_kk >= 0.0)
+    tangent = ~timelike & (np.abs(cval - 1.0) <= TOL_IDEAL)  # acos(1.0) is 0.0
+    disjoint = ~(timelike | tangent) & ((cval > 1.0) | (cval < -1.0))
+    errors = [model_errors[r] for r in np.asarray(rows).tolist()]
+    first_failures(errors, timelike, lambda e: SignatureMismatch("facet normals are not spacelike"))
+    first_failures(errors, disjoint, lambda e: FacetsDisjoint(
+        f"facets {j[e] + 1} and {k[e] + 1} do not intersect (cosine-type value {cval[e]:.17g})"))
+    return libm(math.acos, np.where(timelike | tangent | disjoint, 1.0, cval)), errors
+
+
 def dihedral_angle(model: LorentzModel, j: int, k: int) -> float:
     """Interior dihedral angle between facets j and k (1-based integers,
     OutOfRange otherwise).
 
     Returns a value in [0, pi): arccos of the normalized dual pairing of the
     two inward edge functionals, 0 for tangent facets (within TOL_IDEAL),
-    and raises FacetsDisjoint when the planes miss each other.
+    and raises FacetsDisjoint when the planes miss each other: the one
+    entry of :func:`dihedral_angles`.
     """
-    n = model.n
-    if not (_facet_index(j, n) and _facet_index(k, n)) or j == k:
-        raise OutOfRange(f"need two distinct facet indices in 1..{n}, got {j}, {k}")
-    pj = model.facet_mat[j - 1]
-    pk = model.facet_mat[k - 1]
-    m_jj = float(pj @ model.gram_inv @ pj)
-    m_kk = float(pk @ model.gram_inv @ pk)
-    if m_jj >= 0.0 or m_kk >= 0.0:
-        raise SignatureMismatch("facet normals are not spacelike")
-    m_jk = float(pj @ model.gram_inv @ pk)
-    cval = m_jk / math.sqrt(m_jj * m_kk)
-    if abs(cval - 1.0) <= TOL_IDEAL:
-        return 0.0
-    if cval > 1.0 or cval < -1.0:
-        raise FacetsDisjoint(
-            f"facets {j} and {k} do not intersect (cosine-type value {cval:.17g})"
-        )
-    return math.acos(cval)
+    angles, errors = dihedral_angles(model.gram[None], model.facet_mat[None], [None], [0], [(j, k)])
+    unwrap(errors[0])
+    return float(angles[0])

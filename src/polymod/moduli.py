@@ -150,14 +150,15 @@ def scaled_residual(a: float, b: float) -> float:
     return abs(a - b) / _square(max(1.0, abs(a), abs(b)))
 
 
-def relative_residual(a: float, b: float) -> float:
-    """``|a - b| / max(1, |a|, |b|)``: a parameter compared on its own scale.
+def relative_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|a - b| / max(1, |a|, |b|)`` per entry: a parameter compared on its
+    own scale.
 
     The squared scale of :func:`scaled_residual` suits two computed routes
     to one value; against a user's input it would accept any R2 above about
     1/tol for a true R2 of 1.
     """
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+    return np.abs(a - b) / np.fmax(np.fmax(np.abs(a), np.abs(b)), 1.0)
 
 
 def _square(x: float) -> float:

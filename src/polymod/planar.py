@@ -49,10 +49,11 @@ from .errors import (
 EPS_ANGLE = 1e-12
 
 
-def libm(fn, x: np.ndarray) -> np.ndarray:
-    """The scalar ``math`` function ``fn`` at every entry of ``x``: numpy's
-    own elementary functions may differ from libm in the last bit."""
-    return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
+def libm(fn, *x: np.ndarray) -> np.ndarray:
+    """The scalar ``math`` function ``fn`` at every entry of ``x`` (of each
+    array in turn, for a function of several): numpy's own elementary
+    functions may differ from libm in the last bit."""
+    return np.array(list(map(fn, *(a.ravel().tolist() for a in x)))).reshape(x[0].shape)
 
 
 def angle_rows(thetas: Sequence[WeightVector] | np.ndarray) -> np.ndarray:

@@ -1,22 +1,21 @@
 """Randomized verification suites behind the command-line ``verify`` command.
 
-This module is the one verification engine.  Every sampled suite is one
-function of a trial's rows that returns the trial's error; one pass over
-the trials (one pool or serial loop, ``all`` included) runs every requested
-suite.  Trial i draws its weight vector and a random label word once, from
+This module is the one verification engine: one pass over the trials (one
+pool or serial loop, ``all`` included) runs every requested suite.  Trial i
+draws its weight vector and a random label word once, from
 ``numpy.random.default_rng([seed, i])``.  Trials run in chunks of
-``TRIAL_CHUNK``: one stacked Lorentz kernel call builds the chunk's models
-and completion triangles, whose feet give the chunk's planar parameters,
-one maps the chunk forward on the designated label pair and one batched
-inversion inverts the chunk's shape pairs, and every row of a stacked call
-is computed as it would be alone, or holds its failure
-(:func:`polymod.errors.unwrap`).  Outcomes are kept as columns: per suite,
-one entry per trial in trial order, its error or the ``"Class: message"``
-text of what it raised, so a trial's index is its position.  The separation
-scan reads three arrays, the trial index, theta and shape parameters of
-each designated pair that mapped, concatenated once over the chunks.
-Reports are deterministic for a fixed (n, samples, seed, tol) and
-byte-identical across runs and across worker counts.  Suites:
+``TRIAL_CHUNK``, and every sampled suite is computed on the chunk's
+columns: one sampler call draws the weight vectors, one Lorentz kernel call
+builds the models and completion triangles, one pairing call gives every
+model's dihedral angles, one forward call maps the chunk on the designated
+label pair and one column inverse inverts its shape pairs.  Every row of a
+stacked call is computed as it would be alone, or holds its failure.
+Outcomes are columns too: per suite, one entry per trial in trial order,
+its error or the ``"Class: message"`` text of its failure.  The separation
+scan reads the trial index, theta and shape parameters of each designated
+pair that mapped, concatenated once over the chunks.  Reports are
+deterministic for a fixed (n, samples, seed, tol) and byte-identical across
+runs and across worker counts.  Suites:
 
 * ``roundtrip``     — forward map on the designated label pair, then invert,
   followed by a scan for the minimum separation of the produced shape pairs;
@@ -33,17 +32,16 @@ import math
 import os
 from functools import partial
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
-from .combinatorics import WeightVector, sample_weight_rng
+from .combinatorics import sample_weights
 from .complexes import build_complex, cusp_classes, euler_characteristic
-from .errors import OutOfRange, PolymodError, check_settings, map_ok, rows, unwrap
-from .fiber import designated_pairs, inversion_reports
+from .errors import OutOfRange, check_settings
+from .fiber import designated_pairs, invert_params
 from .jsonio import SUITES
-from .lorentz import LorentzModel, build_models, dihedral_angle
-from .moduli import HexahedronShape, PentagonShape, planar_params, relative_residual
+from .lorentz import ModelStack, build_models, dihedral_angles
+from .moduli import planar_params, relative_residual
 
 #: facet pairs that meet at right angles for every weight vector and label
 ORTHOGONAL_PAIRS = {
@@ -63,38 +61,48 @@ _SAMPLED = ("roundtrip", "orthogonality", "signature", "crossroute")
 _MODEL_SUITES = _SAMPLED[1:]
 
 
-def _outcome(check: Callable[[int], float], k: int) -> float | str:
-    """Row k's error, or the ``"Class: message"`` text of the PolymodError
-    its check raised; any other exception is a bug and propagates."""
-    try:
-        return check(k)
-    except PolymodError as exc:  # failures are data, not crashes
-        return f"{type(exc).__name__}: {exc}"
+def _column(errors: list, values: list) -> list:
+    """Per trial, the ``"Class: message"`` text of its failure, or its value."""
+    return [values[i] if e is None else f"{type(e).__name__}: {e}" for i, e in enumerate(errors)]
 
 
-def _roundtrip(theta: WeightVector, inversion: dict) -> float:
-    # The designated label pair, not the random word, determines theta.
-    back = inversion["theta"]
-    return max(abs(a - b) for a, b in zip(theta.theta, back.theta))
+def _row_max(errors: np.ndarray) -> list[float]:
+    """Each row's largest entry, as Python's ``max`` picks it from the row."""
+    return [max(row) for row in errors.tolist()]
 
 
-def _orthogonality(model: LorentzModel) -> float:
-    return max(
-        abs(dihedral_angle(model, j, k) - _RIGHT_ANGLE) for j, k in ORTHOGONAL_PAIRS[model.n]
-    )
+def _roundtrip(n: int, theta: np.ndarray, tol: float) -> tuple[list, tuple]:
+    """Per trial, the largest change of an angle over the forward map on
+    the designated label pair (not the random word) and the inversion, or
+    the failure of either; and the scan columns of the trials that mapped."""
+    params, errors = designated_pairs(n, theta)
+    mapped = [i for i, e in enumerate(errors) if e is None]
+    back, _, _, failures = invert_params(n, params[mapped], tol)
+    values = [0.0] * len(theta)
+    for i, e, error in zip(mapped, failures, _row_max(np.abs(theta[mapped] - back))):
+        errors[i], values[i] = e, error
+    return _column(errors, values), (mapped, theta[mapped], params[mapped])
 
 
-def _signature(model: LorentzModel) -> float:
-    # building the model is the check: it raises SignatureMismatch unless
-    # the area form has signature (1, n-3)
-    return 0.0
+def _orthogonality(models: ModelStack) -> list:
+    """Per trial, the largest departure from pi/2 of its always-orthogonal
+    facet pairs, or its first failure in pair order."""
+    pairs, rows = ORTHOGONAL_PAIRS[models.facet_mat.shape[1]], len(models.words)
+    entries = np.arange(rows).repeat(len(pairs)), pairs * rows
+    angles, errors = dihedral_angles(models.gram, models.facet_mat, models.model_errors, *entries)
+    per_row = (errors[i : i + len(pairs)] for i in range(0, len(errors), len(pairs)))
+    first = [next(filter(None, row), None) for row in per_row]
+    return _column(first, _row_max(np.abs(angles - _RIGHT_ANGLE).reshape(rows, -1)))
 
 
-def _crossroute(planar: list[float], lorentz: tuple[float, ...]) -> float:
-    # Linear scale, unlike moduli.scaled_residual's squared one: squaring it
-    # would loosen this gate, so the two rules stay apart until one
-    # derivation is settled for both.
-    return max(map(relative_residual, planar, lorentz))
+@np.errstate(all="ignore")  # a failed row's values go unread
+def _crossroute(models: ModelStack) -> list:
+    """Per trial, the largest linear relative residual between the planar
+    parameters and the axis intercepts, or the failure of either: the
+    squared scale of moduli.scaled_residual would loosen this gate."""
+    params, errors = planar_params(models.triangles)
+    errors = [p or m or x for p, m, x in zip(errors, models.model_errors, models.intercept_errors)]
+    return _column(errors, _row_max(relative_residual(params, models.intercepts)))
 
 
 def _run_chunk(
@@ -105,39 +113,22 @@ def _run_chunk(
     Returns each suite's outcomes, one per trial in order (its error, or
     its failure text), and the scan columns: the trial index, theta and
     designated-pair shape parameters of each trial whose pair mapped, so a
-    trial whose inversion fails is still scanned.  One kernel call builds
-    every trial's model and completion triangle (when a suite reads them),
-    and crossroute reads its planar parameters from those triangles; for
-    roundtrip, one call maps every trial forward on the designated label
-    pair and one batched inversion inverts every pair that mapped.
+    trial whose inversion fails is still scanned.
     """
-    thetas, words = [], []
-    for trial in trials:
-        rng = np.random.default_rng([seed, trial])
-        thetas.append(sample_weight_rng(n, rng))
-        words.append(tuple(int(m) + 1 for m in rng.permutation(n)))
-    theta = np.array([t.theta for t in thetas])
+    rngs = [np.random.default_rng([seed, trial]) for trial in trials]
+    theta = sample_weights(n, rngs)
+    words = [tuple((rng.permutation(n) + 1).tolist()) for rng in rngs]
     models = build_models(theta, words) if set(suites) & set(_MODEL_SUITES) else None
-    planar = rows(*planar_params(models.triangles)) if "crossroute" in suites else None
-    inversions = scan = None
+    out, scan = {}, None
     if "roundtrip" in suites:
-        params, errors = designated_pairs(n, theta)
-        shape, k = PentagonShape if n == 5 else HexahedronShape, n - 3
-        # inversion takes shape objects: one pair per mapped row, else its failure
-        pairs = [e or (shape(*row[:k]), shape(*row[k:])) for row, e in zip(params.tolist(), errors)]
-        inversions = map_ok(lambda ok: inversion_reports(n, ok, tol), pairs)
-        mapped = np.array([e is None for e in errors])
-        scan = (np.array(trials)[mapped], theta[mapped], params[mapped])
-    # A row of a stacked call holds its failure, which ``unwrap`` and
-    # ``ModelStack`` raise, so each suite that reads the row records it.
-    checks = {
-        "roundtrip": lambda k: _roundtrip(thetas[k], unwrap(inversions[k])),
-        "orthogonality": lambda k: _orthogonality(models.model(k)),
-        "signature": lambda k: _signature(models.model(k)),
-        "crossroute": lambda k: _crossroute(unwrap(planar[k]), models.axis_intercepts(k)),
-    }
-    indices = range(len(trials))
-    return {suite: [_outcome(checks[suite], k) for k in indices] for suite in suites}, scan
+        out["roundtrip"], (mapped, thetas, params) = _roundtrip(n, theta, tol)
+        scan = (np.array(trials)[mapped], thetas, params)
+    # signature: building the model is the check, which fails with
+    # SignatureMismatch unless the area form has signature (1, n-3)
+    columns = {"orthogonality": _orthogonality, "crossroute": _crossroute,
+               "signature": lambda models: _column(models.model_errors, [0.0] * len(trials))}
+    out.update((suite, columns[suite](models)) for suite in suites if suite in columns)
+    return {suite: out[suite] for suite in suites}, scan
 
 
 def _separation_scan(
@@ -239,11 +230,7 @@ def _run_complex(n: int, samples: int, seed: int, tol: float) -> dict:
         expect("cells", complex_.num_cells, 12)
         expect("pairings", complex_.num_pairings, 30)
         expect("vertex_classes", len(complex_.vertex_classes), 15)
-        expect(
-            "vertex_class_sizes",
-            sorted({len(g) for g in complex_.vertex_classes}),
-            [4],
-        )
+        expect("vertex_class_sizes", sorted({len(g) for g in complex_.vertex_classes}), [4])
         counts["vertex_classes"] = len(complex_.vertex_classes)
         counts["euler_characteristic"] = euler_characteristic(complex_)
         expect("euler_characteristic", counts["euler_characteristic"], -3)
@@ -253,26 +240,14 @@ def _run_complex(n: int, samples: int, seed: int, tol: float) -> dict:
         cusps = cusp_classes(complex_)
         counts["cusp_classes"] = cusps["classes"]
         expect("cusp_classes", cusps["classes"], 10)
-        expect(
-            "cusp_incidences",
-            sorted({row["incidences"] for row in cusps["table"]}),
-            [18],
-        )
-        expect(
-            "cusp_partitions",
-            [row["partition"] for row in cusps["table"]],
-            _all_triple_partitions(),
-        )
+        expect("cusp_incidences", sorted({row["incidences"] for row in cusps["table"]}), [18])
+        partitions = [row["partition"] for row in cusps["table"]]
+        expect("cusp_partitions", partitions, _all_triple_partitions())
     return _report("complex", n, samples, seed, tol, counts=counts, failures=failures)
 
 
 def run_suite(
-    suite: str,
-    n: int,
-    samples: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-9,
-    jobs: int = 1,
+    suite: str, n: int, samples: int = 1000, seed: int = 0, tol: float = 1e-9, jobs: int = 1
 ) -> dict:
     """Run one named suite (or ``all``) and return its JSON-ready report.
 

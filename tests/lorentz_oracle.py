@@ -2,9 +2,10 @@
 
 This is the per-row code that ``polymod.lorentz``'s stacked kernel
 replaced, so the kernel can be compared with it bit for bit:
-``build_model``, ``facet_zero_ray`` and ``axis_intercepts`` one model at a
-time, and ``psi`` (planar shape, then the route check) as ``psi5``/``psi6``
-computed it.  The rules are the kernel's closed forms: the products
+``build_model``, ``facet_zero_ray``, ``axis_intercepts`` and
+``dihedral_angle`` (each pairing ``f_j @ G^-1 @ f_k`` with the model's own
+inverse) one model at a time, and ``psi`` (planar shape, then the route
+check) as ``psi5``/``psi6`` computed it.  The rules are the kernel's closed forms: the products
 ``Im(conj(d_a) d_b)`` as Python's complex product gives them, the base
 width from the two corner ratios, and a facet ray as the cross product (or
 the signed 3x3 cofactors) of its facet rows.  ``facet_zero_ray_svd`` keeps
@@ -16,8 +17,14 @@ import math
 
 import numpy as np
 
-from polymod.combinatorics import as_word
-from polymod.errors import NoIntersection, OutOfRange, RouteDisagreement, SignatureMismatch
+from polymod.combinatorics import TOL_IDEAL, as_word
+from polymod.errors import (
+    FacetsDisjoint,
+    NoIntersection,
+    OutOfRange,
+    RouteDisagreement,
+    SignatureMismatch,
+)
 from polymod.lorentz import LorentzModel
 from polymod.moduli import ROUTE_TOL, scaled_residual
 
@@ -158,6 +165,28 @@ def axis_intercepts(model):
         ray = facet_zero_ray(model, zeros)
         out.append(float(model.coord_mat[axis_row] @ ray))
     return tuple(out)
+
+
+def dihedral_angle(model, j, k):
+    n = model.n
+    if not (isinstance(j, int) and isinstance(k, int) and 1 <= j <= n and 1 <= k <= n) or j == k:
+        raise OutOfRange(f"need two distinct facet indices in 1..{n}, got {j}, {k}")
+    gram_inv = np.linalg.inv(model.gram)
+    pj = model.facet_mat[j - 1]
+    pk = model.facet_mat[k - 1]
+    m_jj = float(pj @ gram_inv @ pj)
+    m_kk = float(pk @ gram_inv @ pk)
+    if m_jj >= 0.0 or m_kk >= 0.0:
+        raise SignatureMismatch("facet normals are not spacelike")
+    m_jk = float(pj @ gram_inv @ pk)
+    cval = m_jk / math.sqrt(m_jj * m_kk)
+    if abs(cval - 1.0) <= TOL_IDEAL:
+        return 0.0
+    if cval > 1.0 or cval < -1.0:
+        raise FacetsDisjoint(
+            f"facets {j} and {k} do not intersect (cosine-type value {cval:.17g})"
+        )
+    return math.acos(cval)
 
 
 def psi(n, theta, label):

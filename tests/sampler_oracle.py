@@ -3,8 +3,10 @@
 This is the loop that ``polymod.combinatorics.sample_weight_rng`` ran
 before it drew its attempts in blocks, kept verbatim so the block sampler
 can be compared with it bit for bit, including where it leaves the
-generator.  The attempt budget is read from ``polymod.combinatorics`` on
-each call, so a test that lowers it there lowers it for both samplers.
+generator; ``sample_weights`` runs it over a chunk of generators in order,
+as ``polymod.combinatorics.sample_weights`` must.  The attempt budget is
+read from ``polymod.combinatorics`` on each call, so a test that lowers it
+there lowers it for both samplers.
 """
 
 import math
@@ -32,3 +34,9 @@ def sample_weight_rng(n, rng):
     raise RejectionBudgetExceeded(
         f"no valid weight vector for n={n} in {REJECTION_BUDGET} attempts"
     )
+
+
+def sample_weights(n, rngs):
+    """The (N, n) angles of one scalar draw per generator, in order; the
+    first failure is raised."""
+    return np.array([sample_weight_rng(n, rng).theta for rng in rngs]).reshape(len(rngs), n)

@@ -28,7 +28,7 @@ from polymod import (
     vertex_config,
 )
 from polymod import combinatorics
-from polymod.combinatorics import SAMPLE_BLOCK, sample_weight_rng
+from polymod.combinatorics import SAMPLE_BLOCK, sample_weight_rng, sample_weights
 
 import sampler_oracle as oracle
 
@@ -251,6 +251,78 @@ class TestBlockSampler:
         # no n = 4 draw is accepted, so every n = 4 stream spends the budget
         message = f"no valid weight vector for n=4 in {budget} attempts"
         assert draw(sample_weight_rng, 4, 9, 0)[0] == ("RejectionBudgetExceeded", message)
+
+
+class CountingRng:
+    """A generator that counts its ``exponential`` calls: one per attempt
+    of the scalar sampler."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def exponential(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.exponential(*args, **kwargs)
+
+
+def chunk(seed, trials):
+    return [np.random.default_rng([seed, trial]) for trial in trials]
+
+
+def outcome(sampler, n, rngs):
+    try:
+        return sampler(n, rngs).tolist()
+    except RejectionBudgetExceeded as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestChunkSampler:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_a_chunk_matches_the_scalar_sampler(self, n):
+        """Chunks of 64 generators, as ``verify`` draws them: the same theta
+        bits and the same end state of every generator, though many trials
+        need more than one block."""
+        block = combinatorics.SAMPLE_BLOCKS[n]
+        longest = 0
+        for seed in (0, 3, 11, 7919):
+            for start in (0, 64, 128):
+                got, want = chunk(seed, range(start, start + 64)), chunk(seed, range(start, start + 64))
+                assert sample_weights(n, got).tolist() == oracle.sample_weights(n, want).tolist()
+                for a, b in zip(got, want):
+                    assert a.bit_generator.state == b.bit_generator.state
+            counted = [CountingRng(rng) for rng in chunk(seed, range(64))]
+            oracle.sample_weights(n, counted)
+            longest = max(longest, max(rng.calls for rng in counted))
+        assert longest > 2 * block
+
+    @pytest.mark.parametrize("blocks", [{5: 1, 6: 1}, {5: 7, 6: 3}, {5: 1000, 6: 1000}])
+    def test_the_block_size_changes_no_bit(self, monkeypatch, blocks):
+        """One attempt per block, several blocks per trial, or one block far
+        beyond any trial: the vectors and end states stay the scalar ones."""
+        monkeypatch.setattr(combinatorics, "SAMPLE_BLOCKS", blocks)
+        for n in (5, 6):
+            got, want = chunk(5, range(40)), chunk(5, range(40))
+            assert sample_weights(n, got).tolist() == oracle.sample_weights(n, want).tolist()
+            assert [r.permutation(n).tolist() for r in got] == [r.permutation(n).tolist() for r in want]
+
+    @pytest.mark.parametrize("budget", [1, 30, 64, 150])
+    def test_a_spent_budget_inside_a_chunk_fails_like_the_scalar_sampler(self, monkeypatch, budget):
+        """A lowered budget runs out for some trials of a chunk, not always the
+        first: the chunk raises the scalar sampler's error, the first in
+        trial order, with its text."""
+        monkeypatch.setattr(combinatorics, "REJECTION_BUDGET", budget)
+        spent = ("RejectionBudgetExceeded", f"no valid weight vector for n=5 in {budget} attempts")
+        failing = 0
+        for seed in range(6):
+            want = outcome(oracle.sample_weights, 5, chunk(seed, range(64)))
+            assert outcome(sample_weights, 5, chunk(seed, range(64))) == want
+            failing += want == spent
+        assert failing >= 1
+
+    def test_an_empty_chunk_and_too_few_marks(self):
+        assert sample_weights(5, []).shape == (0, 5)
+        with pytest.raises(OutOfRange, match="need n >= 4, got 3"):
+            sample_weights(3, chunk(0, range(2)))
 
 
 # ===========================================================================

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from polymod.errors import (
-    FootOutsideBase,
     NoIntersection,
     OutOfRange,
     SignatureMismatch,
     check_settings,
     first_failures,
-    map_ok,
     unwrap,
 )
 
@@ -34,40 +32,6 @@ class TestUnwrap:
         """Only a PolymodError is a recorded failure."""
         value = ValueError("not a row failure")
         assert unwrap(value) is value
-
-
-class TestMapOk:
-    def test_fn_is_called_once_on_the_values_and_failures_keep_their_place(self):
-        calls = []
-
-        def double(values):
-            calls.append(list(values))
-            return [2 * v for v in values]
-
-        first, second = NoIntersection("a"), SignatureMismatch("b")
-        assert map_ok(double, [1, first, 2, second, 3]) == [2, first, 4, second, 6]
-        assert calls == [[1, 2, 3]]
-
-    def test_fn_is_called_once_when_every_row_failed(self):
-        calls = []
-        failures = [NoIntersection("a"), FootOutsideBase("b")]
-
-        def record(values):
-            calls.append(list(values))
-            return []
-
-        assert map_ok(record, failures) == failures
-        assert calls == [[]]
-
-    def test_no_rows(self):
-        calls = []
-
-        def record(values):
-            calls.append(list(values))
-            return []
-
-        assert map_ok(record, []) == []
-        assert calls == [[]]
 
 
 class TestFirstFailures:

@@ -35,9 +35,11 @@ from polymod import (
     verify_injectivity,
     w_from_theta,
 )
-from polymod.combinatorics import sample_weight_rng
-from polymod.fiber import DESIGNATED, SWAPPED5, SWAPPED6
+from polymod.combinatorics import sample_weight_rng, sample_weights
+from polymod.fiber import DESIGNATED, SWAPPED5, SWAPPED6, designated_pairs, invert_params
 
+import fiber_oracle
+import lorentz_oracle
 from planar_oracle import planar_shape
 
 IDENT5 = (1, 2, 3, 4, 5)
@@ -397,3 +399,85 @@ class TestVerifyInjectivity:
         seq = verify_injectivity(5, samples=16, seed=5, jobs=1)
         par = verify_injectivity(5, samples=16, seed=5, jobs=3)
         assert dumps_canonical(seq) == dumps_canonical(par)
+
+
+# ===========================================================================
+# the column inverse against the scalar oracle
+# ===========================================================================
+
+def oracle_outcome(n, row):
+    """The scalar inversion of one row of designated pair parameters."""
+    shape, k = (PentagonShape, HexahedronShape)[n - 5], n - 3
+    kind, report = fiber_oracle.outcome(
+        lambda: fiber_oracle.inversion_report(n, shape(*row[:k]), shape(*row[k:]))
+    )
+    if kind != "ok":
+        return kind, report
+    return "ok", report["theta"].theta, report["w"].w, report["residual"]
+
+
+def assert_columns_match_oracle(n, params):
+    """Every row of one column call: the oracle's theta, w and residual bits,
+    or its class and message; returns the classes seen."""
+    theta, w, residual, errors = invert_params(n, params)
+    kinds = set()
+    for i, row in enumerate(params.tolist()):
+        want = oracle_outcome(n, row)
+        if errors[i] is None:
+            got = ("ok", tuple(theta[i].tolist()), complex(w[i]), residual[i])
+        else:
+            got = (type(errors[i]).__name__, str(errors[i]))
+        assert got == want, (i, row)
+        kinds.add(want[0] if want[0] != "InconsistentPair" else want[1].split(":")[0])
+    return kinds
+
+
+def perturbed(n, params, rng, spread):
+    """Rows of ``params`` scaled entry by entry, kept where both shapes exist."""
+    k, rows = n - 3, []
+    for row in (params * rng.uniform(1 - spread, 1 + spread, params.shape)).tolist():
+        try:
+            shape = (PentagonShape, HexahedronShape)[n - 5]
+            shape(*row[:k]), shape(*row[k:])
+        except PolymodError:
+            continue
+        rows.append(row)
+    return np.array(rows).reshape(-1, 2 * k)
+
+
+class TestColumnInverse:
+    @pytest.mark.parametrize("n, samples", [(5, 150), (6, 190)])
+    def test_the_verify_seeds_invert_as_the_scalar_oracle(self, n, samples):
+        for seed in (0, 3, 11, 7919):
+            theta = sample_weights(n, [np.random.default_rng([seed, i]) for i in range(samples)])
+            params, errors = designated_pairs(n, theta)
+            assert_columns_match_oracle(n, params[[e is None for e in errors]])
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_boundary_corpora_invert_as_the_scalar_oracle(self, n):
+        """Designated pairs of near-boundary weight vectors, and the same
+        pairs perturbed so that every gate fires somewhere."""
+        rng = np.random.default_rng(40 + n)
+        theta = np.array([t.theta for t in lorentz_oracle.boundary_weights(n, rng, 400)])
+        params, errors = designated_pairs(n, theta)
+        params = params[[e is None for e in errors]]
+        kinds = assert_columns_match_oracle(n, params)
+        kinds |= assert_columns_match_oracle(n, perturbed(n, params, rng, 0.3))
+        assert {"ok", "no weight vector realizes this shape pair"} <= kinds
+        if n == 6:
+            assert {"NoIntersection", "forward verification failed"} <= kinds
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_a_chunk_where_every_pair_fails(self, n):
+        """No row of the chunk inverts: each holds the oracle's failure."""
+        rows = [pair[0].params + pair[1].params for _, _, pair in PLANTED[n]]
+        if n == 6:  # squares that overflow, on either shape, and a residual failure
+            rows += [(1e160, 1.0, 1.0, 1e-160, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 1.0, 1e200)]
+            rows += [(1.0, 1.0, 1.5, 1.0, 1.0, 1.0)]
+        params = np.array(rows)
+        assert_columns_match_oracle(n, params)
+        assert all(e is not None for e in invert_params(n, params)[3])
+
+    def test_an_empty_chunk(self):
+        theta, w, residual, errors = invert_params(6, np.zeros((0, 6)))
+        assert theta.shape == (0, 6) and w.shape == (0,) and residual == errors == []

@@ -279,17 +279,17 @@ class TestBuildModel:
             scale = max(1.0, float(np.abs(want).max()))
             npt.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
 
-    def test_gram_inverse_is_lazy(self):
-        """gram_inv is computed on first use, inverts the area form and
-        leaves the right-angled dihedrals as the eager inverse gives them."""
+    def test_dihedral_angles_read_the_inverse_of_the_area_form(self):
+        """A model keeps no inverse; the right-angled dihedrals are those the
+        inverse of the area form gives, bit for bit."""
         rng = np.random.default_rng(71)
         for n in (5, 6):
             theta = sample_weight_rng(n, rng)
             word = tuple(int(m) + 1 for m in rng.permutation(n))
             model = build_model(theta, word)
-            assert "gram_inv" not in vars(model)
-            npt.assert_allclose(model.gram @ model.gram_inv, np.eye(n - 2), atol=1e-12)
+            assert not hasattr(model, "gram_inv")
             eager = np.linalg.inv(model.gram)
+            npt.assert_allclose(model.gram @ eager, np.eye(n - 2), atol=1e-12)
             for j, k in ORTHOGONAL_PAIRS[n]:
                 pj, pk = model.facet_mat[j - 1], model.facet_mat[k - 1]
                 want = math.acos(
@@ -563,7 +563,7 @@ def assert_rows_match_oracle(stack, thetas):
             assert failure(stack.intercept_errors[i]) == (kind, values)
         else:
             assert stack.intercept_errors[i] is None
-            assert stack.axis_intercepts(i) == values
+            assert tuple(stack.intercepts[i].tolist()) == values
 
 
 class TestStackedKernel:
@@ -712,3 +712,130 @@ class TestStackedKernel:
         scaled = replace(stack.model(12), facet_mat=f[6], coord_mat=coord_mat[6])
         with pytest.raises(NoIntersection, match=r"\(3, 5, 6\) are dependent"):
             oracle.facet_zero_ray_svd(scaled, specs[0])
+
+
+# ===========================================================================
+# the dual-pairing kernel against the scalar oracle
+# ===========================================================================
+
+def pairing_outcomes(stack, rows, pairs):
+    """Per entry, ``("ok", angle)`` or (class, message) of one kernel call."""
+    angles, errors = lorentz.dihedral_angles(
+        stack.gram, stack.facet_mat, stack.model_errors, rows, pairs
+    )
+    return [("ok", a) if e is None else failure(e) for a, e in zip(angles.tolist(), errors)]
+
+
+def oracle_outcome(stack, row, j, k):
+    """The scalar route: the model's build failure, or the oracle's angle."""
+    if stack.model_errors[row] is not None:
+        return failure(stack.model_errors[row])
+    return outcome(oracle.dihedral_angle, stack.model(row), j, k)
+
+
+def same(got, want):
+    """Equal outcomes, a NaN angle equal to a NaN angle."""
+    if got[0] == want[0] == "ok" and math.isnan(want[1]):
+        return math.isnan(got[1])
+    return got == want
+
+
+class TestDualPairings:
+    @given(n=st.sampled_from((5, 6)), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12))
+    @settings(max_examples=120, deadline=None)
+    def test_every_pairing_equals_the_scalar_oracle(self, n, seed, rows):
+        """Generic and near-boundary models, random words, every ordered
+        facet pair: each entry has the oracle's bits, class and message."""
+        rng = np.random.default_rng(seed)
+        thetas = oracle.boundary_weights(n, rng, rows)
+        words = [tuple(int(m) + 1 for m in rng.permutation(n)) for _ in thetas]
+        stack = build_models(thetas, words)
+        pairs = [(j, k) for j in range(1, n + 1) for k in range(1, n + 1) if j != k]
+        entries = [(row, pair) for row in range(rows) for pair in pairs]
+        got = pairing_outcomes(stack, [r for r, _ in entries], [p for _, p in entries])
+        for (row, (j, k)), result in zip(entries, got):
+            assert same(result, oracle_outcome(stack, row, j, k)), (row, j, k)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_one_pairing_is_the_one_entry_case(self, n):
+        rng = np.random.default_rng(90 + n)
+        for theta in oracle.boundary_weights(n, rng, 40):
+            word = tuple(int(m) + 1 for m in rng.permutation(n))
+            try:
+                model = build_model(theta, word)
+            except PolymodError:
+                continue
+            for j, k in [(1, 3), (2, 3), (n, 1), (3, 2)]:
+                assert same(
+                    outcome(dihedral_angle, model, j, k), outcome(oracle.dihedral_angle, model, j, k)
+                )
+
+    def test_planted_rows_fail_as_the_scalar_code(self):
+        """One stack holds, between intact models: a failed model whose Gram
+        matrix is singular (it enters the inverse masked, so no LinAlgError),
+        a model failing its own build, tangent facets (0.0), disjoint facets
+        and normals that are not spacelike."""
+        ident = (1, 2, 3, 4, 5, 6)
+        thetas = [sample_weight(6, seed) for seed in range(4)]
+        thetas.insert(1, WeightVector(6, (math.nan, 1.0, 1.0, 1.0, 1.0, 1.0)))  # DegenerateTriangle
+        thetas.insert(3, equal_weight(6))  # adjacent facets are tangent
+        stack = build_models(thetas, [ident] * len(thetas))
+        gram, facet_mat = stack.gram.copy(), stack.facet_mat.copy()
+        errors = list(stack.model_errors)
+        gram[4] = 0.0  # singular, and its model failed
+        errors[4] = SignatureMismatch("planted")
+        # Row 5, facet 2: a timelike normal (the area form's positive
+        # eigenvector), so f G^-1 f > 0.
+        values, vectors = np.linalg.eigh(gram[5])
+        facet_mat[5, 1] = vectors[:, -1]
+        planted = replace(stack, gram=gram, facet_mat=facet_mat, model_errors=errors)
+        pairs = [(1, 3), (1, 2), (2, 4), (6, 1)]
+        entries = [(row, pair) for row in range(len(thetas)) for pair in pairs]
+        got = pairing_outcomes(planted, [r for r, _ in entries], [p for _, p in entries])
+        kinds = set()
+        for (row, (j, k)), result in zip(entries, got):
+            if errors[row] is not None:
+                want = failure(errors[row])
+            else:
+                model = replace(stack.model(row), gram=gram[row], facet_mat=facet_mat[row])
+                want = outcome(oracle.dihedral_angle, model, j, k)
+            assert same(result, want), (row, j, k)
+            kinds.add(result[0] if result[0] != "ok" else ("tangent" if result[1] == 0.0 else "ok"))
+        assert got[4 * 4] == ("SignatureMismatch", "planted")
+        assert got[1 * 4][0] == "DegenerateTriangle"
+        assert got[5 * 4 + 2] == ("SignatureMismatch", "facet normals are not spacelike")
+        assert got[3 * 4 + 1] == ("ok", 0.0)
+        assert kinds == {"ok", "tangent", "FacetsDisjoint", "SignatureMismatch", "DegenerateTriangle"}
+
+    def test_a_pair_it_cannot_read_is_out_of_range(self):
+        stack = build_models([equal_weight(5)], [(1, 2, 3, 4, 5)])
+        for pair in [(1, 1), (0, 2), (1.5, 3), (2, 6)]:
+            with pytest.raises(OutOfRange, match="need two distinct facet indices in 1..5"):
+                lorentz.dihedral_angles(stack.gram, stack.facet_mat, stack.model_errors, [0], [pair])
+
+    def test_singular_edges_sum_the_scalar_angles(self, monkeypatch):
+        """The cone angles of the singular-edge report are the scalar
+        oracle's angles, summed in the report's order: the kernel's values
+        replaced by the oracle's give the same report."""
+        from types import SimpleNamespace
+
+        from polymod import build_complex, singular_edges
+
+        theta = validate_weight((0.7, 0.8, 1.0, 1.3, 1.1, 2 * math.pi - 4.9))
+        kernel = lorentz.dihedral_angles
+
+        def scalar(gram, facet_mat, model_errors, rows, pairs):
+            angles, errors = kernel(gram, facet_mat, model_errors, rows, pairs)
+            for e, (row, (j, k)) in enumerate(zip(rows, pairs)):
+                model = SimpleNamespace(n=6, gram=gram[row], facet_mat=facet_mat[row])
+                kind, value = outcome(oracle.dihedral_angle, model, j, k)
+                assert (kind == "ok") == (errors[e] is None)
+                angles[e] = value if kind == "ok" else angles[e]
+            return angles, errors
+
+        for weights in (theta, validate_weight((0.9, 0.9, 0.9, 1.2, 1.2, 2 * math.pi - 5.1))):
+            report = singular_edges(build_complex(6, weights))
+            assert report["classes"] == 30
+            monkeypatch.setattr(lorentz, "dihedral_angles", scalar)
+            assert singular_edges(build_complex(6, weights)) == report
+            monkeypatch.setattr(lorentz, "dihedral_angles", kernel)

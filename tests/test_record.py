@@ -8,8 +8,9 @@ ordering, ``replace`` and the frozen-assignment error.
 
 import dataclasses
 import math
+import operator
+import sys
 
-import numpy as np
 import pytest
 
 from polymod import (
@@ -229,7 +230,27 @@ def test_cached_properties_still_fill_on_first_read():
     assert "_axis" not in vars(stack)
     intercepts = stack.intercepts
     assert "_axis" in vars(stack) and stack.intercepts is intercepts
-    lorentz_model = stack.model(0)
-    inverse = lorentz_model.gram_inv
-    assert lorentz_model.gram_inv is inverse
-    np.testing.assert_allclose(inverse @ lorentz_model.gram, np.eye(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("cls", [Label, DegenerateConfig, UpperHalfPoint], ids=lambda c: c.__name__)
+def test_single_field_records_compare_and_hash_in_one_frame(cls):
+    """A single field's 1-tuple is built inline: each comparison and the
+    hash is one Python call, and the values stay the field tuple's."""
+    a, b = samples()[cls]
+    ordering = [operator.lt, operator.le, operator.gt, operator.ge]
+    ops = [operator.eq, operator.ne] + (ordering if cls in ORDERED else [])
+    checks = [(op, (a, b), op(values(a), values(b))) for op in ops] + [(hash, (a,), hash(values(a)))]
+    for op, args, want in checks:
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            got = op(*args)
+        finally:
+            sys.setprofile(None)
+        assert got == want
+        assert len(calls) == 1, (op, calls)

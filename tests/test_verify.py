@@ -1,6 +1,7 @@
 """Tests for the verification engine behind ``polymod verify``."""
 
 import concurrent.futures
+import hashlib
 import os
 
 import numpy as np
@@ -15,8 +16,28 @@ from polymod import (
     verify,
     verify_injectivity,
 )
+from polymod import cli
 from polymod.combinatorics import sample_weight_rng
 from polymod.planar import angle_rows
+
+#: The first 12 hex digits of sha256(stdout + stderr + "exit=<code>\n") of
+#: ``verify --suite all`` at n=5 (150 samples) and n=6 (190 samples), per seed.
+VERIFY_HASHES = {
+    (5, 0): "bc91b566c138", (5, 3): "ddce8e0cc5d1", (5, 11): "8549ae937ca5", (5, 7919): "c42806bb5c3c",
+    (6, 0): "b1611571119d", (6, 3): "99badc23dd2f", (6, 11): "a74b79e428d2", (6, 7919): "4814b67c7af8",
+}
+
+
+@pytest.mark.parametrize("n, seed", list(VERIFY_HASHES))
+def test_the_recorded_verify_reports_keep_their_bytes(capsys, n, seed):
+    """The eight recorded ``verify --suite all`` commands, run in process
+    (``--jobs 1``; the pool path is compared in CI), print the bytes they
+    printed when recorded."""
+    samples = {5: 150, 6: 190}[n]
+    argv = ["verify", "--suite", "all", "--n", str(n), "--samples", str(samples), "--seed", str(seed)]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(f"{out}{err}exit={code}\n".encode()).hexdigest()[:12] == VERIFY_HASHES[n, seed]
 
 
 @pytest.mark.parametrize(
@@ -41,30 +62,34 @@ def test_all_holds_each_suite_report(n, jobs):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_all_draws_and_builds_once_per_trial(monkeypatch, n):
-    """Each trial is drawn once, its model is one row of one kernel call, and
-    each chunk inverts its shape pairs in one batched call."""
-    calls = {"sample_weight_rng": 0, "build_models": 0, "inversion_reports": 0, "inverted": 0}
-    draw, build, invert = verify.sample_weight_rng, verify.build_models, verify.inversion_reports
+    """Each trial is drawn once, by one sampler call per chunk; its model is
+    one row of one kernel call, and each chunk inverts its shape pairs in
+    one column call."""
+    calls = {"sample_weights": 0, "drawn": 0, "build_models": 0, "invert_params": 0, "inverted": 0}
+    draw, build, invert = verify.sample_weights, verify.build_models, verify.invert_params
 
-    def sample_weight_rng(*args):
-        calls["sample_weight_rng"] += 1
-        return draw(*args)
+    def sample_weights(n, rngs):
+        calls["sample_weights"] += 1
+        calls["drawn"] += len(rngs)
+        return draw(n, rngs)
 
     def build_models(thetas, words):
         calls["build_models"] += len(thetas)
         return build(thetas, words)
 
-    def inversion_reports(n, pairs, tol):
-        calls["inversion_reports"] += 1
+    def invert_params(n, pairs, tol):
+        calls["invert_params"] += 1
         calls["inverted"] += len(pairs)
         return invert(n, pairs, tol)
 
-    monkeypatch.setattr(verify, "sample_weight_rng", sample_weight_rng)
+    monkeypatch.setattr(verify, "sample_weights", sample_weights)
     monkeypatch.setattr(verify, "build_models", build_models)
-    monkeypatch.setattr(verify, "inversion_reports", inversion_reports)
+    monkeypatch.setattr(verify, "invert_params", invert_params)
     monkeypatch.setattr(verify, "TRIAL_CHUNK", 4)  # chunks of 4, 4 and 2 trials
     assert run_suite("all", n, 10, 2, jobs=1)["pass"]
-    assert calls == {"sample_weight_rng": 10, "build_models": 10, "inversion_reports": 3, "inverted": 10}
+    assert calls == {
+        "sample_weights": 3, "drawn": 10, "build_models": 10, "invert_params": 3, "inverted": 10,
+    }
 
 
 def test_the_pool_has_no_more_workers_than_cores(monkeypatch):
@@ -103,10 +128,13 @@ def test_verify_injectivity_is_the_roundtrip_suite(n):
 def test_failed_inversions_still_enter_the_scan(monkeypatch):
     clean = run_suite("roundtrip", 5, 12, 4)
 
-    def inversion_reports(n, pairs, tol):
-        return [InconsistentPair("planted") for _ in pairs]
+    invert = verify.invert_params
 
-    monkeypatch.setattr(verify, "inversion_reports", inversion_reports)
+    def invert_params(n, pairs, tol):
+        *columns, errors = invert(n, pairs, tol)
+        return (*columns, [InconsistentPair("planted") for _ in errors])
+
+    monkeypatch.setattr(verify, "invert_params", invert_params)
     report = run_suite("roundtrip", 5, 12, 4)
     assert report["max_error"] is None
     assert len(report["failures"]) == 12
@@ -187,21 +215,21 @@ def test_trial_indices_hold_across_chunks(monkeypatch, n):
 
     params, _ = verify.designated_pairs(n, np.array([draw(5).theta, draw(9).theta]))
     bad_pairs = set(map(tuple, params.tolist()))
-    invert, scan = verify.inversion_reports, verify._separation_scan
+    invert, scan = verify.invert_params, verify._separation_scan
     scanned = []
 
     def separation_scan(trials, thetas, shapes):
         scanned.extend(trials.tolist())
         return scan(trials, thetas, shapes)
 
-    def inversion_reports(n, pairs, tol):
-        reports = invert(n, pairs, tol)
-        return [
-            InconsistentPair("planted") if s1.params + s2.params in bad_pairs else report
-            for (s1, s2), report in zip(pairs, reports)
-        ]
+    def invert_params(n, pairs, tol):
+        *columns, errors = invert(n, pairs, tol)
+        return (*columns, [
+            InconsistentPair("planted") if tuple(row) in bad_pairs else e
+            for row, e in zip(pairs.tolist(), errors)
+        ])
 
-    monkeypatch.setattr(verify, "inversion_reports", inversion_reports)
+    monkeypatch.setattr(verify, "invert_params", invert_params)
     monkeypatch.setattr(verify, "build_models", _plant_model_failure(draw(6)))
     monkeypatch.setattr(verify, "_separation_scan", separation_scan)
     monkeypatch.setattr(verify, "TRIAL_CHUNK", 4)
