@@ -85,8 +85,3 @@ def _frozen(message: str) -> Exception:
     from dataclasses import FrozenInstanceError  # loaded only on this error path
 
     return FrozenInstanceError(message)
-
-
-def replace(obj, **changes):
-    """A copy of record ``obj`` with ``changes`` applied; ``__post_init__`` runs again."""
-    return type(obj)(**{**{f: getattr(obj, f) for f in type(obj).__match_args__}, **changes})

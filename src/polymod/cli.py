@@ -13,22 +13,15 @@ error (usage errors included), 3 the recovery circles do not intersect,
 document that names its class, never as a traceback.
 
 ``verify`` takes ``--tol``, ``--samples``, ``--seed`` and ``--jobs``;
-``invert`` takes ``--tol``.  Only these two read the JSON file named by the
-environment variable POLYMOD_CONFIG, which may set defaults for ``tol`` (a
-JSON number), ``samples``, ``seed`` and ``jobs`` (JSON integers); explicit
-flags override it.
+``invert`` takes ``--tol``.  A flag left out takes the engine's default.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
-import os
 import sys
 from contextlib import contextmanager
 
-from ._record import record, replace
 from .combinatorics import as_word, validate_weight, validate_weights
 from .errors import OutOfRange, PolymodError, check_settings
 from .jsonio import (
@@ -46,69 +39,16 @@ from .jsonio import (
 # reports and rejected input never load them; ``complexes`` loads for the
 # ``complex`` command alone.
 
-_CONFIG_ENV = "POLYMOD_CONFIG"
-
 #: Input rows that ``sweep`` parses, validates, maps and formats as one stack.
 SWEEP_CHUNK = 256
 
 
-@record
-class RunConfig:
-    """Tolerance, sampling, and parallelism of ``verify`` (``invert`` reads ``tol``)."""
-
-    tol: float = 1e-9
-    samples: int = 1000
-    seed: int = 0
-    jobs: int = 1
-
-    def __post_init__(self):
-        check_settings(self.tol, self.samples, self.seed, self.jobs)
-
-
-#: The JSON value types each config key accepts; a bool is neither.
-_CONFIG_TYPES = {"tol": (int, float), "samples": (int,), "seed": (int,), "jobs": (int,)}
-
-
-def load_config(environ=None) -> RunConfig:
-    """RunConfig from the optional POLYMOD_CONFIG JSON file."""
-    env = os.environ if environ is None else environ
-    path = env.get(_CONFIG_ENV)
-    if not path:
-        return RunConfig()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise OutOfRange(f"cannot read config file {path!r}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise OutOfRange(f"config file {path!r} must hold a JSON object")
-    fields = {}
-    for key, value in raw.items():
-        if key not in _CONFIG_TYPES:
-            raise OutOfRange(
-                f"unknown config key {key!r}; known keys: "
-                f"{', '.join(sorted(_CONFIG_TYPES))}"
-            )
-        if type(value) not in _CONFIG_TYPES[key]:
-            kind = "number" if key == "tol" else "integer"
-            raise OutOfRange(f"config value for {key!r} must be a JSON {kind}, got {value!r}")
-        if key == "tol":
-            try:
-                value = float(value)
-            except OverflowError:  # an integer beyond the float range
-                value = math.inf
-        fields[key] = value
-    return RunConfig(**fields)
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = load_config()
-    overrides = {
-        key: getattr(args, key)
-        for key in _CONFIG_TYPES
-        if getattr(args, key, None) is not None
-    }
-    return replace(config, **overrides) if overrides else config
+def _given_settings(args: argparse.Namespace, *names: str) -> dict:
+    """The run settings among ``names`` that were given as flags, checked
+    (:func:`check_settings`) before any numeric layer loads."""
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    check_settings(**given)
+    return given
 
 
 def _emit(doc: dict) -> None:
@@ -165,14 +105,14 @@ def cmd_forward(args: argparse.Namespace) -> int:
 
 
 def cmd_invert(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+    settings = _given_settings(args, "tol")
     from .fiber import inversion_report
     from .moduli import HexahedronShape, PentagonShape
 
     shape_cls = PentagonShape if args.n == 5 else HexahedronShape
     s1 = shape_cls(*parse_shape(args.shape1, args.n))
     s2 = shape_cls(*parse_shape(args.shape2, args.n))
-    report = inversion_report(args.n, s1, s2, config.tol)
+    report = inversion_report(args.n, s1, s2, **settings)
     _emit(
         {
             "schema": "polymod-invert/1",
@@ -227,12 +167,10 @@ def cmd_complex(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+    settings = _given_settings(args, "tol", "samples", "seed", "jobs")
     from .verify import run_suite
 
-    report = run_suite(
-        args.suite, args.n, config.samples, config.seed, config.tol, config.jobs
-    )
+    report = run_suite(args.suite, args.n, **settings)
     _emit(report)
     return 0 if report["pass"] else 1
 

@@ -13,7 +13,8 @@ value or its first ``PolymodError``, and a per-row error list holds None
 or that error.  :func:`unwrap` raises a recorded failure and returns
 anything else, and :func:`first_failures` records a gate's failure on the
 rows that have not failed yet.  :func:`check_settings` is the one domain
-rule for the run settings ``tol``, ``samples``, ``seed`` and ``jobs``.
+rule for the run settings ``tol``, ``samples``, ``seed`` and ``jobs``,
+shared by the CLI's flags, ``run_suite`` and ``inversion_reports``.
 """
 
 from __future__ import annotations
@@ -146,14 +147,21 @@ def first_failures(errors: list, mask, make: Callable[[int], PolymodError]) -> N
             errors[i] = make(i)
 
 
-def check_settings(tol: float, samples: int = 1, seed: int = 0, jobs: int = 1) -> None:
+#: The most trials one ``verify`` run takes.
+MAX_SAMPLES = 10**6
+
+
+def check_settings(tol: float = 1.0, samples: int = 1, seed: int = 0, jobs: int = 1) -> None:
     """Reject a run setting outside its domain with OutOfRange: a tolerance
-    that is not positive and finite (NaN included), fewer than one sample
-    or job, or a negative seed."""
+    that is not positive and finite (NaN included), a sample count outside
+    1..MAX_SAMPLES, fewer than one job, or a negative seed.  Every default
+    is in the domain, so a caller passes only the settings it has."""
     if not 0.0 < tol < math.inf:
         raise OutOfRange(f"tol must be positive and finite, got {tol!r}")
     if samples < 1:
         raise OutOfRange(f"samples must be >= 1, got {samples!r}")
+    if samples > MAX_SAMPLES:
+        raise OutOfRange(f"samples must be <= {MAX_SAMPLES}, got {samples!r}")
     if jobs < 1:
         raise OutOfRange(f"jobs must be >= 1, got {jobs!r}")
     if seed < 0:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -22,6 +23,7 @@ from polymod.errors import PolymodError, RouteDisagreement
 from polymod.jsonio import parse_rows, parse_theta
 
 from lorentz_oracle import boundary_weights
+from test_verify import VERIFY_HASHES
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 EQUAL5 = "5x2pi/5"
@@ -123,8 +125,7 @@ class TestForward:
     @pytest.mark.parametrize("token", ["10**400", "7//2", "1e400"])
     def test_power_and_overflow_tokens_exit_2(self, token):
         """Run as a fresh process so an escaping traceback would show on stderr."""
-        env = {k: v for k, v in os.environ.items() if k != "POLYMOD_CONFIG"}
-        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "polymod.cli", "forward", "--n", "5",
              "--theta", f"{token},1,1,1,1", "--label", "12345"],
@@ -140,8 +141,7 @@ class TestForward:
     @pytest.mark.parametrize("count", ["1" * 5000, "9", "0009"], ids=["5000-digits", "9", "0009"])
     def test_large_repetition_count_exits_2(self, count):
         """Counts above the bound are rejected before conversion or expansion."""
-        env = {k: v for k, v in os.environ.items() if k != "POLYMOD_CONFIG"}
-        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "polymod.cli", "forward", "--n", "5",
              "--theta", f"{count}x1"],
@@ -157,8 +157,7 @@ class TestForward:
         """``2(3)`` compiles with a SyntaxWarning: neither ``forward`` nor
         ``sweep`` (which parses row 1 twice, once for header detection) may
         print it.  Fresh processes, since a warning prints once per process."""
-        env = {k: v for k, v in os.environ.items() if k != "POLYMOD_CONFIG"}
-        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         theta = "2(3),1,1,1,1"
         forward = subprocess.run(
             [sys.executable, "-m", "polymod.cli", "forward", "--n", "5", "--theta", theta],
@@ -455,19 +454,28 @@ class TestVerify:
         }
         assert err == ""
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_negative_seed_exits_2(self, capsys, tmp_path, monkeypatch, source):
-        argv = ["verify", "--suite", "all", "--n", "5", "--samples", "2"]
-        if source == "flag":
-            argv += ["--seed", "-1"]
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
-            monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
+    @pytest.mark.parametrize("source", ["flag"])  # the only source of a run setting
+    def test_negative_seed_exits_2(self, capsys, source):
+        argv = ["verify", "--suite", "all", "--n", "5", "--samples", "2", "--seed", "-1"]
         code, doc, err = run_json(capsys, *argv)
         assert code == 2
         assert doc["schema"] == "polymod-error/1"
         assert doc["message"] == "seed must be non-negative, got -1"
+        assert err == ""
+
+    def test_samples_beyond_the_bound_exit_2_before_any_trial(self, capsys, monkeypatch):
+        """10**12 samples would make 10**10 chunk ranges before the first
+        trial; the bound rejects the count first."""
+        def no_trials(*args):
+            raise AssertionError("reached the trial runner")
+
+        monkeypatch.setattr(verify, "_run_sampled", no_trials)
+        code, doc, err = run_json(
+            capsys, "verify", "--suite", "roundtrip", "--n", "5", "--samples", str(10**12)
+        )
+        assert code == 2
+        assert doc["error"] == "OutOfRange"
+        assert doc["message"] == "samples must be <= 1000000, got 1000000000000"
         assert err == ""
 
     def test_bad_tolerance_exits_2(self, capsys):
@@ -590,8 +598,7 @@ class TestSweep:
         fresh process so an escaping traceback would show on stderr."""
         src = tmp_path / "latin.csv"
         src.write_bytes(b"2pi/5,2pi/5,2pi/5,2pi/5,2pi/5\n\xff\xfe,1\n")
-        env = {k: v for k, v in os.environ.items() if k != "POLYMOD_CONFIG"}
-        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "polymod.cli", "sweep", "--n", "5",
              "--input", str(src), "--out", "-"],
@@ -816,33 +823,43 @@ class TestStackedParse:
 
 
 # ===========================================================================
-# config file
+# run settings: flags only
 # ===========================================================================
 
+EQUAL5_SHAPE = "0.7861513777574233,0.7861513777574233"
+
+#: A settings file that would change ``verify``'s report and ``invert``'s
+#: outcome, were it read.
+IGNORED_SETTINGS = {"samples": 3, "tol": 0.5}
+
+#: Flag values on both sides of each setting's domain, and text no flag parses.
+SETTING_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1000000", "1000001", str(10**12), str(-(10**30)),
+                     "nan", "inf", "-inf", "1e999", "1e-400", "-0.0", "1e-9", "0.5",
+                     "2.9", "x", "", "1_0", "0x10"]),
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=6),
+)
+
+
+def in_domain(name: str, text: str) -> bool:
+    """Whether ``--name text`` parses as argparse parses it and lies in the
+    domain of :func:`polymod.errors.check_settings`."""
+    try:
+        value = float(text) if name == "tol" else int(text)
+    except ValueError:
+        return False
+    return {
+        "tol": lambda v: 0.0 < v < math.inf,
+        "samples": lambda v: 1 <= v <= 10**6,
+        "seed": lambda v: v >= 0,
+        "jobs": lambda v: v >= 1,
+    }[name](value)
+
+
 class TestConfig:
-    def test_config_file_sets_defaults(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"samples": 9, "seed": 4}), encoding="utf-8")
-        monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
-        code, doc, _ = run_json(
-            capsys, "verify", "--suite", "roundtrip", "--n", "5"
-        )
-        assert code == 0
-        assert doc["samples"] == 9
-        assert doc["seed"] == 4
-
-    def test_flags_override_config(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"samples": 9}), encoding="utf-8")
-        monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
-        code, doc, _ = run_json(
-            capsys, "verify", "--suite", "roundtrip", "--n", "5",
-            "--samples", "12",
-        )
-        assert code == 0
-        assert doc["samples"] == 12
-
-    @pytest.mark.parametrize("command", ["forward", "complex", "sweep"])
+    @pytest.mark.parametrize("command", ["forward", "complex", "sweep", "verify", "invert"])
     def test_commands_without_config_ignore_a_bad_file(
         self, capsys, tmp_path, monkeypatch, command
     ):
@@ -855,6 +872,8 @@ class TestConfig:
             "forward": ["--theta", EQUAL5],
             "complex": ["--report", "euler"],
             "sweep": ["--input", str(rows), "--out", "-"],
+            "verify": ["--suite", "roundtrip", "--samples", "2"],
+            "invert": ["--shape1", EQUAL5_SHAPE, "--shape2", EQUAL5_SHAPE],
         }[command]
         code, _, _ = run(capsys, command, "--n", "5", *argv)
         assert code == 0
@@ -862,34 +881,26 @@ class TestConfig:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", "--suite", "roundtrip", "--n", "5", "--samples", "2"],
-            ["invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1"],
+            ["verify", "--suite", "all", "--n", "5", "--samples", "150", "--seed", "0"],
+            # an inconsistent pair (residual 0.22): exit 4 at the default tol
+            ["invert", "--n", "6", "--shape1", "1,1,1.5", "--shape2", "1,1,1"],
         ],
+        ids=["verify", "invert"],
     )
-    def test_commands_with_config_reject_a_bad_file(
-        self, capsys, tmp_path, monkeypatch, argv
-    ):
+    def test_a_settings_file_changes_no_bytes(self, capsys, tmp_path, monkeypatch, argv):
+        without = run(capsys, *argv)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"jobs": 0}), encoding="utf-8")
+        cfg.write_text(json.dumps(IGNORED_SETTINGS), encoding="utf-8")
         monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
-        code, doc, _ = run_json(capsys, *argv)
-        assert code == 2
-        assert doc["message"] == "jobs must be >= 1, got 0"
+        assert run(capsys, *argv) == without
+        code, out, err = without
+        if argv[0] == "verify":
+            digest = hashlib.sha256(f"{out}{err}exit={code}\n".encode()).hexdigest()[:12]
+            assert digest == VERIFY_HASHES[5, 0]
+        else:
+            assert code == 4
 
-    def test_invert_rejects_a_negative_seed(self, capsys, tmp_path, monkeypatch):
-        """``invert`` validates the whole file, as ``verify`` does."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
-        monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
-        code, doc, err = run_json(
-            capsys, "invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1"
-        )
-        assert code == 2
-        assert doc["schema"] == "polymod-error/1"
-        assert doc["message"] == "seed must be non-negative, got -1"
-        assert err == ""
-
-    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("source", ["flag"])  # the only source of a run setting
     @pytest.mark.parametrize(
         "argv",
         [
@@ -899,91 +910,74 @@ class TestConfig:
         ],
         ids=["verify", "invert"],
     )
-    def test_an_infinite_tol_exits_2_before_any_work(
-        self, capsys, tmp_path, monkeypatch, argv, source
-    ):
+    def test_an_infinite_tol_exits_2_before_any_work(self, capsys, monkeypatch, argv, source):
         def no_work(*args, **kwargs):
             raise AssertionError("ran with an infinite tol")
 
         monkeypatch.setattr(verify, "run_suite", no_work)
         monkeypatch.setattr(fiber, "inversion_report", no_work)
-        if source == "flag":
-            argv = [*argv, "--tol", "inf"]
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text('{"tol": 1e999}', encoding="utf-8")
-            monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
-        code, doc, err = run_json(capsys, *argv)
+        code, doc, err = run_json(capsys, *argv, "--tol", "inf")
         assert code == 2
         assert doc["error"] == "OutOfRange"
         assert doc["message"] == "tol must be positive and finite, got inf"
         assert err == ""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "--suite", "roundtrip", "--n", "5", "--samples", "2"],
-            ["invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1"],
-        ],
-        ids=["verify", "invert"],
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=st.sampled_from(["verify", "invert"]),
+        suite=st.sampled_from(["all", "roundtrip", "complex"]),
+        flags=st.dictionaries(st.sampled_from(["tol", "samples", "seed", "jobs"]), SETTING_VALUES),
     )
-    @pytest.mark.parametrize(
-        "key, value, kind",
-        [
-            ("samples", 2.9, "integer"),
-            ("samples", 3.0, "integer"),
-            ("seed", True, "integer"),
-            ("seed", "4", "integer"),
-            ("jobs", 1.5, "integer"),
-            ("jobs", None, "integer"),
-            ("tol", True, "number"),
-            ("tol", "1e-9", "number"),
-            ("tol", [1e-9], "number"),
-        ],
-    )
-    def test_a_config_value_of_the_wrong_json_type_exits_2(
-        self, capsys, tmp_path, monkeypatch, argv, key, value, kind
+    def test_settings_flags_end_in_a_document_and_only_valid_values_run(
+        self, command, suite, flags
     ):
-        """The file takes what the flags take: no bool, float or string
-        where an integer is due, and no bool or string for ``tol``."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
-        monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
-        code, doc, err = run_json(capsys, *argv)
-        assert code == 2
-        assert doc["error"] == "OutOfRange"
-        assert doc["message"] == f"config value for {key!r} must be a JSON {kind}, got {value!r}"
-        assert err == ""
+        """Any value of the settings flags exits 0, 1 or 2 with one JSON
+        document on stdout, and the engines run only when every given value
+        is in its domain, which they then receive."""
+        if command == "invert":
+            flags = {name: text for name, text in flags.items() if name == "tol"}
+        reached = []
 
-    @pytest.mark.parametrize("text", ['{"tol": 1}', '{"tol": 1e-9}', '{"tol": 1.0, "seed": 0}'])
-    def test_tol_takes_any_json_number(self, capsys, tmp_path, monkeypatch, text):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text, encoding="utf-8")
-        monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
-        code, doc, _ = run_json(
-            capsys, "invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1"
-        )
-        assert code == 0
-        assert doc["schema"] == "polymod-invert/1"
+        def run_sampled(suites, n, samples, seed, tol, jobs):
+            reached.append({"samples": samples, "seed": seed, "tol": tol, "jobs": jobs})
+            return {name: {"pass": True} for name in suites}
 
-    def test_an_integer_tol_beyond_the_float_range_exits_2(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"tol": 1' + "0" * 400 + "}", encoding="utf-8")
-        monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
-        code, doc, err = run_json(capsys, "verify", "--suite", "roundtrip", "--n", "5")
-        assert code == 2
-        assert doc["message"] == "tol must be positive and finite, got inf"
-        assert err == ""
+        def run_complex(n, samples, seed, tol):
+            reached.append({"samples": samples, "seed": seed, "tol": tol})
+            return {"pass": True}
 
-    def test_unknown_key_exits_2(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sample": 9}), encoding="utf-8")
-        monkeypatch.setenv("POLYMOD_CONFIG", str(cfg))
-        code, doc, _ = run_json(
-            capsys, "verify", "--suite", "roundtrip", "--n", "5"
-        )
-        assert code == 2
-        assert doc["error"] == "OutOfRange"
+        def invert_params(n, pairs, tol):
+            reached.append({"tol": tol})
+            rows = len(pairs)
+            return np.full((rows, n), math.pi / 3), np.full(rows, 0.5 + 1j), [0.0] * rows, [None] * rows
+
+        argv = {
+            "verify": ["verify", "--suite", suite, "--n", "5"],
+            "invert": ["invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1"],
+        }[command] + [f"--{name}={text}" for name, text in flags.items()]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_run_sampled", run_sampled)
+            patch.setattr(verify, "_run_complex", run_complex)
+            patch.setattr(fiber, "invert_params", invert_params)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        assert code in (0, 1, 2)
+        assert out.getvalue().count("\n") == 1
+        doc = json.loads(out.getvalue())
+        assert err.getvalue() == ""
+        valid = all(in_domain(name, text) for name, text in flags.items())
+        if not valid:
+            assert code == 2 and doc["schema"] == "polymod-error/1"
+            assert reached == []
+            return
+        assert code == 0 and reached
+        given = {name: (float if name == "tol" else int)(text) for name, text in flags.items()}
+        for call in reached:
+            for name, value in call.items():
+                assert in_domain(name, repr(value))
+                if name in given:
+                    assert value == given[name]
 
 
 # ===========================================================================

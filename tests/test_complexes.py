@@ -20,8 +20,9 @@ from polymod import (
     validate_weight,
 )
 from polymod import complexes
-from polymod._record import replace
 from polymod.combinatorics import face_config, vertex_config
+
+from records import replace
 
 TWO_PI = 2.0 * math.pi
 

@@ -74,6 +74,7 @@ class TestCheckSettings:
             ({"samples": 0}, "samples must be >= 1, got 0"),
             ({"jobs": 0}, "jobs must be >= 1, got 0"),
             ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"samples": 10**6 + 1}, "samples must be <= 1000000, got 1000001"),
         ],
     )
     def test_counts_and_seed(self, bad, message):
@@ -81,5 +82,6 @@ class TestCheckSettings:
             check_settings(1e-9, **bad)
 
     def test_good_settings_pass(self):
+        check_settings()  # every default is in the domain
         check_settings(1e-9, samples=1, seed=0, jobs=1)
         check_settings(1e300, samples=10**6, seed=2**40, jobs=64)

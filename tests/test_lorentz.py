@@ -37,11 +37,11 @@ from polymod import (
     validate_weight,
 )
 from polymod import WeightVector, build_models, forward_shapes, lorentz
-from polymod._record import replace
 from polymod.combinatorics import sample_weight_rng
 
 import lorentz_oracle as oracle
 from planar_oracle import complete_triangle, edge_frame, line_intersection
+from records import replace
 from shoelace import chain_vertices, polygon_area, tangential_lengths
 
 IDENT5 = (1, 2, 3, 4, 5)

@@ -3,7 +3,9 @@
 Each record is compared with a dataclass twin built here from its own
 annotations, defaults, ``__post_init__`` and ordering flag: init by
 position, keyword and defaults, the post-init checks, eq, hash, repr,
-ordering, ``replace`` and the frozen-assignment error.
+ordering and the frozen-assignment error.  The tests' ``replace`` helper
+(``records.py``), which plants faults in built records, is compared with
+``dataclasses.replace``.
 """
 
 import dataclasses
@@ -27,16 +29,16 @@ from polymod import (
     psi6,
     validate_weight,
 )
-from polymod._record import replace
-from polymod.cli import RunConfig
 from polymod.combinatorics import DegenerateConfig, Label
 from polymod.planar import complete_triangles, label_angles
+
+from records import replace
 
 THETA6 = validate_weight((0.9, 0.9, 0.9, 1.2, 1.2, 2.0 * math.pi - 5.1))
 
 
 def samples() -> dict:
-    """Two instances of each of the 14 record classes, as polymod builds them."""
+    """Two instances of each of the 13 record classes, as polymod builds them."""
     complex5 = build_complex(5)
     stack = build_models([equal_weight(6), THETA6], [(1, 2, 3, 4, 5, 6)] * 2)
     shapes5 = [psi5(validate_weight(t)) for t in ((1.1, 1.3, 0.9, 1.5, 2 * math.pi - 4.8),
@@ -44,7 +46,6 @@ def samples() -> dict:
     triangles = [complete_triangles(label_angles([t], [w])[1])
                  for t, w in ((equal_weight(5), (1, 2, 3, 4, 5)), (THETA6, (2, 1, 3, 4, 5, 6)))]
     return {
-        RunConfig: [RunConfig(), RunConfig(tol=1e-6, samples=10, seed=3, jobs=2)],
         type(THETA6): [equal_weight(5), THETA6],
         Label: list(complex5.cells[:2]),
         DegenerateConfig: [complex5.pairings[0].config, complex5.pairings[1].config],
@@ -69,7 +70,6 @@ ORDERED = {Label, DegenerateConfig}
 
 #: Field values each class's __post_init__ rejects, with the error's class.
 INVALID = {
-    RunConfig: ({"jobs": 0}, OutOfRange),
     UpperHalfPoint: ({"w": 1 + 0j}, OutOfRange),
     PentagonShape: ({"P": 0.5}, OutOfRange),
     HexahedronShape: ({"R": -1.0}, OutOfRange),
@@ -102,8 +102,8 @@ def values(obj) -> tuple:
     return tuple(getattr(obj, f) for f in type(obj).__match_args__)
 
 
-def test_all_fourteen_classes_are_records_of_their_annotated_fields():
-    assert len(SAMPLES) == 14
+def test_all_thirteen_classes_are_records_of_their_annotated_fields():
+    assert len(SAMPLES) == 13
     for cls, objs in SAMPLES.items():
         assert all(type(obj) is cls for obj in objs)
         assert not dataclasses.is_dataclass(cls)

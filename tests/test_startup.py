@@ -118,10 +118,15 @@ EQUAL6_OFF = "0.9,0.9,0.9,1.2,1.2,1.1831853071795865"
         ),
         (["forward", "--n", "6", "--theta", "5x2pi/5"], 2, "polymod-error/1", "OutOfRange"),
         (["complex", "--n", "5", "--report", "singular"], 2, "polymod-error/1", "OutOfRange"),
+        (["verify", "--suite", "all", "--n", "5", "--tol", "inf"], 2, "polymod-error/1", "OutOfRange"),
+        (
+            ["invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1", "--tol", "nan"],
+            2, "polymod-error/1", "OutOfRange",
+        ),
     ],
     ids=[
         "euler", "cusps", "pairings", "not-equal-weight", "pair-sum", "count-mismatch",
-        "singular-n5",
+        "singular-n5", "verify-tol", "invert-tol",
     ],
 )
 def test_commands_without_numeric_work_never_load_numpy(argv, code, schema, error):
