@@ -25,18 +25,15 @@ _LAYERS = {
         NotInTheta OutOfRange PairingFailure PairSumTooLarge PolymodError
         RejectionBudgetExceeded RouteDisagreement SignatureMismatch SlideCollision
         SumMismatch""",
-    "combinatorics": """DegenerateConfig Label WeightVector as_word canonical_label
-        enumerate_labels equal_weight face_config sample_weight triple_config
-        validate_weight vertex_config""",
+    "combinatorics": """DegenerateConfig Label WeightVector as_word enumerate_labels
+        equal_weight face_config triple_config validate_weight vertex_config""",
     "planar": "TriangleCompletion complete_triangle pentagon_feet",
     "lorentz": """LorentzModel ModelStack axis_intercepts build_model build_models
         dihedral_angle facet_zero_ray""",
     "moduli": """HexahedronShape PentagonShape PentagonSides classify_hexahedron
-        forward_shapes klein_distance pentagon_side_lengths psi5 psi6 triple_sums""",
-    "fiber": """UpperHalfPoint circle_intersection fiber_construction5
-        fiber_construction6 fiber_theta5 fiber_theta6 inversion_report
-        inversion_reports invert5 invert6 recover_w5 recover_w6
-        verify_injectivity w_from_theta""",
+        forward_shapes klein_distance pentagon_side_lengths psi5 psi6""",
+    "fiber": """UpperHalfPoint fiber_theta5 fiber_theta6 inversion_report
+        inversion_reports invert5 invert6 verify_injectivity""",
     "complexes": """FacePairing GluedComplex build_complex cusp_classes
         euler_characteristic singular_edges""",
     "verify": "ORTHOGONAL_PAIRS run_suite",

@@ -216,13 +216,6 @@ def equal_weight(n: int) -> WeightVector:
     return WeightVector(n=n, theta=(2.0 * math.pi / n,) * n)
 
 
-def sample_weight(n: int, seed: int) -> WeightVector:
-    """Deterministic pseudo-random weight vector for (n, seed)."""
-    import numpy as np
-
-    return sample_weight_rng(n, np.random.default_rng(seed))
-
-
 def sample_weight_rng(n: int, rng: np.random.Generator) -> WeightVector:
     """Rejection-sample a weight vector using an explicit generator: the
     one-generator case of :func:`sample_weights`."""
@@ -294,15 +287,6 @@ def as_word(label: Label | Sequence[int]) -> tuple[int, ...]:
 def _rotate_to_front(word: tuple[int, ...], mark: int = 1) -> tuple[int, ...]:
     i = word.index(mark)
     return word[i:] + word[:i]
-
-
-def canonical_label(word: Label | Sequence[int]) -> Label:
-    """Canonical representative: rotate 1 to the front, then take the
-    lexicographic minimum of the word and its similarly rotated reversal."""
-    w = as_word(word)
-    fwd = _rotate_to_front(w)
-    rev = _rotate_to_front(tuple(reversed(w)))
-    return Label(word=min(fwd, rev))
 
 
 def enumerate_labels(n: int) -> list[Label]:

@@ -59,7 +59,7 @@ from .moduli import (
     forward_params,
     relative_residual,
 )
-from .planar import complete_triangle, libm
+from .planar import libm
 
 #: Minimum imaginary part for a point of the open upper half-plane.
 TOL_IM = 1e-12
@@ -154,31 +154,14 @@ def _turning_angles(re: np.ndarray, im: np.ndarray, word: Sequence[int], errors:
     return theta
 
 
-def _construction(n: int, shape, w: UpperHalfPoint | complex) -> tuple:
-    """One row of :func:`_fiber_dirs`, or its failure raised."""
+def _fiber_theta(n: int, shape, w: UpperHalfPoint | complex, label: Sequence[int]) -> WeightVector:
     wc, errors = w.w if isinstance(w, UpperHalfPoint) else UpperHalfPoint(complex(w)).w, [None]
     sq = libm(_square, np.array([shape.params], dtype=float))
-    dirs = _fiber_dirs(n, sq, np.array([wc.real]), np.array([wc.imag]), errors)
+    re, im = _fiber_dirs(n, sq, np.array([wc.real]), np.array([wc.imag]), errors)
     unwrap(errors[0])
-    return dirs
-
-
-def fiber_construction5(shape: PentagonShape, w: UpperHalfPoint | complex) -> tuple[complex, ...]:
-    """Edge directions of the pentagon fiber construction, in label order."""
-    return tuple(map(complex, *(part[0].tolist() for part in _construction(5, shape, w))))
-
-
-def fiber_construction6(shape: HexahedronShape, w: UpperHalfPoint | complex) -> tuple[complex, ...]:
-    """Edge directions of the hexahedron fiber construction, in label order."""
-    return tuple(map(complex, *(part[0].tolist() for part in _construction(6, shape, w))))
-
-
-def _fiber_theta(n: int, shape, w: UpperHalfPoint | complex, label: Sequence[int]) -> WeightVector:
-    re, im = _construction(n, shape, w)
     word = as_word(label)
     if len(word) != n:
         raise OutOfRange(f"label has {len(word)} marks but the construction has {n}")
-    errors = [None]
     theta = _turning_angles(re, im, word, errors)
     unwrap(errors[0])
     return WeightVector(n=n, theta=tuple(theta[0].tolist()))
@@ -200,12 +183,6 @@ def fiber_theta6(
 ) -> WeightVector:
     """Weight vector whose hexahedron for ``label`` has the given shape."""
     return _fiber_theta(6, shape, w, label)
-
-
-def w_from_theta(theta: WeightVector, label: Sequence[int]) -> UpperHalfPoint:
-    """The fiber point of a weight vector: the completion-triangle apex."""
-    tri = complete_triangle(theta, label)
-    return UpperHalfPoint(w=tri.c)
 
 
 @np.errstate(all="ignore")  # failed rows may overflow; their values go unread
@@ -230,37 +207,14 @@ def _circles(r0: np.ndarray, r1: np.ndarray, errors: list) -> tuple[np.ndarray, 
     return x, y
 
 
-def circle_intersection(r0: float, r1: float) -> UpperHalfPoint:
-    """Upper intersection of circles |w| = r0 and |w - 1| = r1."""
-    errors = [None]
-    x, y = _circles(np.array([r0], dtype=float), np.array([r1], dtype=float), errors)
-    unwrap(errors[0])
-    return UpperHalfPoint(w=complex(x[0], y[0]))
-
-
 @np.errstate(divide="ignore")
 def _radii(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The circle radii (r0, r1) of each row of designated shape pairs."""
+    """The circle radii (r0, r1) of each row of designated shape pairs; r1 is
+    infinite where a hexahedron's Q1*Q2 underflows to 0, so the circles miss."""
     if n == 5:
         return pairs[:, 1] * pairs[:, 3], pairs[:, 0] * pairs[:, 2]
     q = pairs[:, 1] * pairs[:, 4]
     return pairs[:, 0] * pairs[:, 3], np.where(q != 0.0, 1.0 / q, math.inf)
-
-
-def recover_w5(s1: PentagonShape, s2: PentagonShape) -> UpperHalfPoint:
-    """Recover w from the pentagon shapes of the label pair <12345>, <21435>.
-
-    The swapped label exchanges the cevian roles, so the two shape pairs
-    constrain ``|w| = Q1*Q2`` and ``|w - 1| = P1*P2``.
-    """
-    return circle_intersection(*(r.item() for r in _radii(5, np.array([s1.params + s2.params]))))
-
-
-def recover_w6(s1: HexahedronShape, s2: HexahedronShape) -> UpperHalfPoint:
-    """Recover w from hexahedron shapes of the label pair <123456>, <214356>:
-    ``|w| = P1*P2`` and ``|w - 1| = 1/(Q1*Q2)``, an infinite radius where
-    the product underflows to 0 (the circles then do not meet)."""
-    return circle_intersection(*(r.item() for r in _radii(6, np.array([s1.params + s2.params]))))
 
 
 def invert5(s1: PentagonShape, s2: PentagonShape, tol: float = INVERT_TOL) -> WeightVector:

@@ -208,6 +208,7 @@ def parse_shape(spec: str, n: int) -> tuple[float, ...]:
         raise OutOfRange(f"cannot parse shape {spec!r}") from exc
 
 
+# No caller in src/: kept only while perfbench/tracer.py's TRACED names it.
 def csv_row(values: Sequence) -> str:
     """One CSV row: comma separation, floats at 17 significant digits."""
     floats = (float, _numpy_types()[1])

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from ._record import record
-from .combinatorics import TOL_IDEAL, WeightVector, as_word
+from .combinatorics import TOL_IDEAL, WeightVector
 from .errors import (
     NegativeRatio,
     OutOfRange,
@@ -123,19 +123,6 @@ class HexahedronShape:
     @property
     def ideal_flags(self) -> tuple[bool, bool, bool]:
         return tuple(s == 0 for s in self.signs)
-
-
-def triple_sums(theta: WeightVector, label: Sequence[int]) -> tuple[float, float, float]:
-    """Consecutive-triple angle sums controlling (P, Q, R), in that order."""
-    word = as_word(label)
-    if len(word) != 6 or theta.n != 6:
-        raise OutOfRange("triple sums are defined for n=6")
-    t = [theta[m - 1] for m in word]
-    return (
-        t[4] + t[5] + t[0],
-        t[0] + t[1] + t[2],
-        t[2] + t[3] + t[4],
-    )
 
 
 def scaled_residual(a: float, b: float) -> float:
@@ -352,9 +339,6 @@ class PentagonSides:
 
     lengths: tuple[float, float, float, float, float]
     facet_order: tuple[int, int, int, int, int] = (1, 3, 5, 2, 4)
-
-    def by_facet(self, k: int) -> float:
-        return self.lengths[self.facet_order.index(k)]
 
 
 def pentagon_side_lengths(shape: PentagonShape) -> PentagonSides:

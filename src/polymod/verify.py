@@ -137,24 +137,27 @@ def _separation_scan(
     """Minimum pairwise Chebyshev distance of the scanned shape pairs.
 
     The columns hold the trial index, theta and shape parameters of each
-    designated pair that mapped.  A zero distance between trials whose
-    weight vectors differ is a collision, a counterexample to injectivity
-    at sample scale.
+    designated pair that mapped.  A collision, a counterexample to
+    injectivity at sample scale, is the first pair (i, j) in trial order at
+    distance 0 whose weight vectors differ by more than 1e-6; only a row
+    whose own minimum is 0 is searched for one.  The inverse is a function
+    of the shape row, so both trials of a collision recover one theta, and
+    one of them has a roundtrip error above 5e-7: at any ``tol`` below
+    that, such as the default 1e-9, that trial already fails the report.
     """
-    min_sep = math.inf
-    collision = None
+    min_sep, collision = math.inf, None
     for i in range(len(shapes)):
         sep = np.abs(shapes[i + 1 :] - shapes[i]).max(axis=1)
         if sep.size:
-            j = int(np.argmin(sep))
-            if float(sep[j]) < min_sep:
-                min_sep = float(sep[j])
-                theta_sep = float(np.abs(thetas[i + 1 + j] - thetas[i]).max())
-                if min_sep == 0.0 and theta_sep > 1e-6:
-                    collision = {
-                        "trials": [int(trials[i]), int(trials[i + 1 + j])],
-                        "theta_separation": theta_sep,
-                    }
+            low = float(sep.min())
+            min_sep = min(min_sep, low)
+            if low == 0.0 and collision is None:
+                zero = np.flatnonzero(sep == 0.0) + i + 1
+                theta_sep = np.abs(thetas[zero] - thetas[i]).max(axis=1)
+                far = np.flatnonzero(theta_sep > 1e-6)
+                if far.size:
+                    trial_pair = [int(trials[i]), int(trials[zero[far[0]]])]
+                    collision = {"trials": trial_pair, "theta_separation": float(theta_sep[far[0]])}
     return (min_sep if math.isfinite(min_sep) else None), collision
 
 

@@ -16,6 +16,7 @@ from polymod import (
     InconsistentPair,
     build_complex,
     cli,
+    complete_triangle,
     cusp_classes,
     dumps_canonical,
     equal_weight,
@@ -24,15 +25,14 @@ from polymod import (
     fiber_theta6,
     psi5,
     psi6,
-    sample_weight,
     validate_weight,
-    w_from_theta,
 )
 from polymod.combinatorics import sample_weight_rng
 from polymod.errors import NotInTheta, SlideCollision
 from polymod.fiber import IDENTITY5, IDENTITY6, SWAPPED6, invert6
-from polymod.moduli import triple_sums
 from polymod.verify import run_suite
+
+from weights import sample_weight, triple_sums
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 PI = math.pi
@@ -185,7 +185,7 @@ def test_criterion_8_fiber_projection():
             rng = np.random.default_rng([77, trial])
             theta = sample_weight_rng(n, rng)
             shape = psi(theta)
-            w0 = w_from_theta(theta, ident).w
+            w0 = complete_triangle(theta, ident).c
             direction = cmath.exp(1j * rng.uniform(0.0, 2.0 * PI))
             moved = None
             for delta in (1e-4, 1e-6, 1e-8):

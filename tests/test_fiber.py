@@ -17,7 +17,8 @@ from polymod import (
     PolymodError,
     SignatureMismatch,
     UpperHalfPoint,
-    circle_intersection,
+    WeightVector,
+    complete_triangle,
     dumps_canonical,
     equal_weight,
     fiber_theta5,
@@ -28,12 +29,8 @@ from polymod import (
     invert6,
     psi5,
     psi6,
-    recover_w5,
-    recover_w6,
-    sample_weight,
     validate_weight,
     verify_injectivity,
-    w_from_theta,
 )
 from polymod.combinatorics import sample_weight_rng, sample_weights
 from polymod.fiber import DESIGNATED, SWAPPED5, SWAPPED6, designated_pairs, invert_params
@@ -41,6 +38,7 @@ from polymod.fiber import DESIGNATED, SWAPPED5, SWAPPED6, designated_pairs, inve
 import fiber_oracle
 import lorentz_oracle
 from planar_oracle import planar_shape
+from weights import sample_weight
 
 IDENT5 = (1, 2, 3, 4, 5)
 IDENT6 = (1, 2, 3, 4, 5, 6)
@@ -63,13 +61,13 @@ def max_theta_error(t1, t2):
 class TestWFromTheta:
     def test_equal_weight_pentagon(self):
         """Isoceles completion triangle: apex at 1/2 + i tan(pi/5)/2."""
-        w = w_from_theta(equal_weight(5), IDENT5).w
+        w = complete_triangle(equal_weight(5), IDENT5).c
         assert w.real == pytest.approx(0.5, abs=1e-12)
         assert w.imag == pytest.approx(math.tan(math.pi / 5.0) / 2.0, abs=1e-12)
 
     def test_equal_weight_hexahedron(self):
         """Equilateral completion triangle: apex at 1/2 + i sqrt(3)/2."""
-        w = w_from_theta(equal_weight(6), IDENT6).w
+        w = complete_triangle(equal_weight(6), IDENT6).c
         assert w.real == pytest.approx(0.5, abs=1e-12)
         assert w.imag == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
 
@@ -79,8 +77,8 @@ class TestWFromTheta:
         for n, swapped in ((5, SWAPPED5), (6, SWAPPED6)):
             for _ in range(10):
                 theta = sample_weight_rng(n, rng)
-                w1 = w_from_theta(theta, tuple(range(1, n + 1))).w
-                w2 = w_from_theta(theta, swapped).w
+                w1 = complete_triangle(theta, tuple(range(1, n + 1))).c
+                w2 = complete_triangle(theta, swapped).c
                 assert abs(w1 - w2) < 1e-12
 
 
@@ -106,7 +104,7 @@ class TestFiberTheta:
         for _ in range(20):
             theta = sample_weight_rng(5, rng)
             shape = psi5(theta)
-            back = fiber_theta5(shape, w_from_theta(theta, IDENT5))
+            back = fiber_theta5(shape, complete_triangle(theta, IDENT5).c)
             assert max_theta_error(theta, back) < 1e-11
 
     def test_hexahedron_roundtrip_through_w(self):
@@ -114,14 +112,14 @@ class TestFiberTheta:
         for _ in range(20):
             theta = sample_weight_rng(6, rng)
             shape = psi6(theta)
-            back = fiber_theta6(shape, w_from_theta(theta, IDENT6))
+            back = fiber_theta6(shape, complete_triangle(theta, IDENT6).c)
             assert max_theta_error(theta, back) < 1e-11
 
     def test_moving_w_preserves_shape(self):
         """Any nearby fiber point reproduces the same shape parameters."""
         theta = equal_weight(5)
         shape = psi5(theta)
-        w0 = w_from_theta(theta, IDENT5).w
+        w0 = complete_triangle(theta, IDENT5).c
         for delta in (0.02, -0.03 + 0.04j, 0.05j):
             theta2 = fiber_theta5(shape, w0 + delta)
             shape2 = psi5(theta2)
@@ -133,7 +131,7 @@ class TestFiberTheta:
         for seed in (3, 44, 91):
             theta = sample_weight(5, seed)
             shape = psi5(theta)
-            w0 = w_from_theta(theta, IDENT5).w
+            w0 = complete_triangle(theta, IDENT5).c
             theta2 = fiber_theta5(shape, w0 + complex(-7e-4, 5e-4))
             shape2 = psi5(theta2)
             assert shape2.P == pytest.approx(shape.P, abs=1e-11)
@@ -142,7 +140,7 @@ class TestFiberTheta:
     def test_distinct_w_give_distinct_theta(self):
         theta = sample_weight(6, 45)
         shape = psi6(theta)
-        w0 = w_from_theta(theta, IDENT6).w
+        w0 = complete_triangle(theta, IDENT6).c
         t1 = fiber_theta6(shape, w0)
         t2 = fiber_theta6(shape, w0 + 0.05j)
         assert max_theta_error(t1, t2) > 1e-6
@@ -169,25 +167,30 @@ class TestFiberTheta:
 # circle recovery
 # ===========================================================================
 
+def fiber_point(r0, r1):
+    """The fiber point ``invert_params`` solves for a pentagon pair with circle
+    radii ``|w| = Q1*Q2 = r0`` and ``|w - 1| = P1*P2 = r1``, and its failure."""
+    _, w, _, errors = invert_params(5, np.array([[r1, r0, 1.0, 1.0]]))
+    return w[0], errors[0]
+
+
 class TestCircleIntersection:
     def test_frozen_example(self):
         """r0 = 0.8, r1 = 0.9: x = (1 + r0^2 - r1^2)/2, y from circle 0."""
-        w = circle_intersection(0.8, 0.9).w
+        w, _ = fiber_point(0.8, 0.9)
         assert w.real == pytest.approx(0.415, abs=1e-15)
         assert w.imag == pytest.approx(math.sqrt(0.8**2 - 0.415**2), abs=1e-14)
 
     def test_point_is_on_both_circles(self):
-        w = circle_intersection(0.7, 0.95).w
+        w, _ = fiber_point(0.7, 0.95)
         assert abs(w) == pytest.approx(0.7, abs=1e-12)
         assert abs(w - 1.0) == pytest.approx(0.95, abs=1e-12)
 
     def test_too_small_raises(self):
-        with pytest.raises(NoIntersection):
-            circle_intersection(0.3, 0.3)
+        assert type(fiber_point(0.3, 0.3)[1]) is NoIntersection
 
     def test_containment_raises(self):
-        with pytest.raises(NoIntersection):
-            circle_intersection(3.0, 0.5)
+        assert type(fiber_point(3.0, 0.5)[1]) is NoIntersection
 
 
 class TestRecoverW:
@@ -197,10 +200,10 @@ class TestRecoverW:
         for _ in range(15):
             theta = sample_weight_rng(5, rng)
             s1, s2 = forward_pair(5, theta)
-            w = w_from_theta(theta, IDENT5).w
+            w = complete_triangle(theta, IDENT5).c
             assert abs(w) == pytest.approx(s1.Q * s2.Q, rel=1e-9)
             assert abs(w - 1.0) == pytest.approx(s1.P * s2.P, rel=1e-9)
-            recovered = recover_w5(s1, s2).w
+            recovered = inversion_report(5, s1, s2)["w"].w
             assert abs(recovered - w) < 1e-9
 
     def test_hexahedron_circle_radii_convention(self):
@@ -209,10 +212,10 @@ class TestRecoverW:
         for _ in range(15):
             theta = sample_weight_rng(6, rng)
             s1, s2 = forward_pair(6, theta)
-            w = w_from_theta(theta, IDENT6).w
+            w = complete_triangle(theta, IDENT6).c
             assert abs(w) == pytest.approx(s1.P * s2.P, rel=1e-9)
             assert abs(w - 1.0) == pytest.approx(1.0 / (s1.Q * s2.Q), rel=1e-9)
-            recovered = recover_w6(s1, s2).w
+            recovered = inversion_report(6, s1, s2)["w"].w
             assert abs(recovered - w) < 1e-9
 
     def test_no_intersection_example(self):
@@ -220,7 +223,7 @@ class TestRecoverW:
         s1 = PentagonShape(6.0 / 19.0, 0.95)
         s2 = PentagonShape(0.95, 6.0 / 19.0)
         with pytest.raises(NoIntersection):
-            recover_w5(s1, s2)
+            inversion_report(5, s1, s2)
 
 
 # ===========================================================================
@@ -249,7 +252,7 @@ class TestInversion:
         s1, s2 = forward_pair(6, theta)
         report = inversion_report(6, s1, s2)
         assert report["residual"] < 1e-9
-        assert abs(report["w"].w - w_from_theta(theta, IDENT6).w) < 1e-9
+        assert abs(report["w"].w - complete_triangle(theta, IDENT6).c) < 1e-9
 
     def test_corrupted_r_is_inconsistent(self):
         """R never enters the circles, so corruption must fail verification."""
@@ -337,11 +340,10 @@ PLANTED = {
 
 
 def recovered_theta(n, pair):
-    """The weight vector the circles and the fiber construction give a pair."""
-    s1, s2 = pair
-    if n == 5:
-        return fiber_theta5(s1, recover_w5(s1, s2), IDENT5)
-    return fiber_theta6(s1, recover_w6(s1, s2), IDENT6)
+    """The weight vector the circles and the fiber construction give a pair,
+    before the forward check."""
+    theta = invert_params(n, np.array([pair[0].params + pair[1].params]))[0]
+    return WeightVector(n=n, theta=tuple(theta[0].tolist()))
 
 
 class TestBatchedInversion:

@@ -33,13 +33,13 @@ from polymod import (
     equal_weight,
     facet_zero_ray,
     klein_distance,
-    sample_weight,
     validate_weight,
 )
 from polymod import WeightVector, build_models, forward_shapes, lorentz
 from polymod.combinatorics import sample_weight_rng
 
 import lorentz_oracle as oracle
+from weights import sample_weight
 from planar_oracle import complete_triangle, edge_frame, line_intersection
 from records import replace
 from shoelace import chain_vertices, polygon_area, tangential_lengths

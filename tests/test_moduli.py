@@ -19,14 +19,14 @@ from polymod import (
     pentagon_side_lengths,
     psi5,
     psi6,
-    sample_weight,
-    triple_sums,
     validate_weight,
 )
 from polymod import forward_shapes, lorentz, moduli, planar
 from polymod.combinatorics import sample_weight_rng
 from polymod.errors import unwrap
 from polymod.moduli import planar_params
+
+from weights import sample_weight, triple_sums
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -288,8 +288,9 @@ class TestPentagonSides:
     def test_axis_sides(self):
         shape = PentagonShape(0.9, 0.7)
         sides = pentagon_side_lengths(shape)
-        assert sides.by_facet(1) == pytest.approx(math.atanh(0.9), abs=1e-12)
-        assert sides.by_facet(3) == pytest.approx(math.atanh(0.7), abs=1e-12)
+        assert sides.facet_order[:2] == (1, 3)
+        assert sides.lengths[0] == pytest.approx(math.atanh(0.9), abs=1e-12)
+        assert sides.lengths[1] == pytest.approx(math.atanh(0.7), abs=1e-12)
 
     @given(shape_strategy())
     @settings(max_examples=60, deadline=None)

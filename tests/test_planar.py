@@ -25,12 +25,12 @@ from polymod import (
     complete_triangle,
     equal_weight,
     pentagon_feet,
-    sample_weight,
 )
 from polymod.moduli import planar_params
 from polymod import planar
 
 import planar_oracle as oracle
+from weights import sample_weight
 from lorentz_oracle import boundary_weights
 from planar_oracle import edge_frame, line_intersection
 from shoelace import chain_vertices, polygon_area, tangential_lengths

@@ -28,14 +28,19 @@ VERIFY_HASHES = {
 }
 
 
-@pytest.mark.parametrize("n, seed", list(VERIFY_HASHES))
-def test_the_recorded_verify_reports_keep_their_bytes(capsys, n, seed):
+@pytest.mark.parametrize(
+    "n, seed, jobs",
+    [pytest.param(n, seed, jobs, id=f"{n}-{seed}" + ("" if jobs == 1 else f"-jobs{jobs}"))
+     for jobs in (1, 2) for n, seed in VERIFY_HASHES],
+)
+def test_the_recorded_verify_reports_keep_their_bytes(capsys, n, seed, jobs):
     """The eight recorded ``verify --suite all`` commands, run in process
-    (``--jobs 1``; the pool path is compared in CI), print the bytes they
-    printed when recorded."""
+    serially and through the pool, print the bytes they printed when
+    recorded.  Their 150 and 190 samples make three chunks each, the last
+    one partial."""
     samples = {5: 150, 6: 190}[n]
     argv = ["verify", "--suite", "all", "--n", str(n), "--samples", str(samples), "--seed", str(seed)]
-    code = cli.main(argv)
+    code = cli.main([*argv, "--jobs", str(jobs)])
     out, err = capsys.readouterr()
     assert hashlib.sha256(f"{out}{err}exit={code}\n".encode()).hexdigest()[:12] == VERIFY_HASHES[n, seed]
 
@@ -123,6 +128,37 @@ def test_verify_injectivity_is_the_roundtrip_suite(n):
     for key in ("schema", "version", "suite"):
         del suite[key]
     assert verify_injectivity(n, 30, 11) == suite
+
+
+@pytest.mark.parametrize(
+    "rows, min_sep, collision",
+    [
+        pytest.param("ABA", 0.0, (0, 2), id="duplicate-with-distinct-theta"),
+        pytest.param("AAB", 0.0, None, id="duplicate-with-equal-theta"),
+        pytest.param("AAA", 0.0, (0, 2), id="hidden-behind-an-equal-theta-duplicate"),
+        pytest.param("AABB", 0.0, (2, 3), id="hidden-in-a-later-row"),
+        pytest.param("", None, None, id="no-rows"),
+        pytest.param("A", None, None, id="one-row"),
+    ],
+)
+def test_the_scan_reports_the_first_collision_in_trial_order(rows, min_sep, collision):
+    """Planted duplicate shape rows: the first pair (i, j) in trial order at
+    separation 0 whose thetas differ is the collision, even where an earlier
+    zero pair shares its theta.  Equal letters are equal shapes; the first
+    two rows share a theta and every later row has its own."""
+    shape = {"A": [0.3, 0.6, 0.4, 0.7], "B": [0.5, 0.2, 0.8, 0.1]}
+    trials = np.array([3, 7, 12, 20][: len(rows)])
+    thetas = np.array([[1.0, 1.2, 1.3, 1.4, 1.0], [1.0, 1.2, 1.3, 1.4, 1.0],
+                       [1.1, 1.2, 1.3, 1.3, 1.0], [0.9, 1.2, 1.3, 1.5, 1.0]])[: len(rows)]
+    shapes = np.array([shape[r] for r in rows]).reshape(len(rows), 4)
+    sep, found = verify._separation_scan(trials, thetas, shapes)
+    assert sep == min_sep
+    if collision is None:
+        assert found is None
+    else:
+        i, j = collision
+        theta_sep = float(np.abs(thetas[j] - thetas[i]).max())
+        assert found == {"trials": [int(trials[i]), int(trials[j])], "theta_separation": theta_sep}
 
 
 def test_failed_inversions_still_enter_the_scan(monkeypatch):
