@@ -129,7 +129,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
 
 
 def cmd_complex(args: argparse.Namespace) -> int:
-    theta = _parse_weight(args.theta, args.n) if args.theta else None
+    theta = _parse_weight(args.theta, args.n) if args.theta is not None else None
     from .complexes import (
         build_complex,
         cusp_classes,

@@ -125,16 +125,17 @@ class HexahedronShape:
         return tuple(s == 0 for s in self.signs)
 
 
-def scaled_residual(a: float, b: float) -> float:
-    """``|a - b| / max(1, |a|, |b|)^2``, the residual of two shape parameters.
+def scaled_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|a - b| / max(1, |a|, |b|)^2`` per entry, the residual of two
+    routes to one shape parameter.
 
     A parameter of magnitude M is a ratio over a feet gap of order 1/M, so
     honest rounding grows like M^2; an unscaled gate would trip on noise
     near the boundary, where an absolute 1e-9 exceeds double precision.
-    It is 0 where the square overflows (the route check's columns divide by
-    the same inf).
+    It is 0 where the square overflows.
     """
-    return abs(a - b) / _square(max(1.0, abs(a), abs(b)))
+    scale = np.fmax(np.fmax(np.abs(a), np.abs(b)), 1.0)
+    return np.abs(a - b) / libm(_square, scale)
 
 
 def relative_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,37 +193,28 @@ def planar_params(triangles: Triangles) -> tuple[np.ndarray, list]:
     return params, errors
 
 
-def _disagreement(
-    n: int, shape: Sequence[float], lorentz: Sequence[float]
-) -> RouteDisagreement | None:
-    """The first parameter whose two routes differ beyond ROUTE_TOL under
-    :func:`scaled_residual`, or None."""
-    for name, a, b in zip("PQR", shape, lorentz):
-        if scaled_residual(a, b) > ROUTE_TOL:
-            return RouteDisagreement(
-                f"psi{n}: planar {name} = {a:.17g} vs Lorentzian {name} = "
-                f"{b:.17g} disagree beyond {ROUTE_TOL:g} of squared magnitude"
-            )
-    return None
-
-
 @np.errstate(all="ignore")
 def _cross_check(n: int, stack: ModelStack, params: np.ndarray, errors: list) -> list:
     """``errors`` after the route check: each row that passed the planar
     route gets its Lorentz model's or axis intercepts' failure, then
-    RouteDisagreement where a parameter differs from its intercept under
-    :func:`scaled_residual`, computed on the columns."""
+    RouteDisagreement where a parameter differs from its intercept beyond
+    ROUTE_TOL under :func:`scaled_residual`, worded from the row's first
+    such parameter."""
     errors = [
         e if e is not None else (m or x)
         for e, m, x in zip(errors, stack.model_errors, stack.intercept_errors)
     ]
     lorentz = stack.intercepts
-    scale = np.fmax(np.fmax(np.abs(params), np.abs(lorentz)), 1.0)
-    residual = np.abs(params - lorentz) / libm(_square, scale)
+    apart = scaled_residual(params, lorentz) > ROUTE_TOL
+    name = apart.argmax(axis=1)
     first_failures(
         errors,
-        (residual > ROUTE_TOL).any(axis=1),
-        lambda i: _disagreement(n, params[i].tolist(), lorentz[i].tolist()),
+        apart.any(axis=1),
+        lambda i: RouteDisagreement(
+            f"psi{n}: planar {'PQR'[name[i]]} = {float(params[i, name[i]]):.17g} vs Lorentzian "
+            f"{'PQR'[name[i]]} = {float(lorentz[i, name[i]]):.17g} disagree beyond "
+            f"{ROUTE_TOL:g} of squared magnitude"
+        ),
     )
     return errors
 
@@ -317,14 +309,23 @@ def classify_hexahedron(shape: HexahedronShape) -> dict:
 
 
 def klein_distance(p: Sequence[float], q: Sequence[float]) -> float:
-    """Hyperbolic distance between two points of the open Klein ball."""
-    dot = sum(a * b for a, b in zip(p, q))
+    """Hyperbolic distance between two points of the open Klein ball.
+
+    Taken as arcsinh, not as arccosh of (1 - p.q) / sqrt((1-|p|^2)(1-|q|^2)):
+    with e = q - p, sinh^2 d times (1-|p|^2)(1-|q|^2) is
+    |e|^2 (1-|p|^2) + (p.e)^2, a sum of two non-negative terms, so short
+    distances keep their relative precision where arccosh near 1 loses half
+    the digits.
+    """
     np2 = sum(a * a for a in p)
     nq2 = sum(b * b for b in q)
     if np2 >= 1.0 or nq2 >= 1.0:
         raise OutOfRange("Klein points must lie inside the unit ball")
-    arg = (1.0 - dot) / math.sqrt((1.0 - np2) * (1.0 - nq2))
-    return math.acosh(max(arg, 1.0))
+    e = [b - a for a, b in zip(p, q)]
+    e2 = sum(c * c for c in e)
+    pe = sum(a * c for a, c in zip(p, e))
+    num = e2 * (1.0 - np2) + pe * pe
+    return math.asinh(math.sqrt(num / ((1.0 - np2) * (1.0 - nq2))))
 
 
 @record

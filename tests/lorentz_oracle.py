@@ -24,9 +24,10 @@ from polymod.errors import (
     OutOfRange,
     RouteDisagreement,
     SignatureMismatch,
+    unwrap,
 )
 from polymod.lorentz import LorentzModel
-from polymod.moduli import ROUTE_TOL, scaled_residual
+from polymod.moduli import ROUTE_TOL
 
 from planar_oracle import _hexahedron_shape, _pentagon_shape, complete_triangle
 
@@ -189,16 +190,26 @@ def dihedral_angle(model, j, k):
     return math.acos(cval)
 
 
-def psi(n, theta, label):
-    """``psi5``/``psi6``: the planar shape once the Lorentzian route agrees."""
-    shape = (_pentagon_shape if n == 5 else _hexahedron_shape)(theta, label)
-    lorentz_vals = axis_intercepts(build_model(theta, label))
-    for name, a, b in zip("PQR", shape.params, lorentz_vals):
-        if scaled_residual(a, b) > ROUTE_TOL:
-            raise RouteDisagreement(
+def route_disagreement(n, shape, lorentz):
+    """RouteDisagreement for the first parameter whose two routes differ by
+    more than ROUTE_TOL in ``|a - b| / max(1, |a|, |b|)^2``, or None."""
+    for name, a, b in zip("PQR", shape, lorentz):
+        try:
+            residual = abs(a - b) / max(1.0, abs(a), abs(b)) ** 2
+        except OverflowError:  # the square is inf
+            residual = abs(a - b) / math.inf
+        if residual > ROUTE_TOL:
+            return RouteDisagreement(
                 f"psi{n}: planar {name} = {a:.17g} vs Lorentzian {name} = "
                 f"{b:.17g} disagree beyond {ROUTE_TOL:g} of squared magnitude"
             )
+    return None
+
+
+def psi(n, theta, label):
+    """``psi5``/``psi6``: the planar shape once the Lorentzian route agrees."""
+    shape = (_pentagon_shape if n == 5 else _hexahedron_shape)(theta, label)
+    unwrap(route_disagreement(n, shape.params, axis_intercepts(build_model(theta, label))))
     return shape
 
 

@@ -5,7 +5,6 @@ Each test prints a single PASS line on success (visible with ``-s``); under
 """
 
 import cmath
-import json
 import math
 from itertools import combinations
 

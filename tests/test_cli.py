@@ -5,12 +5,8 @@ import hashlib
 import io
 import json
 import math
-import os
 import re
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +18,7 @@ from polymod.combinatorics import sample_weight_rng
 from polymod.errors import PolymodError, RouteDisagreement
 from polymod.jsonio import parse_rows, parse_theta
 
+from fresh import fresh
 from lorentz_oracle import boundary_weights
 from test_verify import VERIFY_HASHES
 
@@ -125,28 +122,18 @@ class TestForward:
     @pytest.mark.parametrize("token", ["10**400", "7//2", "1e400"])
     def test_power_and_overflow_tokens_exit_2(self, token):
         """Run as a fresh process so an escaping traceback would show on stderr."""
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "polymod.cli", "forward", "--n", "5",
-             "--theta", f"{token},1,1,1,1", "--label", "12345"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        argv = ["forward", "--n", "5", "--theta", f"{token},1,1,1,1", "--label", "12345"]
+        proc = fresh("-m", "polymod.cli", *argv)
         assert proc.returncode == 2
         doc = json.loads(proc.stdout)
         assert doc["schema"] == "polymod-error/1"
         assert doc["error"] == "OutOfRange"
         assert proc.stderr == ""
 
-
     @pytest.mark.parametrize("count", ["1" * 5000, "9", "0009"], ids=["5000-digits", "9", "0009"])
     def test_large_repetition_count_exits_2(self, count):
         """Counts above the bound are rejected before conversion or expansion."""
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "polymod.cli", "forward", "--n", "5",
-             "--theta", f"{count}x1"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = fresh("-m", "polymod.cli", "forward", "--n", "5", "--theta", f"{count}x1")
         assert proc.returncode == 2
         doc = json.loads(proc.stdout)
         assert doc["error"] == "OutOfRange"
@@ -157,12 +144,8 @@ class TestForward:
         """``2(3)`` compiles with a SyntaxWarning: neither ``forward`` nor
         ``sweep`` (which parses row 1 twice, once for header detection) may
         print it.  Fresh processes, since a warning prints once per process."""
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         theta = "2(3),1,1,1,1"
-        forward = subprocess.run(
-            [sys.executable, "-m", "polymod.cli", "forward", "--n", "5", "--theta", theta],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        forward = fresh("-m", "polymod.cli", "forward", "--n", "5", "--theta", theta)
         assert forward.returncode == 2
         doc = json.loads(forward.stdout)
         assert doc["error"] == "OutOfRange"
@@ -171,11 +154,7 @@ class TestForward:
 
         src = tmp_path / "rows.csv"
         src.write_text(f"{theta}\n{EQUAL5}\n", encoding="utf-8")
-        sweep = subprocess.run(
-            [sys.executable, "-m", "polymod.cli", "sweep", "--n", "5",
-             "--input", str(src), "--out", "-"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        sweep = fresh("-m", "polymod.cli", "sweep", "--n", "5", "--input", str(src), "--out", "-")
         assert sweep.returncode == 0
         assert len(sweep.stdout.splitlines()) == 2
         assert sweep.stderr == f"row 1: OutOfRange: {doc['message']}\n"
@@ -598,12 +577,7 @@ class TestSweep:
         fresh process so an escaping traceback would show on stderr."""
         src = tmp_path / "latin.csv"
         src.write_bytes(b"2pi/5,2pi/5,2pi/5,2pi/5,2pi/5\n\xff\xfe,1\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "polymod.cli", "sweep", "--n", "5",
-             "--input", str(src), "--out", "-"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = fresh("-m", "polymod.cli", "sweep", "--n", "5", "--input", str(src), "--out", "-")
         assert proc.returncode == 2
         doc = json.loads(proc.stdout)
         assert doc["schema"] == "polymod-error/1"

@@ -1,6 +1,5 @@
 """Tests for fiber constructions, circle recovery, and the full inversion."""
 
-import cmath
 import math
 
 import numpy as np

@@ -19,13 +19,13 @@ from polymod import (
     pentagon_side_lengths,
     psi5,
     psi6,
-    validate_weight,
 )
 from polymod import forward_shapes, lorentz, moduli, planar
 from polymod.combinatorics import sample_weight_rng
 from polymod.errors import unwrap
 from polymod.moduli import planar_params
 
+from lorentz_oracle import route_disagreement
 from weights import sample_weight, triple_sums
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -114,10 +114,10 @@ class TestPlanarShape:
 
 class TestGateDecisions:
     """The stacked gates square with the scalar rules' own ``x**2``, so they
-    decide every row as ``_pentagon_error`` and ``_disagreement`` do.  The
-    values sit on a gate where ``x * x`` and ``x**2`` (libm ``pow``) round
-    differently on glibc, so the old ``x * x`` columns decided them the
-    other way."""
+    decide every row as ``_pentagon_error`` and the oracle's scalar route
+    rule do.  The values sit on a gate where ``x * x`` and ``x**2`` (libm
+    ``pow``) round differently on glibc, so the old ``x * x`` columns
+    decided them the other way."""
 
     #: (P, Q) next to P^2 + Q^2 = 1.
     PENTAGON = [
@@ -150,7 +150,7 @@ class TestGateDecisions:
         )
         errors = moduli._cross_check(6, stack, planar_values, [None] * rows)
         for (a, b), error in zip(self.ROUTE, errors):
-            assert failure(error) == failure(moduli._disagreement(6, (a, 1.0, 1.0), (b, 1.0, 1.0)))
+            assert failure(error) == failure(route_disagreement(6, (a, 1.0, 1.0), (b, 1.0, 1.0)))
         assert {error is None for error in errors} == {True, False}
 
 

@@ -10,16 +10,11 @@ since loaded everything.
 
 import ast
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from test_surface import load_tracer
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from fresh import SRC, fresh
+from test_surface import EQUAL6_OFF, load_tracer
 
 # Runs ``polymod.cli.main`` on argv and reports, after stdout, whether
 # numpy was loaded by then.
@@ -33,11 +28,7 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 
 def python(code: str, *args: str) -> str:
     """stdout of ``code`` run with ``args`` in a fresh interpreter on ``src``."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import json\n" + code, *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = fresh("-c", "import json\n" + code, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     return proc.stdout
@@ -99,9 +90,6 @@ def test_no_module_imports_dataclasses_or_inspect_when_it_loads():
     assert found == {}
 
 
-EQUAL6_OFF = "0.9,0.9,0.9,1.2,1.2,1.1831853071795865"
-
-
 @pytest.mark.parametrize(
     "argv, code, schema, error",
     [
@@ -117,6 +105,14 @@ EQUAL6_OFF = "0.9,0.9,0.9,1.2,1.2,1.1831853071795865"
             2, "polymod-error/1", "PairSumTooLarge",
         ),
         (["forward", "--n", "6", "--theta", "5x2pi/5"], 2, "polymod-error/1", "OutOfRange"),
+        (
+            ["forward", "--n", "5", "--theta", "1e308,1e308,1,1,1"],
+            2, "polymod-error/1", "SumMismatch",
+        ),
+        (
+            ["complex", "--n", "6", "--report", "cusps", "--theta", ""],
+            2, "polymod-error/1", "OutOfRange",
+        ),
         (["complex", "--n", "5", "--report", "singular"], 2, "polymod-error/1", "OutOfRange"),
         (["verify", "--suite", "all", "--n", "5", "--tol", "inf"], 2, "polymod-error/1", "OutOfRange"),
         (
@@ -126,7 +122,7 @@ EQUAL6_OFF = "0.9,0.9,0.9,1.2,1.2,1.1831853071795865"
     ],
     ids=[
         "euler", "cusps", "pairings", "not-equal-weight", "pair-sum", "count-mismatch",
-        "singular-n5", "verify-tol", "invert-tol",
+        "sum-overflow", "complex-empty-theta", "singular-n5", "verify-tol", "invert-tol",
     ],
 )
 def test_commands_without_numeric_work_never_load_numpy(argv, code, schema, error):
