@@ -397,5 +397,30 @@ def main(argv=None) -> int:
         return exc.exit_code if isinstance(exc, PolymodError) else 6
 
 
+def _process_entry() -> None:
+    """``polymod`` as a process, for the console script and ``python -m
+    polymod.cli``: :func:`main` on ``sys.argv``, its code the exit status.
+
+    A reader that closes stdout early, as ``| head`` does, ends the process
+    with 141 (128 + SIGPIPE, where a shell reports ``cat``) and prints
+    nothing; fd 1 then points at ``os.devnull``, so the flush at exit
+    cannot fail again.  ``gc.freeze()`` after the work spares the
+    collections at interpreter teardown from walking numpy's objects.
+    ``main`` does neither, since tests and library callers run it in
+    process.
+    """
+    import gc
+    import os
+
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _process_entry()

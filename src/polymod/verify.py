@@ -3,12 +3,13 @@
 This module is the one verification engine: one pass over the trials (one
 pool or serial loop, ``all`` included) runs every requested suite.  Trial i
 draws its weight vector and a random label word once, from
-``numpy.random.default_rng([seed, i])``.  Trials run in chunks of
-``TRIAL_CHUNK``, and every sampled suite is computed on the chunk's
-columns: one sampler call draws the weight vectors, one Lorentz kernel call
-builds the models and completion triangles, one pairing call gives every
-model's dihedral angles, one forward call maps the chunk on the designated
-label pair and one column inverse inverts its shape pairs.  Every row of a
+``numpy.random.default_rng([seed, i])``.  Trials run in one chunk per
+worker, of at most ``TRIAL_CHUNK`` trials, and every sampled suite is
+computed on the chunk's columns: one sampler call draws the weight
+vectors, one Lorentz kernel call builds the models and completion
+triangles, one pairing call gives every model's dihedral angles, one
+forward call maps the chunk on the designated label pair and one column
+inverse inverts its shape pairs.  Every row of a
 stacked call is computed as it would be alone, or holds its failure.
 Outcomes are columns too: per suite, one entry per trial in trial order,
 its error or the ``"Class: message"`` text of its failure.  The separation
@@ -51,9 +52,10 @@ ORTHOGONAL_PAIRS = {
 
 _RIGHT_ANGLE = math.pi / 2.0
 
-#: Trials per pool task.  A task draws its trials, then builds their models,
-#: maps them forward and inverts them with one stacked call each.
-TRIAL_CHUNK = 64
+#: The most trials in one chunk.  A chunk draws its trials, then builds
+#: their models, maps them forward and inverts them with one stacked call
+#: each; a run has one chunk per worker, or more where that would exceed this.
+TRIAL_CHUNK = 256
 
 #: The sampled suites, in report order, and those that read the trial's own
 #: Lorentz model.
@@ -131,34 +133,132 @@ def _run_chunk(
     return {suite: out[suite] for suite in suites}, scan
 
 
+#: Candidate pairs the grid scan measures at once, which bounds its memory.
+_SCAN_BLOCK = 1 << 17
+
+
 def _separation_scan(
     trials: np.ndarray, thetas: np.ndarray, shapes: np.ndarray
 ) -> tuple[float | None, dict | None]:
-    """Minimum pairwise Chebyshev distance of the scanned shape pairs.
+    """Minimum pairwise Chebyshev distance of the scanned shape pairs, and
+    the first collision.
 
     The columns hold the trial index, theta and shape parameters of each
-    designated pair that mapped.  A collision, a counterexample to
-    injectivity at sample scale, is the first pair (i, j) in trial order at
-    distance 0 whose weight vectors differ by more than 1e-6; only a row
-    whose own minimum is 0 is searched for one.  The inverse is a function
-    of the shape row, so both trials of a collision recover one theta, and
-    one of them has a roundtrip error above 5e-7: at any ``tol`` below
-    that, such as the default 1e-9, that trial already fails the report.
+    designated pair that mapped, so every shape row is finite.  The
+    minimum is bit for bit that over all N(N-1)/2 pairs: h, the least
+    distance from a row to its next four along one sorted coordinate,
+    bounds it from above, so the closest pair is within h on every
+    coordinate, and :func:`_grid_pairs` finds it on the three coordinates
+    of widest interquartile range.  A coordinate equal to a chosen one on
+    half the rows or more (at n=6 the two words' R mostly agree) separates
+    nothing and is passed over.  ``|a - b|`` and ``max`` are exact, so the
+    order in which pairs are measured cannot change the minimum.
+
+    A collision, a counterexample to injectivity at sample scale, is the
+    first pair (i, j) in trial order at distance 0 whose weight vectors
+    differ by more than 1e-6; it is searched for only when the minimum is
+    0.  The inverse is a function of the shape row, so both trials of a
+    collision recover one theta, and one of them has a roundtrip error
+    above 5e-7: at any ``tol`` below that, such as the default 1e-9, that
+    trial already fails the report.
     """
-    min_sep, collision = math.inf, None
-    for i in range(len(shapes)):
-        sep = np.abs(shapes[i + 1 :] - shapes[i]).max(axis=1)
-        if sep.size:
-            low = float(sep.min())
-            min_sep = min(min_sep, low)
-            if low == 0.0 and collision is None:
-                zero = np.flatnonzero(sep == 0.0) + i + 1
-                theta_sep = np.abs(thetas[zero] - thetas[i]).max(axis=1)
-                far = np.flatnonzero(theta_sep > 1e-6)
-                if far.size:
-                    trial_pair = [int(trials[i]), int(trials[zero[far[0]]])]
-                    collision = {"trials": trial_pair, "theta_separation": float(theta_sep[far[0]])}
-    return (min_sep if math.isfinite(min_sep) else None), collision
+    rows = len(shapes)
+    if rows < 2:
+        return None, None
+    # quartiles from the sorted columns, without np.percentile's start-up
+    q1, q3 = np.sort(shapes, axis=0)[[(rows - 1) // 4, 3 * (rows - 1) // 4]]
+    axes = []
+    for c in np.argsort(q1 - q3, kind="stable"):
+        copies = (2 * np.count_nonzero(shapes[:, c] == shapes[:, a]) >= rows for a in axes)
+        if len(axes) < 3 and not any(copies):
+            axes.append(c)
+    by_first = shapes[np.argsort(shapes[:, axes[0]], kind="stable")]
+    low = min(
+        float(np.abs(by_first[k:] - by_first[:-k]).max(axis=1).min())
+        for k in range(1, min(rows, 5))
+    )
+    del by_first  # before the grid's own columns
+    if low > 0.0:
+        for i, j in _grid_pairs(shapes[:, axes], low):
+            low = min(low, float(np.abs(shapes[i] - shapes[j]).max(axis=1).min()))
+    return low, (_first_collision(trials, thetas, shapes) if low == 0.0 else None)
+
+
+def _grid_pairs(coords: np.ndarray, h: float):
+    """Blocks (i, j) of row indices of an (N >= 1, k <= 3) array of finite
+    coordinates whose differences are finite: every pair of rows within h
+    of each other on each coordinate appears in one block, once, with
+    some pairs further apart, and a block holds at most ``_SCAN_BLOCK``
+    pairs or the pairs of one row.
+
+    A grid scan: the rows are bucketed in cubic cells of side just over h,
+    and each row is paired with the later rows of its cell and the rows of
+    13 of its 26 neighbour cells, which meets every pair of adjacent cells
+    once; sorted by cell, those rows are five runs.
+    """
+    rows = len(coords)
+    lo = coords.min(axis=0)
+    # A pair within h lands in cells at most one apart: the side leaves a
+    # margin of 2**-20 for the rounding of (x - lo) / side, whose error
+    # stays below 2**-31 while a coordinate spans at most 2**20 cells; a
+    # side of at least 2**-1000 keeps that margin out of the subnormals.
+    span = float((coords.max(axis=0) - lo).max())
+    side = max(h * (1.0 + 2.0**-20), span * 2.0**-20, 2.0**-1000)
+    cells = np.zeros((rows, 3), dtype=np.int64)  # a missing coordinate is one layer
+    cells[:, : coords.shape[1]] = np.floor((coords - lo) / side)
+    # one empty index past each coordinate's last, so a step of -1 or +1
+    # on one coordinate never lands in an occupied cell of another
+    _, across, along = cells.max(axis=0) + 2
+    key = (cells[:, 0] * across + cells[:, 1]) * along + cells[:, 2]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # per row, five runs of sorted positions: the later rows of its cell
+    # with the next cell on the third coordinate, then for each of four
+    # cells on the first two, three cells on the third
+    first, count = np.empty((2, rows, 5), dtype=np.int64)
+    first[:, 0] = np.arange(1, rows + 1)
+    count[:, 0] = np.searchsorted(key, key + 1, "right")
+    for run, (a, b) in enumerate(((0, 1), (1, -1), (1, 0), (1, 1)), start=1):
+        step = along * (across * a + b)
+        first[:, run] = np.searchsorted(key, key + step - 1, "left")
+        count[:, run] = np.searchsorted(key, key + step + 1, "right")
+    count -= first
+    per_row = count.sum(axis=1)
+    first, count = first.ravel(), count.ravel()
+    done = np.cumsum(per_row)
+    r0 = 0
+    while r0 < rows:
+        r1 = max(r0 + 1, int(np.searchsorted(done, done[r0] - per_row[r0] + _SCAN_BLOCK, "right")))
+        runs = slice(5 * r0, 5 * r1)
+        c = count[runs]
+        total = int(c.sum())
+        if total:
+            at = np.repeat(first[runs] - (np.cumsum(c) - c), c) + np.arange(total)
+            yield order[np.repeat(np.arange(r0, r1), per_row[r0:r1])], order[at]
+        r0 = r1
+
+
+def _first_collision(trials: np.ndarray, thetas: np.ndarray, shapes: np.ndarray) -> dict | None:
+    """The first pair (i, j) in trial order of equal shape rows whose
+    thetas differ by more than 1e-6, as the report's collision entry, or
+    None.  Sorting the rows makes each group of equal rows one run."""
+    order = np.lexsort(shapes.T[::-1])
+    equal = (shapes[order[1:]] == shapes[order[:-1]]).all(axis=1)
+    starts = np.flatnonzero(np.concatenate([[True], ~equal]))
+    stops = np.append(starts[1:], len(order))
+    found = []  # per group, its first such pair
+    for a, b in zip(starts[stops - starts > 1], stops[stops - starts > 1]):
+        members = np.sort(order[a:b])
+        for k, i in enumerate(members[:-1]):
+            theta_sep = np.abs(thetas[members[k + 1 :]] - thetas[i]).max(axis=1)
+            far = np.flatnonzero(theta_sep > 1e-6)
+            if far.size:
+                found.append((i, members[k + 1 + far[0]], float(theta_sep[far[0]])))
+                break
+    if not found:
+        return None
+    i, j, theta_sep = min(found)
+    return {"trials": [int(trials[i]), int(trials[j])], "theta_separation": theta_sep}
 
 
 def _run_sampled(
@@ -166,12 +266,14 @@ def _run_sampled(
 ) -> dict[str, dict]:
     """One pass over the trials, split into one report per suite."""
     run = partial(_run_chunk, suites, n, seed, tol)
-    chunks = [range(i, min(i + TRIAL_CHUNK, samples)) for i in range(0, samples, TRIAL_CHUNK)]
+    # The pool starts all its workers at once: never more than the cores.
+    workers = min(jobs, os.cpu_count() or 1)
+    size = min(TRIAL_CHUNK, -(-samples // workers))
+    chunks = [range(i, min(i + size, samples)) for i in range(0, samples, size)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # The pool starts all its workers at once: never more than the cores.
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run, chunks))
     else:
         done = [run(chunk) for chunk in chunks]

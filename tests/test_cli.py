@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import math
+import os
 import re
 import struct
 
@@ -18,7 +20,7 @@ from polymod.combinatorics import sample_weight_rng
 from polymod.errors import PolymodError, RouteDisagreement
 from polymod.jsonio import parse_rows, parse_theta
 
-from fresh import fresh
+from fresh import SRC, fresh
 from lorentz_oracle import boundary_weights
 from test_verify import VERIFY_HASHES
 
@@ -999,3 +1001,62 @@ class TestOutputDiscipline:
         )
         assert out.endswith("\n")
         assert len(out.strip().splitlines()) == 1
+
+
+# ===========================================================================
+# the process entry
+# ===========================================================================
+
+def valid_rows6(count: int) -> str:
+    """``count`` valid n=6 float-literal rows."""
+    w = np.random.default_rng(6).uniform(0.8, 1.2, (count, 6))
+    rows = (2 * math.pi * w / w.sum(axis=1, keepdims=True)).tolist()
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+#: id: a command line, with ``{input}`` a file of 3,000 valid n=6 rows
+PROCESS_COMMANDS = {
+    "verify": "verify --suite all --n 5 --samples 40 --seed 3",
+    "sweep": "sweep --n 6 --input {input} --out -",
+    "forward": f"forward --n 6 --theta {EQUAL6}",
+    "error-row": "forward --n 5 --theta 1,1,1,1.5,1.7831853071795865",
+}
+
+
+class TestProcessEntry:
+    @pytest.fixture
+    def argv(self, tmp_path, request):
+        source = tmp_path / "rows.csv"
+        source.write_text(valid_rows6(3000), encoding="utf-8")
+        return [arg.format(input=source) for arg in PROCESS_COMMANDS[request.param].split()]
+
+    @pytest.mark.parametrize("argv", PROCESS_COMMANDS, indirect=True)
+    def test_a_fresh_process_prints_the_in_process_bytes_and_code(self, capsys, argv):
+        """``python -m polymod.cli`` goes through the process entry; its
+        stdout, stderr and exit code are those of ``main`` in process, and
+        ``main`` freezes no object for the collector."""
+        frozen = gc.get_freeze_count()
+        in_process = run(capsys, *argv)
+        assert gc.get_freeze_count() == frozen
+        proc = fresh("-m", "polymod.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == in_process
+
+    @pytest.mark.parametrize("argv", ["verify", "sweep"], indirect=True)
+    def test_a_closed_stdout_exits_141_and_prints_nothing(self, argv):
+        """The reader of stdout is gone before the command writes, as after
+        ``| head``: no traceback, and not exit 1, a failed suite's code."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = fresh("-m", "polymod.cli", *argv, stdout=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
+    def test_the_console_script_is_the_module_entry(self):
+        """``polymod`` and ``python -m polymod.cli`` run one function."""
+        pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        target = re.search(r'^polymod = "polymod\.cli:(\w+)"$', pyproject, re.M).group(1)
+        source = (SRC / "polymod" / "cli.py").read_text(encoding="utf-8")
+        assert source.endswith(f'if __name__ == "__main__":\n    {target}()\n')
+        assert callable(getattr(cli, target))

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymod import (
     SUITES,
@@ -20,6 +22,8 @@ from polymod import cli
 from polymod.combinatorics import sample_weight_rng
 from polymod.planar import angle_rows
 
+import scan_oracle
+
 #: The first 12 hex digits of sha256(stdout + stderr + "exit=<code>\n") of
 #: ``verify --suite all`` at n=5 (150 samples) and n=6 (190 samples), per seed.
 VERIFY_HASHES = {
@@ -29,15 +33,19 @@ VERIFY_HASHES = {
 
 
 @pytest.mark.parametrize(
-    "n, seed, jobs",
-    [pytest.param(n, seed, jobs, id=f"{n}-{seed}" + ("" if jobs == 1 else f"-jobs{jobs}"))
-     for jobs in (1, 2) for n, seed in VERIFY_HASHES],
+    "n, seed, jobs, chunk",
+    [pytest.param(n, seed, jobs, chunk, id=f"{n}-{seed}" + ("" if jobs == 1 else f"-jobs{jobs}")
+                  + ("" if chunk is None else f"-chunk{chunk}"))
+     for chunk in (None, 64) for jobs in (1, 2) for n, seed in VERIFY_HASHES],
 )
-def test_the_recorded_verify_reports_keep_their_bytes(capsys, n, seed, jobs):
+def test_the_recorded_verify_reports_keep_their_bytes(capsys, monkeypatch, n, seed, jobs, chunk):
     """The eight recorded ``verify --suite all`` commands, run in process
     serially and through the pool, print the bytes they printed when
-    recorded.  Their 150 and 190 samples make three chunks each, the last
+    recorded.  Their 150 and 190 samples make one chunk per worker at
+    ``TRIAL_CHUNK``, and at a ``TRIAL_CHUNK`` of 64 three chunks, the last
     one partial."""
+    if chunk is not None:
+        monkeypatch.setattr(verify, "TRIAL_CHUNK", chunk)
     samples = {5: 150, 6: 190}[n]
     argv = ["verify", "--suite", "all", "--n", str(n), "--samples", str(samples), "--seed", str(seed)]
     code = cli.main([*argv, "--jobs", str(jobs)])
@@ -97,7 +105,10 @@ def test_all_draws_and_builds_once_per_trial(monkeypatch, n):
     }
 
 
-def test_the_pool_has_no_more_workers_than_cores(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """The worker counts that runs ask the pool for; the pool maps in this
+    process."""
     sizes = []
 
     class SerialPool:
@@ -114,12 +125,33 @@ def test_the_pool_has_no_more_workers_than_cores(monkeypatch):
             return map(fn, iterable)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_the_pool_has_no_more_workers_than_cores(monkeypatch, serial_pool):
+    sizes = serial_pool
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     serial = run_suite("all", 5, 6, 1, jobs=1)
     assert sizes == []
     assert run_suite("all", 5, 6, 1, jobs=100_000) == serial
     assert run_suite("all", 5, 6, 1, jobs=2) == serial
     assert sizes == [3, 2]
+
+
+@pytest.mark.parametrize("jobs, chunks", [(1, [range(0, 150)]), (2, [range(0, 75), range(75, 150)])])
+def test_a_run_has_one_chunk_per_worker(monkeypatch, serial_pool, jobs, chunks):
+    """150 samples, as the recorded n=5 reports have, at ``--jobs 1`` and 2."""
+    ran, run_chunk = [], verify._run_chunk
+
+    def recorded(suites, n, seed, tol, trials):
+        ran.append(trials)
+        return run_chunk(suites, n, seed, tol, trials)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "_run_chunk", recorded)
+    run_suite("roundtrip", 5, 150, 0, jobs=jobs)
+    assert ran == chunks
+    assert serial_pool == ([] if jobs == 1 else [2])
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -159,6 +191,85 @@ def test_the_scan_reports_the_first_collision_in_trial_order(rows, min_sep, coll
         i, j = collision
         theta_sep = float(np.abs(thetas[j] - thetas[i]).max())
         assert found == {"trials": [int(trials[i]), int(trials[j])], "theta_separation": theta_sep}
+
+
+@st.composite
+def scan_columns(draw):
+    """Scan columns of 0 to 3 rows or of a larger stack, n = 5 or 6.  The
+    shape rows are drawn from a small pool, so rows repeat, and their
+    values from a grid of multiples of one step half the time, so
+    distances tie and rows sit on cell borders (exact multiples of h).  A
+    column may be constant, or repeat another column on most rows, as the
+    two words' R do at n = 6; the thetas of equal rows may or may not
+    differ."""
+    n = draw(st.sampled_from([5, 6]))
+    d, rows = 2 * (n - 3), draw(st.one_of(st.integers(0, 3), st.integers(4, 120)))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([1.0, 0.1, 0.125, 3.0, 1e-7]))
+        value = st.integers(0, 6).map(lambda k: k * step)
+    else:
+        value = st.floats(0.0, 50.0, allow_subnormal=False)
+    pool = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=max(rows, 1)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows))
+    shapes = np.array([pool[i] for i in picks]).reshape(rows, d)
+    if rows and draw(st.booleans()):
+        shapes[:, draw(st.integers(0, d - 1))] = draw(value)
+    if rows and draw(st.booleans()):
+        copy, to = draw(st.permutations(range(d)))[:2]
+        most = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        shapes[most, to] = shapes[most, copy]
+    thetas = 1.0 + 1e-6 * np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=rows * n,
+                                                 max_size=rows * n))).reshape(rows, n)
+    trials = np.array(sorted(draw(st.sets(st.integers(0, 10**6), min_size=rows, max_size=rows))))
+    return trials, thetas, shapes
+
+
+@given(scan_columns())
+@settings(max_examples=300, deadline=None)
+def test_the_grid_scan_is_the_quadratic_scan(columns):
+    """The minimum bit for bit and the same collision as the O(N^2) scan."""
+    assert verify._separation_scan(*columns) == scan_oracle.separation_scan(*columns)
+
+
+@st.composite
+def grid_rows(draw):
+    """1 to 40 rows of 1 to 3 coordinates on a grid of one step, and an h
+    of a multiple of the step: rows sit on cell borders, and pairs exactly
+    h apart abound, in every direction."""
+    k, rows = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    step = draw(st.sampled_from([1.0, 0.1, 0.125, 3.0, 1e-7]))
+    cells = draw(st.lists(st.integers(0, 20), min_size=rows * k, max_size=rows * k))
+    h = step * draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 7.0]))
+    return step * np.array(cells, dtype=float).reshape(rows, k), h
+
+
+@given(grid_rows())
+@settings(max_examples=300, deadline=None)
+def test_the_grid_pairs_every_two_rows_within_h(case):
+    coords, h = case
+    pairs = [(min(p), max(p)) for i, j in verify._grid_pairs(coords, h) for p in zip(i.tolist(), j.tolist())]
+    assert len(pairs) == len(set(pairs)) and all(i != j for i, j in pairs)
+    rows = range(len(coords))
+    close = {(i, j) for i in rows for j in rows if i < j and np.abs(coords[i] - coords[j]).max() <= h}
+    assert close <= set(pairs)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_the_scan_in_small_blocks_is_the_quadratic_scan(monkeypatch, n):
+    """Blocks of at most 5 pairs, or one row's pairs, on the scan columns of
+    300 roundtrip trials."""
+    _, columns = verify._run_chunk(("roundtrip",), n, 3, 1e-9, range(300))
+    grid_pairs, blocks = verify._grid_pairs, []
+
+    def recorded(coords, h):
+        for i, j in grid_pairs(coords, h):
+            blocks.append((len(i), len(set(i.tolist()))))
+            yield i, j
+
+    monkeypatch.setattr(verify, "_SCAN_BLOCK", 5)
+    monkeypatch.setattr(verify, "_grid_pairs", recorded)
+    assert verify._separation_scan(*columns) == scan_oracle.separation_scan(*columns)
+    assert len(blocks) > 10 and all(size <= 5 or rows == 1 for size, rows in blocks)
 
 
 def test_failed_inversions_still_enter_the_scan(monkeypatch):
