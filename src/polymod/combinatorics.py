@@ -26,8 +26,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from functools import reduce
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._record import record
@@ -55,12 +54,6 @@ TOL_IDEAL = 1e-9
 
 #: Maximum number of rejection-sampling attempts before giving up.
 REJECTION_BUDGET = 10**6
-
-#: Attempts drawn per generator and numpy call by the rejection sampler, by
-#: n (``SAMPLE_BLOCK`` for any other): the fastest on 64-generator chunks at
-#: acceptance rates of 1.07 % (n = 5) and 6.25 % (n = 6) over 200,000 draws.
-SAMPLE_BLOCK = 32
-SAMPLE_BLOCKS = {5: 64, 6: 32}
 
 
 @record
@@ -212,58 +205,32 @@ def equal_weight(n: int) -> WeightVector:
 
 
 def sample_weight_rng(n: int, rng: np.random.Generator) -> WeightVector:
-    """Rejection-sample a weight vector using an explicit generator: the
-    one-generator case of :func:`sample_weights`."""
-    return WeightVector(n=n, theta=tuple(sample_weights(n, [rng])[0].tolist()))
-
-
-def sample_weights(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """One rejection-sampled weight vector per generator, as (N, n) angles.
-
-    An attempt (normalized exponentials scaled to 2*pi) is kept when its
-    largest two angles sum below pi, by a margin that keeps the rescaling of
-    :func:`validate_weights` off the boundary.  Each generator draws blocks
-    of ``SAMPLE_BLOCKS[n]`` attempts, tested at once with the float
-    operations of one attempt alone; a generator first accepted at attempt
-    k of a block is rewound and draws k + 1 attempts, ending where one draw
-    per attempt leaves it.  The first to spend ``REJECTION_BUDGET`` attempts
-    raises RejectionBudgetExceeded.
-    """
+    """Rejection-sample a weight vector from a generator: the first attempt
+    (normalized exponentials scaled to 2*pi) whose largest pair sum is below
+    pi, by a margin that keeps the rescaling of :func:`validate_weight` off
+    the boundary.  Attempts are drawn 32 at a time, then the generator is
+    rewound and draws up to the accepted one, ending where one draw per
+    attempt leaves it.  RejectionBudgetExceeded after ``REJECTION_BUDGET``."""
     import numpy as np
 
     if n < 4:
         raise OutOfRange(f"need n >= 4, got {n}")
-    block, budget = SAMPLE_BLOCKS.get(n, SAMPLE_BLOCK), REJECTION_BUDGET
-    raw = np.zeros((len(rngs), n))
-    pending, attempts = list(range(len(rngs))), 0
-    while pending and attempts < budget:
-        rows = min(block, budget - attempts)
-        states = [rngs[i].bit_generator.state for i in pending]
-        x = np.array([rngs[i].exponential(size=(rows, n)) for i in pending])
-        total = x.sum(axis=2)
-        th = 2.0 * math.pi * x / total[..., None]
-        # Float addition is monotone, so the largest pair sum is the sum of
-        # the two largest angles that the test of one attempt takes.
-        cols = [th[..., j] for j in range(n)]
-        top = reduce(np.maximum, (a + b for a, b in combinations(cols, 2)))
-        ok = (total > 0.0) & np.isfinite(total) & (reduce(np.minimum, cols) > 0.0)
-        ok &= top < math.pi - 1e-12
-        first = ok.argmax(axis=1).tolist()
-        for p in ok.any(axis=1).nonzero()[0].tolist():
-            rng, k = rngs[pending[p]], first[p]
-            rng.bit_generator.state = states[p]
+    budget = REJECTION_BUDGET
+    for attempts in range(0, budget, 32):
+        rows, state = min(32, budget - attempts), rng.bit_generator.state
+        x = rng.exponential(size=(rows, n))
+        total = x.sum(axis=1)
+        th = 2.0 * math.pi * x / total[:, None]
+        # Float addition is monotone: the largest pair sum is the two largest.
+        top = np.sort(th, axis=1)
+        ok = (total > 0.0) & np.isfinite(total) & (top[:, 0] > 0.0)
+        ok &= top[:, -2] + top[:, -1] < math.pi - 1e-12
+        if ok.any():
+            k = int(ok.argmax())
+            rng.bit_generator.state = state
             rng.exponential(size=(k + 1, n))
-            raw[pending[p]] = th[p, k]
-            pending[p] = None
-        pending = [i for i in pending if i is not None]
-        attempts += rows
-    angles, errors = validate_weights(raw)
-    spent = f"no valid weight vector for n={n} in {budget} attempts"
-    for i in pending:
-        errors[i] = RejectionBudgetExceeded(spent)
-    for e in errors:
-        unwrap(e)
-    return angles
+            return validate_weight(th[k])
+    raise RejectionBudgetExceeded(f"no valid weight vector for n={n} in {budget} attempts")
 
 
 # --------------------------------------------------------------------------- #

@@ -154,8 +154,9 @@ MAX_SAMPLES = 10**6
 def check_settings(tol: float = 1.0, samples: int = 1, seed: int = 0, jobs: int = 1) -> None:
     """Reject a run setting outside its domain with OutOfRange: a tolerance
     that is not positive and finite (NaN included), a sample count outside
-    1..MAX_SAMPLES, fewer than one job, or a negative seed.  Every default
-    is in the domain, so a caller passes only the settings it has."""
+    1..MAX_SAMPLES, fewer than one job, or a seed outside 0..2**128 - 1 (the
+    128-bit Philox key of ``verify``).  Every default is in the domain, so a
+    caller passes only the settings it has."""
     if not 0.0 < tol < math.inf:
         raise OutOfRange(f"tol must be positive and finite, got {tol!r}")
     if samples < 1:
@@ -166,3 +167,5 @@ def check_settings(tol: float = 1.0, samples: int = 1, seed: int = 0, jobs: int 
         raise OutOfRange(f"jobs must be >= 1, got {jobs!r}")
     if seed < 0:
         raise OutOfRange(f"seed must be non-negative, got {seed!r}")
+    if seed >= 2**128:
+        raise OutOfRange(f"seed must be below 2**128, got {seed!r}")

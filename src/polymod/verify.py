@@ -1,22 +1,24 @@
 """Randomized verification suites behind the command-line ``verify`` command.
 
 This module is the one verification engine: one pass over the trials (one
-pool or serial loop, ``all`` included) runs every requested suite.  Trial i
-draws its weight vector and a random label word once, from
-``numpy.random.default_rng([seed, i])``.  Trials run in one chunk per
-worker, of at most ``TRIAL_CHUNK`` trials, and every sampled suite is
-computed on the chunk's columns: one sampler call draws the weight
-vectors, one Lorentz kernel call builds the models and completion
+pool or serial loop, ``all`` included) runs every requested suite.  Trial
+i's weight vector and random label word are pure functions of (seed, i):
+Philox4x64-10 blocks at the counters (i, attempt, slot, 0) under the key
+seed, computed here in numpy, so no generator object and no
+``numpy.random`` is involved.  Trials run in one chunk per worker, of at
+most ``TRIAL_CHUNK`` trials, and every sampled suite is computed on the
+chunk's columns: a few Philox calls draw the chunk's weight vectors and
+words, one Lorentz kernel call builds the models and completion
 triangles, one pairing call gives every model's dihedral angles, one
 forward call maps the chunk on the designated label pair and one column
-inverse inverts its shape pairs.  Every row of a
-stacked call is computed as it would be alone, or holds its failure.
-Outcomes are columns too: per suite, one entry per trial in trial order,
-its error or the ``"Class: message"`` text of its failure.  The separation
-scan reads the trial index, theta and shape parameters of each designated
-pair that mapped, concatenated once over the chunks.  Reports are
-deterministic for a fixed (n, samples, seed, tol) and byte-identical across
-runs and across worker counts.  Suites:
+inverse inverts its shape pairs.  Every row of a stacked call is computed
+as it would be alone, or holds its failure.  Outcomes are columns too: per
+suite, one entry per trial in trial order, its error or the ``"Class:
+message"`` text of its failure.  The separation scan reads the trial
+index, theta and shape parameters of each designated pair that mapped,
+concatenated once over the chunks.  Reports are deterministic for a fixed
+(n, samples, seed, tol) and byte-identical across runs and across worker
+counts.  Suites:
 
 * ``roundtrip``     — forward map on the designated label pair, then invert,
   followed by a scan for the minimum separation of the produced shape pairs;
@@ -31,14 +33,16 @@ from __future__ import annotations
 
 import math
 import os
-from functools import partial
+from collections import Counter
+from functools import partial, reduce
 from itertools import combinations
 
 import numpy as np
 
-from .combinatorics import sample_weights
+from . import combinatorics
+from .combinatorics import validate_weights
 from .complexes import build_complex, cusp_classes, euler_characteristic
-from .errors import OutOfRange, check_settings
+from .errors import OutOfRange, RejectionBudgetExceeded, check_settings, unwrap
 from .fiber import designated_pairs, invert_params
 from .jsonio import SUITES
 from .lorentz import ModelStack, build_models, dihedral_angles
@@ -107,19 +111,106 @@ def _crossroute(models: ModelStack) -> list:
     return _column(errors, _row_max(relative_residual(params, models.intercepts)))
 
 
+_u64 = partial(np.array, dtype=np.uint64)
+
+#: Philox4x64-10 (Salmon, Moraes, Dror and Shaw, SC 2011): its round
+#: multipliers with their 32-bit halves, and its key increments.
+_PHILOX_M = [[_u64(v) for v in (m, m & 0xFFFFFFFF, m >> 32)]
+             for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)]
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW, _HALF, _TOP53 = _u64(0xFFFFFFFF), _u64(32), _u64(11)
+
+#: The first counter slot of the label words; weight attempts use slots 0 up.
+_WORD_SLOT = 1 << 32
+
+#: Attempts per trial not yet accepted in a sampler's first round; each
+#: later round draws twice as many.
+_ATTEMPTS = 16
+
+
+def _mulhilo(a: np.ndarray, m, m_lo, m_hi) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of each 128-bit product a * m, the high word
+    summed exactly from products of 32-bit halves."""
+    a_lo, a_hi = a & _LOW, a >> _HALF
+    cross = a_lo * m_hi
+    mid = a_hi * m_lo + ((a_lo * m_lo) >> _HALF) + (cross & _LOW)
+    return a_hi * m_hi + (cross >> _HALF) + (mid >> _HALF), a * m
+
+
+def _philox(seed: int, x0, x1, x2, x3) -> tuple[np.ndarray, ...]:
+    """The Philox4x64-10 block of each counter (x0, x1, x2, x3), uint64
+    arrays that broadcast together, under the key (seed mod 2**64, seed >>
+    64).  Arrays wrap mod 2**64 silently, numpy's uint64 scalars with a
+    warning, so the round keys are Python ints."""
+    k0, k1 = seed % 2**64, seed >> 64
+    for _ in range(10):
+        (h0, l0), (h1, l1) = _mulhilo(x0, *_PHILOX_M[0]), _mulhilo(x2, *_PHILOX_M[1])
+        x0, x1, x2, x3 = h1 ^ (x1 ^ _u64(k0)), l1, h0 ^ (x3 ^ _u64(k1)), l0
+        k0, k1 = (k0 + _PHILOX_W[0]) % 2**64, (k1 + _PHILOX_W[1]) % 2**64
+    return x0, x1, x2, x3
+
+
+def _words(seed: int, trials, attempts, slot: int, count: int) -> list[np.ndarray]:
+    """Per j < count, the (trials, attempts) array of word j % 4 of the
+    blocks at the counters (trial, attempt, slot + j // 4, 0)."""
+    slots = slot + np.arange(-(-count // 4), dtype=np.uint64)
+    lanes = _philox(seed, _u64(trials)[:, None], _u64(attempts), slots[:, None, None], _u64(0))
+    return [lanes[j % 4][j // 4] for j in range(count)]
+
+
+def _attempts(n: int, seed: int, trials, attempts) -> list[np.ndarray]:
+    """The n angles of each (trial, attempt), as n (trials, attempts)
+    arrays: a flat Dirichlet draw, the spacings of the n - 1 sorted uniforms
+    (w >> 11) * 2**-53 of its words on [0, 1], scaled by 2*pi."""
+    u = _words(seed, trials, attempts, 0, n - 1)
+    for i in range(n - 1):  # odd-even transposition, a sorting network
+        for j in range(i % 2, n - 2, 2):
+            u[j], u[j + 1] = np.minimum(u[j], u[j + 1]), np.maximum(u[j], u[j + 1])
+    edges = [0.0, *((w >> _TOP53).astype(float) * 2.0**-53 for w in u), 1.0]
+    return [2.0 * math.pi * (b - a) for a, b in zip(edges, edges[1:])]
+
+
+def _draw(n: int, seed: int, trials) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Each trial's (N, n) angles and label word, pure functions of (seed,
+    trial): its first attempt in counter order whose angles are positive and
+    whose largest pair sum is below pi by a margin that keeps the rescaling
+    off the boundary, and a stable argsort of n words at ``_WORD_SLOT``, plus
+    1.  A round tests the next attempts of the trials not yet accepted
+    elementwise, so no vector depends on the rounds.  The first trial to
+    spend ``REJECTION_BUDGET`` attempts raises RejectionBudgetExceeded."""
+    if n < 4:
+        raise OutOfRange(f"need n >= 4, got {n}")
+    budget, trials = combinatorics.REJECTION_BUDGET, np.asarray(trials)
+    raw, pending, start, size = np.zeros((len(trials), n)), np.arange(len(trials)), 0, _ATTEMPTS
+    while len(pending) and start < budget:
+        size = min(size, budget - start)
+        theta = _attempts(n, seed, trials[pending], np.arange(start, start + size))
+        top = reduce(np.maximum, (a + b for a, b in combinations(theta, 2)))
+        ok = (reduce(np.minimum, theta) > 0.0) & (top < math.pi - 1e-12)
+        hit = ok.any(axis=1).nonzero()[0]
+        first = ok[hit].argmax(axis=1)
+        raw[pending[hit]] = np.stack([t[hit, first] for t in theta], axis=1)
+        pending, start, size = np.delete(pending, hit), start + size, 2 * size
+    if len(pending):
+        raise RejectionBudgetExceeded(f"no valid weight vector for n={n} in {budget} attempts")
+    angles, errors = validate_weights(raw)
+    for e in errors:
+        unwrap(e)
+    words = np.stack([w[:, 0] for w in _words(seed, trials, [0], _WORD_SLOT, n)], axis=1)
+    return angles, [tuple(w) for w in (np.argsort(words, axis=1, kind="stable") + 1).tolist()]
+
+
 def _run_chunk(
     suites: tuple[str, ...], n: int, seed: int, tol: float, trials: range
 ) -> tuple[dict[str, list], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Deterministic trials of each suite; trial i's rng depends only on (seed, i).
+    """Deterministic trials of each suite; trial i depends only on (seed, i).
 
     Returns each suite's outcomes, one per trial in order (its error, or
     its failure text), and the scan columns: the trial index, theta and
     designated-pair shape parameters of each trial whose pair mapped, so a
     trial whose inversion fails is still scanned.
     """
-    rngs = [np.random.default_rng([seed, trial]) for trial in trials]
-    theta = sample_weights(n, rngs)
-    words = [tuple((rng.permutation(n) + 1).tolist()) for rng in rngs]
+    theta, words = _draw(n, seed, trials)
     models = build_models(theta, words) if set(suites) & set(_MODEL_SUITES) else None
     out, scan = {}, None
     if "roundtrip" in suites:
@@ -282,19 +373,23 @@ def _run_sampled(
     for suite in suites:
         # chunks cover the trials in order, so a trial is its position
         outcomes = [out for columns, _ in done for out in columns[suite]]
-        errors = [out for out in outcomes if not isinstance(out, str)]
+        errors = {trial: out for trial, out in enumerate(outcomes) if not isinstance(out, str)}
         failures = [
             {"trial": trial, "failure" if isinstance(out, str) else "error": out}
             for trial, out in enumerate(outcomes)
             if isinstance(out, str) or out > tol
         ]
-        extra = {"max_error": max(errors) if errors else None}
+        worst = max(errors, key=errors.get, default=None)  # the first on ties
+        extra = {"max_error": errors.get(worst), "worst_trial": worst}
         if suite == "roundtrip":
             scan = (np.concatenate(column) for column in zip(*(cols for _, cols in done)))
             extra["min_shape_separation"], collision = _separation_scan(*scan)
             if collision is not None:
                 failures.append({"collision": collision})
-        reports[suite] = _report(suite, n, samples, seed, tol, **extra, failures=failures)
+        classes = Counter(f["failure"].partition(":")[0] if "failure" in f else
+                          "above_tol" if "error" in f else "collision" for f in failures)
+        reports[suite] = _report(suite, n, samples, seed, tol, **extra, failures=failures,
+                                 failure_classes=dict(classes))
     return reports
 
 

@@ -101,6 +101,14 @@ class TestForward:
         assert doc["schema"] == "polymod-error/1"
         assert doc["error"] == "NotAPermutation"
 
+    def test_an_unparsable_label_exits_2(self, capsys):
+        """A letter in the word: the parser's own error, not a bug (exit 6)."""
+        code, doc, err = run_json(capsys, "forward", "--n", "5", "--theta", "5x2pi/5", "--label", "12a45")
+        assert code == 2
+        assert doc == {"schema": "polymod-error/1", "version": 1, "error": "OutOfRange",
+                       "message": "cannot parse label '12a45'"}
+        assert err == ""
+
     def test_theta_outside_domain_exits_2(self, capsys):
         code, doc, _ = run_json(
             capsys, "forward", "--n", "5",
@@ -259,6 +267,14 @@ class TestInvert:
                     abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b)) for a, b in zip(values, image)
                 ), (values, image)
 
+    def test_an_unparsable_shape_exits_2(self, capsys):
+        """A letter in a parameter: the parser's own error, not a bug (exit 6)."""
+        code, doc, err = run_json(capsys, "invert", "--n", "5", "--shape1", "a,b", "--shape2", "0.9,0.9")
+        assert code == 2
+        assert doc == {"schema": "polymod-error/1", "version": 1, "error": "OutOfRange",
+                       "message": "cannot parse shape 'a,b'"}
+        assert err == ""
+
     @pytest.mark.parametrize(
         "shape1, message",
         [
@@ -405,13 +421,13 @@ class TestVerify:
 
     def test_forward_failure_is_a_failed_trial(self, capsys, monkeypatch):
         """A forward-map error in one roundtrip trial fails that trial only."""
-        bad = sample_weight_rng(5, np.random.default_rng([7, 3]))
+        bad = verify._draw(5, 7, [3])[0][0].tolist()  # trial 3 of seed 7
         original = fiber.forward_params
 
         def forward_params(n, theta, labels):
             params, errors = original(n, theta, labels)
             return params, [
-                RouteDisagreement("planted") if row == list(bad.theta) else e
+                RouteDisagreement("planted") if row == bad else e
                 for row, e in zip(theta.tolist(), errors)
             ]
 
@@ -459,6 +475,22 @@ class TestVerify:
         assert code == 2
         assert doc["schema"] == "polymod-error/1"
         assert doc["message"] == "seed must be non-negative, got -1"
+        assert err == ""
+
+    def test_a_seed_of_2_to_the_128_exits_2_before_any_trial(self, capsys, monkeypatch):
+        """2**128 - 1 is the largest 128-bit Philox key; 2**128 would wrap."""
+        code, doc, err = run_json(capsys, "verify", "--suite", "roundtrip", "--n", "5", "--samples", "3",
+                                  "--seed", str(2**128 - 1))
+        assert (code, doc["seed"], err) == (0, 2**128 - 1, "")
+
+        def no_trials(*args):
+            raise AssertionError("reached the trial runner")
+
+        monkeypatch.setattr(verify, "_run_sampled", no_trials)
+        code, doc, err = run_json(capsys, "verify", "--suite", "all", "--n", "5", "--seed", str(2**128))
+        assert code == 2
+        assert doc == {"schema": "polymod-error/1", "version": 1, "error": "OutOfRange",
+                       "message": f"seed must be below 2**128, got {2**128}"}
         assert err == ""
 
     def test_samples_beyond_the_bound_exit_2_before_any_trial(self, capsys, monkeypatch):

@@ -26,8 +26,8 @@ from polymod import (
     validate_weight,
     vertex_config,
 )
-from polymod import combinatorics
-from polymod.combinatorics import SAMPLE_BLOCK, sample_weight_rng, sample_weights
+from polymod import combinatorics, verify
+from polymod.combinatorics import sample_weight_rng
 
 import sampler_oracle as oracle
 from weights import sample_weight
@@ -212,13 +212,17 @@ def draw(sampler, n, seed, trial):
     return result, rng.permutation(n).tolist()
 
 
+#: The attempts ``sample_weight_rng`` draws at once.
+BLOCK = 32
+
+
 class TestBlockSampler:
     @pytest.mark.parametrize("n", [4, 5, 6, 12])
     def test_numpy_draws_blocks_like_single_rows(self, n):
         """What the block sampler relies on: exponential(size=(k, n)) gives
         the values of k draws of size n and leaves the stream where they
         do, and the row sums of a block have the bits of each row's sum."""
-        for k in (1, 2, 7, SAMPLE_BLOCK):
+        for k in (1, 2, 7, BLOCK):
             block_rng, row_rng = np.random.default_rng([k, n]), np.random.default_rng([k, n])
             block = block_rng.exponential(size=(k, n))
             rows = np.array([row_rng.exponential(size=n) for _ in range(k)])
@@ -233,13 +237,13 @@ class TestBlockSampler:
         sum below pi forces its complement above pi), so n = 4 runs on a
         budget of one full block and a partial one."""
         if n == 4:
-            monkeypatch.setattr(combinatorics, "REJECTION_BUDGET", SAMPLE_BLOCK + 6)
+            monkeypatch.setattr(combinatorics, "REJECTION_BUDGET", BLOCK + 6)
         for seed in range(4):
             for trial in range(500):
                 want = draw(oracle.sample_weight_rng, n, seed, trial)
                 assert draw(sample_weight_rng, n, seed, trial) == want, (seed, trial)
 
-    @pytest.mark.parametrize("budget", [1, 5, 2 * SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 5])
+    @pytest.mark.parametrize("budget", [1, 5, 2 * BLOCK, 2 * BLOCK + 5])
     def test_a_spent_budget_fails_like_the_scalar_sampler(self, monkeypatch, budget):
         """A lowered budget, a multiple of the block or not, runs out after
         the same attempts with the same message."""
@@ -253,57 +257,46 @@ class TestBlockSampler:
         assert draw(sample_weight_rng, 4, 9, 0)[0] == ("RejectionBudgetExceeded", message)
 
 
-class CountingRng:
-    """A generator that counts its ``exponential`` calls: one per attempt
-    of the scalar sampler."""
-
-    def __init__(self, rng):
-        self.rng, self.calls = rng, 0
-
-    def exponential(self, *args, **kwargs):
-        self.calls += 1
-        return self.rng.exponential(*args, **kwargs)
-
-
-def chunk(seed, trials):
-    return [np.random.default_rng([seed, trial]) for trial in trials]
-
-
-def outcome(sampler, n, rngs):
+def outcome(n, seed, trials, draw=verify._draw):
+    """The (N, n) angles and words of a chunk, or its failure."""
     try:
-        return sampler(n, rngs).tolist()
+        theta, words = draw(n, seed, trials)
     except RejectionBudgetExceeded as exc:
         return type(exc).__name__, str(exc)
+    return theta.tolist(), words
+
+
+def scalar(n, seed, trials):
+    return outcome(n, seed, trials, oracle.stream_chunk)
 
 
 class TestChunkSampler:
+    """``verify``'s trials: a chunk's weight vectors and label words from
+    the counter-based Philox stream, against the scalar loop over numpy's
+    own ``Philox``, one attempt at a time."""
+
     @pytest.mark.parametrize("n", [5, 6])
     def test_a_chunk_matches_the_scalar_sampler(self, n):
-        """Chunks of 64 generators, as ``verify`` draws them: the same theta
-        bits and the same end state of every generator, though many trials
-        need more than one block."""
-        block = combinatorics.SAMPLE_BLOCKS[n]
+        """Chunks of 64 trials: the same theta bits and the same words,
+        though many trials need more rounds than the first."""
         longest = 0
-        for seed in (0, 3, 11, 7919):
+        for seed in (0, 3, 11, 7919, 2**128 - 1):
             for start in (0, 64, 128):
-                got, want = chunk(seed, range(start, start + 64)), chunk(seed, range(start, start + 64))
-                assert sample_weights(n, got).tolist() == oracle.sample_weights(n, want).tolist()
-                for a, b in zip(got, want):
-                    assert a.bit_generator.state == b.bit_generator.state
-            counted = [CountingRng(rng) for rng in chunk(seed, range(64))]
-            oracle.sample_weights(n, counted)
-            longest = max(longest, max(rng.calls for rng in counted))
-        assert longest > 2 * block
+                drawn = [oracle.stream_trial(n, seed, trial) for trial in range(start, start + 64)]
+                theta, words = verify._draw(n, seed, range(start, start + 64))
+                assert theta.tolist() == [list(t.theta) for t, _, _ in drawn]
+                assert words == [w for _, w, _ in drawn]
+                longest = max(longest, *(attempts for _, _, attempts in drawn))
+        assert longest > 3 * verify._ATTEMPTS
 
-    @pytest.mark.parametrize("blocks", [{5: 1, 6: 1}, {5: 7, 6: 3}, {5: 1000, 6: 1000}])
+    @pytest.mark.parametrize("blocks", [{5: 1, 6: 1}, {5: 7, 6: 7}, {5: 1000, 6: 1000}])
     def test_the_block_size_changes_no_bit(self, monkeypatch, blocks):
-        """One attempt per block, several blocks per trial, or one block far
-        beyond any trial: the vectors and end states stay the scalar ones."""
-        monkeypatch.setattr(combinatorics, "SAMPLE_BLOCKS", blocks)
+        """One attempt in the first round, seven, or far more than any
+        trial needs: the vectors and words stay the scalar ones, as they
+        are at the default (above)."""
         for n in (5, 6):
-            got, want = chunk(5, range(40)), chunk(5, range(40))
-            assert sample_weights(n, got).tolist() == oracle.sample_weights(n, want).tolist()
-            assert [r.permutation(n).tolist() for r in got] == [r.permutation(n).tolist() for r in want]
+            monkeypatch.setattr(verify, "_ATTEMPTS", blocks[n])
+            assert outcome(n, 5, range(40)) == scalar(n, 5, range(40))
 
     @pytest.mark.parametrize("budget", [1, 30, 64, 150])
     def test_a_spent_budget_inside_a_chunk_fails_like_the_scalar_sampler(self, monkeypatch, budget):
@@ -314,15 +307,59 @@ class TestChunkSampler:
         spent = ("RejectionBudgetExceeded", f"no valid weight vector for n=5 in {budget} attempts")
         failing = 0
         for seed in range(6):
-            want = outcome(oracle.sample_weights, 5, chunk(seed, range(64)))
-            assert outcome(sample_weights, 5, chunk(seed, range(64))) == want
+            want = scalar(5, seed, range(64))
+            assert outcome(5, seed, range(64)) == want
             failing += want == spent
         assert failing >= 1
 
     def test_an_empty_chunk_and_too_few_marks(self):
-        assert sample_weights(5, []).shape == (0, 5)
+        theta, words = verify._draw(5, 0, range(0))
+        assert theta.shape == (0, 5) and words == []
         with pytest.raises(OutOfRange, match="need n >= 4, got 3"):
-            sample_weights(3, chunk(0, range(2)))
+            verify._draw(3, 0, range(2))
+
+
+#: Counters whose decrement, as numpy's ``Philox`` takes them, borrows
+#: across words, or whose words are all 2**64 - 1.
+CARRIES = [(0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (2**64 - 1,) * 4, (2**64 - 1, 5, 0, 0)]
+
+
+class TestCounterStream:
+    def test_philox_is_numpys_philox(self):
+        """Bit for bit, on 200 random (key, counter) pairs, and on the carry
+        counters, in one call per key, under four keys."""
+        rng = np.random.default_rng(2011)
+        words = rng.integers(0, 2**64, (200, 6), dtype=np.uint64, endpoint=False)
+        seeds = [int(a) | int(b) << 64 for a, b in words[:, 4:].tolist()]
+        for seed in (0, 2**64 - 1, 2**64, 2**128 - 1):
+            got = verify._philox(seed, *np.array(CARRIES, dtype=np.uint64).T)
+            for i, counter in enumerate(CARRIES):
+                assert [int(lane[i]) for lane in got] == oracle.philox_block(seed, counter)
+        for i, seed in enumerate(seeds):
+            got = verify._philox(seed, *words[i : i + 1, :4].T)
+            assert [int(lane[0]) for lane in got] == oracle.philox_block(seed, words[i, :4].tolist())
+
+    def test_broadcast_counters_give_each_block(self):
+        """The sampler's counters broadcast (trial, attempt, slot): each word
+        is that of its own counter."""
+        got = verify._words(7, [0, 5, 2**40], [0, 1, 9], 0, 6)
+        for i, trial in enumerate([0, 5, 2**40]):
+            for j, attempt in enumerate([0, 1, 9]):
+                assert [int(w[i, j]) for w in got] == oracle.stream_words(7, trial, attempt, 0, 6)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_the_first_angle_of_an_attempt_is_beta(self, n):
+        """10**5 attempts, before the acceptance test: the first angle over
+        2*pi of a flat Dirichlet draw is Beta(1, n - 1), with CDF
+        1 - (1 - x)**(n - 1).  Chi-square over 50 bins of equal
+        probability, at significance 0.001: 85.35 is the 0.999 quantile of
+        chi-square with 49 degrees of freedom."""
+        first = verify._attempts(n, 12, range(1000), range(100))[0] / (2.0 * math.pi)
+        cdf = 1.0 - (1.0 - first) ** (n - 1)
+        observed = np.bincount((cdf * 50).astype(int).ravel(), minlength=50)
+        expected = first.size / 50
+        assert len(observed) == 50
+        assert ((observed - expected) ** 2 / expected).sum() < 85.35
 
 
 # ===========================================================================

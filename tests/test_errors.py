@@ -81,6 +81,12 @@ class TestCheckSettings:
         with pytest.raises(OutOfRange, match=message):
             check_settings(1e-9, **bad)
 
+    def test_the_seed_is_a_128_bit_philox_key(self):
+        check_settings(1e-9, seed=2**128 - 1)
+        with pytest.raises(OutOfRange) as exc:
+            check_settings(1e-9, seed=2**128)
+        assert str(exc.value) == f"seed must be below 2**128, got {2**128}"
+
     def test_good_settings_pass(self):
         check_settings()  # every default is in the domain
         check_settings(1e-9, samples=1, seed=0, jobs=1)

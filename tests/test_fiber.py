@@ -30,7 +30,8 @@ from polymod import (
     validate_weight,
     verify_injectivity,
 )
-from polymod.combinatorics import sample_weight_rng, sample_weights
+from polymod import verify
+from polymod.combinatorics import sample_weight_rng
 from polymod.fiber import DESIGNATED, SWAPPED5, SWAPPED6, designated_pairs, invert_params
 
 import fiber_oracle
@@ -460,7 +461,7 @@ class TestColumnInverse:
     @pytest.mark.parametrize("n, samples", [(5, 150), (6, 190)])
     def test_the_verify_seeds_invert_as_the_scalar_oracle(self, n, samples):
         for seed in (0, 3, 11, 7919):
-            theta = sample_weights(n, [np.random.default_rng([seed, i]) for i in range(samples)])
+            theta, _ = verify._draw(n, seed, range(samples))
             params, errors = designated_pairs(n, theta)
             assert_columns_match_oracle(n, params[[e is None for e in errors]])
 

@@ -133,6 +133,19 @@ def test_commands_without_numeric_work_never_load_numpy(argv, code, schema, erro
     assert doc.get("error") == error
 
 
+def test_verify_never_loads_numpy_random():
+    """The trials draw from verify's own Philox, so a verify process loads
+    numpy but not numpy.random, nor the secrets and hashlib behind it."""
+    probe = (
+        "import sys\nfrom polymod.cli import main\ncode = main(sys.argv[1:])\n"
+        "modules = ('numpy', 'numpy.random', 'secrets', 'hashlib')\n"
+        "print(json.dumps({'code': code, 'loaded': [m for m in modules if m in sys.modules]}))"
+    )
+    argv = ("verify", "--suite", "all", "--n", "5", "--samples", "5", "--jobs", "1")
+    _, status_line = python(probe, *argv).splitlines()
+    assert json.loads(status_line) == {"code": 0, "loaded": ["numpy"]}
+
+
 def test_a_forward_map_loads_numpy():
     """The contrast case: the probe does see numpy when a command needs it."""
     _, status_line = python(_RUN_MAIN, "forward", "--n", "5", "--theta", "5x2pi/5").splitlines()

@@ -3,6 +3,7 @@
 import concurrent.futures
 import hashlib
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,15 +20,14 @@ from polymod import (
     verify_injectivity,
 )
 from polymod import cli
-from polymod.combinatorics import sample_weight_rng
 
 import scan_oracle
 
 #: The first 12 hex digits of sha256(stdout + stderr + "exit=<code>\n") of
 #: ``verify --suite all`` at n=5 (150 samples) and n=6 (190 samples), per seed.
 VERIFY_HASHES = {
-    (5, 0): "bc91b566c138", (5, 3): "ddce8e0cc5d1", (5, 11): "8549ae937ca5", (5, 7919): "c42806bb5c3c",
-    (6, 0): "b1611571119d", (6, 3): "99badc23dd2f", (6, 11): "a74b79e428d2", (6, 7919): "4814b67c7af8",
+    (5, 0): "908595996de1", (5, 3): "3114bafa7dc4", (5, 11): "e605ae68ccdc", (5, 7919): "21d9f208d1b7",
+    (6, 0): "7bcfde92bdad", (6, 3): "3a7b5f99c9df", (6, 11): "336f0bd0ace8", (6, 7919): "a86b040f9fc1",
 }
 
 
@@ -77,13 +77,13 @@ def test_all_draws_and_builds_once_per_trial(monkeypatch, n):
     """Each trial is drawn once, by one sampler call per chunk; its model is
     one row of one kernel call, and each chunk inverts its shape pairs in
     one column call."""
-    calls = {"sample_weights": 0, "drawn": 0, "build_models": 0, "invert_params": 0, "inverted": 0}
-    draw, build, invert = verify.sample_weights, verify.build_models, verify.invert_params
+    calls = {"_draw": 0, "drawn": 0, "build_models": 0, "invert_params": 0, "inverted": 0}
+    draw, build, invert = verify._draw, verify.build_models, verify.invert_params
 
-    def sample_weights(n, rngs):
-        calls["sample_weights"] += 1
-        calls["drawn"] += len(rngs)
-        return draw(n, rngs)
+    def _draw(n, seed, trials):
+        calls["_draw"] += 1
+        calls["drawn"] += len(trials)
+        return draw(n, seed, trials)
 
     def build_models(thetas, words):
         calls["build_models"] += len(thetas)
@@ -94,13 +94,13 @@ def test_all_draws_and_builds_once_per_trial(monkeypatch, n):
         calls["inverted"] += len(pairs)
         return invert(n, pairs, tol)
 
-    monkeypatch.setattr(verify, "sample_weights", sample_weights)
+    monkeypatch.setattr(verify, "_draw", _draw)
     monkeypatch.setattr(verify, "build_models", build_models)
     monkeypatch.setattr(verify, "invert_params", invert_params)
     monkeypatch.setattr(verify, "TRIAL_CHUNK", 4)  # chunks of 4, 4 and 2 trials
     assert run_suite("all", n, 10, 2, jobs=1)["pass"]
     assert calls == {
-        "sample_weights": 3, "drawn": 10, "build_models": 10, "invert_params": 3, "inverted": 10,
+        "_draw": 3, "drawn": 10, "build_models": 10, "invert_params": 3, "inverted": 10,
     }
 
 
@@ -151,6 +151,62 @@ def test_a_run_has_one_chunk_per_worker(monkeypatch, serial_pool, jobs, chunks):
     run_suite("roundtrip", 5, 150, 0, jobs=jobs)
     assert ran == chunks
     assert serial_pool == ([] if jobs == 1 else [2])
+
+
+def planted_roundtrip(samples=150, seed=3):
+    """``roundtrip`` at tol 1e-300: each trial fails its forward check
+    (InconsistentPair) or has an error above tol."""
+    return run_suite("roundtrip", 5, samples, seed, tol=1e-300)
+
+
+def test_a_planted_failure_names_its_worst_trial_and_counts_its_classes():
+    report = planted_roundtrip()
+    failures = report["failures"]
+    classes = Counter(f["failure"].split(":")[0] if "failure" in f else "above_tol" for f in failures)
+    assert report["failure_classes"] == dict(classes)
+    assert set(classes) == {"InconsistentPair", "above_tol"}
+    errors = [(f["trial"], f["error"]) for f in failures if "error" in f]
+    worst = report["worst_trial"]
+    assert (worst, report["max_error"]) in errors
+    assert all(e < report["max_error"] or t >= worst for t, e in errors)
+
+
+@pytest.mark.parametrize("jobs, chunk", [(1, 64), (2, None), (2, 64)])
+def test_the_report_fields_hold_across_jobs_and_chunks(monkeypatch, serial_pool, jobs, chunk):
+    """The planted failures of every sampled suite, at ``--jobs`` 1 and 2
+    and at ``TRIAL_CHUNK`` 256 and 64: the same reports, and the
+    ``roundtrip`` report of ``all`` is that of ``roundtrip`` alone."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    reference = run_suite("all", 5, 150, 3, tol=1e-300)
+    if chunk is not None:
+        monkeypatch.setattr(verify, "TRIAL_CHUNK", chunk)
+    assert run_suite("all", 5, 150, 3, tol=1e-300, jobs=jobs) == reference
+    assert reference["reports"]["roundtrip"] == planted_roundtrip()
+
+
+def test_the_worst_trial_replays_from_its_seed():
+    """The same seed with samples up to the worst trial draws that trial
+    again: the same worst trial, error and failures."""
+    report = planted_roundtrip()
+    worst = report["worst_trial"]
+    replay = planted_roundtrip(worst + 1)
+    assert (replay["worst_trial"], replay["max_error"]) == (worst, report["max_error"])
+    assert replay["failures"] == [f for f in report["failures"] if f["trial"] <= worst]
+
+
+def test_ties_name_the_first_trial_and_no_error_names_none(monkeypatch):
+    signature = run_suite("signature", 5, 20, 1)
+    assert (signature["max_error"], signature["worst_trial"], signature["failure_classes"]) == (0.0, 0, {})
+    invert = verify.invert_params
+
+    def invert_params(n, pairs, tol):
+        *columns, errors = invert(n, pairs, tol)
+        return (*columns, [InconsistentPair("planted") for _ in errors])
+
+    monkeypatch.setattr(verify, "invert_params", invert_params)
+    report = run_suite("roundtrip", 5, 12, 4)
+    assert (report["max_error"], report["worst_trial"]) == (None, None)
+    assert report["failure_classes"] == {"InconsistentPair": 12}
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -256,8 +312,8 @@ def test_the_grid_pairs_every_two_rows_within_h(case):
 @pytest.mark.parametrize("n", [5, 6])
 def test_the_scan_in_small_blocks_is_the_quadratic_scan(monkeypatch, n):
     """Blocks of at most 5 pairs, or one row's pairs, on the scan columns of
-    300 roundtrip trials."""
-    _, columns = verify._run_chunk(("roundtrip",), n, 3, 1e-9, range(300))
+    600 roundtrip trials."""
+    _, columns = verify._run_chunk(("roundtrip",), n, 3, 1e-9, range(600))
     grid_pairs, blocks = verify._grid_pairs, []
 
     def recorded(coords, h):
@@ -287,14 +343,19 @@ def test_failed_inversions_still_enter_the_scan(monkeypatch):
     assert report["min_shape_separation"] == clean["min_shape_separation"]
 
 
+def trial_theta(n, seed, trial):
+    """The angles that trial ``trial`` of ``seed`` draws, alone."""
+    return verify._draw(n, seed, [trial])[0][0].tolist()
+
+
 def _plant_model_failure(bad):
-    """A ``verify.build_models`` whose row for ``bad`` fails to build."""
+    """A ``verify.build_models`` whose row with the angles ``bad`` fails to build."""
     original = verify.build_models
 
     def build_models(thetas, words):
         stack = original(thetas, words)
         for i, row in enumerate(thetas.tolist()):
-            if tuple(row) == bad.theta:
+            if row == bad:
                 stack.model_errors[i] = SignatureMismatch("planted")
         return stack
 
@@ -318,7 +379,7 @@ def _plant_planar_failure(row):
     [("signature", "build_model"), ("crossroute", "planar_shape"), ("all", "build_model")],
 )
 def test_a_raising_trial_is_the_only_failure(monkeypatch, suite, target):
-    bad = sample_weight_rng(6, np.random.default_rng([7, 3]))
+    bad = trial_theta(6, 7, 3)
     if target == "build_model":  # the trial models are rows of one kernel call
         monkeypatch.setattr(verify, "build_models", _plant_model_failure(bad))
     else:  # the crossroute planar parameters are rows of one planar call; trial 3 is row 3
@@ -356,10 +417,7 @@ def test_trial_indices_hold_across_chunks(monkeypatch, n):
     clean = run_suite("all", n, 10, seed)
     assert clean["pass"]
 
-    def draw(trial):
-        return sample_weight_rng(n, np.random.default_rng([seed, trial]))
-
-    params, _ = verify.designated_pairs(n, np.array([draw(5).theta, draw(9).theta]))
+    params, _ = verify.designated_pairs(n, np.array([trial_theta(n, seed, 5), trial_theta(n, seed, 9)]))
     bad_pairs = set(map(tuple, params.tolist()))
     invert, scan = verify.invert_params, verify._separation_scan
     scanned = []
@@ -376,7 +434,7 @@ def test_trial_indices_hold_across_chunks(monkeypatch, n):
         ])
 
     monkeypatch.setattr(verify, "invert_params", invert_params)
-    monkeypatch.setattr(verify, "build_models", _plant_model_failure(draw(6)))
+    monkeypatch.setattr(verify, "build_models", _plant_model_failure(trial_theta(n, seed, 6)))
     monkeypatch.setattr(verify, "_separation_scan", separation_scan)
     monkeypatch.setattr(verify, "TRIAL_CHUNK", 4)
     reports = run_suite("all", n, 10, seed)["reports"]
