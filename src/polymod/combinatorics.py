@@ -205,32 +205,26 @@ def equal_weight(n: int) -> WeightVector:
 
 
 def sample_weight_rng(n: int, rng: np.random.Generator) -> WeightVector:
-    """Rejection-sample a weight vector from a generator: the first attempt
-    (normalized exponentials scaled to 2*pi) whose largest pair sum is below
-    pi, by a margin that keeps the rescaling of :func:`validate_weight` off
-    the boundary.  Attempts are drawn 32 at a time, then the generator is
-    rewound and draws up to the accepted one, ending where one draw per
-    attempt leaves it.  RejectionBudgetExceeded after ``REJECTION_BUDGET``."""
+    """Rejection-sample a weight vector from a generator, one attempt at a
+    time: the first attempt (normalized exponentials scaled to 2*pi) whose
+    largest pair sum is below pi, by a margin that keeps the rescaling of
+    :func:`validate_weight` off the boundary.  RejectionBudgetExceeded
+    after ``REJECTION_BUDGET``."""
     import numpy as np
 
     if n < 4:
         raise OutOfRange(f"need n >= 4, got {n}")
-    budget = REJECTION_BUDGET
-    for attempts in range(0, budget, 32):
-        rows, state = min(32, budget - attempts), rng.bit_generator.state
-        x = rng.exponential(size=(rows, n))
-        total = x.sum(axis=1)
-        th = 2.0 * math.pi * x / total[:, None]
+    for _ in range(REJECTION_BUDGET):
+        x = rng.exponential(size=n)
+        total = x.sum()
+        if not (total > 0.0 and np.isfinite(total)):
+            continue
+        th = 2.0 * math.pi * x / total
         # Float addition is monotone: the largest pair sum is the two largest.
-        top = np.sort(th, axis=1)
-        ok = (total > 0.0) & np.isfinite(total) & (top[:, 0] > 0.0)
-        ok &= top[:, -2] + top[:, -1] < math.pi - 1e-12
-        if ok.any():
-            k = int(ok.argmax())
-            rng.bit_generator.state = state
-            rng.exponential(size=(k + 1, n))
-            return validate_weight(th[k])
-    raise RejectionBudgetExceeded(f"no valid weight vector for n={n} in {budget} attempts")
+        top = np.sort(th)
+        if top[0] > 0.0 and top[-2] + top[-1] < math.pi - 1e-12:
+            return validate_weight(th)
+    raise RejectionBudgetExceeded(f"no valid weight vector for n={n} in {REJECTION_BUDGET} attempts")
 
 
 # --------------------------------------------------------------------------- #

@@ -13,10 +13,10 @@ triangles, one pairing call gives every model's dihedral angles, one
 forward call maps the chunk on the designated label pair and one column
 inverse inverts its shape pairs.  Every row of a stacked call is computed
 as it would be alone, or holds its failure.  Outcomes are columns too: per
-suite, one entry per trial in trial order, its error or the ``"Class:
-message"`` text of its failure.  The separation scan reads the trial
-index, theta and shape parameters of each designated pair that mapped,
-concatenated once over the chunks.  Reports are deterministic for a fixed
+suite, a float64 error per trial and a sparse map of each failed trial to
+its failure's class and message.  The separation scan reads the trial
+index and shape parameters of each designated pair that mapped; a
+collision draws its thetas again.  Reports are deterministic for a fixed
 (n, samples, seed, tol) and byte-identical across runs and across worker
 counts.  Suites:
 
@@ -36,6 +36,7 @@ import os
 from collections import Counter
 from functools import partial, reduce
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -67,48 +68,39 @@ _SAMPLED = ("roundtrip", "orthogonality", "signature", "crossroute")
 _MODEL_SUITES = _SAMPLED[1:]
 
 
-def _column(errors: list, values: list) -> list:
-    """Per trial, the ``"Class: message"`` text of its failure, or its value."""
-    return [values[i] if e is None else f"{type(e).__name__}: {e}" for i, e in enumerate(errors)]
-
-
-def _row_max(errors: np.ndarray) -> list[float]:
-    """Each row's largest entry, as Python's ``max`` picks it from the row."""
-    return [max(row) for row in errors.tolist()]
-
-
-def _roundtrip(n: int, theta: np.ndarray, tol: float) -> tuple[list, tuple]:
-    """Per trial, the largest change of an angle over the forward map on
-    the designated label pair (not the random word) and the inversion, or
-    the failure of either; and the scan columns of the trials that mapped."""
+def _roundtrip(n: int, theta: np.ndarray, tol: float) -> tuple[list, np.ndarray, tuple]:
+    """Per trial, the failure of the forward map on the designated label
+    pair (not the random word) or of the inversion, and the largest change
+    of an angle over both; and the rows and parameters of those that mapped."""
     params, errors = designated_pairs(n, theta)
     mapped = [i for i, e in enumerate(errors) if e is None]
     back, _, _, failures = invert_params(n, params[mapped], tol)
-    values = [0.0] * len(theta)
-    for i, e, error in zip(mapped, failures, _row_max(np.abs(theta[mapped] - back))):
-        errors[i], values[i] = e, error
-    return _column(errors, values), (mapped, theta[mapped], params[mapped])
+    for i, e in zip(mapped, failures):
+        errors[i] = e
+    values = np.zeros(len(theta))
+    values[mapped] = np.abs(theta[mapped] - back).max(axis=1)
+    return errors, values, (mapped, params[mapped])
 
 
-def _orthogonality(models: ModelStack) -> list:
-    """Per trial, the largest departure from pi/2 of its always-orthogonal
-    facet pairs, or its first failure in pair order."""
+def _orthogonality(models: ModelStack) -> tuple[list, np.ndarray]:
+    """Per trial, its first failure in pair order, and the largest
+    departure from pi/2 of its always-orthogonal facet pairs."""
     pairs, rows = ORTHOGONAL_PAIRS[models.facet_mat.shape[1]], len(models.words)
     entries = np.arange(rows).repeat(len(pairs)), pairs * rows
     angles, errors = dihedral_angles(models.gram, models.facet_mat, models.model_errors, *entries)
     per_row = (errors[i : i + len(pairs)] for i in range(0, len(errors), len(pairs)))
     first = [next(filter(None, row), None) for row in per_row]
-    return _column(first, _row_max(np.abs(angles - _RIGHT_ANGLE).reshape(rows, -1)))
+    return first, np.abs(angles - _RIGHT_ANGLE).reshape(rows, -1).max(axis=1)
 
 
 @np.errstate(all="ignore")  # a failed row's values go unread
-def _crossroute(models: ModelStack) -> list:
-    """Per trial, the largest linear relative residual between the planar
-    parameters and the axis intercepts, or the failure of either: the
+def _crossroute(models: ModelStack) -> tuple[list, np.ndarray]:
+    """Per trial, the failure of the planar parameters or the axis
+    intercepts, and the largest linear relative residual between them: the
     squared scale of moduli.scaled_residual would loosen this gate."""
     params, errors = planar_params(models.triangles)
     errors = [p or m or x for p, m, x in zip(errors, models.model_errors, models.intercept_errors)]
-    return _column(errors, _row_max(relative_residual(params, models.intercepts)))
+    return errors, relative_residual(params, models.intercepts).max(axis=1)
 
 
 _u64 = partial(np.array, dtype=np.uint64)
@@ -202,11 +194,12 @@ def _draw(n: int, seed: int, trials) -> tuple[np.ndarray, list[tuple[int, ...]]]
 
 def _run_chunk(
     suites: tuple[str, ...], n: int, seed: int, tol: float, trials: range
-) -> tuple[dict[str, list], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[dict[str, tuple[np.ndarray, dict]], tuple[np.ndarray, np.ndarray]]:
     """Deterministic trials of each suite; trial i depends only on (seed, i).
 
-    Returns each suite's outcomes, one per trial in order (its error, or
-    its failure text), and the scan columns: the trial index, theta and
+    Returns each suite's outcome columns: its float64 error per trial in
+    order (a failed trial's is meaningless) and its ``{trial: (class,
+    message)}`` failures; and the scan columns: the trial index and
     designated-pair shape parameters of each trial whose pair mapped, so a
     trial whose inversion fails is still scanned.
     """
@@ -214,14 +207,15 @@ def _run_chunk(
     models = build_models(theta, words) if set(suites) & set(_MODEL_SUITES) else None
     out, scan = {}, None
     if "roundtrip" in suites:
-        out["roundtrip"], (mapped, thetas, params) = _roundtrip(n, theta, tol)
-        scan = (np.array(trials)[mapped], thetas, params)
+        *out["roundtrip"], (mapped, params) = _roundtrip(n, theta, tol)
+        scan = (np.array(trials)[mapped], params)
     # signature: building the model is the check, which fails with
     # SignatureMismatch unless the area form has signature (1, n-3)
     columns = {"orthogonality": _orthogonality, "crossroute": _crossroute,
-               "signature": lambda models: _column(models.model_errors, [0.0] * len(trials))}
+               "signature": lambda models: (models.model_errors, np.zeros(len(trials)))}
     out.update((suite, columns[suite](models)) for suite in suites if suite in columns)
-    return {suite: out[suite] for suite in suites}, scan
+    return {s: (out[s][1], {t: (type(e).__name__, str(e)) for t, e in zip(trials, out[s][0]) if e})
+            for s in suites}, scan
 
 
 #: Candidate pairs the grid scan measures at once, which bounds its memory.
@@ -229,13 +223,14 @@ _SCAN_BLOCK = 1 << 17
 
 
 def _separation_scan(
-    trials: np.ndarray, thetas: np.ndarray, shapes: np.ndarray
+    trials: np.ndarray, shapes: np.ndarray, thetas: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[float | None, dict | None]:
     """Minimum pairwise Chebyshev distance of the scanned shape pairs, and
     the first collision.
 
-    The columns hold the trial index, theta and shape parameters of each
-    designated pair that mapped, so every shape row is finite.  The
+    The columns hold the trial index and shape parameters of each
+    designated pair that mapped, so every shape row is finite; ``thetas``
+    gives the (k, n) weight vectors of k trial indices.  The
     minimum is bit for bit that over all N(N-1)/2 pairs: h, the least
     distance from a row to its next four along one sorted coordinate,
     bounds it from above, so the closest pair is within h on every
@@ -272,7 +267,7 @@ def _separation_scan(
     if low > 0.0:
         for i, j in _grid_pairs(shapes[:, axes], low):
             low = min(low, float(np.abs(shapes[i] - shapes[j]).max(axis=1).min()))
-    return low, (_first_collision(trials, thetas, shapes) if low == 0.0 else None)
+    return low, (_first_collision(trials, shapes, thetas) if low == 0.0 else None)
 
 
 def _grid_pairs(coords: np.ndarray, h: float):
@@ -329,7 +324,7 @@ def _grid_pairs(coords: np.ndarray, h: float):
         r0 = r1
 
 
-def _first_collision(trials: np.ndarray, thetas: np.ndarray, shapes: np.ndarray) -> dict | None:
+def _first_collision(trials: np.ndarray, shapes: np.ndarray, thetas: Callable) -> dict | None:
     """The first pair (i, j) in trial order of equal shape rows whose
     thetas differ by more than 1e-6, as the report's collision entry, or
     None.  Sorting the rows makes each group of equal rows one run."""
@@ -340,8 +335,9 @@ def _first_collision(trials: np.ndarray, thetas: np.ndarray, shapes: np.ndarray)
     found = []  # per group, its first such pair
     for a, b in zip(starts[stops - starts > 1], stops[stops - starts > 1]):
         members = np.sort(order[a:b])
+        group = thetas(trials[members])
         for k, i in enumerate(members[:-1]):
-            theta_sep = np.abs(thetas[members[k + 1 :]] - thetas[i]).max(axis=1)
+            theta_sep = np.abs(group[k + 1 :] - group[k]).max(axis=1)
             far = np.flatnonzero(theta_sep > 1e-6)
             if far.size:
                 found.append((i, members[k + 1 + far[0]], float(theta_sep[far[0]])))
@@ -372,22 +368,22 @@ def _run_sampled(
     reports = {}
     for suite in suites:
         # chunks cover the trials in order, so a trial is its position
-        outcomes = [out for columns, _ in done for out in columns[suite]]
-        errors = {trial: out for trial, out in enumerate(outcomes) if not isinstance(out, str)}
-        failures = [
-            {"trial": trial, "failure" if isinstance(out, str) else "error": out}
-            for trial, out in enumerate(outcomes)
-            if isinstance(out, str) or out > tol
-        ]
-        worst = max(errors, key=errors.get, default=None)  # the first on ties
-        extra = {"max_error": errors.get(worst), "worst_trial": worst}
+        errors = np.concatenate([columns[suite][0] for columns, _ in done])
+        failed = {t: f for columns, _ in done for t, f in columns[suite][1].items()}
+        errors[list(failed)] = -math.inf  # a failure is never above tol, nor the worst
+        above = np.flatnonzero(errors > tol).tolist()
+        worst = int(errors.argmax()) if len(failed) < samples else None  # the first on ties
+        extra = {"max_error": None if worst is None else float(errors[worst]), "worst_trial": worst}
+        failures = [{"trial": t, "failure": ": ".join(failed[t])} if t in failed else
+                    {"trial": t, "error": float(errors[t])} for t in sorted([*failed, *above])]
+        classes = Counter(cls for cls, _ in failed.values()) + Counter(above_tol=len(above))
         if suite == "roundtrip":
             scan = (np.concatenate(column) for column in zip(*(cols for _, cols in done)))
-            extra["min_shape_separation"], collision = _separation_scan(*scan)
+            extra["min_shape_separation"], collision = _separation_scan(
+                *scan, lambda trials: _draw(n, seed, trials)[0])
             if collision is not None:
                 failures.append({"collision": collision})
-        classes = Counter(f["failure"].partition(":")[0] if "failure" in f else
-                          "above_tol" if "error" in f else "collision" for f in failures)
+                classes["collision"] += 1
         reports[suite] = _report(suite, n, samples, seed, tol, **extra, failures=failures,
                                  failure_classes=dict(classes))
     return reports

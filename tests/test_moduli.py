@@ -23,7 +23,7 @@ from polymod import (
     psi6,
 )
 from polymod import lorentz, moduli, planar
-from polymod.combinatorics import sample_weight_rng
+from polymod.combinatorics import sample_weight_rng, validate_weights
 from polymod.errors import unwrap
 from polymod.moduli import forward_params, planar_params
 
@@ -125,6 +125,50 @@ class TestPlanarShape:
             fiber_theta6(pentagon, 0.5 + 1j)
         with pytest.raises(OutOfRange, match="parameters"):
             fiber_theta5(hexahedron, 0.5 + 1j)
+
+
+@st.composite
+def relabel_case(draw, n):
+    """1 to 6 validated weight vectors with random words, some pushed to
+    the pair-sum boundary (their two largest angles summing to pi - eps),
+    where the forward map fails on some rows; and a renaming sigma of the
+    marks, as a tuple: mark m becomes sigma[m - 1]."""
+    raw = []
+    for _ in range(draw(st.integers(1, 6))):
+        theta = np.array(sample_weight_rng(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))).theta)
+        eps = draw(st.sampled_from([None, 1e-4, 1e-6, 1e-7, 1e-8]))
+        if eps is not None:
+            top = np.argsort(theta)[-2:]
+            rest = np.ones(n, bool)
+            rest[top] = False
+            theta[top] *= (math.pi - eps) / theta[top].sum()
+            theta[rest] *= (math.pi + eps) / theta[rest].sum()
+        raw.append(theta)
+    theta, errors = validate_weights(np.array(raw))
+    ok = [i for i, e in enumerate(errors) if e is None]
+    assume(ok)
+    words = [tuple(draw(st.permutations(range(1, n + 1)))) for _ in ok]
+    return theta[ok], words, tuple(draw(st.permutations(range(1, n + 1))))
+
+
+class TestRelabeling:
+    """The paper's map is defined on configurations of marked points, so
+    renaming the marks, with the word renamed to match, reads the same
+    polygon: the same angles in the same order around it."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_renaming_the_marks_keeps_every_bit(self, n, data):
+        theta, words, sigma = data.draw(relabel_case(n))
+        renamed = np.empty_like(theta)
+        renamed[:, np.array(sigma) - 1] = theta
+        renamed_words = [tuple(sigma[m - 1] for m in word) for word in words]
+        params, errors = forward_params(n, theta, words)
+        renamed_params, renamed_errors = forward_params(n, renamed, renamed_words)
+        assert renamed_params.tobytes() == params.tobytes()
+        described = [None if e is None else (type(e).__name__, str(e)) for e in errors]
+        assert [None if e is None else (type(e).__name__, str(e)) for e in renamed_errors] == described
 
 
 class TestGateDecisions:

@@ -153,6 +153,17 @@ def test_a_run_has_one_chunk_per_worker(monkeypatch, serial_pool, jobs, chunks):
     assert serial_pool == ([] if jobs == 1 else [2])
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_a_trial_that_did_not_fail_has_a_finite_error(n):
+    """The reports read each suite's largest error with numpy, where a NaN
+    would be the maximum that Python's ``max`` can pass over: every trial
+    that did not fail has a finite error.  Each suite's gates fail a row
+    whose values are not finite."""
+    outcomes, _ = verify._run_chunk(verify._SAMPLED, n, 3, 1e-9, range(600))
+    for errors, failed in outcomes.values():
+        assert np.isfinite(np.delete(errors, list(failed))).all()
+
+
 def planted_roundtrip(samples=150, seed=3):
     """``roundtrip`` at tol 1e-300: each trial fails its forward check
     (InconsistentPair) or has an error above tol."""
@@ -238,7 +249,7 @@ def test_the_scan_reports_the_first_collision_in_trial_order(rows, min_sep, coll
     thetas = np.array([[1.0, 1.2, 1.3, 1.4, 1.0], [1.0, 1.2, 1.3, 1.4, 1.0],
                        [1.1, 1.2, 1.3, 1.3, 1.0], [0.9, 1.2, 1.3, 1.5, 1.0]])[: len(rows)]
     shapes = np.array([shape[r] for r in rows]).reshape(len(rows), 4)
-    sep, found = verify._separation_scan(trials, thetas, shapes)
+    sep, found = verify._separation_scan(trials, shapes, planted(trials, thetas))
     assert sep == min_sep
     if collision is None:
         assert found is None
@@ -246,6 +257,12 @@ def test_the_scan_reports_the_first_collision_in_trial_order(rows, min_sep, coll
         i, j = collision
         theta_sep = float(np.abs(thetas[j] - thetas[i]).max())
         assert found == {"trials": [int(trials[i]), int(trials[j])], "theta_separation": theta_sep}
+
+
+def planted(trials, thetas):
+    """The scan's ``thetas`` for planted rows: trial ``trials[k]``, of the
+    sorted ``trials``, has the angles ``thetas[k]``."""
+    return lambda wanted: thetas[np.searchsorted(trials, wanted)]
 
 
 @st.composite
@@ -283,7 +300,8 @@ def scan_columns(draw):
 @settings(max_examples=300, deadline=None)
 def test_the_grid_scan_is_the_quadratic_scan(columns):
     """The minimum bit for bit and the same collision as the O(N^2) scan."""
-    assert verify._separation_scan(*columns) == scan_oracle.separation_scan(*columns)
+    trials, thetas, shapes = columns
+    assert verify._separation_scan(trials, shapes, planted(trials, thetas)) == scan_oracle.separation_scan(*columns)
 
 
 @st.composite
@@ -313,7 +331,11 @@ def test_the_grid_pairs_every_two_rows_within_h(case):
 def test_the_scan_in_small_blocks_is_the_quadratic_scan(monkeypatch, n):
     """Blocks of at most 5 pairs, or one row's pairs, on the scan columns of
     600 roundtrip trials."""
-    _, columns = verify._run_chunk(("roundtrip",), n, 3, 1e-9, range(600))
+    _, (trials, shapes) = verify._run_chunk(("roundtrip",), n, 3, 1e-9, range(600))
+
+    def redraw(wanted):
+        return verify._draw(n, 3, wanted)[0]
+
     grid_pairs, blocks = verify._grid_pairs, []
 
     def recorded(coords, h):
@@ -323,7 +345,8 @@ def test_the_scan_in_small_blocks_is_the_quadratic_scan(monkeypatch, n):
 
     monkeypatch.setattr(verify, "_SCAN_BLOCK", 5)
     monkeypatch.setattr(verify, "_grid_pairs", recorded)
-    assert verify._separation_scan(*columns) == scan_oracle.separation_scan(*columns)
+    oracle = scan_oracle.separation_scan(trials, redraw(trials), shapes)
+    assert verify._separation_scan(trials, shapes, redraw) == oracle
     assert len(blocks) > 10 and all(size <= 5 or rows == 1 for size, rows in blocks)
 
 
@@ -341,6 +364,35 @@ def test_failed_inversions_still_enter_the_scan(monkeypatch):
     assert report["max_error"] is None
     assert len(report["failures"]) == 12
     assert report["min_shape_separation"] == clean["min_shape_separation"]
+
+
+@pytest.mark.parametrize("jobs, chunk", [(1, None), (2, None), (1, 64), (2, 64)])
+@pytest.mark.parametrize("n", [5, 6])
+def test_a_planted_collision_fails_the_report(monkeypatch, serial_pool, n, jobs, chunk):
+    """Trial b maps to trial a's shape pair: the scan finds the pair, draws
+    both thetas again from their trial indices and reports the collision,
+    whether a and b share a chunk or not."""
+    seed, a, b = 0, 10, 100
+    assert run_suite("roundtrip", n, 150, seed)["pass"]
+    theta_a, theta_b = trial_theta(n, seed, a), trial_theta(n, seed, b)
+    original = verify.designated_pairs
+    copied = original(n, np.array([theta_a]))[0][0]
+
+    def designated_pairs(n, theta):
+        params, errors = original(n, theta)
+        params[[row == theta_b for row in theta.tolist()]] = copied
+        return params, errors
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "designated_pairs", designated_pairs)
+    if chunk is not None:
+        monkeypatch.setattr(verify, "TRIAL_CHUNK", chunk)
+    report = run_suite("roundtrip", n, 150, seed, jobs=jobs)
+    theta_sep = float(np.abs(np.array(theta_b) - theta_a).max())
+    assert report["failures"][-1] == {"collision": {"trials": [a, b], "theta_separation": theta_sep}}
+    assert report["failure_classes"]["collision"] == 1
+    assert report["min_shape_separation"] == 0.0
+    assert not report["pass"]
 
 
 def trial_theta(n, seed, trial):
@@ -422,9 +474,9 @@ def test_trial_indices_hold_across_chunks(monkeypatch, n):
     invert, scan = verify.invert_params, verify._separation_scan
     scanned = []
 
-    def separation_scan(trials, thetas, shapes):
+    def separation_scan(trials, shapes, thetas):
         scanned.extend(trials.tolist())
-        return scan(trials, thetas, shapes)
+        return scan(trials, shapes, thetas)
 
     def invert_params(n, pairs, tol):
         *columns, errors = invert(n, pairs, tol)
