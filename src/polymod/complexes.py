@@ -100,11 +100,8 @@ def build_complex(n: int, theta: WeightVector | None = None) -> GluedComplex:
             raise PairingFailure(
                 f"configuration {cfg} matched {len(slots)} face slots, expected 2"
             )
+        # two faces of one cell merge different adjacent pairs, so ca != cb
         (ca, fa), (cb, fb) = sorted(slots)
-        if ca == cb:
-            raise PairingFailure(
-                f"configuration {cfg} pairs two faces of the same cell {cells[ca]}"
-            )
         pairings.append(FacePairing(ca, fa, cb, fb, cfg))
     pairings.sort(key=lambda p: (p.cell_a, p.face_a))
 

@@ -136,18 +136,15 @@ def _turning_angles(re: np.ndarray, im: np.ndarray, word: Sequence[int], errors:
     """The (N, n) weight vectors of the constructions with unit directions
     ``re + i im``: the turning angle of ``dirs[j] / dirs[j-1]`` (Python's
     quotient, ``math.atan2``) goes to mark ``word[j]``.  ``errors`` takes
-    each row's first failure: an angle that is not positive or a winding
-    other than once (``math.fsum`` per row), SlideCollision both, then the
-    weight domain (NotInTheta)."""
+    each row's first failure: an angle that is not positive (SlideCollision),
+    then the weight domain (NotInTheta).  Positive turns wind once: each
+    edge direction lies in a fixed open half-plane or on the real axis."""
     ratio = _quot((re, im), (np.roll(re, 1, axis=1), np.roll(im, 1, axis=1)))
     turns = libm(math.atan2, ratio[1], ratio[0])
-    bad, two_pi = turns <= 0.0, 2.0 * math.pi
+    bad = turns <= 0.0
     j = bad.argmax(axis=1)
     first_failures(errors, bad.any(axis=1), lambda i: SlideCollision(
         f"turning angle at edge {j[i] + 1} is {turns[i, j[i]]:.17g}; slid edges intersect"))
-    total = np.array([two_pi if e else math.fsum(t) for t, e in zip(turns.tolist(), errors)])
-    first_failures(errors, np.abs(total - two_pi) > 1e-9, lambda i: SlideCollision(
-        f"turning angles wind {total[i] / two_pi:.6f} times instead of once"))
     theta, domain = validate_weights(turns[:, np.argsort(word)])  # edge j's angle to mark word[j]
     first_failures(errors, np.array([e is not None for e in domain]), lambda i: NotInTheta(
         f"constructed angles leave the weight domain: {domain[i]}"))

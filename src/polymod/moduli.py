@@ -165,9 +165,10 @@ def planar_params(triangles: Triangles) -> tuple[np.ndarray, list]:
     feet; hexahedra take ``P^2, Q^2, R^2`` from the three signed feet
     ratios, which must be positive (NegativeRatio otherwise).  Returns the
     (N, n-3) parameters and each row's first failure or None: the feet's,
-    then the shape's own domain checks, whose class and message the
-    :class:`PentagonShape` and :class:`HexahedronShape` constructors
-    give.  The Lorentzian route is not consulted.
+    then a pentagon's own domain checks, whose class and message the
+    :class:`PentagonShape` constructor gives.  A hexahedron row that has
+    not failed has finite positive feet, hence a valid shape.  The
+    Lorentzian route is not consulted.
     """
     feet, errors = triangles.feet()
     if triangles.n == 5:
@@ -186,10 +187,7 @@ def planar_params(triangles: Triangles) -> tuple[np.ndarray, list]:
             f"squared parameter {'PQR'[name[i]]}^2 = {float(feet[i, name[i]]):.17g} <= 0"
         ),
     )
-    params = np.sqrt(feet)
-    suspect = ~(np.all(params > 0.0, axis=1) & np.isfinite(params).all(axis=1))
-    first_failures(errors, suspect, lambda i: _hexahedron_error(*params[i].tolist()))
-    return params, errors
+    return np.sqrt(feet), errors
 
 
 @np.errstate(all="ignore")

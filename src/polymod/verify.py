@@ -251,27 +251,32 @@ def _separation_scan(
     rows = len(shapes)
     if rows < 2:
         return None, None
-    # quartiles from the sorted columns, without np.percentile's start-up
-    q1, q3 = np.sort(shapes, axis=0)[[(rows - 1) // 4, 3 * (rows - 1) // 4]]
+    columns, ranks = shapes.T, [(rows - 1) // 4, 3 * (rows - 1) // 4]
+    # quartiles from one partition per column, without np.percentile's start-up
+    quartiles = [np.partition(column, ranks)[ranks] for column in columns]
     axes = []
-    for c in np.argsort(q1 - q3, kind="stable"):
-        copies = (2 * np.count_nonzero(shapes[:, c] == shapes[:, a]) >= rows for a in axes)
+    for c in np.argsort([q1 - q3 for q1, q3 in quartiles], kind="stable"):
+        copies = (2 * np.count_nonzero(columns[c] == columns[a]) >= rows for a in axes)
         if len(axes) < 3 and not any(copies):
             axes.append(c)
-    by_first = shapes[np.argsort(shapes[:, axes[0]], kind="stable")]
-    low = min(
-        float(np.abs(by_first[k:] - by_first[:-k]).max(axis=1).min())
-        for k in range(1, min(rows, 5))
-    )
-    del by_first  # before the grid's own columns
+    # one gap row per offset k: the rows sorted on the first axis, each
+    # row's distance to the row k later, filled a column at a time
+    order = np.argsort(columns[axes[0]], kind="stable")
+    gaps = [np.zeros(rows - k) for k in range(1, min(rows, 5))]
+    for column in columns:
+        column = column[order]
+        for k, gap in enumerate(gaps, start=1):
+            np.maximum(gap, np.abs(column[k:] - column[:-k]), out=gap)
+    low = min(float(gap.min()) for gap in gaps)
+    del order, gaps, column  # before the grid's own columns
     if low > 0.0:
-        for i, j in _grid_pairs(shapes[:, axes], low):
+        for i, j in _grid_pairs([columns[c] for c in axes], low):
             low = min(low, float(np.abs(shapes[i] - shapes[j]).max(axis=1).min()))
     return low, (_first_collision(trials, shapes, thetas) if low == 0.0 else None)
 
 
-def _grid_pairs(coords: np.ndarray, h: float):
-    """Blocks (i, j) of row indices of an (N >= 1, k <= 3) array of finite
+def _grid_pairs(columns, h: float):
+    """Blocks (i, j) of row indices of k <= 3 columns of N >= 1 finite
     coordinates whose differences are finite: every pair of rows within h
     of each other on each coordinate appears in one block, once, with
     some pairs further apart, and a block holds at most ``_SCAN_BLOCK``
@@ -280,48 +285,43 @@ def _grid_pairs(coords: np.ndarray, h: float):
     A grid scan: the rows are bucketed in cubic cells of side just over h,
     and each row is paired with the later rows of its cell and the rows of
     13 of its 26 neighbour cells, which meets every pair of adjacent cells
-    once; sorted by cell, those rows are five runs.
+    once; sorted by cell, those rows are five runs, taken one at a time.
     """
-    rows = len(coords)
-    lo = coords.min(axis=0)
+    rows = len(columns[0])
     # A pair within h lands in cells at most one apart: the side leaves a
     # margin of 2**-20 for the rounding of (x - lo) / side, whose error
     # stays below 2**-31 while a coordinate spans at most 2**20 cells; a
     # side of at least 2**-1000 keeps that margin out of the subnormals.
-    span = float((coords.max(axis=0) - lo).max())
+    span = max(float(column.max() - column.min()) for column in columns)
     side = max(h * (1.0 + 2.0**-20), span * 2.0**-20, 2.0**-1000)
-    cells = np.zeros((rows, 3), dtype=np.int64)  # a missing coordinate is one layer
-    cells[:, : coords.shape[1]] = np.floor((coords - lo) / side)
-    # one empty index past each coordinate's last, so a step of -1 or +1
-    # on one coordinate never lands in an occupied cell of another
-    _, across, along = cells.max(axis=0) + 2
-    key = (cells[:, 0] * across + cells[:, 1]) * along + cells[:, 2]
+    # the cell key, one coordinate at a time; a missing coordinate is one
+    # layer, and one empty index past each coordinate's last means a step
+    # of -1 or +1 on one coordinate never lands in an occupied cell of another
+    key, sizes = 0, []
+    for column in [*columns, *[np.zeros(1)] * (3 - len(columns))]:
+        cell = np.floor((column - column.min()) / side).astype(np.int64)
+        sizes.append(int(cell.max()) + 2)
+        key = key * sizes[-1] + cell
+    del cell
+    _, across, along = sizes
     order = np.argsort(key, kind="stable")
     key = key[order]
     # per row, five runs of sorted positions: the later rows of its cell
     # with the next cell on the third coordinate, then for each of four
     # cells on the first two, three cells on the third
-    first, count = np.empty((2, rows, 5), dtype=np.int64)
-    first[:, 0] = np.arange(1, rows + 1)
-    count[:, 0] = np.searchsorted(key, key + 1, "right")
-    for run, (a, b) in enumerate(((0, 1), (1, -1), (1, 0), (1, 1)), start=1):
-        step = along * (across * a + b)
-        first[:, run] = np.searchsorted(key, key + step - 1, "left")
-        count[:, run] = np.searchsorted(key, key + step + 1, "right")
-    count -= first
-    per_row = count.sum(axis=1)
-    first, count = first.ravel(), count.ravel()
-    done = np.cumsum(per_row)
-    r0 = 0
-    while r0 < rows:
-        r1 = max(r0 + 1, int(np.searchsorted(done, done[r0] - per_row[r0] + _SCAN_BLOCK, "right")))
-        runs = slice(5 * r0, 5 * r1)
-        c = count[runs]
-        total = int(c.sum())
-        if total:
-            at = np.repeat(first[runs] - (np.cumsum(c) - c), c) + np.arange(total)
-            yield order[np.repeat(np.arange(r0, r1), per_row[r0:r1])], order[at]
-        r0 = r1
+    for step in (0, *(along * (across * a + b) for a, b in ((0, 1), (1, -1), (1, 0), (1, 1)))):
+        first = np.searchsorted(key, key + step - 1, "left") if step else np.arange(1, rows + 1)
+        count = np.searchsorted(key, key + step + 1, "right") - first
+        done = np.cumsum(count)
+        r0 = 0
+        while r0 < rows:
+            r1 = max(r0 + 1, int(np.searchsorted(done, done[r0] - count[r0] + _SCAN_BLOCK, "right")))
+            c = count[r0:r1]
+            total = int(c.sum())
+            if total:
+                at = np.repeat(first[r0:r1] - (np.cumsum(c) - c), c) + np.arange(total)
+                yield order[np.repeat(np.arange(r0, r1), c)], order[at]
+            r0 = r1
 
 
 def _first_collision(trials: np.ndarray, shapes: np.ndarray, thetas: Callable) -> dict | None:

@@ -1026,6 +1026,27 @@ class TestUsageErrors:
         assert doc["error"] == "OutOfRange"
         assert err == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["invert", "--n", "5", "--shape1", "0.9,0.9,0.9", "--shape2", "0.9,0.9"],
+             "shape for n=5 needs 2 comma-separated values, got 3"),
+            (["forward", "--n", "5", "--theta", "0x1,5x2pi/5"], "repetition count must be positive in '0x1'"),
+            (["forward", "--n", "5", "--theta", EQUAL5, "--label", "123456"], "--label has 6 marks but --n is 5"),
+            (["invert", "--n", "6", "--shape1", "1e-200,1,1", "--shape2", "1e-200,1,1"],
+             "radii must be positive, got (0.0, 1.0)"),
+        ],
+        ids=["shape-length", "zero-repetition", "label-length", "radius-underflow"],
+    )
+    def test_an_input_that_fails_its_own_check_exits_2(self, capsys, argv, message):
+        """Each input reaches the check written for it: a shape of the wrong
+        length, a zero repetition count, a word of the wrong length, and a
+        radius Q1*Q2 that underflows to 0."""
+        code, doc, err = run_json(capsys, *argv)
+        assert code == 2
+        assert doc == {"schema": "polymod-error/1", "version": 1, "error": "OutOfRange", "message": message}
+        assert err == ""
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--help"])

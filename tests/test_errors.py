@@ -1,10 +1,13 @@
-"""The row protocol of stacked calls and the one rule for run settings."""
+"""The row protocol of stacked calls, the one rule for run settings, and
+the library's own argument checks, which the CLI's checks shadow."""
 
 import math
 
 import numpy as np
 import pytest
 
+from polymod.combinatorics import equal_weight, face_config, sample_weight_rng, triple_config, vertex_config
+from polymod.complexes import build_complex, cusp_classes
 from polymod.errors import (
     NoIntersection,
     OutOfRange,
@@ -13,6 +16,12 @@ from polymod.errors import (
     first_failures,
     unwrap,
 )
+from polymod.fiber import fiber_theta5, invert_params
+from polymod.jsonio import dumps_canonical, format_float
+from polymod.lorentz import build_models
+from polymod.moduli import PentagonShape
+from polymod.planar import pentagon_feet
+from polymod.verify import run_suite
 
 
 class TestUnwrap:
@@ -91,3 +100,46 @@ class TestCheckSettings:
         check_settings()  # every default is in the domain
         check_settings(1e-9, samples=1, seed=0, jobs=1)
         check_settings(1e300, samples=10**6, seed=2**40, jobs=64)
+
+
+WORD5 = (1, 2, 3, 4, 5)
+SUITES = "('roundtrip', 'orthogonality', 'signature', 'crossroute', 'complex', 'all')"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: equal_weight(3), "need n >= 4, got 3"),
+        (lambda: sample_weight_rng(3, np.random.default_rng(0)), "need n >= 4, got 3"),
+        (lambda: face_config(WORD5, 0), "face index must be in 1..5, got 0"),
+        (lambda: vertex_config(WORD5, 1, 1), "need two distinct face indices in 1..5, got 1, 1"),
+        (lambda: triple_config(WORD5, 6), "face index must be in 1..5, got 6"),
+        (lambda: build_complex(5, equal_weight(6)), "theta has 6 angles but n = 5"),
+        (lambda: cusp_classes(build_complex(5)), "cusp classes are computed for n=6 complexes"),
+        (lambda: fiber_theta5(PentagonShape(0.9, 0.9), 0.3 + 0.5j, (1, 2, 3, 4, 5, 6)),
+         "label has 6 marks but the construction has 5"),
+        (lambda: invert_params(7, np.ones((1, 8))), "inversion is defined for n in {5, 6}, got 7"),
+        (lambda: format_float(math.nan), "cannot serialize non-finite float nan"),
+        (lambda: dumps_canonical({1: 2}), "JSON object keys must be strings, got 1"),
+        (lambda: dumps_canonical(object()), "cannot serialize object of type object"),
+        (lambda: build_models(np.zeros((0, 5)), []), "a model stack needs at least one row"),
+        (lambda: build_models(np.array([equal_weight(5).theta]), [(1, 2, 3, 4, 5, 6)]),
+         "label has 6 marks but theta has 5 angles"),
+        (lambda: build_models(np.full((1, 4), math.pi / 2), [(1, 2, 3, 4)]),
+         "completion triangles exist for n in {5, 6}, got 4"),
+        (lambda: pentagon_feet(equal_weight(6), (1, 2, 3, 4, 5, 6)), "pentagon feet need n=5, got 6"),
+        (lambda: run_suite("nope", 5), f"unknown suite 'nope', expected one of {SUITES}"),
+        (lambda: run_suite("roundtrip", 7), "n must be 5 or 6, got 7"),
+    ],
+    ids=["equal_weight", "sample_weight_rng", "face_config", "vertex_config", "triple_config",
+         "build_complex", "cusp_classes", "fiber_theta5", "invert_params", "format_float",
+         "dumps_canonical-key", "dumps_canonical-type", "build_models-empty", "build_models-word",
+         "build_models-n", "pentagon_feet", "run_suite-suite", "run_suite-n"],
+)
+def test_a_library_call_outside_its_domain_raises_out_of_range(call, message):
+    """Each public call checks its own arguments, though the CLI never
+    passes these: a library caller gets the class and message, not a
+    wrong result or a numpy error."""
+    with pytest.raises(OutOfRange) as exc:
+        call()
+    assert type(exc.value) is OutOfRange and str(exc.value) == message

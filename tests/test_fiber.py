@@ -15,6 +15,7 @@ from polymod import (
     PentagonShape,
     PolymodError,
     SignatureMismatch,
+    SlideCollision,
     UpperHalfPoint,
     WeightVector,
     complete_triangle,
@@ -160,6 +161,22 @@ class TestFiberTheta:
             fiber_theta5(PentagonShape(0.8, 0.8), 0.3 + 0.5j, (1, 1, 3, 4, 5))
         with pytest.raises(NotAPermutation):
             fiber_theta6(HexahedronShape(1.0, 1.0, 1.0), 0.5 + 0.8j, (1, 2, 3, 4, 5, 7))
+
+    @pytest.mark.parametrize(
+        "construct, message",
+        [
+            pytest.param(lambda: fiber_theta6(HexahedronShape(1.0, 1e-3, 1.0), complex(1 - 1e6, 1e-11)),
+                         "a construction edge has collapsed to a point", id="collapsed-edge"),
+            pytest.param(lambda: fiber_theta5(PentagonShape(0.9, 0.9), complex(-1e17, 1.0)),
+                         "turning angle at edge 1 is 0; slid edges intersect", id="zero-turn"),
+        ],
+    )
+    def test_a_slid_construction_that_degenerates_is_a_slide_collision(self, construct, message):
+        """Y = 1 + (w - 1) Q^2 shrinks to 1e-17 at a small Q and a matching
+        Re w; at a huge |w| the edges -w and f2 - w are parallel in double."""
+        with pytest.raises(SlideCollision) as exc:
+            construct()
+        assert str(exc.value) == message
 
 
 # ===========================================================================
@@ -489,6 +506,11 @@ class TestColumnInverse:
         params = np.array(rows)
         assert_columns_match_oracle(n, params)
         assert all(e is not None for e in invert_params(n, params)[3])
+
+    def test_a_non_finite_pair_fails_its_row(self):
+        """NaN parameters give a NaN fiber point: the row fails, the call does not."""
+        errors = invert_params(5, np.full((1, 4), np.nan))[3]
+        assert [(type(e), str(e)) for e in errors] == [(OutOfRange, "w = (nan+nanj) is not finite")]
 
     def test_an_empty_chunk(self):
         theta, w, residual, errors = invert_params(6, np.zeros((0, 6)))

@@ -1,6 +1,8 @@
 """The test run itself: under the repository's pytest settings, which turn
 every warning into an error, a failing property test still fails as a
-test and prints its falsifying example."""
+test and prints its falsifying example; and the mutation probe,
+``tests/mutation.py``, tells a gate that a test reaches from one that none
+does."""
 
 from fresh import SRC, fresh
 
@@ -22,3 +24,47 @@ def test_a_failing_property_test_reports_its_falsifying_example(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Falsifying example" in proc.stdout
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
+PACKAGE = """
+def half(x):
+    if x % 2:
+        raise ValueError("odd")
+    return x // 2
+
+
+def third(x):
+    if x % 3:
+        raise ValueError("not a multiple of 3")
+    return x // 3
+"""
+
+PACKAGE_TESTS = """
+import pytest
+
+from planted import half, third
+
+
+def test_half():
+    assert half(4) == 2
+    with pytest.raises(ValueError):
+        half(3)
+
+
+def test_third():
+    assert third(9) == 3
+"""
+
+
+def test_the_mutation_probe_kills_a_tested_gate_and_reports_an_untested_one(tmp_path):
+    """Two raise sites: the tests reach the first, and nothing reaches the second."""
+    (tmp_path / "src" / "planted").mkdir(parents=True)
+    (tmp_path / "src" / "planted" / "__init__.py").write_text(PACKAGE, encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_planted.py").write_text(PACKAGE_TESTS, encoding="utf-8")
+    probe = SRC.parent / "tests" / "mutation.py"
+    proc = fresh(str(probe), "--root", str(tmp_path), "--package", "src/planted", "--jobs", "1")
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert lines[0] == "survived src/planted/__init__.py:10 raise ValueError('not a multiple of 3')"
+    assert lines[1].startswith("2 sites, 1 killed, 1 survived, 0 timed out in ") and len(lines) == 2

@@ -320,7 +320,7 @@ def grid_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_the_grid_pairs_every_two_rows_within_h(case):
     coords, h = case
-    pairs = [(min(p), max(p)) for i, j in verify._grid_pairs(coords, h) for p in zip(i.tolist(), j.tolist())]
+    pairs = [(min(p), max(p)) for i, j in verify._grid_pairs(coords.T, h) for p in zip(i.tolist(), j.tolist())]
     assert len(pairs) == len(set(pairs)) and all(i != j for i, j in pairs)
     rows = range(len(coords))
     close = {(i, j) for i in rows for j in rows if i < j and np.abs(coords[i] - coords[j]).max() <= h}
