@@ -19,8 +19,10 @@ document that names its class, never as a traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
+from itertools import islice
 
 from .combinatorics import as_word, validate_weight, validate_weights
 from .errors import OutOfRange, PolymodError, check_settings
@@ -31,7 +33,6 @@ from .jsonio import (
     parse_rows,
     parse_shape,
     parse_theta,
-    plain_floats,
 )
 
 # The numeric layers (moduli, fiber, verify) and numpy load inside the
@@ -179,33 +180,55 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     word = _parse_word(args.label, args.n)
     try:
         # utf-8-sig: a byte-order mark, as spreadsheets write one, is no data
-        with open(args.input, encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        fh = open(args.input, encoding="utf-8-sig")
+    except OSError as exc:
         raise OutOfRange(f"cannot read input file {args.input!r}: {exc}") from exc
-    with _output(args.out) as out:
-        out.writelines(_sweep_csv(args.n, word, lines))
+    with fh, _output(args.out, args.input) as out:
+        out.writelines(_sweep_csv(args.n, word, _input_rows(fh, args.input)))
     return 0
 
 
 @contextmanager
-def _output(path: str):
+def _output(path: str, source: str):
     """Where ``sweep`` writes: stdout for '-', else ``path``, opened before
-    any row is mapped, so a path that cannot be written costs no work; an
-    OSError opening or writing it is OutOfRange."""
+    any row is read, so a path that cannot be written costs no work; an
+    OSError opening or writing it is OutOfRange, and so is the input's own
+    path, which opening would truncate."""
     if path == "-":
         yield sys.stdout
         return
     try:
+        if os.path.exists(path) and os.path.samefile(path, source):
+            raise OSError("it is the input file")
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
         raise OutOfRange(f"cannot write output file {path!r}: {exc}") from exc
 
 
-def _sweep_csv(n: int, word: tuple[int, ...], lines: list[str]) -> list[str]:
-    """The output CSV of ``sweep`` over the input lines, one string per
-    chunk; each failed row is reported on stderr, one chunk at a time.
+def _input_rows(fh, path: str):
+    """The non-blank rows of the open input as (row number, stripped text),
+    split as ``str.splitlines`` splits the whole text, since each line of
+    ``fh`` ends at a line break.  A read error is OutOfRange, and so is a
+    byte that is not UTF-8, placed after the last row read."""
+    row_number = 0
+    try:
+        for line in fh:
+            for text in line.splitlines():
+                row_number += 1
+                if text := text.strip():
+                    yield row_number, text
+    except UnicodeDecodeError as exc:  # its position counts from a read-ahead block
+        reason = f"a byte after row {row_number} is not UTF-8 ({exc.reason})"
+        raise OutOfRange(f"cannot read input file {path!r}: {reason}") from exc
+    except OSError as exc:
+        raise OutOfRange(f"cannot read input file {path!r}: {exc}") from exc
+
+
+def _sweep_csv(n: int, word: tuple[int, ...], rows):
+    """The output CSV of ``sweep`` over the numbered input rows, one string
+    per ``SWEEP_CHUNK`` rows as they are read, the header with the first;
+    each failed row is reported on stderr, one chunk at a time.
 
     A chunk is parsed (:func:`polymod.jsonio.parse_rows`), validated and
     mapped as arrays, and its rows are written with one ``%`` template:
@@ -221,25 +244,15 @@ def _sweep_csv(n: int, word: tuple[int, ...], lines: list[str]) -> list[str]:
         header += ["R", "type", "sign_P", "sign_Q", "sign_R"]
         template += ",%.17g,%s,%d,%d,%d"
     template += "\n"
-    out = [",".join(header) + "\n"]
-
-    rows = [
-        (row_number, text)
-        for row_number, text in enumerate((line.strip() for line in lines), start=1)
-        if text
-    ]
-    first = None  # row 1's angles or failure when it is data, parsed once
-    if rows and rows[0][0] == 1:
-        first = _row_one(rows[0][1], n)
-        if first is None:  # a header
-            rows = rows[1:]
-    for start in range(0, len(rows), SWEEP_CHUNK):
-        chunk = rows[start : start + SWEEP_CHUNK]
-        texts = [text for _, text in chunk]
-        if start == 0 and first is not None:
-            parsed = [first] + parse_rows(texts[1:], n)
-        else:
-            parsed = parse_rows(texts, n)
+    head = ",".join(header) + "\n"  # written with the first chunk
+    # a file without data rows still makes one, empty, chunk for the header
+    while (chunk := list(islice(rows, SWEEP_CHUNK))) or head:
+        parsed = []
+        if chunk and chunk[0][0] == 1:  # row 1 is a header or data, parsed once
+            parsed = [_row_one(chunk[0][1])]
+            if parsed[0] is None:  # a header: the next row takes its place
+                parsed, chunk = [], chunk[1:] + list(islice(rows, 1))
+        parsed += parse_rows([text for _, text in chunk[len(parsed) :]])
         theta, errors = _validate_rows(parsed, n)
         ok = [i for i, e in enumerate(errors) if e is None]
         params, failures = forward_params(n, theta[ok], [word] * len(ok))
@@ -266,24 +279,16 @@ def _sweep_csv(n: int, word: tuple[int, ...], lines: list[str]) -> list[str]:
             signs = hexahedron_signs(params[mapped])
             types = hexahedron_types(signs)
             cells = [c + [t] + s for c, t, s in zip(cells, types, signs.tolist())]
-        out.append("".join([template % tuple(c) for c in cells]))
-    return out
+        yield head + "".join([template % tuple(c) for c in cells])
+        head = ""
 
 
-def _row_one(text: str, n: int) -> list[float] | PolymodError | None:
+def _row_one(text: str) -> list[float] | PolymodError | None:
     """Row 1's angles or failure as :func:`parse_rows` gives them, or None
     when it is a header: no cell parses as an angle token.  Each cell is
-    parsed at most once, and the row is not parsed again."""
-    values = plain_floats(text, n)
-    if values is not None:  # a float literal parses: data
-        return values
+    parsed once, and the row is not parsed again."""
     cells = text.split(",")
-    parsed = []
-    for cell in cells:
-        try:
-            parsed.append(parse_theta(cell))
-        except PolymodError as exc:
-            parsed.append(exc)
+    parsed = parse_rows(cells)
     if all(isinstance(p, PolymodError) for p in parsed):
         return None
     for cell, p in zip(cells, parsed):
@@ -306,7 +311,7 @@ def _validate_rows(parsed: list, n: int) -> tuple:
             try:
                 _check_count(validate_weight(row), n)
             except PolymodError as exc:
-                errors[i] = exc
+                errors[i] = exc.with_traceback(None)  # its traceback holds ``errors`` in a cycle
     ok = [i for i, e in enumerate(errors) if e is None]
     theta, failures = validate_weights(np.array([parsed[i] for i in ok]).reshape(len(ok), n))
     full = np.zeros((len(parsed), n))

@@ -5,7 +5,8 @@ float at 17 significant digits, so equal data always produces identical
 bytes.  Angle tokens accept raw radians, expressions in ``pi`` such as
 ``2pi/5`` or ``2/5*2pi``, and a repetition prefix ``5x2pi/5``; the unicode
 spellings ``×`` and ``π`` are accepted as synonyms, and a token containing
-``@`` is rejected.  A repetition count is at most ``MAX_REPEAT``.
+``@`` is rejected.  A repetition count is at most ``MAX_REPEAT``, and an
+expression at most ``MAX_EXPRESSION`` characters.
 ``SUITES`` names the accepted ``--suite`` tokens, so the command line can
 check them without loading the verification engine.
 
@@ -21,7 +22,6 @@ import math
 import re
 import sys
 import warnings
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import OutOfRange
@@ -33,10 +33,15 @@ _ANGLE_CHARS = re.compile(r"^[0-9eE@+\-*/().]*$")
 # integer too large for a float.
 _FLOAT = r"[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)"
 _FLOAT_LITERAL = re.compile(_FLOAT)
+_PLAIN_ROW = re.compile(f"{_FLOAT}(?:,{_FLOAT})*")
 _REPEAT = re.compile(r"^(\d+)x(.+)$")
 
 #: Largest ``Nx`` repetition count; no function here uses more than 8 marks.
 MAX_REPEAT = 8
+
+#: Longest angle expression, in characters once spaces are dropped; ``eval``
+#: takes time that grows faster than the expression.
+MAX_EXPRESSION = 1000
 
 #: The suites of ``verify --suite`` and ``verify.run_suite``.
 SUITES = ("roundtrip", "orthogonality", "signature", "crossroute", "complex", "all")
@@ -104,6 +109,8 @@ def _eval_angle(expr: str) -> float:
 
 def _eval_expression(expr: str, e: str) -> float:
     """``eval`` of the normalized token ``e`` of ``expr`` in pi alone."""
+    if len(e) > MAX_EXPRESSION:
+        raise OutOfRange(f"angle token of {len(e)} characters exceeds {MAX_EXPRESSION}")
     # ``@`` stands for pi below, so it is refused before pi is rewritten to it
     if "@" in e or not _ANGLE_CHARS.match(e := e.replace("pi", "@")):
         raise OutOfRange(f"angle token {expr!r} contains unsupported characters")
@@ -148,35 +155,28 @@ def parse_theta(spec: str) -> list[float]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _plain_row(n: int) -> re.Pattern:
-    """Exactly ``n`` comma-separated plain float literals, no spaces."""
-    return re.compile(",".join([_FLOAT] * n))
-
-
-def plain_floats(text: str, n: int) -> list[float] | None:
-    """The angles of a row of exactly ``n`` plain float literals, each
+def plain_floats(text: str) -> list[float] | None:
+    """The angles of a row of comma-separated plain float literals, each
     converted by one ``float()`` (parse_theta's values, bit for bit), or
     None for any other row: expressions, ``Nx`` repeats, integers, spaces
-    inside the row, another cell count, or a literal such as ``1e999``
-    that overflows to inf."""
-    if not _plain_row(n).fullmatch(text):
+    inside the row, or a literal such as ``1e999`` that overflows to inf."""
+    if not _PLAIN_ROW.fullmatch(text):
         return None
     values = list(map(float, text.split(",")))
     return values if math.isfinite(sum(values)) else None
 
 
-def parse_rows(texts: Sequence[str], n: int) -> list[list[float] | OutOfRange]:
+def parse_rows(texts: Sequence[str]) -> list[list[float] | OutOfRange]:
     """:func:`parse_theta` over many rows: each row's angles, or its error.
-    A row of ``n`` plain float literals takes :func:`plain_floats`."""
+    A row of plain float literals takes :func:`plain_floats`."""
     out: list = []
     for text in texts:
-        values = plain_floats(text, n)
+        values = plain_floats(text)
         if values is None:
             try:
                 values = parse_theta(text)
             except OutOfRange as exc:
-                values = exc
+                values = OutOfRange(str(exc))  # exc's traceback and chain hold ``out`` in a cycle
         out.append(values)
     return out
 

@@ -9,6 +9,9 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from polymod import cli, fiber, psi5, psi6, validate_weight, verify
 from polymod.combinatorics import sample_weight_rng
 from polymod.errors import PolymodError, RouteDisagreement
-from polymod.jsonio import parse_rows, parse_theta
+from polymod.jsonio import MAX_EXPRESSION, parse_rows, parse_theta
 
 from fresh import SRC, fresh
 from lorentz_oracle import boundary_weights
@@ -152,7 +155,7 @@ class TestForward:
 
     def test_token_compiling_with_a_warning_writes_nothing_to_stderr(self, tmp_path):
         """``2(3)`` compiles with a SyntaxWarning: neither ``forward`` nor
-        ``sweep`` (which parses row 1 twice, once for header detection) may
+        ``sweep`` (which parses row 1 cell by cell, for header detection) may
         print it.  Fresh processes, since a warning prints once per process."""
         theta = "2(3),1,1,1,1"
         forward = fresh("-m", "polymod.cli", "forward", "--n", "5", "--theta", theta)
@@ -168,6 +171,30 @@ class TestForward:
         assert sweep.returncode == 0
         assert len(sweep.stdout.splitlines()) == 2
         assert sweep.stderr == f"row 1: OutOfRange: {doc['message']}\n"
+
+    def test_an_expression_of_max_expression_characters_is_evaluated(self, capsys):
+        """The bound counts the expression once spaces are dropped, after
+        the ``Nx`` prefix: 1,000 characters run, 1,001 do not."""
+        at, over = "2pi/5" + "+0" * 496 + "+0.", "2pi/5 " + "+0" * 498
+        assert (len(at), len(over.replace(" ", ""))) == (MAX_EXPRESSION, MAX_EXPRESSION + 1)
+        _, want, _ = run(capsys, "forward", "--n", "5", "--theta", EQUAL5)
+        assert run(capsys, "forward", "--n", "5", "--theta", f"5x{at}") == (0, want, "")
+        code, doc, err = run_json(capsys, "forward", "--n", "5", "--theta", f"5x{over}")
+        assert (code, doc["error"], err) == (2, "OutOfRange", "")
+        assert doc["message"] == "angle token of 1001 characters exceeds 1000"
+
+    def test_a_long_product_is_refused_unread(self, capsys, tmp_path):
+        """200 integers of 4,000 digits multiplied (800 KB) took 1.2 s in
+        ``eval`` before it raised; the error names the length, not the token,
+        through ``forward`` and through a ``sweep`` row."""
+        token = "*".join(["9" * 4000] * 200)
+        message = f"angle token of {len(token)} characters exceeds {MAX_EXPRESSION}"
+        code, doc, err = run_json(capsys, "forward", "--n", "5", "--theta", f"{token},1,1,1,1")
+        assert (code, doc["error"], doc["message"], err) == (2, "OutOfRange", message, "")
+        src = tmp_path / "long.csv"
+        src.write_text(f"{EQUAL5}\n{token},1,1,1,1\n{EQUAL5}\n", encoding="utf-8")
+        code, out, err = run(capsys, "sweep", "--n", "5", "--input", str(src), "--out", "-")
+        assert (code, err, len(out.splitlines())) == (0, f"row 2: OutOfRange: {message}\n", 3)
 
     @pytest.mark.parametrize("theta", ["5x2@/5", "2@/5,2pi/5,2pi/5,2pi/5,2pi/5"])
     def test_at_sign_is_not_a_spelling_of_pi(self, capsys, theta):
@@ -529,6 +556,34 @@ SWEEP_ROWS = (
 )
 
 
+def edge_rows(count: int) -> list[str]:
+    """``count`` n=5 rows near the boundary, some of which fail."""
+    thetas = boundary_weights(5, np.random.default_rng(11), count)
+    return [",".join(map(repr, theta.theta)) for theta in thetas]
+
+
+HEADER5 = "theta1,theta2,theta3,theta4,theta5"
+BOM = "\ufeff"
+
+#: id: the bytes of an input file whose split the reader must keep.
+EDGE_FILES = {
+    "empty": lambda: b"",
+    "header-only": lambda: f"{HEADER5}\n".encode(),
+    "blank-lines-only": lambda: b"\n \n\n",
+    "bom-only": lambda: BOM.encode(),
+    "bom-before-header": lambda: f"{BOM}{HEADER5}\n{EQUAL5}\n".encode(),
+    "form-feed-and-file-separator": lambda: (
+        "\x0c".join(edge_rows(3)) + "\x1c" + "\x1c".join(edge_rows(3)) + "\n"
+    ).encode(),
+    "cr-only": lambda: "\r".join([HEADER5, *edge_rows(20), "bad,1,1,1,1"]).encode() + b"\r",
+    "crlf": lambda: "\r\n".join([HEADER5, *edge_rows(20), "", "bad,1,1,1,1"]).encode() + b"\r\n",
+    "no-final-newline": lambda: "\n".join([HEADER5, *edge_rows(5)]).encode(),
+    "blank-line-before-header": lambda: f"\n{HEADER5}\n{EQUAL5}\n".encode(),
+    "header-and-256-rows": lambda: "\n".join([HEADER5, *edge_rows(256)]).encode() + b"\n",
+    "header-and-257-rows": lambda: "\n".join([HEADER5, *edge_rows(257)]).encode() + b"\n",
+}
+
+
 class TestSweep:
     def test_writes_csv_and_reports_bad_rows(self, capsys, tmp_path):
         src = tmp_path / "thetas.csv"
@@ -651,8 +706,8 @@ class TestSweep:
         assert len(out.splitlines()) == (3 if first[0] == "2" else 2)
 
     def test_an_unwritable_out_fails_before_any_work(self, capsys, tmp_path):
-        """--out is opened once the input is read: a path that cannot be
-        written exits 2 before any row is mapped, so row 3 is not reported."""
+        """--out is opened as soon as the input is opened: a path that cannot
+        be written exits 2 before any row is read, so row 3 is not reported."""
         src = tmp_path / "thetas.csv"
         src.write_text(SWEEP_ROWS, encoding="utf-8")
         out = tmp_path / "missing" / "shapes.csv"
@@ -756,6 +811,109 @@ class TestSweep:
         classes = {"SignatureMismatch", "SumMismatch", "OutOfRange", "PairSumTooLarge", "NonPositive"}
         assert classes <= set(reported)
 
+    @pytest.mark.parametrize("name", EDGE_FILES)
+    def test_an_edge_file_equals_the_one_row_oracle(self, capsys, tmp_path, name):
+        """The input is read line by line, and each line split as
+        ``str.splitlines`` splits the whole decoded text: row numbers, the
+        header and the chunk edges are those of the whole file."""
+        raw = EDGE_FILES[name]()
+        src = tmp_path / "rows.csv"
+        src.write_bytes(raw)
+        code, out, err = run(capsys, "sweep", "--n", "5", "--input", str(src), "--out", "-")
+        assert code == 0
+        lines = raw.decode("utf-8-sig").splitlines()
+        assert (out, err) == sweep_one_row_at_a_time(5, (1, 2, 3, 4, 5), lines)
+
+    def test_memory_does_not_grow_with_the_row_count(self, capsys, tmp_path):
+        """``sweep`` holds one chunk at a time, and reference counting alone
+        frees it, failed rows included: its peak allocation on 8,000 rows is
+        that on 2,000 with the cycle collector off.  Holding the file made it
+        2.6 times; a stored error whose traceback held the frame of
+        ``parse_rows`` or ``_validate_rows`` kept a chunk in a cycle."""
+        planted = ["abc,1,1,1,1,1", "1.0,2.0", "2(3),1,1,1,1,1", "1e308,1e308", "1,1,1,1,1,1"]
+        peaks = []
+        for count in (2000, 8000):
+            rows = valid_rows6(count).splitlines()
+            rows[::50] = (planted * count)[: len(rows[::50])]
+            src = tmp_path / f"rows{count}.csv"
+            src.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            argv = ["sweep", "--n", "6", "--input", str(src), "--out", str(tmp_path / "out.csv")]
+            gc.disable()
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+            assert capsys.readouterr().err.count("\n") == len(rows[::50])
+        assert peaks[1] <= 1.25 * peaks[0]
+
+    @pytest.mark.parametrize("link", ["same", "symlink", "hardlink"])
+    def test_out_naming_the_input_exits_2_and_truncates_nothing(self, capsys, tmp_path, link):
+        src = tmp_path / "thetas.csv"
+        src.write_text(SWEEP_ROWS, encoding="utf-8")
+        out = src if link == "same" else tmp_path / "out.csv"
+        if link == "symlink":
+            out.symlink_to(src)
+        elif link == "hardlink":
+            os.link(src, out)
+        code, doc, err = run_json(capsys, "sweep", "--n", "5", "--input", str(src), "--out", str(out))
+        assert (code, doc["error"], err) == (2, "OutOfRange", "")
+        assert doc["message"] == f"cannot write output file {str(out)!r}: it is the input file"
+        assert src.read_text(encoding="utf-8") == SWEEP_ROWS
+
+    def test_a_bad_byte_after_600_rows_leaves_the_earlier_chunks_written(self, capsys, tmp_path):
+        """A byte that is not UTF-8 is found when the reader reaches it: the
+        chunks before it are written, and the message names the last row
+        read, since the decoder's position counts from its read-ahead block."""
+        src, out = tmp_path / "rows.csv", tmp_path / "out.csv"
+        rows = valid_rows6(600)
+        src.write_bytes(rows.encode() + b"\xff,1,1,1,1,1\n")
+        code, doc, err = run_json(capsys, "sweep", "--n", "6", "--input", str(src), "--out", str(out))
+        assert (code, doc["error"], err) == (2, "OutOfRange", "")
+        match = re.fullmatch(
+            re.escape(f"cannot read input file {str(src)!r}: a byte after row ")
+            + r"(\d+) is not UTF-8 \(invalid start byte\)",
+            doc["message"],
+        )
+        last = int(match.group(1))
+        assert 2 * cli.SWEEP_CHUNK <= last <= 600
+        want, _ = sweep_one_row_at_a_time(6, (1, 2, 3, 4, 5, 6), rows.splitlines())
+        written = 1 + last // cli.SWEEP_CHUNK * cli.SWEEP_CHUNK
+        assert out.read_text(encoding="utf-8").splitlines() == want.splitlines()[:written]
+
+    def test_an_error_reading_the_input_exits_2(self, capsys, monkeypatch):
+        """A read that fails after the file opened, as on a failing disk,
+        is a file error like one at open, not a bug."""
+
+        class FailingRead(io.StringIO):
+            def __next__(self):
+                raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(cli, "open", lambda path, encoding: FailingRead(), raising=False)
+        code, doc, err = run_json(capsys, "sweep", "--n", "5", "--input", "rows.csv", "--out", "-")
+        assert (code, doc["error"], err) == (2, "OutOfRange", "")
+        assert doc["message"] == "cannot read input file 'rows.csv': [Errno 5] Input/output error"
+
+    def test_a_reader_that_closes_after_one_line_ends_the_run_with_141(self, tmp_path):
+        """As ``| head -1`` does: the header arrives, then the closed pipe ends
+        the process with 141 and nothing on stderr."""
+        src = tmp_path / "rows.csv"
+        src.write_text(valid_rows6(3000), encoding="utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polymod.cli", "sweep", "--n", "6", "--input", str(src), "--out", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1"),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), first, err) == (
+            141, b"theta1,theta2,theta3,theta4,theta5,theta6,P,Q,R,type,sign_P,sign_Q,sign_R\n", b""
+        )
+
 
 def sweep_one_row_at_a_time(n, word, lines):
     """stdout and stderr of sweep as the one-row functions give them:
@@ -832,11 +990,11 @@ class TestStackedParse:
         class and message; so does row 1 parsed cell by cell, unless no cell
         parses and it is a header."""
         texts = data.draw(st.lists(sweep_rows(n), min_size=1, max_size=10))
-        theta, errors = cli._validate_rows(parse_rows(texts, n), n)
+        theta, errors = cli._validate_rows(parse_rows(texts), n)
         for text, row, error in zip(texts, theta.tolist(), errors):
             got = outcome(lambda: row) if error is None else (type(error).__name__, str(error))
             assert got == outcome(cli._parse_weight, text, n)
-        first = cli._row_one(texts[0], n)
+        first = cli._row_one(texts[0])
         if first is None:
             assert all(outcome(parse_theta, cell)[0] != "ok" for cell in texts[0].split(","))
         else:
