@@ -262,34 +262,17 @@ def enumerate_labels(n: int) -> list[Label]:
 # degenerate configurations
 # --------------------------------------------------------------------------- #
 
-def _canonical_cyclic(word: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    best = None
-    for w in (word, tuple(reversed(word))):
-        for r in range(len(w)):
-            cand = w[r:] + w[:r]
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
-def _merge_positions(word: tuple[int, ...], groups: Sequence[Sequence[int]]) -> DegenerateConfig:
-    """Merge the given groups of cyclic positions (0-based) into symbols."""
-    n = len(word)
-    pos_to_group: dict[int, int] = {}
-    for g, positions in enumerate(groups):
-        for p in positions:
-            pos_to_group[p % n] = g
-    symbols: list[tuple[int, ...]] = []
-    seen_groups: set[int] = set()
-    for p in range(n):
-        g = pos_to_group.get(p)
-        if g is None:
-            symbols.append((word[p],))
-        elif g not in seen_groups:
-            seen_groups.add(g)
-            marks = sorted(word[q % n] for q in groups[g])
-            symbols.append(tuple(marks))
-    return DegenerateConfig(word=_canonical_cyclic(tuple(symbols)))
+def _merged(word: tuple[int, ...], first: int, runs: dict[int, int]) -> DegenerateConfig:
+    """The key of ``word`` read from its 0-based position ``first``, the
+    ``runs[p]`` consecutive marks from offset p merged into one sorted
+    symbol: the least rotation of the symbols or of their reversal."""
+    marks, symbols, p = word[first:] + word[:first], [], 0
+    while p < len(marks):
+        size = runs.get(p, 1)
+        symbols.append(tuple(sorted(marks[p : p + size])))
+        p += size
+    cyclic = [w[r:] + w[:r] for w in (tuple(symbols), tuple(reversed(symbols))) for r in range(len(w))]
+    return DegenerateConfig(word=min(cyclic))
 
 
 def face_config(label: Label | Sequence[int], k: int) -> DegenerateConfig:
@@ -302,7 +285,7 @@ def face_config(label: Label | Sequence[int], k: int) -> DegenerateConfig:
     n = len(word)
     if not 1 <= k <= n:
         raise OutOfRange(f"face index must be in 1..{n}, got {k}")
-    return _merge_positions(word, [(k - 1, k % n)])
+    return _merged(word, k - 1, {0: 2})
 
 
 def vertex_config(label: Label | Sequence[int], k: int, m: int) -> DegenerateConfig:
@@ -311,11 +294,9 @@ def vertex_config(label: Label | Sequence[int], k: int, m: int) -> DegenerateCon
     n = len(word)
     if not (1 <= k <= n and 1 <= m <= n) or k == m:
         raise OutOfRange(f"need two distinct face indices in 1..{n}, got {k}, {m}")
-    a = {(k - 1) % n, k % n}
-    b = {(m - 1) % n, m % n}
-    if a & b:
+    if (m - k) % n in (1, n - 1):
         raise OutOfRange(f"faces {k} and {m} share a mark; pairs must be disjoint")
-    return _merge_positions(word, [sorted(a), sorted(b)])
+    return _merged(word, k - 1, {0: 2, (m - k) % n: 2})
 
 
 def triple_config(label: Label | Sequence[int], k: int) -> DegenerateConfig:
@@ -324,4 +305,4 @@ def triple_config(label: Label | Sequence[int], k: int) -> DegenerateConfig:
     n = len(word)
     if not 1 <= k <= n:
         raise OutOfRange(f"face index must be in 1..{n}, got {k}")
-    return _merge_positions(word, [(k - 1, k % n, (k + 1) % n)])
+    return _merged(word, k - 1, {0: 3})

@@ -165,11 +165,10 @@ def _shape_row(n: int, *shapes) -> np.ndarray:
 def _fiber_theta(n: int, shape, w: UpperHalfPoint | complex, label: Sequence[int]) -> WeightVector:
     wc, errors = w.w if isinstance(w, UpperHalfPoint) else UpperHalfPoint(complex(w)).w, [None]
     sq = libm(_square, _shape_row(n, shape))
-    re, im = _fiber_dirs(n, sq, np.array([wc.real]), np.array([wc.imag]), errors)
-    unwrap(errors[0])
     word = as_word(label)
     if len(word) != n:
         raise OutOfRange(f"label has {len(word)} marks but the construction has {n}")
+    re, im = _fiber_dirs(n, sq, np.array([wc.real]), np.array([wc.imag]), errors)
     theta = _turning_angles(re, im, word, errors)
     unwrap(errors[0])
     return WeightVector(n=n, theta=tuple(theta[0].tolist()))

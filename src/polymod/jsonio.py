@@ -181,6 +181,14 @@ def parse_rows(texts: Sequence[str]) -> list[list[float] | OutOfRange]:
     return out
 
 
+def _number(convert, text: str):
+    """``convert(text)``, ``int`` or ``float``, or ValueError for what it
+    takes and the angle tokens refuse: ``_`` and non-ASCII characters."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"unsupported characters in {text!r}")
+    return convert(text)
+
+
 def parse_label(spec: str) -> tuple[int, ...]:
     """Parse a label word: '21435' or '2,1,4,3,5'."""
     text = spec.strip()
@@ -189,7 +197,7 @@ def parse_label(spec: str) -> tuple[int, ...]:
     else:
         parts = list(text)
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(_number(int, p) for p in parts)
     except ValueError as exc:
         raise OutOfRange(f"cannot parse label {spec!r}") from exc
 
@@ -203,7 +211,7 @@ def parse_shape(spec: str, n: int) -> tuple[float, ...]:
             f"shape for n={n} needs {want} comma-separated values, got {len(parts)}"
         )
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(_number(float, p) for p in parts)
     except ValueError as exc:
         raise OutOfRange(f"cannot parse shape {spec!r}") from exc
 

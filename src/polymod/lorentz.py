@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -144,12 +143,13 @@ def _model_arrays(tri: Triangles) -> dict:
     """The stacked body of :func:`build_models`.
 
     ``tri`` holds the rows' completion triangles.  Returns the arrays
-    ``basis``, ``gram``, ``coord_mat`` and ``facet_mat`` with a leading row
-    axis, and ``errors``: per row None or its first failure, gate by gate
-    in the scalar order (completion triangle, signature, base-width lines,
-    corner scales, diagonalization).  A failed row's arrays are
-    meaningless; it enters ``eigvalsh`` as the identity, so it cannot make
-    the stacked call raise.
+    ``basis``, ``gram``, ``coord_mat``, ``facet_mat`` and ``intercepts``
+    with a leading row axis, ``model_errors``: per row None or its first
+    failure, gate by gate in the scalar order (completion triangle,
+    signature, base-width lines, corner scales, diagonalization), and
+    ``intercept_errors``, those of the intercepts of the models built.  A
+    failed row's arrays are meaningless; it enters ``eigvalsh`` as the
+    identity, so it cannot make the stacked call raise.
     """
     angles, dirs = tri.angles, tri.dirs
     rows, n = angles.shape
@@ -224,7 +224,12 @@ def _model_arrays(tri: Triangles) -> dict:
         ~(np.abs(recon - gram).max(axis=(1, 2)) <= 1e-9 * scale),
         lambda i: SignatureMismatch("coordinate functionals fail to diagonalize the area form"),
     )
-    return dict(basis=basis, gram=gram, coord_mat=coord_mat, facet_mat=facet_mat, errors=errors)
+    axis_errors = list(errors)
+    intercepts = _intercepts(facet_mat, coord_mat, axis_errors)
+    # a row whose model failed has no intercepts to fail
+    axis_errors = [e if m is None else None for m, e in zip(errors, axis_errors)]
+    return dict(basis=basis, gram=gram, coord_mat=coord_mat, facet_mat=facet_mat, model_errors=errors,
+                intercepts=intercepts, intercept_errors=axis_errors)
 
 
 def _cross(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -283,6 +288,7 @@ _AXIS_SPECS = {
 }
 
 
+@np.errstate(all="ignore")  # a failed row's rays may be NaN; its values go unread
 def _intercepts(facet_mat: np.ndarray, coord_mat: np.ndarray, errors: list) -> np.ndarray:
     """The stacked body of :func:`axis_intercepts`: (N, n-3) intercepts."""
     specs = _AXIS_SPECS[facet_mat.shape[1]]
@@ -310,24 +316,8 @@ class ModelStack:
     coord_mat: np.ndarray   # (N, n-2, n-2)
     facet_mat: np.ndarray   # (N, n, n-2)
     model_errors: list
-
-    @cached_property
-    def _axis(self) -> tuple[np.ndarray, list]:
-        """The (N, n-3) intercepts and their errors, computed for every row
-        on first read: a stack read for its models alone never pays for them."""
-        errors = list(self.model_errors)
-        values = _intercepts(self.facet_mat, self.coord_mat, errors)
-        # a row whose model failed has no intercepts to fail
-        return values, [None if m is not None else e for m, e in zip(self.model_errors, errors)]
-
-    @property
-    def intercepts(self) -> np.ndarray:
-        """The (N, n-3) intercepts; a failed row's are meaningless."""
-        return self._axis[0]
-
-    @property
-    def intercept_errors(self) -> list:
-        return self._axis[1]
+    intercepts: np.ndarray  # (N, n-3); a failed row's are meaningless
+    intercept_errors: list
 
     def model(self, i: int) -> LorentzModel:
         """Row i's model, or its recorded build failure raised."""
@@ -355,10 +345,7 @@ def build_models(theta: np.ndarray, words: Sequence[Sequence[int]]) -> ModelStac
     if not words:
         raise OutOfRange("a model stack needs at least one row")
     tri = complete_triangles(angles)
-    arrays = _model_arrays(tri)
-    return ModelStack(
-        theta=theta, words=words, triangles=tri, model_errors=arrays.pop("errors"), **arrays
-    )
+    return ModelStack(theta=theta, words=words, triangles=tri, **_model_arrays(tri))
 
 
 def build_model(theta: WeightVector, label: Sequence[int]) -> LorentzModel:
@@ -394,7 +381,8 @@ def axis_intercepts(model: LorentzModel) -> tuple[float, ...]:
     Each value is the coordinate at which one bounding plane crosses its
     coordinate axis: pentagons use the vertices with edges {1,4} and {3,5}
     collapsed; hexahedra intersect the planes of facets 6, 2 and 4 with the
-    u, v and w axes (facet triples {3,5,6}, {1,2,5} and {1,3,4}).
+    u, v and w axes (facet triples {3,5,6}, {1,2,5} and {1,3,4}).  Only a
+    model built by hand has a vertex off the slice x = 1: NoIntersection.
     """
     errors = [None]
     values = _intercepts(model.facet_mat[None], model.coord_mat[None], errors)

@@ -43,7 +43,7 @@ import numpy as np
 from . import combinatorics
 from .combinatorics import validate_weights
 from .complexes import build_complex, cusp_classes, euler_characteristic
-from .errors import OutOfRange, RejectionBudgetExceeded, check_settings, unwrap
+from .errors import OutOfRange, RejectionBudgetExceeded, check_settings
 from .fiber import designated_pairs, invert_params
 from .jsonio import SUITES
 from .lorentz import ModelStack, build_models, dihedral_angles
@@ -185,9 +185,7 @@ def _draw(n: int, seed: int, trials) -> tuple[np.ndarray, list[tuple[int, ...]]]
         pending, start, size = np.delete(pending, hit), start + size, 2 * size
     if len(pending):
         raise RejectionBudgetExceeded(f"no valid weight vector for n={n} in {budget} attempts")
-    angles, errors = validate_weights(raw)
-    for e in errors:
-        unwrap(e)
+    angles, _ = validate_weights(raw)  # no clause fails on accepted spacings: it rescales
     words = np.stack([w[:, 0] for w in _words(seed, trials, [0], _WORD_SLOT, n)], axis=1)
     return angles, [tuple(w) for w in (np.argsort(words, axis=1, kind="stable") + 1).tolist()]
 

@@ -1,9 +1,18 @@
 """Which gates does the test suite reach?  A mutation probe, outside the
 test collection (pytest collects only ``test_*.py``).
 
-Each site of a package, a ``raise`` statement or a ``first_failures(...)``
-statement, is replaced with ``pass``, one at a time, in a scratch copy of
-the repository, and the tests run there with ``-x``.  A site whose mutant
+Each site of a package is a gate written in one of four forms:
+
+* a ``raise`` statement;
+* a ``first_failures(...)``, ``unwrap(...)`` or ``fail_parallel(...)``
+  statement;
+* ``return E(...)``, E an error class, as an error builder returns its error;
+* ``... = E(...)`` inside a loop, a row's error assigned.
+
+One at a time, in a scratch copy of the repository, a return site becomes
+``return None`` and any other site ``pass``, and the tests run there with
+``-x``.  An error class is a builtin exception, a class of the package
+derived from one, or a name ending in ``Error``.  A site whose mutant
 still passes every test is a survivor: a path that no test reaches, a gate
 that no input reaches, or a check shadowed by an earlier one.
 
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import builtins
 import os
 import queue
 import shutil
@@ -35,25 +45,51 @@ _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothe
 _TIMEOUT = 600.0
 
 
-def sites(path: Path) -> list[ast.stmt]:
+#: The statements that record or raise a row's failure.
+_GATE_CALLS = {"first_failures", "unwrap", "fail_parallel"}
+
+
+def _name(node) -> str | None:
+    """The called name of a call, or None."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def error_classes(trees) -> set[str]:
+    """The builtin exception names and the classes of the modules ``trees``
+    derived from one, however deep."""
+    names = {k for k, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)}
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    while grown := [c.name for c in classes if c.name not in names
+                    and any(getattr(b, "id", getattr(b, "attr", None)) in names for b in c.bases)]:
+        names.update(grown)
+    return names
+
+
+def sites(tree: ast.Module, errors: set[str]) -> list[ast.stmt]:
     """The statements of one module that the probe removes, in line order."""
+    in_loop = {id(n) for loop in ast.walk(tree) if isinstance(loop, (ast.For, ast.While))
+               for n in ast.walk(loop)}
 
-    def is_site(node):
-        if isinstance(node, ast.Raise):
-            return True
-        call = node.value if isinstance(node, ast.Expr) else None
-        func = call.func if isinstance(call, ast.Call) else None
-        return getattr(func, "id", getattr(func, "attr", None)) == "first_failures"
+    def is_error(node) -> bool:
+        return _name(node) in errors or (_name(node) or "").endswith("Error")
 
-    return sorted((n for n in ast.walk(ast.parse(path.read_text())) if is_site(n)), key=lambda n: n.lineno)
+    def is_site(node) -> bool:
+        return (isinstance(node, ast.Raise)
+                or isinstance(node, ast.Expr) and _name(node.value) in _GATE_CALLS
+                or isinstance(node, ast.Return) and is_error(node.value)
+                or isinstance(node, ast.Assign) and id(node) in in_loop and is_error(node.value))
+
+    return sorted((n for n in ast.walk(tree) if is_site(n)), key=lambda n: n.lineno)
 
 
 def mutant(source: str, node: ast.stmt) -> str:
-    """``source`` with the statement ``node`` replaced by ``pass``; blank
-    lines keep every later line number."""
+    """``source`` with the statement ``node`` replaced by ``return None``
+    (a return) or ``pass``; blank lines keep every later line number."""
     lines = source.splitlines(keepends=True)
     first, last = lines[node.lineno - 1], lines[node.end_lineno - 1]
-    kept = first[: node.col_offset] + "pass" + last[node.end_col_offset :]
+    body = "return None" if isinstance(node, ast.Return) else "pass"
+    kept = first[: node.col_offset] + body + last[node.end_col_offset :]
     return "".join(lines[: node.lineno - 1] + [kept] + ["\n"] * (node.end_lineno - node.lineno)
                    + lines[node.end_lineno :])
 
@@ -81,13 +117,17 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=2, help="scratch copies run in parallel")
     args = parser.parse_args(argv)
     root, jobs, start = args.root.resolve(), max(1, args.jobs), time.monotonic()
-    todo = [(path.relative_to(root), node) for path in sorted((root / args.package).glob("*.py"))
-            for node in sites(path)]
+    # the sources are read once, so an edit during the run changes no mutant
+    files = sorted((root / args.package).glob("*.py"))
+    sources = {path.relative_to(root): path.read_text() for path in files}
+    trees = {rel: ast.parse(source) for rel, source in sources.items()}
+    errors = error_classes(trees.values())
+    todo = [(rel, node) for rel, tree in trees.items() for node in sites(tree, errors)]
     copies = queue.Queue()  # one scratch copy per worker, lent out per mutant
 
     def check(site) -> str:
         rel, node = site
-        copy, source = copies.get(), (root / rel).read_text()
+        copy, source = copies.get(), sources[rel]
         try:
             (copy / rel).write_text(mutant(source, node))
             return run(copy, args.package)

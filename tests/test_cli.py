@@ -18,10 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import polymod.errors
 from polymod import cli, fiber, psi5, psi6, validate_weight, verify
 from polymod.combinatorics import sample_weight_rng
 from polymod.errors import PolymodError, RouteDisagreement
-from polymod.jsonio import MAX_EXPRESSION, parse_rows, parse_theta
+from polymod.jsonio import MAX_EXPRESSION, SUITES, parse_rows, parse_theta
 
 from fresh import SRC, fresh
 from lorentz_oracle import boundary_weights
@@ -1205,11 +1206,114 @@ class TestUsageErrors:
         assert doc == {"schema": "polymod-error/1", "version": 1, "error": "OutOfRange", "message": message}
         assert err == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["invert", "--n", "6", "--shape1", "1_0,1,1", "--shape2", "1,1,1"],
+             "cannot parse shape '1_0,1,1'"),
+            (["invert", "--n", "5", "--shape1", "\u0660.\u0669,0.9", "--shape2", "0.9,0.9"],
+             "cannot parse shape '\u0660.\u0669,0.9'"),
+            (["forward", "--n", "5", "--theta", EQUAL5, "--label", "0_1,2,3,4,5"],
+             "cannot parse label '0_1,2,3,4,5'"),
+            (["forward", "--n", "5", "--theta", EQUAL5, "--label", "\uff11\uff12\uff13\uff14\uff15"],
+             "cannot parse label '\uff11\uff12\uff13\uff14\uff15'"),
+        ],
+        ids=["shape-underscore", "shape-arabic-indic", "label-underscore", "label-fullwidth"],
+    )
+    def test_a_value_that_no_angle_token_takes_exits_2(self, capsys, argv, message):
+        """``int`` and ``float`` read ``_`` separators and any Unicode digit,
+        which ``--theta`` refuses: a shape or label value refuses them too,
+        where it ran as P = 10 (exit 3), 0.9 or the word 12345 (exit 0)."""
+        code, doc, err = run_json(capsys, *argv)
+        assert code == 2
+        assert doc == {"schema": "polymod-error/1", "version": 1, "error": "OutOfRange", "message": message}
+        assert err == ""
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--help"])
         assert exc.value.code == 0
         assert "--samples" in capsys.readouterr().out
+
+
+# ===========================================================================
+# the error contract under hostile argv
+# ===========================================================================
+
+#: Tokens that each flag value may be: empty, non-finite, overflowing, a
+#: signed zero, an underscore, Arabic-Indic and fullwidth digits, a call,
+#: and a 1,001-character expression.
+HOSTILE = ["", "nan", "1e999", "-0", "1_0", "\u0663.\u0665", "\uff11\uff12\uff13\uff14\uff15", "2(3)",
+           "+".join(["1"] * 501)]
+THETA5 = "1.1,1.3,0.9,1.5,1.4831853071795865"  # not the equal weight: cusps exit 5
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory) -> dict:
+    """Input and output paths for ``sweep``: a CSV with one bad row, a file
+    that is not UTF-8, a missing path, a directory and a file to write."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "rows.csv").write_text("theta1\n" + ",".join(["1.2566370614359172"] * 5) + "\n2(3)\n")
+    (root / "latin1.csv").write_bytes(b"1,2\xff\n")
+    return {"input": [str(root / name) for name in ("rows.csv", "latin1.csv", "missing.csv")],
+            "out": ["-", str(root / "out.csv"), str(root)]}
+
+
+@st.composite
+def fuzz_argv(draw, files: dict) -> list[str]:
+    """An argv of one of the five commands with every flag valid for its
+    ``--n`` but at most two, each of which is absent or hostile.
+    ``--samples`` stays at most 20 and ``--jobs`` is 1 or invalid, so no
+    pool starts; ``--out`` names only the fixture's paths."""
+    n = draw(st.sampled_from(["5", "6"]))
+    tol, usual = ["1e-9", "1e-300"], [None, *HOSTILE]
+    thetas = {"5": [EQUAL5, THETA5], "6": [EQUAL6]}[n]
+    words = {"5": ["12345", "21435"], "6": ["123456", "214356"]}[n]
+    shape1, shape2 = zip(*{"5": [("0.9,0.9",) * 2],
+                           "6": [("1,1,1",) * 2, ("1,1e-200,1",) * 2, (R_CORRUPT_S1, R_CORRUPT_S2)]}[n])
+    flags = {  # per flag, its valid values and its spoiled ones
+        "forward": {"--theta": (thetas, usual), "--label": (words, usual)},
+        "invert": {"--shape1": (shape1, usual), "--shape2": (shape2, usual), "--tol": (tol, usual)},
+        "complex": {"--theta": (thetas, usual),
+                    "--report": (["euler", "cusps", "pairings", "singular"], usual)},
+        "verify": {"--suite": (SUITES, usual), "--tol": (tol, usual), "--seed": (["0", "7"], usual),
+                   "--samples": (["1", "20"], ["\u0663", *(t for t in HOSTILE if t.isascii())]),
+                   "--jobs": (["1"], [t for t in usual if t not in ("1_0", "\uff11\uff12\uff13\uff14\uff15")])},
+        "sweep": {"--input": (files["input"][:1], files["input"][1:] + usual),
+                  "--label": (words, usual), "--out": (files["out"][:2], [None, files["out"][2]])},
+    }
+    command = draw(st.sampled_from(sorted(flags)))
+    options = {"--n": ([n], usual), **flags[command]}
+    spoiled = draw(st.sets(st.sampled_from(sorted(options)), max_size=2))
+    argv = [command]
+    for flag, (valid, spoil) in options.items():
+        value = draw(st.sampled_from(spoil if flag in spoiled else valid))
+        argv += [] if value is None else [flag, value]
+    return argv
+
+
+class TestErrorContract:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_hostile_argv_exits_0_to_5_with_one_document_and_no_traceback(self, fuzz_files, data):
+        """Every command and flag, each value valid, hostile or absent: the
+        exit code is 0 to 5, never 6; codes 2 to 5 print one
+        ``polymod-error/1`` document and nothing else on stdout, naming a
+        class whose documented code is the exit code; and no traceback
+        reaches stderr."""
+        argv = data.draw(fuzz_argv(fuzz_files))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in range(6), (argv, out.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code >= 2:
+            assert out.getvalue().count("\n") == 1, argv
+            doc = json.loads(out.getvalue())
+            assert doc["schema"] == "polymod-error/1"
+            assert getattr(polymod.errors, doc["error"]).exit_code == code
+        else:
+            assert "polymod-error/1" not in out.getvalue()
 
 
 # ===========================================================================

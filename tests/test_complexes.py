@@ -9,6 +9,7 @@ from polymod import (
     NotEqualWeight,
     OutOfRange,
     PairingFailure,
+    SignatureMismatch,
     build_complex,
     cusp_classes,
     equal_weight,
@@ -183,6 +184,16 @@ class TestSingularEdges:
         first = singular_edges(build_complex(6, SINGULAR_THETA))
         second = singular_edges(build_complex(6, SINGULAR_THETA))
         assert first == second
+
+    def test_an_edge_whose_cell_fails_raises_the_failure(self):
+        """Two angles sum to pi - 3e-8 here, and the model of word 123456
+        fails its diagonalization gate (as ``forward`` does on this theta):
+        the report raises that failure, never a NaN cone angle.  A change
+        that makes this row map needs another theta whose model fails."""
+        theta = validate_weight((1.7072775890189653, 1.4343150342728437, 0.7391508164855521,
+                                 1.3114599962570685, 0.8787460441619346, 0.2122358269832221))
+        with pytest.raises(SignatureMismatch, match="fail to diagonalize the area form"):
+            singular_edges(build_complex(6, theta))
 
 
 # ===========================================================================

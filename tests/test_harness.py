@@ -27,6 +27,16 @@ def test_a_failing_property_test_reports_its_falsifying_example(tmp_path):
 
 
 PACKAGE = """
+class PlantedError(ValueError):
+    pass
+
+
+def unwrap(row):
+    if isinstance(row, PlantedError):
+        raise row
+    return row
+
+
 def half(x):
     if x % 2:
         raise ValueError("odd")
@@ -37,12 +47,33 @@ def third(x):
     if x % 3:
         raise ValueError("not a multiple of 3")
     return x // 3
+
+
+def _odd(x):
+    if x % 2:
+        return PlantedError(f"{x} is odd")
+    return None
+
+
+def strict_half(x):
+    unwrap(_odd(x))
+    return x // 2
+
+
+def halves(xs):
+    out = []
+    for x in xs:
+        value = x // 2
+        if x % 2:
+            value = PlantedError("odd")
+        out.append(value)
+    return out
 """
 
 PACKAGE_TESTS = """
 import pytest
 
-from planted import half, third
+from planted import PlantedError, half, halves, strict_half, third
 
 
 def test_half():
@@ -53,11 +84,23 @@ def test_half():
 
 def test_third():
     assert third(9) == 3
+
+
+def test_strict_half():
+    assert strict_half(4) == 2
+    with pytest.raises(PlantedError):
+        strict_half(3)
+
+
+def test_halves():
+    assert [isinstance(v, PlantedError) for v in halves([2, 3])] == [False, True]
 """
 
 
 def test_the_mutation_probe_kills_a_tested_gate_and_reports_an_untested_one(tmp_path):
-    """Two raise sites: the tests reach the first, and nothing reaches the second."""
+    """Six sites, one of each form: a raise (three), an ``unwrap`` statement,
+    an error builder's return and a row error assigned in a loop.  The
+    tests reach all but the raise in ``third``."""
     (tmp_path / "src" / "planted").mkdir(parents=True)
     (tmp_path / "src" / "planted" / "__init__.py").write_text(PACKAGE, encoding="utf-8")
     (tmp_path / "tests").mkdir()
@@ -66,5 +109,5 @@ def test_the_mutation_probe_kills_a_tested_gate_and_reports_an_untested_one(tmp_
     proc = fresh(str(probe), "--root", str(tmp_path), "--package", "src/planted", "--jobs", "1")
     lines = proc.stdout.splitlines()
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert lines[0] == "survived src/planted/__init__.py:10 raise ValueError('not a multiple of 3')"
-    assert lines[1].startswith("2 sites, 1 killed, 1 survived, 0 timed out in ") and len(lines) == 2
+    assert lines[0] == "survived src/planted/__init__.py:20 raise ValueError('not a multiple of 3')"
+    assert lines[1].startswith("6 sites, 5 killed, 1 survived, 0 timed out in ") and len(lines) == 2

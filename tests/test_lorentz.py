@@ -458,6 +458,17 @@ class TestAxisIntercepts:
             want = oracle_params6(theta, word)
             npt.assert_allclose(got, want, rtol=1e-9)
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_a_hand_built_model_without_its_vertex_raises(self, n):
+        """The axis vertices of a built model lie inside the cone; a model
+        built by hand whose x functional vanishes has none on the slice
+        x = 1, and raises NoIntersection rather than return NaN."""
+        model = build_model(equal_weight(n), tuple(range(1, n + 1)))
+        coord_mat = model.coord_mat.copy()
+        coord_mat[0] = 0.0
+        with pytest.raises(NoIntersection, match="is parallel to the slice x = 1"):
+            axis_intercepts(replace(model, coord_mat=coord_mat))
+
 
 # ===========================================================================
 # dihedral angles

@@ -9,6 +9,7 @@ ordering and the frozen-assignment error.  The tests' ``replace`` helper
 """
 
 import dataclasses
+import functools
 import math
 import operator
 import sys
@@ -29,6 +30,7 @@ from polymod import (
     psi6,
     validate_weight,
 )
+from polymod._record import record
 from polymod.combinatorics import DegenerateConfig, Label
 from polymod.planar import complete_triangles, label_angles
 
@@ -227,10 +229,21 @@ def test_assignment_raises_frozen_instance_error_as_the_twin(case):
 
 
 def test_cached_properties_still_fill_on_first_read():
-    stack = build_models(angle_array([THETA6]), [(1, 2, 3, 4, 5, 6)])
-    assert "_axis" not in vars(stack)
-    intercepts = stack.intercepts
-    assert "_axis" in vars(stack) and stack.intercepts is intercepts
+    """A record keeps a ``__dict__``: a ``functools.cached_property`` runs
+    on the first read, past the frozen ``__setattr__``, and stores its value."""
+
+    @record
+    class Lazy:
+        x: int
+
+        @functools.cached_property
+        def doubled(self) -> list:
+            return [2 * self.x]
+
+    lazy = Lazy(3)
+    assert "doubled" not in vars(lazy)
+    doubled = lazy.doubled
+    assert vars(lazy)["doubled"] is doubled and lazy.doubled is doubled == [6]
 
 
 @pytest.mark.parametrize("cls", [Label, DegenerateConfig, UpperHalfPoint], ids=lambda c: c.__name__)
