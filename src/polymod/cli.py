@@ -28,6 +28,7 @@ from .combinatorics import as_word, validate_weight, validate_weights
 from .errors import OutOfRange, PolymodError, check_settings
 from .jsonio import (
     SUITES,
+    _number,
     dumps_canonical,
     parse_label,
     parse_rows,
@@ -45,9 +46,11 @@ SWEEP_CHUNK = 256
 
 
 def _given_settings(args: argparse.Namespace, *names: str) -> dict:
-    """The run settings among ``names`` that were given as flags, checked
+    """The run settings among ``names`` that were given as flags, read as
+    the shapes are (:func:`polymod.jsonio._number`) and checked
     (:func:`check_settings`) before any numeric layer loads."""
-    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    given = {name: _number(float if name == "tol" else int, text, f"--{name} {text!r}")
+             for name in names if (text := getattr(args, name)) is not None}
     check_settings(**given)
     return given
 
@@ -333,7 +336,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_tol_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=None, help="verification tolerance")
+    sub.add_argument("--tol", default=None, help="verification tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", required=True, choices=SUITES)
     verify.add_argument("--n", type=int, required=True, choices=(5, 6))
     _add_tol_flag(verify)
-    verify.add_argument("--samples", type=int, default=None, help="number of random trials")
-    verify.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    verify.add_argument("--jobs", type=int, default=None, help="worker processes")
+    verify.add_argument("--samples", default=None, help="number of random trials")
+    verify.add_argument("--seed", default=None, help="base RNG seed")
+    verify.add_argument("--jobs", default=None, help="worker processes")
     verify.set_defaults(func=cmd_verify)
 
     sweep = sub.add_parser("sweep", help="batch forward maps over a CSV of angles")

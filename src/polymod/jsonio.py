@@ -4,9 +4,9 @@ JSON documents are rendered with sorted keys, compact separators, and every
 float at 17 significant digits, so equal data always produces identical
 bytes.  Angle tokens accept raw radians, expressions in ``pi`` such as
 ``2pi/5`` or ``2/5*2pi``, and a repetition prefix ``5x2pi/5``; the unicode
-spellings ``×`` and ``π`` are accepted as synonyms, and a token containing
-``@`` is rejected.  A repetition count is at most ``MAX_REPEAT``, and an
-expression at most ``MAX_EXPRESSION`` characters.
+spellings ``×`` and ``π`` are accepted as synonyms.  A repetition count
+is at most ``MAX_REPEAT``, and an expression at most ``MAX_EXPRESSION``
+characters.
 ``SUITES`` names the accepted ``--suite`` tokens, so the command line can
 check them without loading the verification engine.
 
@@ -21,12 +21,11 @@ import json
 import math
 import re
 import sys
-import warnings
 from typing import Sequence
 
 from .errors import OutOfRange
 
-_ANGLE_CHARS = re.compile(r"^[0-9eE@+\-*/().]*$")
+_ANGLE_CHARS = re.compile(r"^[0-9eE+\-*/().]*$")
 # A signed float literal with a point or an exponent.  For these float()
 # gives the value eval gives, bit for bit; integer literals are left to
 # eval, which rejects leading zeros, turns -0 into +0.0 and raises on an
@@ -108,28 +107,27 @@ def _eval_angle(expr: str) -> float:
 
 
 def _eval_expression(expr: str, e: str) -> float:
-    """``eval`` of the normalized token ``e`` of ``expr`` in pi alone."""
+    """``eval`` of the normalized token ``e`` of ``expr`` once its syntax tree
+    is arithmetic on numbers and names, of which ``pi`` alone is defined."""
     if len(e) > MAX_EXPRESSION:
         raise OutOfRange(f"angle token of {len(e)} characters exceeds {MAX_EXPRESSION}")
-    # ``@`` stands for pi below, so it is refused before pi is rewritten to it
-    if "@" in e or not _ANGLE_CHARS.match(e := e.replace("pi", "@")):
+    if not _ANGLE_CHARS.match(e.replace("pi", "")):
         raise OutOfRange(f"angle token {expr!r} contains unsupported characters")
-    # ``**`` can build integers of unbounded size and ``//`` floors: no angle uses them
-    if "**" in e or "//" in e:
-        raise OutOfRange(f"angle token {expr!r} uses an unsupported operator")
     # implicit multiplication around pi: 2pi -> 2*pi, pi2 -> pi*2, )pi, pi( ...
-    e = re.sub(r"(?<=[0-9.)])@", "*@", e)
-    e = re.sub(r"@(?=[0-9.(])", "@*", e)
+    e = re.sub(r"(?<=[0-9.)])pi", "*pi", e)
+    e = re.sub(r"pi(?=[0-9.(])", "pi*", e)
+    import ast  # only for a token that is not a plain literal
+
+    # no call, tuple, ``**`` or ``//``; an attribute (``0..e``) names none a number has
+    arithmetic = (ast.Expression, ast.Constant, ast.Name, ast.Attribute, ast.Load, ast.BinOp,
+                  ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.UAdd, ast.USub)
     try:
-        # compiling a token such as ``2(3)`` warns that an int is not callable
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SyntaxWarning)
-            value = eval(  # noqa: S307 - characters and operators restricted above
-                e.replace("@", "pi"), {"__builtins__": {}}, {"pi": math.pi}
-            )
-        return float(value)
+        if all(isinstance(node, arithmetic) for node in ast.walk(ast.parse(e, "<string>", "eval"))):
+            # the checked text: compiling the tree object recurses in Python's stack
+            return float(eval(e, {"__builtins__": {}}, {"pi": math.pi}))  # noqa: S307
     except Exception as exc:
         raise OutOfRange(f"cannot parse angle token {expr!r}: {exc}") from exc
+    raise OutOfRange(f"angle token {expr!r} uses an unsupported operator")
 
 
 def parse_theta(spec: str) -> list[float]:
@@ -181,12 +179,16 @@ def parse_rows(texts: Sequence[str]) -> list[list[float] | OutOfRange]:
     return out
 
 
-def _number(convert, text: str):
-    """``convert(text)``, ``int`` or ``float``, or ValueError for what it
-    takes and the angle tokens refuse: ``_`` and non-ASCII characters."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"unsupported characters in {text!r}")
-    return convert(text)
+def _number(convert, text: str, what: str):
+    """``convert(text)``, ``int`` or ``float``, or OutOfRange naming ``what``
+    for what ``convert`` refuses and for what it takes that the angle tokens
+    refuse: ``_`` and non-ASCII characters."""
+    try:
+        if "_" in text or not text.isascii():
+            raise ValueError(text)
+        return convert(text)
+    except ValueError as exc:
+        raise OutOfRange(f"cannot parse {what}") from exc
 
 
 def parse_label(spec: str) -> tuple[int, ...]:
@@ -196,10 +198,7 @@ def parse_label(spec: str) -> tuple[int, ...]:
         parts = [p.strip() for p in text.split(",")]
     else:
         parts = list(text)
-    try:
-        return tuple(_number(int, p) for p in parts)
-    except ValueError as exc:
-        raise OutOfRange(f"cannot parse label {spec!r}") from exc
+    return tuple(_number(int, p, f"label {spec!r}") for p in parts)
 
 
 def parse_shape(spec: str, n: int) -> tuple[float, ...]:
@@ -210,10 +209,7 @@ def parse_shape(spec: str, n: int) -> tuple[float, ...]:
         raise OutOfRange(
             f"shape for n={n} needs {want} comma-separated values, got {len(parts)}"
         )
-    try:
-        return tuple(_number(float, p) for p in parts)
-    except ValueError as exc:
-        raise OutOfRange(f"cannot parse shape {spec!r}") from exc
+    return tuple(_number(float, p, f"shape {spec!r}") for p in parts)
 
 
 # No caller in src/: kept only while perfbench/tracer.py's TRACED names it.

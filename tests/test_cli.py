@@ -155,15 +155,16 @@ class TestForward:
         assert proc.stderr == ""
 
     def test_token_compiling_with_a_warning_writes_nothing_to_stderr(self, tmp_path):
-        """``2(3)`` compiles with a SyntaxWarning: neither ``forward`` nor
-        ``sweep`` (which parses row 1 cell by cell, for header detection) may
-        print it.  Fresh processes, since a warning prints once per process."""
+        """``2(3)`` would compile with a SyntaxWarning; it is refused as a
+        call before anything compiles, and neither ``forward`` nor ``sweep``
+        (which parses row 1 cell by cell, for header detection) prints a
+        warning.  Fresh processes, since a warning prints once per process."""
         theta = "2(3),1,1,1,1"
         forward = fresh("-m", "polymod.cli", "forward", "--n", "5", "--theta", theta)
         assert forward.returncode == 2
         doc = json.loads(forward.stdout)
         assert doc["error"] == "OutOfRange"
-        assert doc["message"] == "cannot parse angle token '2(3)': 'int' object is not callable"
+        assert doc["message"] == "angle token '2(3)' uses an unsupported operator"
         assert forward.stderr == ""
 
         src = tmp_path / "rows.csv"
@@ -1028,11 +1029,14 @@ SETTING_VALUES = st.one_of(
 
 
 def in_domain(name: str, text: str) -> bool:
-    """Whether ``--name text`` parses as argparse parses it and lies in the
-    domain of :func:`polymod.errors.check_settings`."""
+    """Whether ``--name text`` parses (``float`` or ``int``, without ``_``
+    or a non-ASCII character) and lies in the domain of
+    :func:`polymod.errors.check_settings`."""
     try:
         value = float(text) if name == "tol" else int(text)
     except ValueError:
+        return False
+    if "_" in text or not text.isascii():
         return False
     return {
         "tol": lambda v: 0.0 < v < math.inf,
@@ -1229,6 +1233,26 @@ class TestUsageErrors:
         assert doc == {"schema": "polymod-error/1", "version": 1, "error": "OutOfRange", "message": message}
         assert err == ""
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--samples", "\u0663"), ("--seed", "1_0"), ("--jobs", "\u0661"), ("--tol", "\u0661e-9"),
+         ("--samples", "\uff13"), ("--tol", "1_0e-9")],
+        ids=["samples-arabic-indic", "seed-underscore", "jobs-arabic-indic", "tol-arabic-indic",
+             "samples-fullwidth", "tol-underscore"],
+    )
+    def test_a_setting_that_no_angle_token_takes_exits_2(self, capsys, monkeypatch, flag, value):
+        """The settings flags read numbers as the shapes do: ``--samples ٣``
+        ran 3 samples, ``--seed 1_0`` seed 10 and ``--tol ١e-9`` at 1e-9."""
+        def no_trials(*args):
+            raise AssertionError("reached the trial runner")
+
+        monkeypatch.setattr(verify, "_run_sampled", no_trials)
+        argv = ["verify", "--suite", "signature", "--n", "5", "--samples", "3", flag, value]
+        code, doc, err = run_json(capsys, *argv)
+        assert (code, err) == (2, "")
+        assert doc == {"schema": "polymod-error/1", "version": 1, "error": "OutOfRange",
+                       "message": f"cannot parse {flag} {value!r}"}
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--help"])
@@ -1263,8 +1287,9 @@ def fuzz_files(tmp_path_factory) -> dict:
 def fuzz_argv(draw, files: dict) -> list[str]:
     """An argv of one of the five commands with every flag valid for its
     ``--n`` but at most two, each of which is absent or hostile.
-    ``--samples`` stays at most 20 and ``--jobs`` is 1 or invalid, so no
-    pool starts; ``--out`` names only the fixture's paths."""
+    ``--samples`` stays at most 20 and ``--jobs`` is 1 or invalid (no
+    hostile value reads as a number above 1), so no pool starts; ``--out``
+    names only the fixture's paths."""
     n = draw(st.sampled_from(["5", "6"]))
     tol, usual = ["1e-9", "1e-300"], [None, *HOSTILE]
     thetas = {"5": [EQUAL5, THETA5], "6": [EQUAL6]}[n]
@@ -1277,8 +1302,7 @@ def fuzz_argv(draw, files: dict) -> list[str]:
         "complex": {"--theta": (thetas, usual),
                     "--report": (["euler", "cusps", "pairings", "singular"], usual)},
         "verify": {"--suite": (SUITES, usual), "--tol": (tol, usual), "--seed": (["0", "7"], usual),
-                   "--samples": (["1", "20"], ["\u0663", *(t for t in HOSTILE if t.isascii())]),
-                   "--jobs": (["1"], [t for t in usual if t not in ("1_0", "\uff11\uff12\uff13\uff14\uff15")])},
+                   "--samples": (["1", "20"], usual), "--jobs": (["1"], usual)},
         "sweep": {"--input": (files["input"][:1], files["input"][1:] + usual),
                   "--label": (words, usual), "--out": (files["out"][:2], [None, files["out"][2]])},
     }
@@ -1290,6 +1314,9 @@ def fuzz_argv(draw, files: dict) -> list[str]:
         value = draw(st.sampled_from(spoil if flag in spoiled else valid))
         argv += [] if value is None else [flag, value]
     return argv
+
+
+SETTING_FLAGS = ("--tol", "--samples", "--seed", "--jobs")
 
 
 class TestErrorContract:
@@ -1307,6 +1334,9 @@ class TestErrorContract:
             code = cli.main(argv)
         assert code in range(6), (argv, out.getvalue())
         assert "Traceback" not in err.getvalue()
+        settings = [value for flag, value in zip(argv, argv[1:]) if flag in SETTING_FLAGS]
+        if any("_" in value or not value.isascii() for value in settings):
+            assert code == 2, argv
         if code >= 2:
             assert out.getvalue().count("\n") == 1, argv
             doc = json.loads(out.getvalue())
