@@ -414,12 +414,13 @@ def _process_entry() -> None:
     nothing; fd 1 then points at ``os.devnull``, so the flush at exit
     cannot fail again.  ``gc.freeze()`` after the work spares the
     collections at interpreter teardown from walking numpy's objects.
-    ``main`` does neither, since tests and library callers run it in
-    process.
+    OpenBLAS gets one thread unless ``OPENBLAS_NUM_THREADS`` is set: no
+    matrix here is larger than 7x7, so a second thread would only spin.
+    ``main`` does none of this: tests and library callers run it.
     """
     import gc
-    import os
 
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = main()
         sys.stdout.flush()

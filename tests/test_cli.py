@@ -1032,11 +1032,11 @@ def in_domain(name: str, text: str) -> bool:
     """Whether ``--name text`` parses (``float`` or ``int``, without ``_``
     or a non-ASCII character) and lies in the domain of
     :func:`polymod.errors.check_settings`."""
+    if "_" in text or not text.isascii():
+        return False
     try:
         value = float(text) if name == "tol" else int(text)
     except ValueError:
-        return False
-    if "_" in text or not text.isascii():
         return False
     return {
         "tol": lambda v: 0.0 < v < math.inf,
@@ -1221,37 +1221,27 @@ class TestUsageErrors:
              "cannot parse label '0_1,2,3,4,5'"),
             (["forward", "--n", "5", "--theta", EQUAL5, "--label", "\uff11\uff12\uff13\uff14\uff15"],
              "cannot parse label '\uff11\uff12\uff13\uff14\uff15'"),
+            (["verify", "--suite", "signature", "--n", "5", "--samples", "\u0663"],
+             "cannot parse --samples '\u0663'"),
+            (["verify", "--suite", "signature", "--n", "5", "--samples", "3", "--seed", "1_0"],
+             "cannot parse --seed '1_0'"),
+            (["verify", "--suite", "signature", "--n", "5", "--samples", "3", "--jobs", "\u0661"],
+             "cannot parse --jobs '\u0661'"),
+            (["invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1", "--tol", "\u0661e-9"],
+             "cannot parse --tol '\u0661e-9'"),
         ],
-        ids=["shape-underscore", "shape-arabic-indic", "label-underscore", "label-fullwidth"],
+        ids=["shape-underscore", "shape-arabic-indic", "label-underscore", "label-fullwidth",
+             "samples-arabic-indic", "seed-underscore", "jobs-arabic-indic", "tol-arabic-indic"],
     )
     def test_a_value_that_no_angle_token_takes_exits_2(self, capsys, argv, message):
         """``int`` and ``float`` read ``_`` separators and any Unicode digit,
-        which ``--theta`` refuses: a shape or label value refuses them too,
-        where it ran as P = 10 (exit 3), 0.9 or the word 12345 (exit 0)."""
+        which ``--theta`` refuses: a shape, label or settings value refuses
+        them too, where it ran as P = 10 (exit 3), 0.9, the word 12345, 3
+        samples, seed 10, one job or a tol of 1e-9 (exit 0)."""
         code, doc, err = run_json(capsys, *argv)
         assert code == 2
         assert doc == {"schema": "polymod-error/1", "version": 1, "error": "OutOfRange", "message": message}
         assert err == ""
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--samples", "\u0663"), ("--seed", "1_0"), ("--jobs", "\u0661"), ("--tol", "\u0661e-9"),
-         ("--samples", "\uff13"), ("--tol", "1_0e-9")],
-        ids=["samples-arabic-indic", "seed-underscore", "jobs-arabic-indic", "tol-arabic-indic",
-             "samples-fullwidth", "tol-underscore"],
-    )
-    def test_a_setting_that_no_angle_token_takes_exits_2(self, capsys, monkeypatch, flag, value):
-        """The settings flags read numbers as the shapes do: ``--samples ٣``
-        ran 3 samples, ``--seed 1_0`` seed 10 and ``--tol ١e-9`` at 1e-9."""
-        def no_trials(*args):
-            raise AssertionError("reached the trial runner")
-
-        monkeypatch.setattr(verify, "_run_sampled", no_trials)
-        argv = ["verify", "--suite", "signature", "--n", "5", "--samples", "3", flag, value]
-        code, doc, err = run_json(capsys, *argv)
-        assert (code, err) == (2, "")
-        assert doc == {"schema": "polymod-error/1", "version": 1, "error": "OutOfRange",
-                       "message": f"cannot parse {flag} {value!r}"}
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1302,7 +1292,7 @@ def fuzz_argv(draw, files: dict) -> list[str]:
         "complex": {"--theta": (thetas, usual),
                     "--report": (["euler", "cusps", "pairings", "singular"], usual)},
         "verify": {"--suite": (SUITES, usual), "--tol": (tol, usual), "--seed": (["0", "7"], usual),
-                   "--samples": (["1", "20"], usual), "--jobs": (["1"], usual)},
+                   "--samples": (["1", "20"], HOSTILE), "--jobs": (["1"], usual)},
         "sweep": {"--input": (files["input"][:1], files["input"][1:] + usual),
                   "--label": (words, usual), "--out": (files["out"][:2], [None, files["out"][2]])},
     }
@@ -1334,8 +1324,8 @@ class TestErrorContract:
             code = cli.main(argv)
         assert code in range(6), (argv, out.getvalue())
         assert "Traceback" not in err.getvalue()
-        settings = [value for flag, value in zip(argv, argv[1:]) if flag in SETTING_FLAGS]
-        if any("_" in value or not value.isascii() for value in settings):
+        values = [value for flag, value in zip(argv, argv[1:]) if flag in SETTING_FLAGS]
+        if any("_" in value or not value.isascii() for value in values):
             assert code == 2, argv
         if code >= 2:
             assert out.getvalue().count("\n") == 1, argv
@@ -1396,10 +1386,11 @@ class TestProcessEntry:
     def test_a_fresh_process_prints_the_in_process_bytes_and_code(self, capsys, argv):
         """``python -m polymod.cli`` goes through the process entry; its
         stdout, stderr and exit code are those of ``main`` in process, and
-        ``main`` freezes no object for the collector."""
-        frozen = gc.get_freeze_count()
+        ``main`` freezes no object for the collector and sets no
+        environment variable."""
+        frozen, environ = gc.get_freeze_count(), dict(os.environ)
         in_process = run(capsys, *argv)
-        assert gc.get_freeze_count() == frozen
+        assert (gc.get_freeze_count(), dict(os.environ)) == (frozen, environ)
         proc = fresh("-m", "polymod.cli", *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == in_process
 
@@ -1414,6 +1405,20 @@ class TestProcessEntry:
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (141, "")
+
+    @pytest.mark.parametrize("given, seen", [("unset", "1"), ("2", "2")])
+    def test_openblas_gets_one_thread_unless_a_count_is_given(self, given, seen):
+        """The entry sets ``OPENBLAS_NUM_THREADS`` to 1 when it is unset,
+        before ``main`` runs and numpy loads; a count that is given stays."""
+        probe = (
+            "import os, sys\n"
+            "if sys.argv[1] == 'unset':\n    os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+            "from polymod import cli\n"
+            "cli.main = lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules) or 0\n"
+            "cli._process_entry()\n"
+        )
+        proc = fresh("-c", probe, given, OPENBLAS_NUM_THREADS="2")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{seen} False\n", "")
 
     def test_the_console_script_is_the_module_entry(self):
         """``polymod`` and ``python -m polymod.cli`` run one function."""
