@@ -250,12 +250,12 @@ def _sweep_csv(n: int, word: tuple[int, ...], rows):
     head = ",".join(header) + "\n"  # written with the first chunk
     # a file without data rows still makes one, empty, chunk for the header
     while (chunk := list(islice(rows, SWEEP_CHUNK))) or head:
-        parsed = []
-        if chunk and chunk[0][0] == 1:  # row 1 is a header or data, parsed once
-            parsed = [_row_one(chunk[0][1])]
-            if parsed[0] is None:  # a header: the next row takes its place
-                parsed, chunk = [], chunk[1:] + list(islice(rows, 1))
-        parsed += parse_rows([text for _, text in chunk[len(parsed) :]])
+        # row 1 is a header when no cell parses as an angle token
+        if chunk and chunk[0][0] == 1 and all(
+            isinstance(p, PolymodError) for p in parse_rows(chunk[0][1].split(","))
+        ):
+            chunk = chunk[1:] + list(islice(rows, 1))  # the next row takes its place
+        parsed = parse_rows([text for _, text in chunk])
         theta, errors = _validate_rows(parsed, n)
         ok = [i for i, e in enumerate(errors) if e is None]
         params, failures = forward_params(n, theta[ok], [word] * len(ok))
@@ -284,21 +284,6 @@ def _sweep_csv(n: int, word: tuple[int, ...], rows):
             cells = [c + [t] + s for c, t, s in zip(cells, types, signs.tolist())]
         yield head + "".join([template % tuple(c) for c in cells])
         head = ""
-
-
-def _row_one(text: str) -> list[float] | PolymodError | None:
-    """Row 1's angles or failure as :func:`parse_rows` gives them, or None
-    when it is a header: no cell parses as an angle token.  Each cell is
-    parsed once, and the row is not parsed again."""
-    cells = text.split(",")
-    parsed = parse_rows(cells)
-    if all(isinstance(p, PolymodError) for p in parsed):
-        return None
-    for cell, p in zip(cells, parsed):
-        if isinstance(p, PolymodError):
-            # parse_theta of the whole row names the row in this message
-            return OutOfRange(f"empty angle token in {text!r}") if not cell.strip() else p
-    return [value for p in parsed for value in p]
 
 
 def _validate_rows(parsed: list, n: int) -> tuple:
@@ -335,8 +320,12 @@ class _Parser(argparse.ArgumentParser):
         raise OutOfRange(f"{self.prog}: {message}")
 
 
-def _add_tol_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", default=None, help="verification tolerance")
+def _n_flag(text: str) -> int:
+    """``--n`` read by :func:`polymod.jsonio._number`, refused in argparse's words for ``int``."""
+    try:
+        return _number(int, text, "--n")
+    except OutOfRange:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,20 +337,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     forward = sub.add_parser("forward", help="weight vector to shape parameters")
-    forward.add_argument("--n", type=int, required=True, choices=(5, 6))
+    forward.add_argument("--n", type=_n_flag, required=True, choices=(5, 6))
     forward.add_argument("--theta", required=True, help="angles, e.g. '5x2pi/5'")
     forward.add_argument("--label", default=None, help="label word, e.g. 21435")
     forward.set_defaults(func=cmd_forward)
 
     invert = sub.add_parser("invert", help="designated shape pair to weight vector")
-    invert.add_argument("--n", type=int, required=True, choices=(5, 6))
+    invert.add_argument("--n", type=_n_flag, required=True, choices=(5, 6))
     invert.add_argument("--shape1", required=True, help="'P,Q' or 'P,Q,R'")
     invert.add_argument("--shape2", required=True, help="'P,Q' or 'P,Q,R'")
-    _add_tol_flag(invert)
+    invert.add_argument("--tol", default=None, help="verification tolerance")
     invert.set_defaults(func=cmd_invert)
 
     complex_ = sub.add_parser("complex", help="glued-complex reports")
-    complex_.add_argument("--n", type=int, required=True, choices=(5, 6))
+    complex_.add_argument("--n", type=_n_flag, required=True, choices=(5, 6))
     complex_.add_argument("--theta", default=None, help="defaults to equal weight")
     complex_.add_argument(
         "--report",
@@ -372,15 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="randomized verification suites")
     verify.add_argument("--suite", required=True, choices=SUITES)
-    verify.add_argument("--n", type=int, required=True, choices=(5, 6))
-    _add_tol_flag(verify)
+    verify.add_argument("--n", type=_n_flag, required=True, choices=(5, 6))
+    verify.add_argument("--tol", default=None, help="verification tolerance")
     verify.add_argument("--samples", default=None, help="number of random trials")
     verify.add_argument("--seed", default=None, help="base RNG seed")
     verify.add_argument("--jobs", default=None, help="worker processes")
     verify.set_defaults(func=cmd_verify)
 
     sweep = sub.add_parser("sweep", help="batch forward maps over a CSV of angles")
-    sweep.add_argument("--n", type=int, required=True, choices=(5, 6))
+    sweep.add_argument("--n", type=_n_flag, required=True, choices=(5, 6))
     sweep.add_argument("--input", required=True, help="CSV file, one theta per row")
     sweep.add_argument("--label", default=None, help="label word for every row")
     sweep.add_argument("--out", required=True, help="output CSV path ('-' = stdout)")

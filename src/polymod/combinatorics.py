@@ -240,8 +240,8 @@ def as_word(label: Label | Sequence[int]) -> tuple[int, ...]:
     return word
 
 
-def _rotate_to_front(word: tuple[int, ...], mark: int = 1) -> tuple[int, ...]:
-    i = word.index(mark)
+def _rotate_to_front(word: tuple[int, ...]) -> tuple[int, ...]:
+    i = word.index(1)
     return word[i:] + word[:i]
 
 

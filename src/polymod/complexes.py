@@ -283,17 +283,15 @@ def singular_edges(complex_: GluedComplex) -> dict:
 
     groups = _glued_classes(complex_.cells, complex_.pairings, sorted(fired), on_face)
 
-    # one kernel call builds every cell with an edge and one pairs the facets
-    # of every edge; an edge's failure (its cell's first) is raised when the
-    # edge is met, in group order
+    # one kernel call builds every cell, row ci for cell ci, and one pairs the
+    # facets of every edge; an edge's failure (its cell's first) is raised
+    # when the edge is met, in group order
     edges = sorted(fired)
-    built = sorted({ci for ci, _ in edges})
-    row_of = {ci: row for row, ci in enumerate(built)}
     angles: dict = {}
     if edges:
-        words = [complex_.cells[ci].word for ci in built]
-        stack = build_models(np.array([complex_.theta.theta] * len(built), dtype=float), words)
-        entries = [row_of[ci] for ci, _ in edges], [(k, _cyc(k, 1, 6)) for _, k in edges]
+        words = [cell.word for cell in complex_.cells]
+        stack = build_models(np.array([complex_.theta.theta] * len(words), dtype=float), words)
+        entries = [ci for ci, _ in edges], [(k, _cyc(k, 1, 6)) for _, k in edges]
         values, errors = dihedral_angles(stack.gram, stack.facet_mat, stack.model_errors, *entries)
         angles = dict(zip(edges, zip(values.tolist(), errors)))
     table = []

@@ -144,12 +144,11 @@ def _model_arrays(tri: Triangles) -> dict:
 
     ``tri`` holds the rows' completion triangles.  Returns the arrays
     ``basis``, ``gram``, ``coord_mat``, ``facet_mat`` and ``intercepts``
-    with a leading row axis, ``model_errors``: per row None or its first
-    failure, gate by gate in the scalar order (completion triangle,
-    signature, base-width lines, corner scales, diagonalization), and
-    ``intercept_errors``, those of the intercepts of the models built.  A
-    failed row's arrays are meaningless; it enters ``eigvalsh`` as the
-    identity, so it cannot make the stacked call raise.
+    with a leading row axis, and ``model_errors``: per row None or its
+    first failure, gate by gate in the scalar order (completion triangle,
+    signature, base-width lines, corner scales, diagonalization, axis
+    intercepts).  A failed row's arrays are meaningless; it enters
+    ``eigvalsh`` as the identity, so it cannot make the stacked call raise.
     """
     angles, dirs = tri.angles, tri.dirs
     rows, n = angles.shape
@@ -224,12 +223,9 @@ def _model_arrays(tri: Triangles) -> dict:
         ~(np.abs(recon - gram).max(axis=(1, 2)) <= 1e-9 * scale),
         lambda i: SignatureMismatch("coordinate functionals fail to diagonalize the area form"),
     )
-    axis_errors = list(errors)
-    intercepts = _intercepts(facet_mat, coord_mat, axis_errors)
-    # a row whose model failed has no intercepts to fail
-    axis_errors = [e if m is None else None for m, e in zip(errors, axis_errors)]
+    intercepts = _intercepts(facet_mat, coord_mat, errors)
     return dict(basis=basis, gram=gram, coord_mat=coord_mat, facet_mat=facet_mat, model_errors=errors,
-                intercepts=intercepts, intercept_errors=axis_errors)
+                intercepts=intercepts)
 
 
 def _cross(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -303,9 +299,9 @@ class ModelStack:
 
     Row i holds the model of ``(theta[i], words[i])``, its completion
     triangle (``triangles``, the one the planar route reads) and its axis
-    intercepts, bit for bit as the row alone gives them, or the first
-    failure of each: ``model_errors[i]`` for the model,
-    ``intercept_errors[i]`` for the intercepts of a model that was built.
+    intercepts, bit for bit as the row alone gives them, or
+    ``model_errors[i]``, the row's first failure, the intercepts' gates
+    after the model's.
     """
 
     theta: np.ndarray       # (N, n) angles, in mark order
@@ -317,7 +313,6 @@ class ModelStack:
     facet_mat: np.ndarray   # (N, n, n-2)
     model_errors: list
     intercepts: np.ndarray  # (N, n-3); a failed row's are meaningless
-    intercept_errors: list
 
     def model(self, i: int) -> LorentzModel:
         """Row i's model, or its recorded build failure raised."""

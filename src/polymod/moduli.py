@@ -193,14 +193,10 @@ def planar_params(triangles: Triangles) -> tuple[np.ndarray, list]:
 @np.errstate(all="ignore")
 def _cross_check(n: int, stack: ModelStack, params: np.ndarray, errors: list) -> list:
     """``errors`` after the route check: each row that passed the planar
-    route gets its Lorentz model's or axis intercepts' failure, then
-    RouteDisagreement where a parameter differs from its intercept beyond
-    ROUTE_TOL under :func:`scaled_residual`, worded from the row's first
-    such parameter."""
-    errors = [
-        e if e is not None else (m or x)
-        for e, m, x in zip(errors, stack.model_errors, stack.intercept_errors)
-    ]
+    route gets its Lorentz model's failure, then RouteDisagreement where a
+    parameter differs from its intercept beyond ROUTE_TOL under
+    :func:`scaled_residual`, worded from the row's first such parameter."""
+    errors = [e or m for e, m in zip(errors, stack.model_errors)]
     lorentz = stack.intercepts
     apart = scaled_residual(params, lorentz) > ROUTE_TOL
     name = apart.argmax(axis=1)

@@ -99,7 +99,7 @@ def _crossroute(models: ModelStack) -> tuple[list, np.ndarray]:
     intercepts, and the largest linear relative residual between them: the
     squared scale of moduli.scaled_residual would loosen this gate."""
     params, errors = planar_params(models.triangles)
-    errors = [p or m or x for p, m, x in zip(errors, models.model_errors, models.intercept_errors)]
+    errors = [p or m for p, m in zip(errors, models.model_errors)]
     return errors, relative_residual(params, models.intercepts).max(axis=1)
 
 

@@ -728,26 +728,6 @@ class TestSweep:
         assert (code, doc["error"]) == (2, "OutOfRange")
         assert out.read_text(encoding="utf-8") == "kept\n"
 
-    def test_row_one_is_parsed_once(self, capsys, tmp_path, monkeypatch):
-        """Header detection parses each cell of row 1, and that parse is the
-        row's: parse_theta never sees the whole row."""
-        from polymod import jsonio
-
-        calls = []
-        original = jsonio.parse_theta
-
-        def parse_theta(spec):
-            calls.append(spec)
-            return original(spec)
-
-        for module in (jsonio, cli):
-            monkeypatch.setattr(module, "parse_theta", parse_theta)
-        src = tmp_path / "one.csv"
-        src.write_text("2pi/5,2pi/5,2pi/5,2pi/5,2pi/5\n", encoding="utf-8")
-        code, out, err = run(capsys, "sweep", "--n", "5", "--input", str(src), "--out", "-")
-        assert (code, err, len(out.splitlines())) == (0, "", 2)
-        assert calls == ["2pi/5"] * 5
-
     def test_a_row_whose_sum_overflows_is_reported(self, capsys, tmp_path):
         """math.fsum raised OverflowError on it, ending the run in a traceback."""
         src = tmp_path / "huge.csv"
@@ -984,27 +964,36 @@ def sweep_rows(draw, n):
     return sep.join(cells).strip()
 
 
+#: What ``str.splitlines`` splits at, and a byte-order mark.
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\ufeff"]
+
+
+@st.composite
+def sweep_bytes(draw, n):
+    """At most 4 KB: any bytes, or a header or row of :func:`sweep_rows`
+    and then such rows and any text, each ended by any line break, as UTF-8
+    with up to 8 bytes of any kind spliced in."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=4096))
+    header = st.sampled_from([",".join(f"theta{i}" for i in range(1, n + 1)), "a,b"])
+    first = draw(st.one_of(sweep_rows(n), header))
+    rows = draw(st.lists(st.one_of(sweep_rows(n), st.text(max_size=20), header), max_size=30))
+    raw = "".join(row + draw(st.sampled_from(BREAKS)) for row in [first, *rows]).encode()
+    at = draw(st.integers(0, len(raw)))
+    return (raw[:at] + draw(st.binary(max_size=8)) + raw[at:])[:4096]
+
+
 class TestStackedParse:
     @given(data=st.data(), n=st.sampled_from([5, 6]))
     @settings(max_examples=300, deadline=None)
     def test_rows_equal_parse_weight(self, data, n):
         """Every row gets ``_parse_weight``'s angles bit for bit, or its error
-        class and message; so does row 1 parsed cell by cell, unless no cell
-        parses and it is a header."""
+        class and message."""
         texts = data.draw(st.lists(sweep_rows(n), min_size=1, max_size=10))
         theta, errors = cli._validate_rows(parse_rows(texts), n)
         for text, row, error in zip(texts, theta.tolist(), errors):
             got = outcome(lambda: row) if error is None else (type(error).__name__, str(error))
             assert got == outcome(cli._parse_weight, text, n)
-        first = cli._row_one(texts[0])
-        if first is None:
-            assert all(outcome(parse_theta, cell)[0] != "ok" for cell in texts[0].split(","))
-        else:
-            theta, errors = cli._validate_rows([first], n)
-            got = outcome(lambda: theta[0].tolist()) if errors[0] is None else (
-                type(errors[0]).__name__, str(errors[0])
-            )
-            assert got == outcome(cli._parse_weight, texts[0], n)
 
 
 # ===========================================================================
@@ -1198,13 +1187,15 @@ class TestUsageErrors:
             (["forward", "--n", "5", "--theta", EQUAL5, "--label", "123456"], "--label has 6 marks but --n is 5"),
             (["invert", "--n", "6", "--shape1", "1e-200,1,1", "--shape2", "1e-200,1,1"],
              "radii must be positive, got (0.0, 1.0)"),
+            (["forward", "--n", "5", "--theta", "1, ,4x1"], "empty angle token in '1, ,4x1'"),
         ],
-        ids=["shape-length", "zero-repetition", "label-length", "radius-underflow"],
+        ids=["shape-length", "zero-repetition", "label-length", "radius-underflow", "empty-token"],
     )
     def test_an_input_that_fails_its_own_check_exits_2(self, capsys, argv, message):
         """Each input reaches the check written for it: a shape of the wrong
-        length, a zero repetition count, a word of the wrong length, and a
-        radius Q1*Q2 that underflows to 0."""
+        length, a zero repetition count, a word of the wrong length, a
+        radius Q1*Q2 that underflows to 0, and an empty token, named with
+        its whole list."""
         code, doc, err = run_json(capsys, *argv)
         assert code == 2
         assert doc == {"schema": "polymod-error/1", "version": 1, "error": "OutOfRange", "message": message}
@@ -1229,15 +1220,30 @@ class TestUsageErrors:
              "cannot parse --jobs '\u0661'"),
             (["invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1", "--tol", "\u0661e-9"],
              "cannot parse --tol '\u0661e-9'"),
+            (["forward", "--n", "\u0665", "--theta", EQUAL5],
+             "polymod forward: argument --n: invalid int value: '\u0665'"),
+            (["forward", "--n", "0_5", "--theta", EQUAL5],
+             "polymod forward: argument --n: invalid int value: '0_5'"),
+            (["invert", "--n", "\uff16", "--shape1", "1,1,1", "--shape2", "1,1,1"],
+             "polymod invert: argument --n: invalid int value: '\uff16'"),
+            (["complex", "--n", "0_6", "--report", "euler"],
+             "polymod complex: argument --n: invalid int value: '0_6'"),
+            (["verify", "--suite", "signature", "--n", "\u0665", "--samples", "3"],
+             "polymod verify: argument --n: invalid int value: '\u0665'"),
+            (["sweep", "--n", "0_5", "--input", "rows.csv", "--out", "-"],
+             "polymod sweep: argument --n: invalid int value: '0_5'"),
         ],
         ids=["shape-underscore", "shape-arabic-indic", "label-underscore", "label-fullwidth",
-             "samples-arabic-indic", "seed-underscore", "jobs-arabic-indic", "tol-arabic-indic"],
+             "samples-arabic-indic", "seed-underscore", "jobs-arabic-indic", "tol-arabic-indic",
+             "forward-n-arabic-indic", "forward-n-underscore", "invert-n-fullwidth",
+             "complex-n-underscore", "verify-n-arabic-indic", "sweep-n-underscore"],
     )
     def test_a_value_that_no_angle_token_takes_exits_2(self, capsys, argv, message):
         """``int`` and ``float`` read ``_`` separators and any Unicode digit,
-        which ``--theta`` refuses: a shape, label or settings value refuses
-        them too, where it ran as P = 10 (exit 3), 0.9, the word 12345, 3
-        samples, seed 10, one job or a tol of 1e-9 (exit 0)."""
+        which ``--theta`` refuses: a shape, label, settings or ``--n`` value
+        refuses them too, where it ran as P = 10 (exit 3), 0.9, the word
+        12345, 3 samples, seed 10, one job, a tol of 1e-9 or n = 5 or 6
+        (exit 0)."""
         code, doc, err = run_json(capsys, *argv)
         assert code == 2
         assert doc == {"schema": "polymod-error/1", "version": 1, "error": "OutOfRange", "message": message}
@@ -1306,7 +1312,7 @@ def fuzz_argv(draw, files: dict) -> list[str]:
     return argv
 
 
-SETTING_FLAGS = ("--tol", "--samples", "--seed", "--jobs")
+SETTING_FLAGS = ("--n", "--tol", "--samples", "--seed", "--jobs")
 
 
 class TestErrorContract:
@@ -1334,6 +1340,38 @@ class TestErrorContract:
             assert getattr(polymod.errors, doc["error"]).exit_code == code
         else:
             assert "polymod-error/1" not in out.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([5, 6]), data=st.data())
+    def test_any_input_bytes_exit_0_or_2_with_row_lines_and_one_document(self, fuzz_files, n, data):
+        """Up to 4 KB of bytes as a ``sweep`` input file: the run exits 0 or
+        2 and prints no traceback; each stderr line reports one row as
+        ``row N: Class: message``, and exit 2 prints one ``polymod-error/1``
+        document.  An input that is UTF-8 gets the one-row oracle's output,
+        row 1 a header exactly when no cell of it parses."""
+        raw = data.draw(sweep_bytes(n))
+        src, dst = os.path.join(fuzz_files["out"][2], "fuzz.csv"), fuzz_files["out"][1]
+        with open(src, "wb") as fh:
+            fh.write(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["sweep", "--n", str(n), "--input", src, "--out", dst])
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        *lines, last = err.getvalue().split("\n")
+        assert last == ""
+        for line in lines:
+            row = re.fullmatch(r"row \d+: (\w+): .+", line)
+            assert row and issubclass(getattr(polymod.errors, row[1]), PolymodError), line
+        if code == 2:
+            assert out.getvalue().count("\n") == 1
+            doc = json.loads(out.getvalue())
+            assert (doc["schema"], doc["error"]) == ("polymod-error/1", "OutOfRange")
+            return
+        assert out.getvalue() == ""
+        with open(dst, encoding="utf-8") as fh:
+            got = fh.read(), err.getvalue()
+        assert got == sweep_one_row_at_a_time(n, tuple(range(1, n + 1)), raw.decode("utf-8-sig").splitlines())
 
 
 # ===========================================================================

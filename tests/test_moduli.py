@@ -316,9 +316,7 @@ class TestGateDecisions:
         planar_values = np.array([[a, 1.0, 1.0] for a, _ in self.ROUTE])
         lorentz_values = np.array([[b, 1.0, 1.0] for _, b in self.ROUTE])
         rows = len(self.ROUTE)
-        stack = SimpleNamespace(
-            model_errors=[None] * rows, intercept_errors=[None] * rows, intercepts=lorentz_values
-        )
+        stack = SimpleNamespace(model_errors=[None] * rows, intercepts=lorentz_values)
         errors = moduli._cross_check(6, stack, planar_values, [None] * rows)
         for (a, b), error in zip(self.ROUTE, errors):
             assert failure(error) == failure(route_disagreement(6, (a, 1.0, 1.0), (b, 1.0, 1.0)))
