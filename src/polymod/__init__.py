@@ -27,9 +27,9 @@ _LAYERS = {
         SumMismatch""",
     "combinatorics": """DegenerateConfig Label WeightVector as_word enumerate_labels
         equal_weight face_config triple_config validate_weight vertex_config""",
-    "planar": "TriangleCompletion complete_triangle pentagon_feet",
-    "lorentz": """LorentzModel ModelStack axis_intercepts build_model build_models
-        dihedral_angle facet_zero_ray""",
+    "planar": "complete_triangle pentagon_feet",
+    "lorentz": """ModelStack axis_intercepts build_model build_models dihedral_angle
+        facet_zero_ray""",
     "moduli": """HexahedronShape PentagonShape PentagonSides classify_hexahedron
         pentagon_side_lengths psi5 psi6""",
     "fiber": """UpperHalfPoint fiber_theta5 fiber_theta6 inversion_report invert5

@@ -22,14 +22,15 @@ the shoelace sum ``1/2 sum_j Im(conj(V_j) V_{j+1})`` is
 ``B M B^T`` with ``M[k, j] = 1/4 Im(conj(d_k) d_j) sign(j - k)``.
 
 One stacked kernel computes every model: :func:`build_models` takes N
-(theta, word) rows, the thetas as an (N, n) array, reads their completion triangles (gate, edge directions and apex) from
-:func:`polymod.planar.complete_triangles`, and returns their arrays and
-axis intercepts, or each row's first failure.  Python visits a row only
-to record its failure: the pivot search runs over the 10 or 15 direction
-pairs with the rows as columns, and the corner scales map ``math.sin``
-over flat lists.  :func:`build_model`, :func:`facet_zero_ray` and
-:func:`axis_intercepts` are its one-row case, and :meth:`ModelStack.model`
-is the one place that assembles a :class:`LorentzModel`.  The products
+(theta, word) rows, the thetas as an (N, n) array, reads their completion
+triangles (gate, edge directions and apex) from
+:func:`polymod.planar.complete_triangles`, and returns one
+:class:`ModelStack` of their arrays and axis intercepts, or each row's
+first failure.  Python visits a row only to record its failure: the pivot
+search runs over the 10 or 15 direction pairs with the rows as columns,
+and the corner scales map ``math.sin`` over flat lists.
+:func:`build_model` returns the one-row stack, and :func:`facet_zero_ray`,
+:func:`axis_intercepts` and :func:`dihedral_angle` read its row.  The products
 ``Im(conj(d_a) d_b)`` are :func:`polymod.planar._im_conj`'s, the base width
 is a closed form in them and the facet rays are cross products, so a row's
 bits do not depend on the rows stacked with it (the stacked ``matmul`` and
@@ -70,26 +71,6 @@ from .planar import (
     libm,
     parallel_lines,
 )
-
-
-@record
-class LorentzModel:
-    """Immutable Lorentzian model of the closing space for (theta, word)."""
-
-    word: tuple[int, ...]
-    theta: WeightVector
-    basis: np.ndarray       # (n-2, n): rows are edge-length vectors spanning E
-    gram: np.ndarray        # (n-2, n-2): area bilinear form on basis coords
-    coord_mat: np.ndarray   # (n-2, n-2): rows are the x, u, v[, w] functionals
-    facet_mat: np.ndarray   # (n, n-2): row k is the edge functional xi_{k+1}
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
-    @property
-    def dim(self) -> int:
-        return self.n - 2
 
 
 #: Direction pairs (a, b) with a < b, in the order the pivot search meets them.
@@ -143,7 +124,7 @@ def _model_arrays(tri: Triangles) -> dict:
     """The stacked body of :func:`build_models`.
 
     ``tri`` holds the rows' completion triangles.  Returns the arrays
-    ``basis``, ``gram``, ``coord_mat``, ``facet_mat`` and ``intercepts``
+    ``gram``, ``coord_mat``, ``facet_mat`` and ``intercepts``
     with a leading row axis, and ``model_errors``: per row None or its
     first failure, gate by gate in the scalar order (completion triangle,
     signature, base-width lines, corner scales, diagonalization, axis
@@ -224,7 +205,7 @@ def _model_arrays(tri: Triangles) -> dict:
         lambda i: SignatureMismatch("coordinate functionals fail to diagonalize the area form"),
     )
     intercepts = _intercepts(facet_mat, coord_mat, errors)
-    return dict(basis=basis, gram=gram, coord_mat=coord_mat, facet_mat=facet_mat, model_errors=errors,
+    return dict(gram=gram, coord_mat=coord_mat, facet_mat=facet_mat, model_errors=errors,
                 intercepts=intercepts)
 
 
@@ -297,34 +278,19 @@ def _intercepts(facet_mat: np.ndarray, coord_mat: np.ndarray, errors: list) -> n
 class ModelStack:
     """Lorentz models and axis intercepts of N (theta, word) rows.
 
-    Row i holds the model of ``(theta[i], words[i])``, its completion
-    triangle (``triangles``, the one the planar route reads) and its axis
+    Row i holds the i-th row's model, its completion triangle
+    (``triangles``, the one the planar route reads) and its axis
     intercepts, bit for bit as the row alone gives them, or
     ``model_errors[i]``, the row's first failure, the intercepts' gates
     after the model's.
     """
 
-    theta: np.ndarray       # (N, n) angles, in mark order
-    words: tuple[tuple[int, ...], ...]
     triangles: Triangles
-    basis: np.ndarray       # (N, n-2, n)
-    gram: np.ndarray        # (N, n-2, n-2)
-    coord_mat: np.ndarray   # (N, n-2, n-2)
-    facet_mat: np.ndarray   # (N, n, n-2)
+    gram: np.ndarray        # (N, n-2, n-2): area bilinear form on basis coords
+    coord_mat: np.ndarray   # (N, n-2, n-2): rows are the x, u, v[, w] functionals
+    facet_mat: np.ndarray   # (N, n, n-2): transposed bases of E; row k is xi_{k+1}
     model_errors: list
     intercepts: np.ndarray  # (N, n-3); a failed row's are meaningless
-
-    def model(self, i: int) -> LorentzModel:
-        """Row i's model, or its recorded build failure raised."""
-        unwrap(self.model_errors[i])
-        return LorentzModel(
-            word=self.words[i],
-            theta=WeightVector(n=self.theta.shape[1], theta=tuple(self.theta[i].tolist())),
-            basis=self.basis[i],
-            gram=self.gram[i],
-            coord_mat=self.coord_mat[i],
-            facet_mat=self.facet_mat[i],
-        )
 
 
 def build_models(theta: np.ndarray, words: Sequence[Sequence[int]]) -> ModelStack:
@@ -336,17 +302,19 @@ def build_models(theta: np.ndarray, words: Sequence[Sequence[int]]) -> ModelStac
     :func:`axis_intercepts` would raise) and leaves its neighbours as they
     would be alone.
     """
-    words, angles = label_angles(theta, words)
-    if not words:
+    angles = label_angles(theta, words)
+    if not len(angles):
         raise OutOfRange("a model stack needs at least one row")
     tri = complete_triangles(angles)
-    return ModelStack(theta=theta, words=words, triangles=tri, **_model_arrays(tri))
+    return ModelStack(triangles=tri, **_model_arrays(tri))
 
 
-def build_model(theta: WeightVector, label: Sequence[int]) -> LorentzModel:
-    """Construct the Lorentzian model with verified signature (1, n-3):
-    the one row of :func:`build_models`, or its failure."""
-    return build_models(np.array([theta.theta], dtype=float), [label]).model(0)
+def build_model(theta: WeightVector, label: Sequence[int]) -> ModelStack:
+    """The Lorentzian model with verified signature (1, n-3): the one-row
+    stack of :func:`build_models`, or its failure raised."""
+    model = build_models(np.array([theta.theta], dtype=float), [label])
+    unwrap(model.model_errors[0])
+    return model
 
 
 def _facet_index(k, n: int) -> bool:
@@ -354,7 +322,7 @@ def _facet_index(k, n: int) -> bool:
     return isinstance(k, numbers.Integral) and 1 <= k <= n
 
 
-def facet_zero_ray(model: LorentzModel, facets: Sequence[int]) -> np.ndarray:
+def facet_zero_ray(model: ModelStack, facets: Sequence[int]) -> np.ndarray:
     """Coordinates of the 1-dimensional intersection of facet planes.
 
     ``facets`` are exactly dim-1 integer facet indices in 1..n whose edge
@@ -362,16 +330,18 @@ def facet_zero_ray(model: LorentzModel, facets: Sequence[int]) -> np.ndarray:
     raise NoIntersection.  The ray is normalized to x = 1 (NoIntersection
     when x vanishes on it).
     """
-    if len(facets) != model.dim - 1 or not all(_facet_index(k, model.n) for k in facets):
-        raise OutOfRange(f"need {model.dim - 1} facet indices in 1..{model.n}, got {tuple(facets)}")
-    errors = [None]
-    rays = _zero_rays(model.facet_mat[None], model.coord_mat[None, 0], [facets], errors)
+    n, dim = model.facet_mat.shape[1:]
+    if len(facets) != dim - 1 or not all(_facet_index(k, n) for k in facets):
+        raise OutOfRange(f"need {dim - 1} facet indices in 1..{n}, got {tuple(facets)}")
+    errors = list(model.model_errors)
+    rays = _zero_rays(model.facet_mat, model.coord_mat[:, 0], [facets], errors)
     unwrap(errors[0])
     return rays[0, 0]
 
 
-def axis_intercepts(model: LorentzModel) -> tuple[float, ...]:
-    """Axis intercepts (P, Q) for pentagons or (P, Q, R) for hexahedra.
+def axis_intercepts(model: ModelStack) -> tuple[float, ...]:
+    """Axis intercepts (P, Q) for pentagons or (P, Q, R) for hexahedra,
+    recomputed from the facet and coordinate rows.
 
     Each value is the coordinate at which one bounding plane crosses its
     coordinate axis: pentagons use the vertices with edges {1,4} and {3,5}
@@ -379,8 +349,8 @@ def axis_intercepts(model: LorentzModel) -> tuple[float, ...]:
     u, v and w axes (facet triples {3,5,6}, {1,2,5} and {1,3,4}).  Only a
     model built by hand has a vertex off the slice x = 1: NoIntersection.
     """
-    errors = [None]
-    values = _intercepts(model.facet_mat[None], model.coord_mat[None], errors)
+    errors = list(model.model_errors)
+    values = _intercepts(model.facet_mat, model.coord_mat, errors)
     unwrap(errors[0])
     return tuple(values[0].tolist())
 
@@ -414,7 +384,7 @@ def dihedral_angles(gram: np.ndarray, facet_mat: np.ndarray, model_errors: list,
     return libm(math.acos, np.where(timelike | tangent | disjoint, 1.0, cval)), errors
 
 
-def dihedral_angle(model: LorentzModel, j: int, k: int) -> float:
+def dihedral_angle(model: ModelStack, j: int, k: int) -> float:
     """Interior dihedral angle between facets j and k (1-based integers,
     OutOfRange otherwise).
 
@@ -423,6 +393,6 @@ def dihedral_angle(model: LorentzModel, j: int, k: int) -> float:
     and raises FacetsDisjoint when the planes miss each other: the one
     entry of :func:`dihedral_angles`.
     """
-    angles, errors = dihedral_angles(model.gram[None], model.facet_mat[None], [None], [0], [(j, k)])
+    angles, errors = dihedral_angles(model.gram, model.facet_mat, model.model_errors, [0], [(j, k)])
     unwrap(errors[0])
     return float(angles[0])

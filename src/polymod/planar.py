@@ -15,13 +15,12 @@ edge runs along the positive real axis:
 * Feet of cevians/parallels are reported as signed ratios along their host
   side, so they remain meaningful when they land on an extension.
 
-:func:`complete_triangles` computes the triangles of N rows at once, each
-row bit for bit as it is alone; the Lorentz kernel and the planar route
-read the same triangles, and :func:`complete_triangle` and
-:func:`pentagon_feet` are the one-row case.  The stacked calls take an
-(N, n) array of angles and the one-row calls a WeightVector;
-:func:`label_angles` validates each distinct label word once and gathers
-every row's angles in its word's order.
+:func:`complete_triangles` computes the :class:`Triangles` of N rows at
+once, each row bit for bit as it is alone; the Lorentz kernel and the
+planar route read the same triangles.  :func:`complete_triangle` returns
+the one-row stack for a WeightVector, and :func:`pentagon_feet` reads its
+:meth:`Triangles.feet`.  :func:`label_angles` validates each distinct
+label word once and gathers every row's angles in its word's order.
 Elementary functions that decide bits (the apex's ``sin`` and ``exp``)
 are the scalar ``math``/``cmath`` calls mapped over flat lists
 (:func:`libm`), since numpy's may differ in the last bit.
@@ -57,12 +56,10 @@ def libm(fn, *x: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, *(a.ravel().tolist() for a in x)))).reshape(x[0].shape)
 
 
-def label_angles(
-    theta: np.ndarray, words: Sequence[Sequence[int]]
-) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Validated words and the (N, n) angles of an (N, n) array in label
-    order.  Each distinct word is validated once, and one gather puts every
-    row's angles in its word's order.
+def label_angles(theta: np.ndarray, words: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (N, n) angles of an (N, n) array in label order.  Each distinct
+    word is validated once, and one gather puts every row's angles in its
+    word's order.
     """
     n = theta.shape[1]
     index: dict = {}
@@ -82,9 +79,8 @@ def label_angles(
     if len(rows) != len(theta):
         raise OutOfRange(f"{len(theta)} weight vectors but {len(rows)} words")
     if not rows:
-        return (), theta
-    marks = np.array(distinct)[rows] - 1
-    return tuple(distinct[k] for k in rows), np.take_along_axis(theta, marks, axis=1)
+        return theta
+    return np.take_along_axis(theta, np.array(distinct)[rows] - 1, axis=1)
 
 
 def _im_conj(x: tuple, y: tuple) -> np.ndarray:
@@ -193,34 +189,11 @@ def complete_triangles(angles: np.ndarray) -> Triangles:
     return Triangles(angles=angles, ext=ext, dirs=dirs, apex=apex, errors=errors)
 
 
-@record
-class TriangleCompletion:
-    """One completion triangle, base corners ``a = 0`` and ``b = 1``, with
-    the word's unit edge directions; ``feet`` holds the three signed ratios
-    of :meth:`Triangles.feet` for hexahedra and is None for pentagons."""
-
-    word: tuple[int, ...]
-    dirs: np.ndarray
-    c: complex
-    ext_angles: tuple[float, float, float]
-    feet: tuple[float, float, float] | None
-
-    a = 0j
-    b = 1 + 0j
-
-
-def complete_triangle(theta: WeightVector, label: Sequence[int]) -> TriangleCompletion:
-    """Row 0 of :func:`complete_triangles`, with its hexahedron feet, or
-    its first failure."""
-    words, angles = label_angles(np.array([theta.theta], dtype=float), [label])
-    tri = complete_triangles(angles)
-    feet, errors = tri.feet() if tri.n == 6 else (None, tri.errors)
-    unwrap(errors[0])
-    return TriangleCompletion(
-        word=words[0], dirs=tri.dirs[0], c=complex(tri.apex[0]),
-        ext_angles=tuple(tri.ext[0].tolist()),
-        feet=None if feet is None else tuple(feet[0].tolist()),
-    )
+def complete_triangle(theta: WeightVector, label: Sequence[int]) -> Triangles:
+    """The one-row :func:`complete_triangles` stack, or its failure raised."""
+    tri = complete_triangles(label_angles(np.array([theta.theta], dtype=float), [label]))
+    unwrap(tri.errors[0])
+    return tri
 
 
 def pentagon_feet(theta: WeightVector, label: Sequence[int]) -> tuple[float, float]:
@@ -232,7 +205,6 @@ def pentagon_feet(theta: WeightVector, label: Sequence[int]) -> tuple[float, flo
     word = as_word(label)
     if len(word) != 5:
         raise OutOfRange(f"pentagon feet need n=5, got {len(word)}")
-    angles = label_angles(np.array([theta.theta], dtype=float), [word])[1]
-    feet, errors = complete_triangles(angles).feet()
+    feet, errors = complete_triangle(theta, word).feet()
     unwrap(errors[0])
     return tuple(feet[0].tolist())

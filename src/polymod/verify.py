@@ -85,7 +85,7 @@ def _roundtrip(n: int, theta: np.ndarray, tol: float) -> tuple[list, np.ndarray,
 def _orthogonality(models: ModelStack) -> tuple[list, np.ndarray]:
     """Per trial, its first failure in pair order, and the largest
     departure from pi/2 of its always-orthogonal facet pairs."""
-    pairs, rows = ORTHOGONAL_PAIRS[models.facet_mat.shape[1]], len(models.words)
+    pairs, rows = ORTHOGONAL_PAIRS[models.facet_mat.shape[1]], len(models.model_errors)
     entries = np.arange(rows).repeat(len(pairs)), pairs * rows
     angles, errors = dihedral_angles(models.gram, models.facet_mat, models.model_errors, *entries)
     per_row = (errors[i : i + len(pairs)] for i in range(0, len(errors), len(pairs)))
@@ -451,7 +451,7 @@ def run_suite(
         raise OutOfRange(f"unknown suite {suite!r}, expected one of {SUITES}")
     if n not in (5, 6):
         raise OutOfRange(f"n must be 5 or 6, got {n}")
-    check_settings(tol, samples, seed, jobs)
+    samples, seed, jobs = check_settings(tol, samples, seed, jobs)
     if suite == "complex":
         return _run_complex(n, samples, seed, tol)
     if suite != "all":

@@ -10,10 +10,12 @@ check) as ``psi5``/``psi6`` computed it.  The rules are the kernel's closed form
 width from the two corner ratios, and a facet ray as the cross product (or
 the signed 3x3 cofactors) of its facet rows.  ``facet_zero_ray_svd`` keeps
 the earlier rule, the null vector of a singular value decomposition, as a
-reference for the rays.
+reference for the rays.  A model is a plain :class:`Model` of one row's
+arrays, which :func:`stack_row` reads from a ``ModelStack``.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +28,32 @@ from polymod.errors import (
     SignatureMismatch,
     unwrap,
 )
-from polymod.lorentz import LorentzModel
 from polymod.moduli import ROUTE_TOL
 
 from planar_oracle import _hexahedron_shape, _pentagon_shape, complete_triangle
+
+
+@dataclass(frozen=True)
+class Model:
+    """One Lorentzian model: the area form, the x, u, v[, w] coordinate
+    rows and the edge functionals (the basis transposed) on basis coords."""
+
+    gram: np.ndarray       # (n-2, n-2)
+    coord_mat: np.ndarray  # (n-2, n-2)
+    facet_mat: np.ndarray  # (n, n-2)
+
+    @property
+    def n(self) -> int:
+        return len(self.facet_mat)
+
+    @property
+    def dim(self) -> int:
+        return self.n - 2
+
+
+def stack_row(stack, i):
+    """Row i of a ``ModelStack`` as a :class:`Model`."""
+    return Model(gram=stack.gram[i], coord_mat=stack.coord_mat[i], facet_mat=stack.facet_mat[i])
 
 
 def _corner_scale(t_in, t_out):
@@ -113,10 +137,7 @@ def build_model(theta, label):
             "coordinate functionals fail to diagonalize the area form"
         )
 
-    return LorentzModel(
-        word=word, theta=theta, basis=basis, gram=gram,
-        coord_mat=coord_mat, facet_mat=facet_mat,
-    )
+    return Model(gram=gram, coord_mat=coord_mat, facet_mat=facet_mat)
 
 
 def facet_zero_ray(model, facets):

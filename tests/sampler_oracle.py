@@ -1,9 +1,10 @@
 """The scalar rejection samplers, one attempt at a time: the tests' oracles.
 
-``sample_weight_rng`` is the loop that
-``polymod.combinatorics.sample_weight_rng`` ran before it drew its attempts
-in blocks, kept verbatim so the block sampler can be compared with it bit
-for bit, including where it leaves the generator.
+``sample_weight_rng`` is the same one-attempt loop as
+``polymod.combinatorics.sample_weight_rng``, written apart from it (the two
+largest angles by ``np.partition``, not ``np.sort``), so the package's
+sampler can be compared with it bit for bit, including where it leaves the
+generator.
 
 ``stream_trial`` is one ``verify`` trial of the counter-based stream, drawn
 one attempt at a time from numpy's own ``Philox``, so it shares no code

@@ -184,7 +184,7 @@ def test_criterion_8_fiber_projection():
             rng = np.random.default_rng([77, trial])
             theta = sample_weight_rng(n, rng)
             shape = psi(theta)
-            w0 = complete_triangle(theta, ident).c
+            w0 = complete_triangle(theta, ident).apex[0]
             direction = cmath.exp(1j * rng.uniform(0.0, 2.0 * PI))
             moved = None
             for delta in (1e-4, 1e-6, 1e-8):

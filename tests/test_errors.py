@@ -84,6 +84,10 @@ class TestCheckSettings:
             ({"jobs": 0}, "jobs must be >= 1, got 0"),
             ({"seed": -1}, "seed must be non-negative, got -1"),
             ({"samples": 10**6 + 1}, "samples must be <= 1000000, got 1000001"),
+            ({"samples": 2.0}, "samples, seed and jobs must be integers, got 2.0, 0, 1"),
+            ({"seed": 0.5}, "samples, seed and jobs must be integers, got 1, 0.5, 1"),
+            ({"jobs": 1.0}, "samples, seed and jobs must be integers, got 1, 0, 1.0"),
+            ({"seed": "1"}, "samples, seed and jobs must be integers, got 1, '1', 1"),
         ],
     )
     def test_counts_and_seed(self, bad, message):
@@ -100,6 +104,9 @@ class TestCheckSettings:
         check_settings()  # every default is in the domain
         check_settings(1e-9, samples=1, seed=0, jobs=1)
         check_settings(1e300, samples=10**6, seed=2**40, jobs=64)
+        # any integer type, numpy's and bool included, comes back as a Python int
+        got = check_settings(1e-9, samples=np.int64(3), seed=np.uint64(2**63), jobs=True)
+        assert got == (3, 2**63, 1) and all(type(v) is int for v in got)
 
 
 WORD5 = (1, 2, 3, 4, 5)

@@ -61,13 +61,13 @@ def max_theta_error(t1, t2):
 class TestWFromTheta:
     def test_equal_weight_pentagon(self):
         """Isoceles completion triangle: apex at 1/2 + i tan(pi/5)/2."""
-        w = complete_triangle(equal_weight(5), IDENT5).c
+        w = complete_triangle(equal_weight(5), IDENT5).apex[0]
         assert w.real == pytest.approx(0.5, abs=1e-12)
         assert w.imag == pytest.approx(math.tan(math.pi / 5.0) / 2.0, abs=1e-12)
 
     def test_equal_weight_hexahedron(self):
         """Equilateral completion triangle: apex at 1/2 + i sqrt(3)/2."""
-        w = complete_triangle(equal_weight(6), IDENT6).c
+        w = complete_triangle(equal_weight(6), IDENT6).apex[0]
         assert w.real == pytest.approx(0.5, abs=1e-12)
         assert w.imag == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
 
@@ -77,8 +77,8 @@ class TestWFromTheta:
         for n, swapped in ((5, SWAPPED5), (6, SWAPPED6)):
             for _ in range(10):
                 theta = sample_weight_rng(n, rng)
-                w1 = complete_triangle(theta, tuple(range(1, n + 1))).c
-                w2 = complete_triangle(theta, swapped).c
+                w1 = complete_triangle(theta, tuple(range(1, n + 1))).apex[0]
+                w2 = complete_triangle(theta, swapped).apex[0]
                 assert abs(w1 - w2) < 1e-12
 
 
@@ -104,7 +104,7 @@ class TestFiberTheta:
         for _ in range(20):
             theta = sample_weight_rng(5, rng)
             shape = psi5(theta)
-            back = fiber_theta5(shape, complete_triangle(theta, IDENT5).c)
+            back = fiber_theta5(shape, complete_triangle(theta, IDENT5).apex[0])
             assert max_theta_error(theta, back) < 1e-11
 
     def test_hexahedron_roundtrip_through_w(self):
@@ -112,14 +112,14 @@ class TestFiberTheta:
         for _ in range(20):
             theta = sample_weight_rng(6, rng)
             shape = psi6(theta)
-            back = fiber_theta6(shape, complete_triangle(theta, IDENT6).c)
+            back = fiber_theta6(shape, complete_triangle(theta, IDENT6).apex[0])
             assert max_theta_error(theta, back) < 1e-11
 
     def test_moving_w_preserves_shape(self):
         """Any nearby fiber point reproduces the same shape parameters."""
         theta = equal_weight(5)
         shape = psi5(theta)
-        w0 = complete_triangle(theta, IDENT5).c
+        w0 = complete_triangle(theta, IDENT5).apex[0]
         for delta in (0.02, -0.03 + 0.04j, 0.05j):
             theta2 = fiber_theta5(shape, w0 + delta)
             shape2 = psi5(theta2)
@@ -131,7 +131,7 @@ class TestFiberTheta:
         for seed in (3, 44, 91):
             theta = sample_weight(5, seed)
             shape = psi5(theta)
-            w0 = complete_triangle(theta, IDENT5).c
+            w0 = complete_triangle(theta, IDENT5).apex[0]
             theta2 = fiber_theta5(shape, w0 + complex(-7e-4, 5e-4))
             shape2 = psi5(theta2)
             assert shape2.P == pytest.approx(shape.P, abs=1e-11)
@@ -140,7 +140,7 @@ class TestFiberTheta:
     def test_distinct_w_give_distinct_theta(self):
         theta = sample_weight(6, 45)
         shape = psi6(theta)
-        w0 = complete_triangle(theta, IDENT6).c
+        w0 = complete_triangle(theta, IDENT6).apex[0]
         t1 = fiber_theta6(shape, w0)
         t2 = fiber_theta6(shape, w0 + 0.05j)
         assert max_theta_error(t1, t2) > 1e-6
@@ -216,7 +216,7 @@ class TestRecoverW:
         for _ in range(15):
             theta = sample_weight_rng(5, rng)
             s1, s2 = forward_pair(5, theta)
-            w = complete_triangle(theta, IDENT5).c
+            w = complete_triangle(theta, IDENT5).apex[0]
             assert abs(w) == pytest.approx(s1.Q * s2.Q, rel=1e-9)
             assert abs(w - 1.0) == pytest.approx(s1.P * s2.P, rel=1e-9)
             recovered = inversion_report(5, s1, s2)["w"].w
@@ -228,7 +228,7 @@ class TestRecoverW:
         for _ in range(15):
             theta = sample_weight_rng(6, rng)
             s1, s2 = forward_pair(6, theta)
-            w = complete_triangle(theta, IDENT6).c
+            w = complete_triangle(theta, IDENT6).apex[0]
             assert abs(w) == pytest.approx(s1.P * s2.P, rel=1e-9)
             assert abs(w - 1.0) == pytest.approx(1.0 / (s1.Q * s2.Q), rel=1e-9)
             recovered = inversion_report(6, s1, s2)["w"].w
@@ -268,7 +268,7 @@ class TestInversion:
         s1, s2 = forward_pair(6, theta)
         report = inversion_report(6, s1, s2)
         assert report["residual"] < 1e-9
-        assert abs(report["w"].w - complete_triangle(theta, IDENT6).c) < 1e-9
+        assert abs(report["w"].w - complete_triangle(theta, IDENT6).apex[0]) < 1e-9
 
     def test_corrupted_r_is_inconsistent(self):
         """R never enters the circles, so corruption must fail verification."""

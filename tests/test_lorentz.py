@@ -79,19 +79,19 @@ def oracle_params6(theta, word):
 def basis_coords(model, e):
     """Least-squares basis coordinates of the edge n-vector ``e``, which
     must satisfy the closing condition."""
-    coords, *_ = np.linalg.lstsq(model.basis.T, e, rcond=None)
-    npt.assert_allclose(model.basis.T @ coords, e, rtol=0.0, atol=1e-9 * (1.0 + np.linalg.norm(e)))
+    coords, *_ = np.linalg.lstsq(model.facet_mat[0], e, rcond=None)
+    npt.assert_allclose(model.facet_mat[0] @ coords, e, rtol=0.0, atol=1e-9 * (1.0 + np.linalg.norm(e)))
     return coords
 
 
 def area(model, coords):
     """The area form on basis coordinates."""
-    return float(coords @ model.gram @ coords)
+    return float(coords @ model.gram[0] @ coords)
 
 
 def klein(model, coords):
     """Klein coordinates (u/x, v/x[, w/x]) in the slice x = 1."""
-    vals = model.coord_mat @ coords
+    vals = model.coord_mat[0] @ coords
     return vals[1:] / vals[0]
 
 
@@ -200,12 +200,12 @@ class TestBuildModel:
             theta = sample_weight(n, 8)
             model = build_model(theta, word)
             frame = edge_frame(theta, word)
-            for row in model.basis:
+            for row in model.facet_mat[0].T:
                 assert abs(np.sum(row * frame.dirs)) < 1e-12
 
     def test_gram_symmetric(self):
         model = build_model(sample_weight(6, 1), IDENT6)
-        npt.assert_allclose(model.gram, model.gram.T, atol=1e-14)
+        npt.assert_allclose(model.gram[0], model.gram[0].T, atol=1e-14)
 
     def test_signature(self):
         """Eigenvalues split (1 positive, n-3 negative) on random samples."""
@@ -214,7 +214,7 @@ class TestBuildModel:
             for _ in range(25):
                 theta = sample_weight_rng(n, rng)
                 word = tuple(int(m) + 1 for m in rng.permutation(n))
-                eig = np.linalg.eigvalsh(build_model(theta, word).gram)
+                eig = np.linalg.eigvalsh(build_model(theta, word).gram[0])
                 assert int((eig > 0).sum()) == 1
                 assert int((eig < 0).sum()) == n - 3
 
@@ -227,8 +227,8 @@ class TestBuildModel:
             model = build_model(theta, word)
             frame = edge_frame(theta, word)
             for _ in range(20):
-                coords = rng.normal(size=model.dim)
-                shoelace = polygon_area(chain_vertices(frame, model.basis.T @ coords))
+                coords = rng.normal(size=n - 2)
+                shoelace = polygon_area(chain_vertices(frame, model.facet_mat[0] @ coords))
                 assert area(model, coords) == pytest.approx(shoelace, rel=1e-9, abs=1e-12)
 
     def test_coordinates_diagonalize_area(self):
@@ -239,8 +239,8 @@ class TestBuildModel:
             theta = sample_weight_rng(n, rng)
             model = build_model(theta, tuple(range(1, n + 1)))
             for _ in range(20):
-                coords = rng.normal(size=model.dim)
-                vals = model.coord_mat @ coords
+                coords = rng.normal(size=n - 2)
+                vals = model.coord_mat[0] @ coords
                 assert area(model, coords) == pytest.approx(
                     float(signs[n] @ (vals * vals)), rel=1e-9, abs=1e-12
                 )
@@ -253,7 +253,7 @@ class TestBuildModel:
             model = build_model(theta, word)
             coords = basis_coords(model, tangential_lengths(theta, word))
             assert area(model, coords) > 0.0
-            assert (model.coord_mat @ coords)[0] > 0.0
+            assert (model.coord_mat[0] @ coords)[0] > 0.0
 
     @given(model_inputs())
     @example((  # near-tied pivot pairs: (0, 5) and (1, 2) differ by under 1e-15
@@ -276,7 +276,7 @@ class TestBuildModel:
                 build_model(theta, word)
             return
         model = build_model(theta, word)
-        for got, want in zip((model.basis, model.gram, model.coord_mat), reference):
+        for got, want in zip((model.facet_mat[0].T, model.gram[0], model.coord_mat[0]), reference):
             scale = max(1.0, float(np.abs(want).max()))
             npt.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
 
@@ -289,10 +289,10 @@ class TestBuildModel:
             word = tuple(int(m) + 1 for m in rng.permutation(n))
             model = build_model(theta, word)
             assert not hasattr(model, "gram_inv")
-            eager = np.linalg.inv(model.gram)
-            npt.assert_allclose(model.gram @ eager, np.eye(n - 2), atol=1e-12)
+            eager = np.linalg.inv(model.gram[0])
+            npt.assert_allclose(model.gram[0] @ eager, np.eye(n - 2), atol=1e-12)
             for j, k in ORTHOGONAL_PAIRS[n]:
-                pj, pk = model.facet_mat[j - 1], model.facet_mat[k - 1]
+                pj, pk = model.facet_mat[0, j - 1], model.facet_mat[0, k - 1]
                 want = math.acos(
                     float(pj @ eager @ pk)
                     / math.sqrt(float(pj @ eager @ pj) * float(pk @ eager @ pk))
@@ -322,8 +322,8 @@ class TestKleinPoint:
         model = build_model(sample_weight(5, 9), IDENT5)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            coords = rng.normal(size=model.dim)
-            if area(model, coords) < -1e-6 and (model.coord_mat @ coords)[0] > 0.0:
+            coords = rng.normal(size=3)
+            if area(model, coords) < -1e-6 and (model.coord_mat[0] @ coords)[0] > 0.0:
                 assert np.linalg.norm(klein(model, coords)) > 1.0 + lorentz.TOL_IDEAL
                 break
         else:
@@ -335,10 +335,10 @@ class TestFacetRays:
         theta = sample_weight(5, 12)
         model = build_model(theta, IDENT5)
         ray = facet_zero_ray(model, (1, 4))
-        lengths = model.basis.T @ ray
+        lengths = model.facet_mat[0] @ ray
         assert abs(lengths[0]) < 1e-9   # xi_1 = 0
         assert abs(lengths[3]) < 1e-9   # xi_4 = 0
-        assert (model.coord_mat @ ray)[0] == pytest.approx(1.0)
+        assert (model.coord_mat[0] @ ray)[0] == pytest.approx(1.0)
 
     def test_dependent_facets_raise(self):
         model = build_model(sample_weight(5, 1), IDENT5)
@@ -378,7 +378,7 @@ class TestFacetRays:
                 model = build_model(theta, tuple(int(m) + 1 for m in rng.permutation(n)))
                 for facets in combinations(range(1, n + 1), n - 3):
                     kind, ray = outcome(facet_zero_ray, model, facets)
-                    want_kind, want = outcome(oracle.facet_zero_ray_svd, model, facets)
+                    want_kind, want = outcome(oracle.facet_zero_ray_svd, oracle.stack_row(model, 0), facets)
                     assert kind == want_kind
                     if kind == "ok":
                         scale = max(1.0, float(np.abs(want).max()))
@@ -411,14 +411,14 @@ class TestDistances:
         centre = basis_coords(model, tangential_lengths(theta, IDENT5))
         points = []
         while len(points) < 4:
-            coords = centre + 0.2 * rng.normal(size=model.dim)
-            if area(model, coords) > 0.0 and (model.coord_mat @ coords)[0] > 0.0:
+            coords = centre + 0.2 * rng.normal(size=3)
+            if area(model, coords) > 0.0 and (model.coord_mat[0] @ coords)[0] > 0.0:
                 points.append(coords)
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
                 c1, c2 = points[i], points[j]
                 d_mink = math.acosh(
-                    max(float(c1 @ model.gram @ c2) / math.sqrt(area(model, c1) * area(model, c2)), 1.0)
+                    max(float(c1 @ model.gram[0] @ c2) / math.sqrt(area(model, c1) * area(model, c2)), 1.0)
                 )
                 d_klein = klein_distance(klein(model, c1), klein(model, c2))
                 assert d_mink == pytest.approx(d_klein, rel=1e-9, abs=1e-12)
@@ -465,7 +465,7 @@ class TestAxisIntercepts:
         x = 1, and raises NoIntersection rather than return NaN."""
         model = build_model(equal_weight(n), tuple(range(1, n + 1)))
         coord_mat = model.coord_mat.copy()
-        coord_mat[0] = 0.0
+        coord_mat[0, 0] = 0.0
         with pytest.raises(NoIntersection, match="is parallel to the slice x = 1"):
             axis_intercepts(replace(model, coord_mat=coord_mat))
 
@@ -567,15 +567,14 @@ def forward_rows(n, thetas, words):
     return [tuple(row) if e is None else e for row, e in zip(params.tolist(), errors)]
 
 
-def assert_rows_match_oracle(stack, thetas):
+def assert_rows_match_oracle(stack, thetas, words):
     """Every row equals the scalar build_model / axis_intercepts bit for bit,
     or records the class and message the scalar code raises.
 
     One documented departure: where a hand-built weight vector makes a
     coordinate-scale radicand negative, the scalar code's ``math.sqrt``
     raised a bare ValueError and the kernel records NegativeRatio."""
-    assert stack.theta.tobytes() == np.array([theta.theta for theta in thetas]).tobytes()
-    for i, (theta, word) in enumerate(zip(thetas, stack.words)):
+    for i, (theta, word) in enumerate(zip(thetas, words)):
         try:
             kind, model = outcome(oracle.build_model, theta, word)
         except ValueError as exc:
@@ -586,7 +585,7 @@ def assert_rows_match_oracle(stack, thetas):
         if kind != "ok":
             assert failure(stack.model_errors[i]) == (kind, model)
             continue
-        for name in ("basis", "gram", "coord_mat", "facet_mat"):
+        for name in ("gram", "coord_mat", "facet_mat"):
             assert np.array_equal(getattr(stack, name)[i], getattr(model, name)), name
         kind, values = outcome(oracle.axis_intercepts, model)
         if kind != "ok":
@@ -619,7 +618,7 @@ class TestStackedKernel:
         thetas = oracle.boundary_weights(n, rng, rows)
         words = [tuple(int(m) + 1 for m in rng.permutation(n)) for _ in thetas]
         stack = build_models(angle_array(thetas), words)
-        assert_rows_match_oracle(stack, thetas)
+        assert_rows_match_oracle(stack, thetas, words)
         # the one-row entry points are the same kernel
         for theta, word in zip(thetas, words):
             kind, model = outcome(oracle.build_model, theta, word)
@@ -627,8 +626,8 @@ class TestStackedKernel:
                 assert outcome(build_model, theta, word) == (kind, model)
                 continue
             got = build_model(theta, word)
-            for name in ("basis", "gram", "coord_mat", "facet_mat"):
-                assert np.array_equal(getattr(got, name), getattr(model, name))
+            for name in ("gram", "coord_mat", "facet_mat"):
+                assert np.array_equal(getattr(got, name)[0], getattr(model, name))
             assert outcome(axis_intercepts, got) == outcome(oracle.axis_intercepts, model)
 
     @pytest.mark.parametrize("n", [5, 6])
@@ -639,7 +638,7 @@ class TestStackedKernel:
         thetas = oracle.boundary_weights(n, rng, 600)
         words = [tuple(int(m) + 1 for m in rng.permutation(n)) for _ in thetas]
         stack = build_models(angle_array(thetas), words)
-        assert_rows_match_oracle(stack, thetas)
+        assert_rows_match_oracle(stack, thetas, words)
         classes = {type(e).__name__ for e in stack.model_errors if e is not None}
         assert {"DegenerateTriangle", "SignatureMismatch"} <= classes
         for shape, theta, word in zip(forward_rows(n, thetas, words), thetas, words):
@@ -687,7 +686,7 @@ class TestStackedKernel:
         thetas.append(good[-1])
         words = [ident] * len(thetas)
         stack = build_models(angle_array(thetas), words)
-        assert_rows_match_oracle(stack, thetas)
+        assert_rows_match_oracle(stack, thetas, words)
         shapes = forward_rows(6, thetas, words)
         for k, (cls, fragment, _) in enumerate(gated):
             # the route gate sits behind the kernel, in the forward map
@@ -726,7 +725,7 @@ class TestStackedKernel:
         errors = [None] * len(facet_mat)
         rays = lorentz._zero_rays(facet_mat, coord_mat[:, 0], specs, errors)
         for i, rows in enumerate(zip(facet_mat, coord_mat)):
-            model = replace(stack.model(2 * i), facet_mat=rows[0], coord_mat=rows[1])
+            model = replace(oracle.stack_row(stack, 2 * i), facet_mat=rows[0], coord_mat=rows[1])
             want = [outcome(oracle.facet_zero_ray, model, facets) for facets in specs]
             first = next((w for w in want if w[0] != "ok"), None)
             assert failure(errors[i]) == first
@@ -739,7 +738,7 @@ class TestStackedKernel:
         assert "facets (1, 2, 5) is parallel to the slice" in str(errors[7])
         assert errors[6] is None
         npt.assert_allclose(rays[6], intact[6], rtol=1e-13)
-        scaled = replace(stack.model(12), facet_mat=f[6], coord_mat=coord_mat[6])
+        scaled = replace(oracle.stack_row(stack, 12), facet_mat=f[6], coord_mat=coord_mat[6])
         with pytest.raises(NoIntersection, match=r"\(3, 5, 6\) are dependent"):
             oracle.facet_zero_ray_svd(scaled, specs[0])
 
@@ -760,7 +759,7 @@ def oracle_outcome(stack, row, j, k):
     """The scalar route: the model's build failure, or the oracle's angle."""
     if stack.model_errors[row] is not None:
         return failure(stack.model_errors[row])
-    return outcome(oracle.dihedral_angle, stack.model(row), j, k)
+    return outcome(oracle.dihedral_angle, oracle.stack_row(stack, row), j, k)
 
 
 def same(got, want):
@@ -797,7 +796,8 @@ class TestDualPairings:
                 continue
             for j, k in [(1, 3), (2, 3), (n, 1), (3, 2)]:
                 assert same(
-                    outcome(dihedral_angle, model, j, k), outcome(oracle.dihedral_angle, model, j, k)
+                    outcome(dihedral_angle, model, j, k),
+                    outcome(oracle.dihedral_angle, oracle.stack_row(model, 0), j, k),
                 )
 
     def test_planted_rows_fail_as_the_scalar_code(self):
@@ -827,7 +827,7 @@ class TestDualPairings:
             if errors[row] is not None:
                 want = failure(errors[row])
             else:
-                model = replace(stack.model(row), gram=gram[row], facet_mat=facet_mat[row])
+                model = replace(oracle.stack_row(stack, row), gram=gram[row], facet_mat=facet_mat[row])
                 want = outcome(oracle.dihedral_angle, model, j, k)
             assert same(result, want), (row, j, k)
             kinds.add(result[0] if result[0] != "ok" else ("tangent" if result[1] == 0.0 else "ok"))

@@ -42,7 +42,7 @@ IDENT6 = (1, 2, 3, 4, 5, 6)
 def planar_shape(theta, word):
     """The planar route alone, on one row: its shape, or its failure raised."""
     params, errors = planar_params(
-        planar.complete_triangles(planar.label_angles(angle_array([theta]), [word])[1])
+        planar.complete_triangles(planar.label_angles(angle_array([theta]), [word]))
     )
     unwrap(errors[0])
     return (PentagonShape if theta.n == 5 else HexahedronShape)(*params[0].tolist())

@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 from polymod import (
     NoIntersection,
     PolymodError,
-    TriangleCompletion,
     WeightVector,
     complete_triangle,
     equal_weight,
     pentagon_feet,
 )
+from polymod.errors import unwrap
 from polymod.moduli import planar_params
 from polymod import planar
 
@@ -69,7 +69,14 @@ def random_word(rng, n):
 
 def edge_dirs(theta, word):
     """The triangle's unit edge directions, base edge rotated to +1."""
-    return complete_triangle(theta, word).dirs
+    return complete_triangle(theta, word).dirs[0]
+
+
+def hexahedron_feet(theta, word):
+    """The three signed feet of a hexahedron's completion triangle."""
+    feet, errors = complete_triangle(theta, word).feet()
+    unwrap(errors[0])
+    return tuple(feet[0].tolist())
 
 
 # ===========================================================================
@@ -161,35 +168,39 @@ class TestLineIntersection:
 
 class TestCompletionTriangle:
     def test_base_is_unit_interval(self):
+        """The apex c lies in the upper half-plane on the line from b = 1
+        along edge 4 and on the line from a = 0 along edge n."""
         for n in (5, 6):
             theta = sample_weight(n, 2)
             tri = complete_triangle(theta, tuple(range(1, n + 1)))
-            assert tri.a == pytest.approx(0.0)
-            assert tri.b == pytest.approx(1.0)
-            assert tri.c.imag > 0.0
+            c, dirs = complex(tri.apex[0]), tri.dirs[0].tolist()
+            assert abs(((c - 1.0).conjugate() * dirs[3]).imag) < 1e-12
+            assert abs((c.conjugate() * dirs[n - 1]).imag) < 1e-12
+            assert c.imag > 0.0
 
     def test_exterior_angles_sum_to_two_pi(self):
         theta = sample_weight(6, 9)
         tri = complete_triangle(theta, IDENT6)
-        assert math.fsum(tri.ext_angles) == pytest.approx(2.0 * math.pi, abs=1e-12)
+        assert math.fsum(tri.ext[0]) == pytest.approx(2.0 * math.pi, abs=1e-12)
 
     def test_keeps_the_edge_frame_it_was_built_from(self):
-        """The triangle keeps its word and the scalar edge frame's directions."""
+        """The triangle keeps its angles in word order and the scalar edge
+        frame's directions."""
         rng = np.random.default_rng(7)
         for n in (5, 6):
             for _ in range(10):
                 theta, word = sample_weight(n, int(rng.integers(1000))), random_word(rng, n)
                 tri = complete_triangle(theta, word)
-                assert np.array_equal(tri.dirs, edge_frame(theta, word).dirs)
-                assert tri.word == word
+                assert np.array_equal(tri.dirs[0], edge_frame(theta, word).dirs)
+                assert tri.angles[0].tolist() == [theta[m - 1] for m in word]
 
     def test_apex_matches_law_of_sines(self):
         """|c - a| = sin(beta)/sin(gamma) with the corner angles pi - ext."""
         theta = sample_weight(5, 4)
         tri = complete_triangle(theta, IDENT5)
-        alpha, beta, gamma = (math.pi - e for e in tri.ext_angles)
-        assert abs(tri.c) == pytest.approx(math.sin(beta) / math.sin(gamma), abs=1e-12)
-        assert cmath.phase(tri.c) == pytest.approx(alpha, abs=1e-12)
+        alpha, beta, gamma = (math.pi - e for e in tri.ext[0].tolist())
+        assert abs(tri.apex[0]) == pytest.approx(math.sin(beta) / math.sin(gamma), abs=1e-12)
+        assert cmath.phase(tri.apex[0]) == pytest.approx(alpha, abs=1e-12)
 
 
 class TestPentagonFeet:
@@ -227,22 +238,25 @@ class TestHexahedronFeet:
         for _ in range(50):
             theta = sample_weight_rng(6, rng)
             word = random_word(rng, 6)
-            feet = complete_triangle(theta, word).feet
+            feet = hexahedron_feet(theta, word)
             oracle = oracle_feet6(theta, word)
             for got, want in zip(feet, oracle):
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-11)
 
     def test_equal_weight_feet_are_one(self):
-        feet = complete_triangle(equal_weight(6), IDENT6).feet
+        feet = hexahedron_feet(equal_weight(6), IDENT6)
         npt.assert_allclose(feet, 1.0, atol=1e-12)
 
     def test_pentagon_has_no_feet(self):
-        tri = complete_triangle(equal_weight(5), IDENT5)
-        assert tri.feet is None
+        """No three hexahedron feet: a pentagon's triangle gives the two
+        base feet of pentagon_feet."""
+        feet, errors = complete_triangle(equal_weight(5), IDENT5).feet()
+        assert feet.shape == (1, 2) and errors == [None]
+        assert tuple(feet[0].tolist()) == pentagon_feet(equal_weight(5), IDENT5)
 
     def test_feet_positive_on_samples(self):
         for seed in range(30):
-            feet = complete_triangle(sample_weight(6, seed), IDENT6).feet
+            feet = hexahedron_feet(sample_weight(6, seed), IDENT6)
             assert min(feet) > 0.0
 
 
@@ -254,9 +268,17 @@ def settled(value):
     """A comparable form of a shape, a triangle, feet or a failure."""
     if isinstance(value, PolymodError):
         return type(value).__name__, str(value)
-    if isinstance(value, (TriangleCompletion, oracle.TriangleCompletion)):
-        dirs = value.dirs if isinstance(value, TriangleCompletion) else value.frame.dirs
-        return "ok", value.c, value.ext_angles, value.feet, dirs.tobytes()
+    if isinstance(value, planar.Triangles):
+        assert value.errors == [None]  # a failed row raises
+        feet = None
+        if value.n == 6:  # the scalar triangle carried a hexahedron's feet, or their failure
+            rows, errors = value.feet()
+            if errors[0] is not None:
+                return settled(errors[0])
+            feet = tuple(rows[0].tolist())
+        return "ok", complex(value.apex[0]), tuple(value.ext[0].tolist()), feet, value.dirs[0].tobytes()
+    if isinstance(value, oracle.TriangleCompletion):
+        return "ok", value.c, value.ext_angles, value.feet, value.frame.dirs.tobytes()
     return "ok", getattr(value, "params", value)
 
 
@@ -275,7 +297,7 @@ def planar_rows(tri):
 
 def triangles(thetas, words):
     """One stacked completion-triangle call for the rows."""
-    return planar.complete_triangles(planar.label_angles(angle_array(thetas), words)[1])
+    return planar.complete_triangles(planar.label_angles(angle_array(thetas), words))
 
 
 def assert_rows_match_oracle(thetas, words):

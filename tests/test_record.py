@@ -32,7 +32,6 @@ from polymod import (
 )
 from polymod._record import record
 from polymod.combinatorics import DegenerateConfig, Label
-from polymod.planar import complete_triangles, label_angles
 
 from records import replace
 from weights import angle_array
@@ -41,12 +40,12 @@ THETA6 = validate_weight((0.9, 0.9, 0.9, 1.2, 1.2, 2.0 * math.pi - 5.1))
 
 
 def samples() -> dict:
-    """Two instances of each of the 13 record classes, as polymod builds them."""
+    """Two instances of each of the 11 record classes, as polymod builds them."""
     complex5 = build_complex(5)
     stack = build_models(angle_array([equal_weight(6), THETA6]), [(1, 2, 3, 4, 5, 6)] * 2)
     shapes5 = [psi5(validate_weight(t)) for t in ((1.1, 1.3, 0.9, 1.5, 2 * math.pi - 4.8),
                                                   (1.2,) * 4 + (2 * math.pi - 4.8,))]
-    triangles = [complete_triangles(label_angles(angle_array([t]), [w])[1])
+    triangles = [complete_triangle(t, w)
                  for t, w in ((equal_weight(5), (1, 2, 3, 4, 5)), (THETA6, (2, 1, 3, 4, 5, 6)))]
     return {
         type(THETA6): [equal_weight(5), THETA6],
@@ -55,16 +54,11 @@ def samples() -> dict:
         type(complex5.pairings[0]): list(complex5.pairings[:2]),
         type(complex5): [complex5, build_complex(6)],
         UpperHalfPoint: [UpperHalfPoint(0.5 + 1j), UpperHalfPoint(-2 + 0.25j)],
-        type(stack.model(0)): [stack.model(0), stack.model(1)],
         type(stack): [stack, build_models(angle_array([THETA6]), [(2, 1, 3, 4, 5, 6)])],
         PentagonShape: shapes5,
         HexahedronShape: [psi6(THETA6), psi6(equal_weight(6))],
         type(pentagon_side_lengths(shapes5[0])): [pentagon_side_lengths(s) for s in shapes5],
         type(triangles[0]): triangles,
-        type(complete_triangle(THETA6, (1, 2, 3, 4, 5, 6))): [
-            complete_triangle(equal_weight(5), (1, 2, 3, 4, 5)),
-            complete_triangle(THETA6, (1, 2, 3, 4, 5, 6)),
-        ],
     }
 
 
@@ -105,8 +99,8 @@ def values(obj) -> tuple:
     return tuple(getattr(obj, f) for f in type(obj).__match_args__)
 
 
-def test_all_thirteen_classes_are_records_of_their_annotated_fields():
-    assert len(SAMPLES) == 13
+def test_every_class_is_a_record_of_its_annotated_fields():
+    assert len(SAMPLES) == 11
     for cls, objs in SAMPLES.items():
         assert all(type(obj) is cls for obj in objs)
         assert not dataclasses.is_dataclass(cls)

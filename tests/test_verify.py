@@ -15,6 +15,7 @@ from polymod import (
     InconsistentPair,
     OutOfRange,
     SignatureMismatch,
+    dumps_canonical,
     run_suite,
     verify,
     verify_injectivity,
@@ -458,6 +459,19 @@ def test_a_tol_that_is_not_positive_and_finite_is_rejected(suite, tol):
 def test_jobs_below_one_is_rejected(suite):
     with pytest.raises(OutOfRange, match="jobs must be >= 1, got 0"):
         run_suite(suite, 5, 20, 0, jobs=0)
+
+
+def test_an_integer_setting_of_any_integer_type_reports_as_the_python_int():
+    """numpy integers and bools are read by ``operator.index``: the report
+    holds the Python int, byte for byte; a float count or seed is OutOfRange."""
+    want = dumps_canonical(run_suite("roundtrip", 5, samples=3, seed=1))
+    got = run_suite("roundtrip", 5, samples=np.int64(3), seed=np.uint8(1), jobs=np.int32(1))
+    assert dumps_canonical(got) == want
+    assert dumps_canonical(run_suite("roundtrip", 5, samples=3, seed=True)) == want
+    assert verify_injectivity(5, 3, np.int64(0)) == verify_injectivity(5, 3, 0)
+    for bad in ({"samples": 3.0}, {"seed": 0.0}, {"jobs": 1.0}):
+        with pytest.raises(OutOfRange, match="samples, seed and jobs must be integers"):
+            run_suite("roundtrip", 5, **{"samples": 3, **bad})
 
 
 @pytest.mark.parametrize("n", [5, 6])
