@@ -20,6 +20,7 @@ shared by the CLI's flags, ``run_suite`` and ``invert_params``.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from typing import Callable
 
@@ -154,13 +155,17 @@ MAX_SAMPLES = 10**6
 
 def check_settings(tol: float = 1.0, samples: int = 1, seed: int = 0, jobs: int = 1) -> tuple:
     """Reject a run setting outside its domain with OutOfRange: a tolerance
-    that is not positive and finite (NaN included), a count or seed that
-    ``operator.index`` refuses (a float, say), a sample count outside
-    1..MAX_SAMPLES, fewer than one job, or a seed outside 0..2**128 - 1 (the
-    128-bit Philox key of ``verify``).  Returns ``samples``, ``seed`` and
-    ``jobs`` as Python ints.  Every default is in the domain, so a caller
-    passes only the settings it has."""
-    if not 0.0 < tol < math.inf:
+    that is a bool, not real, or not positive and finite as a float, a count
+    or seed that ``operator.index`` refuses (a float, say), a sample count
+    outside 1..MAX_SAMPLES, fewer than one job, or a seed outside
+    0..2**128 - 1 (the 128-bit Philox key of ``verify``).  Returns ``tol`` as
+    a float and the others as Python ints.  Every default is in the domain,
+    so a caller passes only the settings it has."""
+    try:
+        value = float(tol) if isinstance(tol, numbers.Real) and not isinstance(tol, bool) else 0.0
+    except OverflowError:  # an int or a fraction beyond the floats
+        value = math.inf
+    if not 0.0 < value < math.inf:
         raise OutOfRange(f"tol must be positive and finite, got {tol!r}")
     try:
         samples, seed, jobs = map(operator.index, (samples, seed, jobs))
@@ -177,4 +182,4 @@ def check_settings(tol: float = 1.0, samples: int = 1, seed: int = 0, jobs: int 
         raise OutOfRange(f"seed must be non-negative, got {seed!r}")
     if seed >= 2**128:
         raise OutOfRange(f"seed must be below 2**128, got {seed!r}")
-    return samples, seed, jobs
+    return float(tol), samples, seed, jobs

@@ -262,7 +262,7 @@ def invert_params(n: int, pairs: np.ndarray, tol: float = INVERT_TOL) -> tuple:
     weight vectors forward, and :func:`relative_residual` compares every
     parameter with its input.  A bad tolerance or n raises OutOfRange.
     """
-    check_settings(tol)
+    tol = check_settings(tol)[0]
     if n not in (5, 6):
         raise OutOfRange(f"inversion is defined for n in {{5, 6}}, got {n}")
     k, errors = n - 3, [None] * len(pairs)

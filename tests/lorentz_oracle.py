@@ -104,13 +104,6 @@ def build_model(theta, label):
     half = basis @ (0.25 * np.triu(cross, 1)) @ basis.T
     gram = half + half.T
 
-    eigs = np.linalg.eigvalsh(gram)
-    tol = 1e-12 * max(1.0, np.abs(eigs).max())
-    if np.sum(eigs > tol) != 1 or np.sum(eigs < -tol) != dim - 1:
-        raise SignatureMismatch(
-            f"area-form eigenvalues {eigs!r} are not of signature (1, {dim - 1})"
-        )
-
     facet_mat = basis.T.copy()
 
     t = frame.ordered_angles()
@@ -237,7 +230,7 @@ def psi(n, theta, label):
 def boundary_weights(n, rng, count):
     """``count`` validated weight vectors, a third generic and the rest with
     a pair sum (or, for n=6, a triple sum) within 1e-13 to 1e-1 of pi, where
-    the signature, triangle and route gates fire."""
+    the triangle, diagonalization and route gates fire."""
     from polymod.combinatorics import validate_weight
     from polymod.errors import PolymodError
 
@@ -256,6 +249,27 @@ def boundary_weights(n, rng, count):
             angles = np.empty(n)
             angles[near] = raw[near] * (target / raw[near].sum())
             angles[rest] = raw[rest] * ((2.0 * math.pi - target) / raw[rest].sum())
+        try:
+            out.append(validate_weight(angles))
+        except PolymodError:
+            continue
+    return out
+
+
+def small_angle_weights(n, rng, count, smallest):
+    """``count`` validated weight vectors whose angle at a random position
+    is ``smallest`` before the rescaling to 2*pi; the others are drawn as
+    ``boundary_weights``' generic ones.  The area form's eigenvalues then
+    span a ratio of about 0.2 * ``smallest``."""
+    from polymod.combinatorics import validate_weight
+    from polymod.errors import PolymodError
+
+    out = []
+    while len(out) < count:
+        angles = rng.uniform(0.05, 1.0, n)
+        small = rng.integers(n)
+        angles *= (2.0 * math.pi - smallest) / (angles.sum() - angles[small])
+        angles[small] = smallest
         try:
             out.append(validate_weight(angles))
         except PolymodError:

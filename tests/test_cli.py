@@ -1315,6 +1315,26 @@ def fuzz_argv(draw, files: dict) -> list[str]:
 SETTING_FLAGS = ("--n", "--tol", "--samples", "--seed", "--jobs")
 
 
+def run_under_contract(argv: list[str]) -> int:
+    """``cli.main(argv)``'s exit code, once it is checked against the error
+    contract: 0 to 5, never 6; codes 2 to 5 print one ``polymod-error/1``
+    document and nothing else on stdout, naming a class whose documented
+    code is the exit code; and no traceback reaches stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in range(6), (argv, out.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code >= 2:
+        assert out.getvalue().count("\n") == 1, argv
+        doc = json.loads(out.getvalue())
+        assert doc["schema"] == "polymod-error/1"
+        assert getattr(polymod.errors, doc["error"]).exit_code == code
+    else:
+        assert "polymod-error/1" not in out.getvalue()
+    return code
+
+
 class TestErrorContract:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -1325,21 +1345,37 @@ class TestErrorContract:
         class whose documented code is the exit code; and no traceback
         reaches stderr."""
         argv = data.draw(fuzz_argv(fuzz_files))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        assert code in range(6), (argv, out.getvalue())
-        assert "Traceback" not in err.getvalue()
+        code = run_under_contract(argv)
         values = [value for flag, value in zip(argv, argv[1:]) if flag in SETTING_FLAGS]
         if any("_" in value or not value.isascii() for value in values):
             assert code == 2, argv
-        if code >= 2:
-            assert out.getvalue().count("\n") == 1, argv
-            doc = json.loads(out.getvalue())
-            assert doc["schema"] == "polymod-error/1"
-            assert getattr(polymod.errors, doc["error"]).exit_code == code
-        else:
-            assert "polymod-error/1" not in out.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["forward", "invert", "sweep"]), n=st.sampled_from(["5", "6"]),
+           data=st.data())
+    def test_label_and_shape_bytes_exit_0_to_5_with_one_document(self, fuzz_files, command, n, data):
+        """``--label``, ``--shape1`` or ``--shape2`` as argv delivers it: up
+        to 48 bytes decoded by ``os.fsdecode``, an undecodable byte as a
+        lone surrogate.  The other flags are valid; the error contract holds."""
+        value = os.fsdecode(data.draw(st.binary(max_size=48)))
+        shape = {"5": "0.9,0.9", "6": "1,1,1"}[n]
+        argv = {
+            "forward": ["--theta", {"5": EQUAL5, "6": EQUAL6}[n], "--label", value],
+            "invert": ["--shape1", value, "--shape2", shape] if data.draw(st.booleans())
+            else ["--shape1", shape, "--shape2", value],
+            "sweep": ["--input", fuzz_files["input"][0], "--label", value, "--out", fuzz_files["out"][1]],
+        }[command]
+        run_under_contract([command, "--n", n, *argv])
+
+    def test_an_undecodable_label_byte_exits_2_in_a_fresh_process(self):
+        """Byte 0xff in ``--label`` reaches ``main`` as a lone surrogate: one
+        document on stdout, exit 2, nothing on stderr."""
+        proc = fresh("-m", "polymod.cli", "forward", "--n", "5", "--theta", EQUAL5,
+                     "--label", os.fsdecode(b"12\xff45"))
+        assert (proc.returncode, proc.stderr) == (2, "")
+        doc = json.loads(proc.stdout)
+        assert (doc["schema"], doc["error"]) == ("polymod-error/1", "OutOfRange")
+        assert doc["message"] == "cannot parse label '12\\udcff45'"
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([5, 6]), data=st.data())

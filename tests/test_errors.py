@@ -72,7 +72,8 @@ class TestFirstFailures:
 
 
 class TestCheckSettings:
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf, 10**400, "1e-9",
+                                     None, 1j, True, np.True_])
     def test_a_tol_that_is_not_positive_and_finite_is_rejected(self, tol):
         with pytest.raises(OutOfRange, match="tol must be positive and finite"):
             check_settings(tol)
@@ -104,9 +105,12 @@ class TestCheckSettings:
         check_settings()  # every default is in the domain
         check_settings(1e-9, samples=1, seed=0, jobs=1)
         check_settings(1e300, samples=10**6, seed=2**40, jobs=64)
-        # any integer type, numpy's and bool included, comes back as a Python int
-        got = check_settings(1e-9, samples=np.int64(3), seed=np.uint64(2**63), jobs=True)
-        assert got == (3, 2**63, 1) and all(type(v) is int for v in got)
+        # any integer type, numpy's and bool included, comes back as a Python
+        # int, and any real tol but a bool as a float
+        got = check_settings(1, samples=np.int64(3), seed=np.uint64(2**63), jobs=True)
+        assert got == (1.0, 3, 2**63, 1) and type(got[0]) is float
+        assert all(type(v) is int for v in got[1:])
+        assert check_settings(np.float32(0.5))[0] == 0.5
 
 
 WORD5 = (1, 2, 3, 4, 5)

@@ -447,12 +447,26 @@ def test_a_raising_trial_is_the_only_failure(monkeypatch, suite, target):
         assert sub.get("max_error", 0.0) is not None
 
 
-@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9, float("inf")])
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9, float("inf"), "1e-9", None, 1j, True])
 @pytest.mark.parametrize("suite", ["roundtrip", "complex", "all"])
 def test_a_tol_that_is_not_positive_and_finite_is_rejected(suite, tol):
-    """A NaN tolerance would switch every ``error > tol`` gate off."""
+    """A NaN tolerance would switch every ``error > tol`` gate off.  A
+    string, None or a complex is OutOfRange too, not a bare TypeError, and a
+    bool never reaches a report as ``"tol":true``."""
     with pytest.raises(OutOfRange, match="tol must be positive and finite"):
         run_suite(suite, 5, 20, 0, tol=tol)
+    with pytest.raises(OutOfRange, match="tol must be positive and finite"):
+        verify_injectivity(5, 20, 0, tol=tol)
+
+
+def test_an_integer_tol_reports_as_the_flag_does(capsys):
+    """``tol=1`` reports the float 1.0, as ``--tol 1`` reads it, and the
+    same bytes."""
+    report = run_suite("roundtrip", 5, samples=2, tol=1)
+    assert type(report["tol"]) is float and report["tol"] == 1.0
+    assert type(verify_injectivity(5, 2, 0, tol=1)["tol"]) is float
+    assert cli.main(["verify", "--suite", "roundtrip", "--n", "5", "--samples", "2", "--tol", "1"]) == 0
+    assert capsys.readouterr().out == dumps_canonical(report) + "\n"
 
 
 @pytest.mark.parametrize("suite", ["roundtrip", "all"])
