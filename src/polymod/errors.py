@@ -182,4 +182,4 @@ def check_settings(tol: float = 1.0, samples: int = 1, seed: int = 0, jobs: int 
         raise OutOfRange(f"seed must be non-negative, got {seed!r}")
     if seed >= 2**128:
         raise OutOfRange(f"seed must be below 2**128, got {seed!r}")
-    return float(tol), samples, seed, jobs
+    return value, samples, seed, jobs

@@ -12,10 +12,9 @@ coordinates used here are
   corresponding edge length.
 
 They satisfy ``area = x^2 - u^2 - v^2 (- w^2)`` identically, which the
-constructor verifies; the signature itself is Thurston's theorem for
-validated weights (Bavard and Ghys), not a gate.  Signs are fixed so every
-coordinate is positive on the polygon circumscribed about the unit circle
-(a strictly interior reference configuration).
+constructor verifies.  Signs are fixed so every coordinate is positive on the
+polygon circumscribed about the unit circle (a strictly interior reference
+configuration).
 
 The area form is closed-form: with chain vertices ``V_j = sum_{k<j} e_k d_k``
 the shoelace sum ``1/2 sum_j Im(conj(V_j) V_{j+1})`` is
@@ -34,8 +33,8 @@ and the corner scales map ``math.sin`` over flat lists.
 :func:`axis_intercepts` and :func:`dihedral_angle` read its row.  The products
 ``Im(conj(d_a) d_b)`` are :func:`polymod.planar._im_conj`'s, the base width
 is a closed form in them and the facet rays are cross products, so a row's
-bits do not depend on the rows stacked with it (the stacked ``matmul`` runs
-the same routine on each row as on a 2-D array).
+bits do not depend on the rows stacked with it (the stacked ``matmul`` and
+``eigvalsh`` run the same routine on each row as on a 2-D array).
 
 Facet ``k`` of the projectivized positive cone is the zero set of the edge
 functional ``xi_k``, oriented to be nonnegative on the cone; facet rays are
@@ -128,8 +127,9 @@ def _model_arrays(tri: Triangles) -> dict:
     ``gram``, ``coord_mat``, ``facet_mat`` and ``intercepts``
     with a leading row axis, and ``model_errors``: per row None or its
     first failure, gate by gate in the scalar order (completion triangle,
-    base-width lines, corner scales, diagonalization, axis intercepts).  A
-    failed row's arrays are meaningless.
+    signature, base-width lines, corner scales, diagonalization, axis
+    intercepts).  A failed row's arrays are meaningless; it enters
+    ``eigvalsh`` as the identity, so it cannot make the stacked call raise.
     """
     angles, dirs = tri.angles, tri.dirs
     rows, n = angles.shape
@@ -153,6 +153,20 @@ def _model_arrays(tri: Triangles) -> dict:
 
     half = basis @ (0.25 * np.triu(cross, 1)) @ basis.transpose(0, 2, 1)
     gram = half + half.transpose(0, 2, 1)  # B M B^T, exactly symmetric
+
+    failed = np.array([e is not None for e in errors])
+    eigs = np.linalg.eigvalsh(np.where(failed[:, None, None], np.eye(dim), gram))
+    # 1e-12 is some 350 times the computed form's measured relative error, so
+    # a row that passes has the exact form's signs (Weyl); it also refuses
+    # rows whose smallest angle is below about 5e-12, where the maps lose digits
+    tol = (1e-12 * np.fmax(np.abs(eigs).max(axis=1), 1.0))[:, None]  # NaN -> 1, as max(1, NaN)
+    first_failures(
+        errors,
+        ((eigs > tol).sum(axis=1) != 1) | ((eigs < -tol).sum(axis=1) != dim - 1),
+        lambda i: SignatureMismatch(
+            f"area-form eigenvalues {eigs[i]!r} are not of signature (1, {dim - 1})"
+        ),
+    )
 
     facet_mat = basis.transpose(0, 2, 1).copy()
 
@@ -299,7 +313,7 @@ def build_models(theta: np.ndarray, words: Sequence[Sequence[int]]) -> ModelStac
 
 
 def build_model(theta: WeightVector, label: Sequence[int]) -> ModelStack:
-    """The Lorentzian model, of signature (1, n-3): the one-row
+    """The Lorentzian model with verified signature (1, n-3): the one-row
     stack of :func:`build_models`, or its failure raised."""
     model = build_models(np.array([theta.theta], dtype=float), [label])
     unwrap(model.model_errors[0])

@@ -207,8 +207,8 @@ def _run_chunk(
     if "roundtrip" in suites:
         *out["roundtrip"], (mapped, params) = _roundtrip(n, theta, tol)
         scan = (np.array(trials)[mapped], params)
-    # signature: building the model is the check; its coordinates must
-    # diagonalize the area form as x^2 - u^2 - v^2 (- w^2)
+    # signature: building the model is the check, which fails with
+    # SignatureMismatch unless the area form has signature (1, n-3)
     columns = {"orthogonality": _orthogonality, "crossroute": _crossroute,
                "signature": lambda models: (models.model_errors, np.zeros(len(trials)))}
     out.update((suite, columns[suite](models)) for suite in suites if suite in columns)

@@ -104,6 +104,13 @@ def build_model(theta, label):
     half = basis @ (0.25 * np.triu(cross, 1)) @ basis.T
     gram = half + half.T
 
+    eigs = np.linalg.eigvalsh(gram)
+    tol = 1e-12 * max(1.0, np.abs(eigs).max())
+    if np.sum(eigs > tol) != 1 or np.sum(eigs < -tol) != dim - 1:
+        raise SignatureMismatch(
+            f"area-form eigenvalues {eigs!r} are not of signature (1, {dim - 1})"
+        )
+
     facet_mat = basis.T.copy()
 
     t = frame.ordered_angles()
@@ -230,7 +237,7 @@ def psi(n, theta, label):
 def boundary_weights(n, rng, count):
     """``count`` validated weight vectors, a third generic and the rest with
     a pair sum (or, for n=6, a triple sum) within 1e-13 to 1e-1 of pi, where
-    the triangle, diagonalization and route gates fire."""
+    the signature, triangle and route gates fire."""
     from polymod.combinatorics import validate_weight
     from polymod.errors import PolymodError
 

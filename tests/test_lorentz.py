@@ -97,15 +97,16 @@ def klein(model, coords):
 
 
 #: Smallest angles of the small-angle rows.  Their area forms' eigenvalues
-#: span a ratio of about 0.2 * smallest, down to 17 ulps at 1e-14.
-SMALLEST = (1e-12, 1e-13, 1e-14)
+#: span a ratio of about 0.2 * smallest, below the signature gate's relative
+#: 1e-12 from 1e-12 down.
+SMALLEST = (1e-10, 1e-11, 1e-12, 1e-13, 1e-14)
 
 
 def assert_lorentzian(stack):
     """Every model of the stack that built has one positive and n-3
     negative area-form eigenvalues, by ``eigvalsh``'s own signs."""
     eig = np.linalg.eigvalsh(stack.gram[[e is None for e in stack.model_errors]])
-    assert len(eig) and ((eig > 0).sum(axis=1) == 1).all()
+    assert ((eig > 0).sum(axis=1) == 1).all()
     assert ((eig < 0).sum(axis=1) == eig.shape[1] - 1).all()
 
 
@@ -115,8 +116,8 @@ def polarization_model(theta, word):
     The basis comes from one 2x2 solve per row on the kernel's pivot pair,
     the area form from polarizing shoelace areas of the chained basis rows,
     the base width from per-row line intersections, and the reference signs
-    from a least-squares fit of the circumscribed polygon.  The
-    diagonalization check raises SignatureMismatch at build_model's tolerance.
+    from a least-squares fit of the circumscribed polygon.  The signature and diagonalization
+    checks raise SignatureMismatch at the same tolerances as build_model.
     """
     frame = edge_frame(theta, word)
     n, d = frame.n, frame.dirs
@@ -146,6 +147,11 @@ def polarization_model(theta, word):
             gram[a, b] = 0.5 * (
                 area(basis[a] + basis[b]) - area(basis[a]) - area(basis[b])
             )
+    eigs = np.linalg.eigvalsh(gram)
+    tol = 1e-12 * max(1.0, np.abs(eigs).max())
+    if np.sum(eigs > tol) != 1 or np.sum(eigs < -tol) != dim - 1:
+        raise SignatureMismatch(f"eigenvalues {eigs!r}")
+
     tri = complete_triangle(theta, word)
     width = []
     for row in basis:
@@ -218,8 +224,7 @@ class TestBuildModel:
 
     def test_signature(self):
         """Eigenvalues split (1 positive, n-3 negative) on random samples,
-        and on every model built from near-boundary and small-angle rows.
-        The kernel has no signature gate, so this count is the check."""
+        and on every model built from near-boundary rows."""
         rng = np.random.default_rng(5)
         for n in (5, 6):
             for _ in range(25):
@@ -227,8 +232,6 @@ class TestBuildModel:
                 word = tuple(int(m) + 1 for m in rng.permutation(n))
                 assert_lorentzian(build_model(theta, word))
             thetas = oracle.boundary_weights(n, rng, 300)
-            if n == 6:
-                thetas += [t for s in SMALLEST for t in oracle.small_angle_weights(6, rng, 100, s)]
             words = [tuple(int(m) + 1 for m in rng.permutation(n)) for _ in thetas]
             assert_lorentzian(build_models(angle_array(thetas), words))
 
@@ -665,27 +668,45 @@ class TestStackedKernel:
     @pytest.mark.parametrize("smallest", SMALLEST)
     def test_small_angle_rows_equal_the_oracle_and_invert(self, smallest):
         """300 n=6 rows whose smallest angle is ``smallest``: each row and
-        each forward map has the scalar oracle's value or failure, none
-        fails on the signature, every model that builds is Lorentzian, and
-        each designated pair that maps and inverts recovers its angles
-        within 1e-9."""
+        each forward map has the scalar oracle's value or failure, every
+        model that builds is Lorentzian, every row fails the signature gate
+        from 1e-12 down (where the forward map would lose digits) and none
+        above, and each designated pair that maps and inverts recovers its
+        angles within 1e-9."""
         rng = np.random.default_rng(round(-math.log10(smallest)))
         thetas = oracle.small_angle_weights(6, rng, 300, smallest)
         words = [tuple(int(m) + 1 for m in rng.permutation(6)) for _ in thetas]
         stack = build_models(angle_array(thetas), words)
         assert_rows_match_oracle(stack, thetas, words)
         assert_lorentzian(stack)
-        assert not [e for e in stack.model_errors if "eigenvalues" in str(e)]
+        refused = {"area-form eigenvalues" in str(e) for e in stack.model_errors}
+        assert refused == {smallest <= 1e-12}
         for shape, theta, word in zip(forward_rows(6, thetas, words), thetas, words):
             kind, want = outcome(oracle.psi, 6, theta, word)
             assert shape == want.params if kind == "ok" else failure(shape) == (kind, want)
         theta = angle_array(thetas)
         params, errors = designated_pairs(6, theta)
         mapped = [i for i, e in enumerate(errors) if e is None]
-        back, _, _, failures = invert_params(6, params[mapped])
-        inverted = [k for k, e in enumerate(failures) if e is None]
-        assert inverted
-        npt.assert_allclose(back[inverted], theta[mapped][inverted], rtol=0.0, atol=1e-9)
+        assert bool(mapped) == (smallest > 1e-12)
+        if mapped:
+            back, _, _, failures = invert_params(6, params[mapped])
+            inverted = [k for k, e in enumerate(failures) if e is None]
+            assert inverted
+            npt.assert_allclose(back[inverted], theta[mapped][inverted], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("smallest", (1e-15, 1e-16))
+    def test_rows_whose_computed_form_may_not_be_lorentzian_are_refused(self, smallest):
+        """Below a smallest angle of about 3e-15 the rounding error of the
+        computed area form can exceed its smallest eigenvalue, and at 1e-16
+        the angle is lost in the partial sums: some computed forms are not
+        Lorentzian.  The signature gate refuses every one of 300 n=6 rows,
+        so no model that builds has a form of the wrong signature."""
+        rng = np.random.default_rng(round(-math.log10(smallest)))
+        thetas = oracle.small_angle_weights(6, rng, 300, smallest)
+        words = [tuple(int(m) + 1 for m in rng.permutation(6)) for _ in thetas]
+        stack = build_models(angle_array(thetas), words)
+        assert_lorentzian(stack)
+        assert all("area-form eigenvalues" in str(e) for e in stack.model_errors)
 
     def test_a_mixed_chunk_fails_each_row_alone(self):
         """One chunk holds a row failing each gate; every row, failing or
@@ -694,10 +715,9 @@ class TestStackedKernel:
         good = [sample_weight(6, seed) for seed in range(7)]
         gated = [  # hand-built: they bypass validate_weight
             ("DegenerateTriangle", "exterior angle at b", (0.59, 0.59, 0.0, 0.0, 0.59, 0.39)),
-            # NaN arrays: the row must stay out of the stacked matmuls and inverse
+            # NaN arrays: the row must stay out of the stacked eigvalsh and svd
             ("DegenerateTriangle", "at a is nan", (math.nan, 1.0, 1.0, 1.0, 1.0, 1.0)),
-            # two negative angles, a form of signature (3, 1): the corner scales refuse it
-            ("NegativeRatio", "squared edge 1 corner scale = -", (
+            ("SignatureMismatch", "area-form eigenvalues", (
                 -0.1639386256704607, 2.830576590613591, 2.6483932299547335,
                 0.4574777719718086, 3.0059369232428153, -0.2657278607792226,
             )),
@@ -713,8 +733,8 @@ class TestStackedKernel:
                 0.4512732272831897, 0.8472543880371308, 1.1132332833896774,
                 1.922357226286056, 0.807538725590708, 1.1415284633387217,
             )),
-            # a negative angle passes the triangle and parallel-line gates
-            # and makes the edge-1 corner radicand negative
+            # a negative angle passes the triangle, eigenvalue and parallel-line
+            # gates and makes the edge-1 corner radicand negative
             ("NegativeRatio", "squared edge 1 corner scale = -", (
                 -0.3074158806642796, 0.5171497255675706, 0.8348716813027642,
                 0.23857298316690395, 1.9372646995452019, 0.46925787284396603,
