@@ -25,8 +25,7 @@ _LAYERS = {
         NotInTheta OutOfRange PairingFailure PairSumTooLarge PolymodError
         RejectionBudgetExceeded RouteDisagreement SignatureMismatch SlideCollision
         SumMismatch""",
-    "combinatorics": """DegenerateConfig Label WeightVector as_word enumerate_labels
-        equal_weight face_config triple_config validate_weight vertex_config""",
+    "combinatorics": "Label WeightVector as_word enumerate_labels equal_weight validate_weight",
     "planar": "complete_triangle pentagon_feet",
     "lorentz": """ModelStack axis_intercepts build_model build_models dihedral_angle
         facet_zero_ray""",
@@ -34,8 +33,8 @@ _LAYERS = {
         pentagon_side_lengths psi5 psi6""",
     "fiber": """UpperHalfPoint fiber_theta5 fiber_theta6 inversion_report invert5
         invert6 verify_injectivity""",
-    "complexes": """FacePairing GluedComplex build_complex cusp_classes
-        euler_characteristic singular_edges""",
+    "complexes": """DegenerateConfig FacePairing GluedComplex build_complex cusp_classes
+        euler_characteristic face_config singular_edges triple_config vertex_config""",
     "verify": "ORTHOGONAL_PAIRS run_suite",
     "jsonio": "SUITES dumps_canonical format_float parse_label parse_shape parse_theta",
 }

@@ -1,4 +1,4 @@
-"""Weight vectors, circular labels, and degenerate-configuration keys.
+"""Weight vectors and circular labels.
 
 Conventions used throughout the package:
 
@@ -16,11 +16,6 @@ Conventions used throughout the package:
 * Geometric operations elsewhere in the package accept label *words* (any
   rotation/reversal representative) because the roles of the marks depend on
   the representative; the canonical :class:`Label` is used for bookkeeping.
-
-* A *degenerate configuration* is a cyclic word over merged marks — symbols
-  are sorted tuples of one, two, or three marks — considered up to rotation
-  and reversal.  Two polyhedron faces are glued exactly when their
-  configuration keys are equal.
 """
 
 from __future__ import annotations
@@ -82,28 +77,6 @@ class Label:
 
     def __str__(self) -> str:
         return "".join(str(m) for m in self.word)
-
-
-@record(order=True)
-class DegenerateConfig:
-    """A canonical cyclic word of merged marks (collision pattern).
-
-    ``word`` is a tuple of symbols; each symbol is a sorted tuple of one,
-    two, or three marks.  The word is the lexicographic minimum over all
-    rotations of itself and of its reversal, so equal configurations compare
-    equal.
-    """
-
-    word: tuple[tuple[int, ...], ...]
-
-    def render(self) -> str:
-        return "".join(
-            str(s[0]) if len(s) == 1 else "(" + "".join(str(m) for m in s) + ")"
-            for s in self.word
-        )
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 # --------------------------------------------------------------------------- #
@@ -256,53 +229,3 @@ def enumerate_labels(n: int) -> list[Label]:
             out.append(Label(word=word))
     out.sort()
     return out
-
-
-# --------------------------------------------------------------------------- #
-# degenerate configurations
-# --------------------------------------------------------------------------- #
-
-def _merged(word: tuple[int, ...], first: int, runs: dict[int, int]) -> DegenerateConfig:
-    """The key of ``word`` read from its 0-based position ``first``, the
-    ``runs[p]`` consecutive marks from offset p merged into one sorted
-    symbol: the least rotation of the symbols or of their reversal."""
-    marks, symbols, p = word[first:] + word[:first], [], 0
-    while p < len(marks):
-        size = runs.get(p, 1)
-        symbols.append(tuple(sorted(marks[p : p + size])))
-        p += size
-    cyclic = [w[r:] + w[:r] for w in (tuple(symbols), tuple(reversed(symbols))) for r in range(len(w))]
-    return DegenerateConfig(word=min(cyclic))
-
-
-def face_config(label: Label | Sequence[int], k: int) -> DegenerateConfig:
-    """Codimension-1 key of face ``k``: marks at positions k, k+1 collide.
-
-    ``k`` is 1-based and cyclic; face k of <i1..in> collapses (i_k, i_{k+1}).
-    Two faces glue exactly when their keys are equal.
-    """
-    word = as_word(label)
-    n = len(word)
-    if not 1 <= k <= n:
-        raise OutOfRange(f"face index must be in 1..{n}, got {k}")
-    return _merged(word, k - 1, {0: 2})
-
-
-def vertex_config(label: Label | Sequence[int], k: int, m: int) -> DegenerateConfig:
-    """Codimension-2 key with two disjoint collided pairs at faces k and m."""
-    word = as_word(label)
-    n = len(word)
-    if not (1 <= k <= n and 1 <= m <= n) or k == m:
-        raise OutOfRange(f"need two distinct face indices in 1..{n}, got {k}, {m}")
-    if (m - k) % n in (1, n - 1):
-        raise OutOfRange(f"faces {k} and {m} share a mark; pairs must be disjoint")
-    return _merged(word, k - 1, {0: 2, (m - k) % n: 2})
-
-
-def triple_config(label: Label | Sequence[int], k: int) -> DegenerateConfig:
-    """Codimension-2 key with the consecutive triple at positions k..k+2 collided."""
-    word = as_word(label)
-    n = len(word)
-    if not 1 <= k <= n:
-        raise OutOfRange(f"face index must be in 1..{n}, got {k}")
-    return _merged(word, k - 1, {0: 3})

@@ -5,6 +5,12 @@ One cell per label; face ``k`` of a cell collapses the adjacent mark pair
 configurations coincide.  The pairing is a perfect matching with no
 face glued to itself and no two faces of the same cell glued.
 
+A *degenerate configuration* is a cyclic word over merged marks — symbols
+are sorted tuples of one, two, or three marks — considered up to rotation
+and reversal.  Its key, a :class:`DegenerateConfig`, comes from
+``face_config``, ``vertex_config`` or ``triple_config``, which only this
+layer calls, so no other command compiles them.
+
 Orbits of deeper strata come from one gluing walk over the pairings: a
 report names its nodes and, for each face, the configuration key of every
 node on it; each pairing glues the nodes with equal keys on its two sides.
@@ -25,18 +31,30 @@ import math
 from typing import Callable, Sequence
 
 from ._record import record
-from .combinatorics import (
-    TOL_IDEAL,
-    DegenerateConfig,
-    Label,
-    WeightVector,
-    enumerate_labels,
-    equal_weight,
-    face_config,
-    triple_config,
-    vertex_config,
-)
+from .combinatorics import TOL_IDEAL, Label, WeightVector, as_word, enumerate_labels, equal_weight
 from .errors import NotEqualWeight, OutOfRange, PairingFailure, unwrap
+
+
+@record(order=True)
+class DegenerateConfig:
+    """A canonical cyclic word of merged marks (collision pattern).
+
+    ``word`` is a tuple of symbols; each symbol is a sorted tuple of one,
+    two, or three marks.  The word is the lexicographic minimum over all
+    rotations of itself and of its reversal, so equal configurations compare
+    equal.
+    """
+
+    word: tuple[tuple[int, ...], ...]
+
+    def render(self) -> str:
+        return "".join(
+            str(s[0]) if len(s) == 1 else "(" + "".join(str(m) for m in s) + ")"
+            for s in self.word
+        )
+
+    def __str__(self) -> str:
+        return self.render()
 
 
 @record
@@ -72,6 +90,52 @@ class GluedComplex:
 def _cyc(k: int, delta: int, n: int) -> int:
     """1-based cyclic face arithmetic."""
     return (k - 1 + delta) % n + 1
+
+
+def _merged(word: tuple[int, ...], first: int, runs: dict[int, int]) -> DegenerateConfig:
+    """The key of ``word`` read from its 0-based position ``first``, the
+    ``runs[p]`` consecutive marks from offset p merged into one sorted
+    symbol: the least rotation of the symbols or of their reversal."""
+    marks, symbols, p = word[first:] + word[:first], [], 0
+    while p < len(marks):
+        size = runs.get(p, 1)
+        symbols.append(tuple(sorted(marks[p : p + size])))
+        p += size
+    cyclic = [w[r:] + w[:r] for w in (tuple(symbols), tuple(reversed(symbols))) for r in range(len(w))]
+    return DegenerateConfig(word=min(cyclic))
+
+
+def face_config(label: Label | Sequence[int], k: int) -> DegenerateConfig:
+    """Codimension-1 key of face ``k``: marks at positions k, k+1 collide.
+
+    ``k`` is 1-based and cyclic; face k of <i1..in> collapses (i_k, i_{k+1}).
+    Two faces glue exactly when their keys are equal.
+    """
+    word = as_word(label)
+    n = len(word)
+    if not 1 <= k <= n:
+        raise OutOfRange(f"face index must be in 1..{n}, got {k}")
+    return _merged(word, k - 1, {0: 2})
+
+
+def vertex_config(label: Label | Sequence[int], k: int, m: int) -> DegenerateConfig:
+    """Codimension-2 key with two disjoint collided pairs at faces k and m."""
+    word = as_word(label)
+    n = len(word)
+    if not (1 <= k <= n and 1 <= m <= n) or k == m:
+        raise OutOfRange(f"need two distinct face indices in 1..{n}, got {k}, {m}")
+    if (m - k) % n in (1, n - 1):
+        raise OutOfRange(f"faces {k} and {m} share a mark; pairs must be disjoint")
+    return _merged(word, k - 1, {0: 2, (m - k) % n: 2})
+
+
+def triple_config(label: Label | Sequence[int], k: int) -> DegenerateConfig:
+    """Codimension-2 key with the consecutive triple at positions k..k+2 collided."""
+    word = as_word(label)
+    n = len(word)
+    if not 1 <= k <= n:
+        raise OutOfRange(f"face index must be in 1..{n}, got {k}")
+    return _merged(word, k - 1, {0: 3})
 
 
 def build_complex(n: int, theta: WeightVector | None = None) -> GluedComplex:

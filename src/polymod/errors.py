@@ -20,7 +20,6 @@ shared by the CLI's flags, ``run_suite`` and ``invert_params``.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from typing import Callable
 
@@ -161,8 +160,13 @@ def check_settings(tol: float = 1.0, samples: int = 1, seed: int = 0, jobs: int 
     0..2**128 - 1 (the 128-bit Philox key of ``verify``).  Returns ``tol`` as
     a float and the others as Python ints.  Every default is in the domain,
     so a caller passes only the settings it has."""
+    real = isinstance(tol, (int, float))
+    if not real:
+        import numbers  # loaded only for a tol of another type, such as a Fraction
+
+        real = isinstance(tol, numbers.Real)
     try:
-        value = float(tol) if isinstance(tol, numbers.Real) and not isinstance(tol, bool) else 0.0
+        value = float(tol) if real and not isinstance(tol, bool) else 0.0
     except OverflowError:  # an int or a fraction beyond the floats
         value = math.inf
     if not 0.0 < value < math.inf:

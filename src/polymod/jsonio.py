@@ -12,12 +12,14 @@ check them without loading the verification engine.
 
 numpy scalars and arrays serialize as they always have, but this module
 never imports numpy: until numpy is loaded no value can be of its types,
-so the type checks read numpy from ``sys.modules``.
+so the type checks read numpy from ``sys.modules``.  Nor does it import
+``json``: strings are quoted by a translation table that gives the bytes
+of ``json.dumps(s, ensure_ascii=True)``.  Its patterns compile on first
+use, since ``invert`` and ``verify`` parse no angle token.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
@@ -25,15 +27,12 @@ from typing import Sequence
 
 from .errors import OutOfRange
 
-_ANGLE_CHARS = re.compile(r"^[0-9eE+\-*/().]*$")
 # A signed float literal with a point or an exponent.  For these float()
 # gives the value eval gives, bit for bit; integer literals are left to
 # eval, which rejects leading zeros, turns -0 into +0.0 and raises on an
 # integer too large for a float.
 _FLOAT = r"[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)"
-_FLOAT_LITERAL = re.compile(_FLOAT)
-_PLAIN_ROW = re.compile(f"{_FLOAT}(?:,{_FLOAT})*")
-_REPEAT = re.compile(r"^(\d+)x(.+)$")
+_PLAIN_ROW = f"{_FLOAT}(?:,{_FLOAT})*"
 
 #: Largest ``Nx`` repetition count; no function here uses more than 8 marks.
 MAX_REPEAT = 8
@@ -44,6 +43,27 @@ MAX_EXPRESSION = 1000
 
 #: The suites of ``verify --suite`` and ``verify.run_suite``.
 SUITES = ("roundtrip", "orthogonality", "signature", "crossroute", "complex", "all")
+
+# json's escapes for the ASCII characters it escapes: C0 controls, DEL, '"' and '\'
+_ESCAPES = {c: f"\\u{c:04x}" for c in [*range(0x20), 0x7F]} | {
+    ord(c): "\\" + e for c, e in zip('"\\\b\t\n\f\r', '"\\btnfr')
+}
+
+
+def _quote(s: str) -> str:
+    """``json.dumps(s, ensure_ascii=True)``: escaped ASCII first, then each
+    other character as ``\\uXXXX``, past U+FFFF as a surrogate pair."""
+    text = s.translate(_ESCAPES)
+    if not text.isascii():
+        text = "".join(c if c.isascii() else _unicode_escape(ord(c)) for c in text)
+    return f'"{text}"'
+
+
+def _unicode_escape(code: int) -> str:
+    if code > 0xFFFF:
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
 
 
 def _numpy_types() -> tuple:
@@ -79,7 +99,7 @@ def dumps_canonical(obj) -> str:
     if isinstance(obj, (float, np_floating)):
         return format_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
+        return _quote(obj)
     if isinstance(obj, (list, tuple, np_ndarray)):
         items = list(obj)
         return "[" + ",".join(dumps_canonical(v) for v in items) + "]"
@@ -88,7 +108,7 @@ def dumps_canonical(obj) -> str:
             if not isinstance(key, str):
                 raise OutOfRange(f"JSON object keys must be strings, got {key!r}")
         parts = (
-            json.dumps(k, ensure_ascii=True) + ":" + dumps_canonical(obj[k])
+            _quote(k) + ":" + dumps_canonical(obj[k])
             for k in sorted(obj)
         )
         return "{" + ",".join(parts) + "}"
@@ -100,7 +120,7 @@ def _eval_angle(expr: str) -> float:
     e = expr.strip().lower().replace(" ", "")
     if not e:
         raise OutOfRange("empty angle token")
-    value = float(e) if _FLOAT_LITERAL.fullmatch(e) else _eval_expression(expr, e)
+    value = float(e) if re.fullmatch(_FLOAT, e) else _eval_expression(expr, e)
     if not math.isfinite(value):
         raise OutOfRange(f"angle token {expr!r} is not finite")
     return value
@@ -111,7 +131,7 @@ def _eval_expression(expr: str, e: str) -> float:
     is arithmetic on numbers and names, of which ``pi`` alone is defined."""
     if len(e) > MAX_EXPRESSION:
         raise OutOfRange(f"angle token of {len(e)} characters exceeds {MAX_EXPRESSION}")
-    if not _ANGLE_CHARS.match(e.replace("pi", "")):
+    if not re.match(r"^[0-9eE+\-*/().]*$", e.replace("pi", "")):
         raise OutOfRange(f"angle token {expr!r} contains unsupported characters")
     # implicit multiplication around pi: 2pi -> 2*pi, pi2 -> pi*2, )pi, pi( ...
     e = re.sub(r"(?<=[0-9.)])pi", "*pi", e)
@@ -138,7 +158,7 @@ def parse_theta(spec: str) -> list[float]:
         token = token.strip()
         if not token:
             raise OutOfRange(f"empty angle token in {spec!r}")
-        rep = _REPEAT.match(token)
+        rep = re.match(r"^(\d+)x(.+)$", token)
         if rep:
             digits = rep.group(1).lstrip("0") or "0"
             # checked before int(), which is slow on a long digit string
@@ -153,24 +173,16 @@ def parse_theta(spec: str) -> list[float]:
     return out
 
 
-def plain_floats(text: str) -> list[float] | None:
-    """The angles of a row of comma-separated plain float literals, each
-    converted by one ``float()`` (parse_theta's values, bit for bit), or
-    None for any other row: expressions, ``Nx`` repeats, integers, spaces
-    inside the row, or a literal such as ``1e999`` that overflows to inf."""
-    if not _PLAIN_ROW.fullmatch(text):
-        return None
-    values = list(map(float, text.split(",")))
-    return values if math.isfinite(sum(values)) else None
-
-
 def parse_rows(texts: Sequence[str]) -> list[list[float] | OutOfRange]:
     """:func:`parse_theta` over many rows: each row's angles, or its error.
-    A row of plain float literals takes :func:`plain_floats`."""
+    A row of comma-separated plain float literals takes one ``float()`` per
+    literal (parse_theta's values, bit for bit); any other row, and one
+    with a literal such as ``1e999`` that overflows to inf, takes parse_theta."""
+    plain = re.compile(_PLAIN_ROW).fullmatch  # bound once for all the rows
     out: list = []
     for text in texts:
-        values = plain_floats(text)
-        if values is None:
+        values = list(map(float, text.split(","))) if plain(text) else None
+        if values is None or not math.isfinite(sum(values)):
             try:
                 values = parse_theta(text)
             except OutOfRange as exc:

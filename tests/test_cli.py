@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polymod.errors
-from polymod import cli, fiber, psi5, psi6, validate_weight, verify
+from polymod import cli, fiber, psi5, psi6, sweep, validate_weight, verify
 from polymod.combinatorics import sample_weight_rng
 from polymod.errors import PolymodError, RouteDisagreement
 from polymod.jsonio import MAX_EXPRESSION, SUITES, parse_rows, parse_theta
@@ -764,17 +764,17 @@ class TestSweep:
         boundary, a blank line and a header: sweep prints what mapping the
         rows one at a time prints."""
         word = tuple(range(1, n + 1))[::-1]
-        thetas = boundary_weights(n, np.random.default_rng(70 + n), 2 * cli.SWEEP_CHUNK + 40)
+        thetas = boundary_weights(n, np.random.default_rng(70 + n), 2 * sweep.SWEEP_CHUNK + 40)
         rows = [",".join(map(repr, theta.theta)) for theta in thetas]
         rest = repr((2 * math.pi - 3.2) / (n - 2))
         planted = {
-            cli.SWEEP_CHUNK - 2: ",".join(["1.0"] * n),  # SumMismatch
-            cli.SWEEP_CHUNK - 1: "abc," + rows[0].partition(",")[2],  # OutOfRange
-            cli.SWEEP_CHUNK: ",".join(["1.6", "1.6"] + [rest] * (n - 2)),  # PairSumTooLarge
-            cli.SWEEP_CHUNK + 1: "-" + rows[1],  # NonPositive
-            cli.SWEEP_CHUNK + 3: f"{n}x2pi/{n}",
-            cli.SWEEP_CHUNK + 5: ",".join(rows[2].split(",")[:-1]),  # too few angles
-            cli.SWEEP_CHUNK + 7: rows[3].replace(",", ", "),
+            sweep.SWEEP_CHUNK - 2: ",".join(["1.0"] * n),  # SumMismatch
+            sweep.SWEEP_CHUNK - 1: "abc," + rows[0].partition(",")[2],  # OutOfRange
+            sweep.SWEEP_CHUNK: ",".join(["1.6", "1.6"] + [rest] * (n - 2)),  # PairSumTooLarge
+            sweep.SWEEP_CHUNK + 1: "-" + rows[1],  # NonPositive
+            sweep.SWEEP_CHUNK + 3: f"{n}x2pi/{n}",
+            sweep.SWEEP_CHUNK + 5: ",".join(rows[2].split(",")[:-1]),  # too few angles
+            sweep.SWEEP_CHUNK + 7: rows[3].replace(",", ", "),
         }
         for k, text in planted.items():
             rows[k] = text
@@ -860,9 +860,9 @@ class TestSweep:
             doc["message"],
         )
         last = int(match.group(1))
-        assert 2 * cli.SWEEP_CHUNK <= last <= 600
+        assert 2 * sweep.SWEEP_CHUNK <= last <= 600
         want, _ = sweep_one_row_at_a_time(6, (1, 2, 3, 4, 5, 6), rows.splitlines())
-        written = 1 + last // cli.SWEEP_CHUNK * cli.SWEEP_CHUNK
+        written = 1 + last // sweep.SWEEP_CHUNK * sweep.SWEEP_CHUNK
         assert out.read_text(encoding="utf-8").splitlines() == want.splitlines()[:written]
 
     def test_an_error_reading_the_input_exits_2(self, capsys, monkeypatch):
@@ -990,7 +990,7 @@ class TestStackedParse:
         """Every row gets ``_parse_weight``'s angles bit for bit, or its error
         class and message."""
         texts = data.draw(st.lists(sweep_rows(n), min_size=1, max_size=10))
-        theta, errors = cli._validate_rows(parse_rows(texts), n)
+        theta, errors = sweep._validate_rows(parse_rows(texts), n)
         for text, row, error in zip(texts, theta.tolist(), errors):
             got = outcome(lambda: row) if error is None else (type(error).__name__, str(error))
             assert got == outcome(cli._parse_weight, text, n)

@@ -21,7 +21,7 @@ from polymod import (
     validate_weight,
 )
 from polymod import complexes, lorentz
-from polymod.combinatorics import face_config, vertex_config
+from polymod.complexes import face_config, vertex_config
 
 from records import replace
 from weights import sample_weight
@@ -64,7 +64,7 @@ class TestPairings:
     @pytest.mark.parametrize("n", [5, 6])
     def test_glued_faces_share_their_config(self, n):
         """Both sides of each pairing collapse the same adjacent mark pair."""
-        from polymod.combinatorics import face_config
+        from polymod.complexes import face_config
 
         comp = build_complex(n)
         for p in comp.pairings:

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from polymod.combinatorics import equal_weight, face_config, sample_weight_rng, triple_config, vertex_config
-from polymod.complexes import build_complex, cusp_classes
+from polymod.combinatorics import equal_weight, sample_weight_rng
+from polymod.complexes import build_complex, cusp_classes, face_config, triple_config, vertex_config
 from polymod.errors import (
     NoIntersection,
     OutOfRange,

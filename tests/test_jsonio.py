@@ -1,6 +1,8 @@
 """Tests for angle-token parsing: the float fast path and the syntax-tree
-check against the ``eval`` path they replaced."""
+check against the ``eval`` path they replaced; and string quoting against
+``json``, which only this test imports."""
 
+import json
 import math
 import re
 import struct
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from polymod.errors import OutOfRange
 from polymod import jsonio
-from polymod.jsonio import MAX_EXPRESSION, _eval_angle, parse_theta
+from polymod.jsonio import MAX_EXPRESSION, _eval_angle, dumps_canonical, parse_theta
 
 _ANGLE_CHARS = re.compile(r"^[0-9eE@+\-*/().]*$")
 
@@ -130,3 +132,26 @@ def test_tokens_parse_as_the_eval_path_parses_them(spec):
         assert new == old
     elif new[:2] != old[:2]:
         assert listed_change(old, new), (old, new)
+
+
+#: Characters json escapes or passes through: C0 controls, DEL, the quote and
+#: the backslash, the first non-ASCII code points, a lone surrogate of each
+#: kind (argv decoding gives ``\udcff`` for byte 0xff), and astral ones.
+QUOTED_PARTS = ["\x00", "\x1f", " ", "~", "\x7f", '"', "\\", "\b\t\n\f\r", "\x80", "\xff",
+                "\u0100", "\ud800", "\udbff", "\udc00", "\udcff", "\uffff", "\U00010000",
+                "\U0001f600", "\U0010ffff", "u00", "\\u0080"]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(QUOTED_PARTS), max_size=12).map("".join)))
+@example("\x80")  # expanded before the table was applied, its backslash was doubled
+@example("\\\x80")
+@example("\udcff")
+@example("\U0001f600\x7f")
+def test_strings_quote_as_json_quotes_them(text):
+    """Values and keys alike are ``json.dumps(text, ensure_ascii=True)``."""
+    want = json.dumps(text, ensure_ascii=True)
+    assert dumps_canonical(text) == want
+    assert dumps_canonical({text: text, "~": [text]}) == json.dumps(
+        {text: text, "~": [text]}, ensure_ascii=True, sort_keys=True, separators=(",", ":")
+    )

@@ -31,7 +31,8 @@ from polymod import (
     validate_weight,
 )
 from polymod._record import record
-from polymod.combinatorics import DegenerateConfig, Label
+from polymod.combinatorics import Label
+from polymod.complexes import DegenerateConfig
 
 from records import replace
 from weights import angle_array

@@ -4,6 +4,8 @@
 and the commands that need no numeric layer finish without loading numpy.
 No module loads ``dataclasses`` or ``inspect`` (record classes compile no
 source), so neither does an import of the CLI or a ``complex`` report.
+Nor does the CLI's import load ``json``, ``numbers``, ``sweep``'s row layer
+or the ``complexes`` layer, each of which some command never runs.
 Every check runs in a fresh interpreter, since this test process has long
 since loaded everything.
 """
@@ -76,6 +78,75 @@ def module_level_imports(tree: ast.Module):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.module
         todo.extend(ast.iter_child_nodes(node))
+
+
+def test_importing_the_cli_loads_no_json_numbers_sweep_or_complexes():
+    """The probe prints with ``repr``, since importing ``json`` would hide it."""
+    proc = fresh(
+        "-c",
+        "import sys, types, polymod.cli\n"
+        "print(repr(([m for m in ('json', 'numbers', 'polymod.sweep') if m in sys.modules],\n"
+        "            type(sys.modules['polymod.complexes']) is types.ModuleType)))",
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "([], False)\n")
+
+
+#: Commands that run to exit 0 without the sweep row layer.
+NO_SWEEP = [
+    ["forward", "--n", "6", "--theta", "6x2pi/6"],
+    ["invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1"],
+    ["verify", "--suite", "all", "--n", "5", "--samples", "3", "--jobs", "1"],
+    ["complex", "--n", "6", "--report", "singular", "--theta", "1.2,0.9,1,1.1,0.8,1.2831853071795865"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_SWEEP, ids=[argv[0] for argv in NO_SWEEP])
+def test_commands_other_than_sweep_never_load_the_sweep_layer(argv):
+    probe = (
+        "import io, sys, contextlib\nfrom polymod.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n    code = main(sys.argv[1:])\n"
+        "print(json.dumps({'code': code, 'sweep': 'polymod.sweep' in sys.modules}))"
+    )
+    assert json.loads(python(probe, *argv)) == {"code": 0, "sweep": False}
+
+
+def test_a_sweep_loads_the_sweep_layer(tmp_path):
+    """The contrast case: the probe does see the layer when ``sweep`` runs."""
+    src = tmp_path / "rows.csv"
+    src.write_text("5x2pi/5\n", encoding="utf-8")
+    argv = ("sweep", "--n", "5", "--input", str(src), "--out", str(tmp_path / "out.csv"))
+    probe = (
+        "import sys\nfrom polymod.cli import main\ncode = main(sys.argv[1:])\n"
+        "print(json.dumps({'code': code, 'sweep': 'polymod.sweep' in sys.modules}))"
+    )
+    assert json.loads(python(probe, *argv)) == {"code": 0, "sweep": True}
+
+
+def every_import(tree: ast.Module):
+    """Each module or name a ``polymod`` file imports, function bodies
+    included, named from the top: ``from .cli import main`` gives
+    'polymod.cli.main' and ``from . import cli`` 'polymod.cli'."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["polymod" if node.level else "", node.module]))
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_json_or_the_cli_and_only_lorentz_imports_numbers():
+    """At module level no file imports ``json``, and only ``lorentz``
+    imports ``numbers``; no file imports ``polymod.cli`` anywhere, since
+    under ``python -m polymod.cli`` that would run the CLI's module twice."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "polymod").glob("*.py"))}
+    assert {"cli", "jsonio", "lorentz", "sweep"} <= set(trees)
+    at_load = {(stem, name.split(".")[0]) for stem, tree in trees.items() for name in module_level_imports(tree)}
+    assert sorted(stem for stem, name in at_load if name == "json") == []
+    assert sorted(stem for stem, name in at_load if name == "numbers") == ["lorentz"]
+    cli_imports = [stem for stem, tree in trees.items() for name in every_import(tree)
+                   if f"{name}.".startswith("polymod.cli.")]
+    assert cli_imports == []
 
 
 def test_no_module_imports_dataclasses_or_inspect_when_it_loads():
