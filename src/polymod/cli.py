@@ -30,7 +30,6 @@ from .jsonio import SUITES, _number, dumps_canonical, parse_label, parse_shape, 
 # commands that call them, after their input is validated, so ``complex``
 # reports and rejected input never load them; ``complexes`` loads for the
 # ``complex`` command alone, and ``sweep``'s row layer for ``sweep`` alone.
-# Nothing here imports ``json``: ``dumps_canonical`` quotes strings itself.
 
 
 def _given_settings(args: argparse.Namespace, *names: str) -> dict:

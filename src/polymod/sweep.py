@@ -135,7 +135,7 @@ def _validate_rows(parsed: list, n: int) -> tuple:
     errors = [row if isinstance(row, PolymodError) else None for row in parsed]
     for i, row in enumerate(parsed):
         if errors[i] is None and len(row) != n:
-            try:
+            try:  # cli._parse_weight's checks, in its order
                 validate_weight(row)
                 raise OutOfRange(f"--theta has {len(row)} angles but --n is {n}")
             except PolymodError as exc:

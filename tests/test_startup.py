@@ -91,35 +91,27 @@ def test_importing_the_cli_loads_no_json_numbers_sweep_or_complexes():
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "([], False)\n")
 
 
-#: Commands that run to exit 0 without the sweep row layer.
-NO_SWEEP = [
-    ["forward", "--n", "6", "--theta", "6x2pi/6"],
-    ["invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1"],
-    ["verify", "--suite", "all", "--n", "5", "--samples", "3", "--jobs", "1"],
-    ["complex", "--n", "6", "--report", "singular", "--theta", "1.2,0.9,1,1.1,0.8,1.2831853071795865"],
+#: Commands that exit 0, and whether each loads the sweep row layer;
+#: ``{tmp}`` is a scratch directory holding ``rows.csv``.
+SWEEP_LAYER = [
+    (["forward", "--n", "6", "--theta", "6x2pi/6"], False),
+    (["invert", "--n", "6", "--shape1", "1,1,1", "--shape2", "1,1,1"], False),
+    (["verify", "--suite", "all", "--n", "5", "--samples", "3", "--jobs", "1"], False),
+    (["complex", "--n", "6", "--report", "singular", "--theta", "1.2,0.9,1,1.1,0.8,1.2831853071795865"], False),
+    (["sweep", "--n", "5", "--input", "{tmp}/rows.csv", "--out", "{tmp}/out.csv"], True),
 ]
 
 
-@pytest.mark.parametrize("argv", NO_SWEEP, ids=[argv[0] for argv in NO_SWEEP])
-def test_commands_other_than_sweep_never_load_the_sweep_layer(argv):
+@pytest.mark.parametrize("argv, loads", SWEEP_LAYER, ids=[argv[0] for argv, _ in SWEEP_LAYER])
+def test_only_sweep_loads_the_sweep_layer(argv, loads, tmp_path):
+    (tmp_path / "rows.csv").write_text("5x2pi/5\n", encoding="utf-8")
     probe = (
         "import io, sys, contextlib\nfrom polymod.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n    code = main(sys.argv[1:])\n"
         "print(json.dumps({'code': code, 'sweep': 'polymod.sweep' in sys.modules}))"
     )
-    assert json.loads(python(probe, *argv)) == {"code": 0, "sweep": False}
-
-
-def test_a_sweep_loads_the_sweep_layer(tmp_path):
-    """The contrast case: the probe does see the layer when ``sweep`` runs."""
-    src = tmp_path / "rows.csv"
-    src.write_text("5x2pi/5\n", encoding="utf-8")
-    argv = ("sweep", "--n", "5", "--input", str(src), "--out", str(tmp_path / "out.csv"))
-    probe = (
-        "import sys\nfrom polymod.cli import main\ncode = main(sys.argv[1:])\n"
-        "print(json.dumps({'code': code, 'sweep': 'polymod.sweep' in sys.modules}))"
-    )
-    assert json.loads(python(probe, *argv)) == {"code": 0, "sweep": True}
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert json.loads(python(probe, *argv)) == {"code": 0, "sweep": loads}
 
 
 def every_import(tree: ast.Module):
